@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / property verified, 1 = negative verdict (a check
 failed honestly), 2 = unusable input, 3 = an internal identity or an
-expected-impossible outcome (a prime target, a broken charge identity).
+expected-impossible outcome (a prime target, a broken charge identity),
+4 = internal error (any other exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .coloring import DEFAULT_COLOUR_CAP, edge_colour, verify_colouring
-from .config import ConfigMatch, is_prime
+from .config import is_prime
 from .corpus import CorpusSpec, FIXTURE_NAMES, build_corpus
 from .cuts import DEFAULT_CUT_CAP, is_oddly_connected, min_odd_cut
 from .discharge import charge_report
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -64,50 +67,6 @@ def _load_target(args) -> tuple[DTarget, str, str]:
     return t, args.input, digest
 
 
-def _witness_payload(w) -> dict:
-    if isinstance(w, ConfigMatch):
-        return {
-            "kind": f"Conf({w.conf_index})",
-            "conf": w.conf_index,
-            "names": {name: v for name, v in w.names},
-            "region_ids": list(w.region_ids),
-            "satisfied": list(w.satisfied),
-            "branch": w.branch,
-        }
-    payload = {"kind": type(w).__name__}
-    if hasattr(w, "edge"):
-        payload["edge"] = list(w.edge)
-    if hasattr(w, "vertex_count"):
-        payload["vertex_count"] = w.vertex_count
-    if hasattr(w, "level"):
-        payload["level"] = w.level
-    if hasattr(w, "witness"):
-        payload["X"] = list(w.witness.X)
-        payload["value"] = w.witness.value
-    return payload
-
-
-def _witness_text(w) -> str:
-    if isinstance(w, ConfigMatch):
-        names = ", ".join(f"{name}={v}" for name, v in w.names)
-        branch = f" [branch {w.branch}]" if w.branch else ""
-        return f"Conf({w.conf_index}) at {names}{branch}: " + "; ".join(w.satisfied)
-    if type(w).__name__ == "ZeroMultEdge":
-        return f"edge {w.edge} has multiplicity 0"
-    if type(w).__name__ == "TooFewVertices":
-        return f"only {w.vertex_count} vertices (fewer than 6)"
-    if type(w).__name__ == "CutViolation":
-        return (
-            f"odd cut X={list(w.witness.X)} has value {w.witness.value} < 10 "
-            "with both sides larger than one vertex"
-        )
-    if type(w).__name__ == "NotThreeConnected":
-        return f"connectivity level {w.level} (not 3-connected)"
-    if type(w).__name__ == "MultiplicityOver6":
-        return f"edge {w.edge} has multiplicity above 6"
-    return repr(w)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -116,11 +75,12 @@ def _witness_text(w) -> str:
 def cmd_check(args) -> Report:
     t, path, digest = _load_target(args)
     rep = validate(t)
+    regions = len(t.graph.faces) if rep.euler_ok else None
     details: dict = {
         "d": t.d,
         "vertices": t.vertex_count,
         "edges": len(t.graph.edges),
-        "regions": len(t.graph.faces),
+        "regions": regions,
         "degree_ok": rep.degree_ok,
         "euler_ok": rep.euler_ok,
         "connectivity_level": rep.connectivity_level,
@@ -128,7 +88,7 @@ def cmd_check(args) -> Report:
     }
     lines = [
         f"d = {t.d}, {t.vertex_count} vertices, {len(t.graph.edges)} edges, "
-        f"{len(t.graph.faces)} regions",
+        + (f"{regions} regions" if rep.euler_ok else "no regions traced"),
         f"degree sums: {'ok' if rep.degree_ok else 'VIOLATED'}",
         f"planarity (Euler): {'ok' if rep.euler_ok else 'VIOLATED'}",
         f"connectivity level: {rep.connectivity_level}",
@@ -174,8 +134,8 @@ def cmd_classify(args) -> Report:
         digest,
         f"not prime: {verdict.witness_kind}",
         EXIT_NEGATIVE,
-        {"prime": False, "witness": _witness_payload(w)},
-        [f"witness: {_witness_text(w)}"],
+        {"prime": False, "witness": w.payload()},
+        [f"witness: {w.text()}"],
     )
 
 
@@ -482,6 +442,10 @@ def main(argv=None) -> int:
     except DTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     rendered = _render(report, args.format)
     print(rendered)
     if args.out:

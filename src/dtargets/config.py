@@ -1,7 +1,10 @@
 """Doors, big/small regions, heaviness, toughness, the 19 local patterns, and
 the primality verdict.
 
-Pattern conventions shared by every detector:
+Each pattern is one entry of the pattern table: its vertex labels, a
+placement generator and an evaluator.  Detection, re-checking and
+deduplication are generic over that table.  Conventions shared by every
+pattern:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -16,9 +19,11 @@ Pattern conventions shared by every detector:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .cuts import CutWitness, DEFAULT_CUT_CAP, strengthened_cut_check
 from .errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
@@ -70,13 +75,6 @@ def doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
                 found.append(e)
         store[r.id] = tuple(sorted(set(found)))
     return store[r.id]
-
-
-def is_door(t: DTarget, e: Edge, r: Region) -> bool:
-    e = norm_edge(*e)
-    if e not in r.edge_set:
-        raise DTargetError(f"edge {e} is not on the boundary of region {r.id}")
-    return e in doors(t, r)
 
 
 def is_big(t: DTarget, r: Region) -> bool:
@@ -147,12 +145,21 @@ def is_tough(t: DTarget, r: Region) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pattern matches
+# Non-primality witnesses: each renders its own kind, payload and text
 # ---------------------------------------------------------------------------
 
 
+class _Witness:
+    """A reason a target is not prime, rendered as a ``kind``, a machine
+    ``payload()`` and a one-line ``text()``."""
+
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
+
+
 @dataclass(frozen=True)
-class ConfigMatch:
+class ConfigMatch(_Witness):
     conf_index: int
     names: tuple[tuple[str, int], ...]
     region_ids: tuple[int, ...]
@@ -167,48 +174,98 @@ class ConfigMatch:
     def vertex_tuple(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.names)
 
+    @property
+    def kind(self) -> str:
+        return f"Conf({self.conf_index})"
+
+    def payload(self) -> dict:
+        return {
+            "kind": self.kind,
+            "conf": self.conf_index,
+            "names": dict(self.names),
+            "region_ids": list(self.region_ids),
+            "satisfied": list(self.satisfied),
+            "branch": self.branch,
+        }
+
+    def text(self) -> str:
+        names = ", ".join(f"{name}={v}" for name, v in self.names)
+        branch = f" [branch {self.branch}]" if self.branch else ""
+        return f"{self.kind} at {names}{branch}: " + "; ".join(self.satisfied)
+
 
 @dataclass(frozen=True)
-class ZeroMultEdge:
+class ZeroMultEdge(_Witness):
     edge: Edge
 
+    def payload(self) -> dict:
+        return {"kind": self.kind, "edge": list(self.edge)}
+
+    def text(self) -> str:
+        return f"edge {self.edge} has multiplicity 0"
+
 
 @dataclass(frozen=True)
-class TooFewVertices:
+class TooFewVertices(_Witness):
     vertex_count: int
 
+    def payload(self) -> dict:
+        return {"kind": self.kind, "vertex_count": self.vertex_count}
+
+    def text(self) -> str:
+        return f"only {self.vertex_count} vertices (fewer than 6)"
+
 
 @dataclass(frozen=True)
-class CutViolation:
+class CutViolation(_Witness):
     witness: CutWitness
 
+    def payload(self) -> dict:
+        return {"kind": self.kind, "X": list(self.witness.X), "value": self.witness.value}
+
+    def text(self) -> str:
+        return (
+            f"odd cut X={list(self.witness.X)} has value {self.witness.value} < 10 "
+            "with both sides larger than one vertex"
+        )
+
 
 @dataclass(frozen=True)
-class NotThreeConnected:
+class NotThreeConnected(_Witness):
     level: int
 
+    def payload(self) -> dict:
+        return {"kind": self.kind, "level": self.level}
+
+    def text(self) -> str:
+        return f"connectivity level {self.level} (not 3-connected)"
+
 
 @dataclass(frozen=True)
-class MultiplicityOver6:
+class MultiplicityOver6(_Witness):
     edge: Edge
+
+    def payload(self) -> dict:
+        return {"kind": self.kind, "edge": list(self.edge)}
+
+    def text(self) -> str:
+        return f"edge {self.edge} has multiplicity above 6"
 
 
 @dataclass(frozen=True)
 class PrimalityVerdict:
     is_prime: bool
-    witness: object | None
+    witness: _Witness | None
 
     @property
     def witness_kind(self) -> str | None:
-        if self.witness is None:
-            return None
-        if isinstance(self.witness, ConfigMatch):
-            return f"Conf({self.witness.conf_index})"
-        return type(self.witness).__name__
+        return None if self.witness is None else self.witness.kind
 
 
 # ---------------------------------------------------------------------------
-# Placement helpers
+# Placements: each generator yields flat tuples, the placement's regions
+# followed by its named vertices in label order.  Orbit filters keep one
+# labelling per symmetry class where a pattern is symmetric.
 # ---------------------------------------------------------------------------
 
 
@@ -232,6 +289,44 @@ def _third_vertex(r: Region, u: int, v: int) -> int:
     return w
 
 
+def _degree(t: DTarget, v: int) -> int:
+    return len(t.graph.rotations[v])
+
+
+def _triangle_edges(t: DTarget):
+    """Triangle uvw with u < v."""
+    for tri in _regions_of_length(t, 3):
+        for u, v in combinations(sorted(tri.vertices), 2):
+            yield tri, u, v, _third_vertex(tri, u, v)
+
+
+def _triangle_corners(t: DTarget):
+    """Triangle uvw with v < w."""
+    for tri in _regions_of_length(t, 3):
+        for u in tri.vertices:
+            v, w = sorted(set(tri.vertices) - {u})
+            yield tri, u, v, w
+
+
+def _triangle_degree3_corners(t: DTarget):
+    """Triangle uvw with deg(u) = 3 and x the neighbour of u off the triangle."""
+    for tri in _regions_of_length(t, 3):
+        for u in tri.vertices:
+            if _degree(t, u) != 3:
+                continue
+            (x,) = set(t.graph.rotations[u]) - set(tri.vertices)
+            for v, w in permutations(sorted(set(tri.vertices) - {u})):
+                yield tri, u, v, w, x
+
+
+def _triangle_triple_edges(t: DTarget):
+    """Triangle uvw whose edge uv (u < v) has multiplicity 3."""
+    for tri in _regions_of_length(t, 3):
+        for u, v in tri.edges:
+            if t.m(u, v) == 3:
+                yield tri, u, v, _third_vertex(tri, u, v)
+
+
 def _triangle_pairs(t: DTarget):
     """Ordered pairs of triangle regions sharing one edge, with both
     orientations of the shared edge: yields (T1, T2, u, v, w, x) for
@@ -250,52 +345,93 @@ def _triangle_pairs(t: DTarget):
                 yield first, second, u, v, w, x
 
 
-def _square_triangle_placements(t: DTarget):
+def _triangle_pair_orbits(t: DTarget):
+    """Triangle pairs, one of each (u, v, w, x) ~ (w, x, u, v) orbit."""
+    for placement in _triangle_pairs(t):
+        _, _, u, v, w, x = placement
+        if (u, v, w, x) <= (w, x, u, v):
+            yield placement
+
+
+def _labelled_regions(length: int):
+    """Each region of the given length under every labelling of its cycle."""
+
+    def placements(t: DTarget):
+        for r in _regions_of_length(t, length):
+            for vs in _cyclic_labelings(r):
+                yield (r, *vs)
+
+    return placements
+
+
+_squares = _labelled_regions(4)
+
+
+def _square_orbits(t: DTarget):
+    """Squares uvwx, one labelling per orbit of the symmetries
+    (u, v, w, x) -> (w, x, u, v) and (u, v, w, x) -> (v, u, x, w)."""
+    for square, u, v, w, x in _squares(t):
+        orbit = ((u, v, w, x), (w, x, u, v), (v, u, x, w), (x, w, v, u))
+        if (u, v, w, x) == min(orbit):
+            yield square, u, v, w, x
+
+
+def _square_triangles(t: DTarget):
     """Square region uvwx (cyclically labelled) whose edge wx borders a
     triangle region wxy; the triangle apex y avoids the square."""
-    for square in _regions_of_length(t, 4):
-        for u, v, w, x in _cyclic_labelings(square):
-            if norm_edge(w, x) not in square.edge_set:
-                continue
-            tri = other_region(t, norm_edge(w, x), square)
-            if tri.length != 3:
-                continue
-            y = _third_vertex(tri, w, x)
-            if y in (u, v):
-                continue
-            yield square, tri, u, v, w, x, y
-
-
-def _region_edge_triangle_placements(t: DTarget, min_length: int):
-    """Edge uv on C_r whose far region is a triangle uvw with w off C_r."""
-    for a, b in t.graph.edges:
-        r1 = t.graph.dart_region[(a, b)]
-        r2 = t.graph.dart_region[(b, a)]
-        if r1.id == r2.id:
+    for square, u, v, w, x in _squares(t):
+        if norm_edge(w, x) not in square.edge_set:
             continue
-        for r, tri in ((r1, r2), (r2, r1)):
-            if tri.length != 3 or r.length < min_length:
+        tri = other_region(t, norm_edge(w, x), square)
+        if tri.length != 3:
+            continue
+        y = _third_vertex(tri, w, x)
+        if y in (u, v):
+            continue
+        yield square, tri, u, v, w, x, y
+
+
+def _region_edges(min_length: int):
+    """Boundary edge uv (u < v) of a region of at least the given length."""
+
+    def placements(t: DTarget):
+        for r in t.graph.faces:
+            if r.length < min_length:
                 continue
-            for u, v in ((a, b), (b, a)):
-                w = _third_vertex(tri, u, v)
-                if w in r.vertex_set:
+            for u, v in sorted(r.edge_set):
+                yield r, u, v
+
+    return placements
+
+
+def _region_triangles(min_length: int):
+    """Edge uv on C_r, r of at least the given length, whose far region is a
+    triangle uvw with w off C_r."""
+
+    def placements(t: DTarget):
+        for a, b in t.graph.edges:
+            r1 = t.graph.dart_region[(a, b)]
+            r2 = t.graph.dart_region[(b, a)]
+            if r1.id == r2.id:
+                continue
+            for r, tri in ((r1, r2), (r2, r1)):
+                if tri.length != 3 or r.length < min_length:
                     continue
-                yield r, tri, u, v, w
+                for u, v in ((a, b), (b, a)):
+                    w = _third_vertex(tri, u, v)
+                    if w in r.vertex_set:
+                        continue
+                    yield r, tri, u, v, w
 
-
-def _boundary_edges_at(r: Region, u: int) -> list[Edge]:
-    return [e for e in r.edges if u in e]
+    return placements
 
 
 # ---------------------------------------------------------------------------
-# Per-pattern evaluators: None when the conditions fail, else the list of
-# satisfied facts.  Each evaluator re-verifies the structural pattern, so a
-# reported match can be independently re-checked from its named elements.
+# Per-pattern evaluators: called with a placement, they return None when the
+# conditions fail, else (satisfied facts, branch); only Conf 18 has branches.
+# Each evaluator re-verifies the structural pattern, so a reported match can
+# be independently re-checked from its named elements.
 # ---------------------------------------------------------------------------
-
-
-def _degree(t: DTarget, v: int) -> int:
-    return len(t.graph.rotations[v])
 
 
 def _eval_conf1(t, tri: Region, u, v, w):
@@ -303,7 +439,7 @@ def _eval_conf1(t, tri: Region, u, v, w):
         return None
     if _degree(t, u) != 3 or _degree(t, v) != 3:
         return None
-    return (f"deg({u}) = 3", f"deg({v}) = 3")
+    return (f"deg({u}) = 3", f"deg({v}) = 3"), None
 
 
 def _eval_conf2(t, tri: Region, u, v, w, x):
@@ -314,7 +450,7 @@ def _eval_conf2(t, tri: Region, u, v, w, x):
     lhs, rhs = t.m(u, x), t.m(u, w) + t.m(v, w)
     if lhs >= rhs:
         return None
-    return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",)
+    return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",), None
 
 
 def _shared_edge_triangles_ok(t, first: Region, second: Region, u, v, w, x) -> bool:
@@ -336,7 +472,7 @@ def _eval_conf3(t, first, second, u, v, w, x):
     total = t.m(u, v) + t.m(u, w) + t.m(v, w) + t.m(u, x)
     if total < 8:
         return None
-    return (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",)
+    return (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",), None
 
 
 def _eval_conf4(t, square: Region, u, v, w, x):
@@ -349,7 +485,7 @@ def _eval_conf4(t, square: Region, u, v, w, x):
     return (
         f"m({u},{v}) + m({v},{w}) + m({u},{x}) = {total} >= 8",
         f"(m(uv),m(vw),m(wx),m(ux)) = {profile} != (4, 2, 1, 2)",
-    )
+    ), None
 
 
 def tuple_not_square(square: Region, u, v, w, x) -> bool:
@@ -372,7 +508,7 @@ def _eval_conf5(t, first, second, u, v, w, x):
         return None
     if total < 7:
         return None
-    return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",)
+    return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",), None
 
 
 def _eval_conf6(t, square: Region, u, v, w, x):
@@ -385,7 +521,7 @@ def _eval_conf6(t, square: Region, u, v, w, x):
         return None
     if total < 7:
         return None
-    return (f"m+({u},{v}) + m+({w},{x}) = {total} >= 7",)
+    return (f"m+({u},{v}) + m+({w},{x}) = {total} >= 7",), None
 
 
 def _eval_conf7(t, tri: Region, u, v, w):
@@ -398,7 +534,7 @@ def _eval_conf7(t, tri: Region, u, v, w):
         return None
     if total < 7:
         return None
-    return (f"m+({u},{v}) + m+({u},{w}) = {total} >= 7",)
+    return (f"m+({u},{v}) + m+({u},{w}) = {total} >= 7",), None
 
 
 def _door_disjoint_from(t, region: Region, vertices: set[int]) -> bool:
@@ -421,7 +557,7 @@ def _eval_conf8(t, tri: Region, u, v, w):
     return (
         "m(uv), m(uw), m(vw) = 3, 2, 2",
         f"second region(s) of {blocked} have no door disjoint from the triangle",
-    )
+    ), None
 
 
 def _eval_conf9(t, tri: Region, u, v, w):
@@ -439,15 +575,7 @@ def _eval_conf9(t, tri: Region, u, v, w):
         if len(ds) > 1 or _door_disjoint_from(t, far, tri_vertices):
             return None
         facts.append(f"second region of {e}: {len(ds)} door(s), none disjoint")
-    return tuple(facts)
-
-
-def _eval_conf10(t, square, tri, u, v, w, x, y):
-    if not _square_triangle_ok(square, tri, u, v, w, x, y):
-        return None
-    if not (t.m(u, v) == 2 and t.m(w, x) == 2 and t.m(x, y) == 2 and t.m(v, w) == 4):
-        return None
-    return ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4")
+    return tuple(facts), None
 
 
 def _square_triangle_ok(square, tri, u, v, w, x, y) -> bool:
@@ -459,6 +587,14 @@ def _square_triangle_ok(square, tri, u, v, w, x, y) -> bool:
         and set(tri.vertices) == {w, x, y}
         and y not in (u, v)
     )
+
+
+def _eval_conf10(t, square, tri, u, v, w, x, y):
+    if not _square_triangle_ok(square, tri, u, v, w, x, y):
+        return None
+    if not (t.m(u, v) == 2 and t.m(w, x) == 2 and t.m(x, y) == 2 and t.m(v, w) == 4):
+        return None
+    return ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4"), None
 
 
 def _eval_conf11(t, square, tri, u, v, w, x, y):
@@ -478,7 +614,7 @@ def _eval_conf11(t, square, tri, u, v, w, x, y):
         "m(wx) = 1",
         f"m({u},{x}) = {t.m(u, x)} <= 3",
         f"m+({x},{y}) = {plus} >= 3",
-    )
+    ), None
 
 
 def _eval_conf12(t, square, tri, u, v, w, x, y):
@@ -500,10 +636,10 @@ def _eval_conf12(t, square, tri, u, v, w, x, y):
         "m(wx) = m(wy) = 2",
         f"m({u},{x}) = {t.m(u, x)} <= 3",
         f"m+({x},{y}) = {xy_plus} >= 3",
-    )
+    ), None
 
 
-def _eval_conf13(t, r: Region, vs: tuple[int, ...]):
+def _eval_conf13(t, r: Region, *vs: int):
     if r.length != 5 or len(set(vs)) != 5 or set(vs) != set(r.vertices):
         return None
     edges = [norm_edge(vs[i], vs[(i + 1) % 5]) for i in range(5)]
@@ -526,10 +662,11 @@ def _eval_conf13(t, r: Region, vs: tuple[int, ...]):
         f"m(e1) = {m(e1)} >= max(m(e2), m(e5)) = {max(m(e2), m(e5))}",
         f"m(e1) + m(e2) + m(e3) = {m(e1) + m(e2) + m(e3)} >= 8",
         f"m+(e1) + m+(e4) = {plus} >= 7",
-    )
+    ), None
 
 
-def _eval_conf14(t, r: Region, e: Edge):
+def _eval_conf14(t, r: Region, u, v):
+    e = norm_edge(u, v)
     if e not in r.edge_set:
         return None
     try:
@@ -544,10 +681,11 @@ def _eval_conf14(t, r: Region, e: Edge):
     return (
         f"m+({e[0]},{e[1]}) = {plus} >= 6",
         f"{len(disjoint_doors)} door(s) of the region disjoint from the edge (<= 6)",
-    )
+    ), None
 
 
-def _eval_conf15(t, r: Region, e: Edge):
+def _eval_conf15(t, r: Region, u, v):
+    e = norm_edge(u, v)
     if r.length < 4 or e not in r.edge_set:
         return None
     try:
@@ -562,7 +700,7 @@ def _eval_conf15(t, r: Region, e: Edge):
     return (
         f"m+({e[0]},{e[1]}) = {plus} >= 4",
         f"all {len(others)} boundary edges disjoint from the edge are 3-heavy",
-    )
+    ), None
 
 
 def _second_boundary_edge_at(r: Region, u: int, first: Edge) -> Edge | None:
@@ -596,10 +734,11 @@ def _eval_conf16(t, r: Region, tri: Region, u, v, w):
         f"m({v},{w}) = {t.m(v, w)} <= {t.m(u, w)} = m({u},{w})",
         f"second boundary edge at {u}: m({g[0]},{g[1]}) = {t.m_edge(g)} <= m({u},{w})",
         f"all {len(away_from_u)} boundary edges avoiding {u} are 3-heavy",
-    )
+    ), None
 
 
-def _eval_conf17(t, r: Region, e: Edge):
+def _eval_conf17(t, r: Region, u, v):
+    e = norm_edge(u, v)
     if r.length < 5 or e not in r.edge_set:
         return None
     disc = (r.id,)
@@ -619,7 +758,7 @@ def _eval_conf17(t, r: Region, e: Edge):
         f"m+({e[0]},{e[1]}) = {plus} >= 5",
         "all boundary edges disjoint from the edge have m+ >= 2",
         f"{light} of them not 3-heavy (<= 1)",
-    )
+    ), None
 
 
 def _eval_conf18(t, r: Region, tri: Region, u, v, w):
@@ -659,17 +798,15 @@ def _eval_conf18(t, r: Region, tri: Region, u, v, w):
         return None
     branch = "ab" if branch_a and branch_b else ("a" if branch_a else "b")
     return (
-        (
-            f"m+({u},{w}) + m({u},{v}) = {uw_plus + t.m(u, v)} >= 5",
-            f"m({v},{w}) <= m({u},{w})",
-            f"second boundary edge at {u} has multiplicity <= m({u},{w})",
-            f"branch {branch}",
-        ),
-        branch,
-    )
+        f"m+({u},{w}) + m({u},{v}) = {uw_plus + t.m(u, v)} >= 5",
+        f"m({v},{w}) <= m({u},{w})",
+        f"second boundary edge at {u} has multiplicity <= m({u},{w})",
+        f"branch {branch}",
+    ), branch
 
 
-def _eval_conf19(t, r: Region, e: Edge):
+def _eval_conf19(t, r: Region, u, v):
+    e = norm_edge(u, v)
     if r.length < 5 or e not in r.edge_set:
         return None
     try:
@@ -688,205 +825,68 @@ def _eval_conf19(t, r: Region, e: Edge):
         f"m+({e[0]},{e[1]}) = {plus} >= 5",
         "all boundary edges disjoint from the edge are 2-heavy",
         f"{light} of them not 3-heavy (<= 2)",
-    )
+    ), None
 
 
 # ---------------------------------------------------------------------------
-# Detection
+# The pattern table and the generic detection over it
 # ---------------------------------------------------------------------------
 
 
-def _match(k, names, region_ids, satisfied, branch=None) -> ConfigMatch:
-    return ConfigMatch(
-        conf_index=k,
-        names=tuple(names),
-        region_ids=tuple(region_ids),
-        satisfied=tuple(satisfied),
-        branch=branch,
-    )
+class _Pattern(NamedTuple):
+    labels: tuple[str, ...]  # names of the placement's vertices, in order
+    placements: Callable[[DTarget], Iterator[tuple]]
+    evaluate: Callable[..., tuple[tuple[str, ...], str | None] | None]
 
 
-def _detect_conf1(t):
-    for tri in _regions_of_length(t, 3):
-        for u, v in permutations(sorted(tri.vertices), 2):
-            if u > v:
-                continue
-            w = _third_vertex(tri, u, v)
-            facts = _eval_conf1(t, tri, u, v, w)
-            if facts:
-                yield _match(1, [("u", u), ("v", v), ("w", w)], [tri.id], facts)
+_UV = ("u", "v")
+_UVW = ("u", "v", "w")
+_UVWX = ("u", "v", "w", "x")
+_UVWXY = ("u", "v", "w", "x", "y")
 
-
-def _detect_conf2(t):
-    for tri in _regions_of_length(t, 3):
-        for u in tri.vertices:
-            if _degree(t, u) != 3:
-                continue
-            rest = sorted(set(tri.vertices) - {u})
-            (x,) = set(t.graph.rotations[u]) - set(tri.vertices)
-            for v, w in permutations(rest):
-                facts = _eval_conf2(t, tri, u, v, w, x)
-                if facts:
-                    yield _match(
-                        2, [("u", u), ("v", v), ("w", w), ("x", x)], [tri.id], facts
-                    )
-
-
-def _detect_conf3(t):
-    for first, second, u, v, w, x in _triangle_pairs(t):
-        facts = _eval_conf3(t, first, second, u, v, w, x)
-        if facts:
-            yield _match(
-                3,
-                [("u", u), ("v", v), ("w", w), ("x", x)],
-                [first.id, second.id],
-                facts,
-            )
-
-
-def _detect_conf4(t):
-    for square in _regions_of_length(t, 4):
-        for u, v, w, x in _cyclic_labelings(square):
-            facts = _eval_conf4(t, square, u, v, w, x)
-            if facts:
-                yield _match(
-                    4, [("u", u), ("v", v), ("w", w), ("x", x)], [square.id], facts
-                )
-
-
-def _detect_conf5(t):
-    for first, second, u, v, w, x in _triangle_pairs(t):
-        if (u, v, w, x) > (w, x, u, v):
-            continue  # symmetric partner placement reports this orbit
-        facts = _eval_conf5(t, first, second, u, v, w, x)
-        if facts:
-            yield _match(
-                5,
-                [("u", u), ("v", v), ("w", w), ("x", x)],
-                [first.id, second.id],
-                facts,
-            )
-
-
-def _detect_conf6(t):
-    for square in _regions_of_length(t, 4):
-        for u, v, w, x in _cyclic_labelings(square):
-            orbit = [(u, v, w, x), (w, x, u, v), (v, u, x, w), (x, w, v, u)]
-            if (u, v, w, x) != min(orbit):
-                continue
-            facts = _eval_conf6(t, square, u, v, w, x)
-            if facts:
-                yield _match(
-                    6, [("u", u), ("v", v), ("w", w), ("x", x)], [square.id], facts
-                )
-
-
-def _detect_conf7(t):
-    for tri in _regions_of_length(t, 3):
-        for u in tri.vertices:
-            v, w = sorted(set(tri.vertices) - {u})
-            facts = _eval_conf7(t, tri, u, v, w)
-            if facts:
-                yield _match(7, [("u", u), ("v", v), ("w", w)], [tri.id], facts)
-
-
-def _detect_conf8(t):
-    for tri in _regions_of_length(t, 3):
-        for e in tri.edges:
-            if t.m_edge(e) != 3:
-                continue
-            u, v = e
-            w = _third_vertex(tri, u, v)
-            facts = _eval_conf8(t, tri, u, v, w)
-            if facts:
-                yield _match(8, [("u", u), ("v", v), ("w", w)], [tri.id], facts)
-
-
-def _detect_conf9(t):
-    for tri in _regions_of_length(t, 3):
-        for u in tri.vertices:
-            v, w = sorted(set(tri.vertices) - {u})
-            facts = _eval_conf9(t, tri, u, v, w)
-            if facts:
-                yield _match(9, [("u", u), ("v", v), ("w", w)], [tri.id], facts)
-
-
-def _detect_square_triangle(t, k, evaluator):
-    for square, tri, u, v, w, x, y in _square_triangle_placements(t):
-        facts = evaluator(t, square, tri, u, v, w, x, y)
-        if facts:
-            yield _match(
-                k,
-                [("u", u), ("v", v), ("w", w), ("x", x), ("y", y)],
-                [square.id, tri.id],
-                facts,
-            )
-
-
-def _detect_conf13(t):
-    for r in _regions_of_length(t, 5):
-        for vs in _cyclic_labelings(r):
-            facts = _eval_conf13(t, r, vs)
-            if facts:
-                yield _match(
-                    13, [(f"v{i + 1}", vs[i]) for i in range(5)], [r.id], facts
-                )
-
-
-def _detect_region_edge(t, k, evaluator, min_length):
-    for r in t.graph.faces:
-        if r.length < min_length:
-            continue
-        for e in sorted(r.edge_set):
-            facts = evaluator(t, r, e)
-            if facts:
-                yield _match(k, [("u", e[0]), ("v", e[1])], [r.id], facts)
-
-
-def _detect_region_triangle(t, k, evaluator, min_length):
-    for r, tri, u, v, w in _region_edge_triangle_placements(t, min_length):
-        result = evaluator(t, r, tri, u, v, w)
-        if result:
-            if k == 18:
-                facts, branch = result
-            else:
-                facts, branch = result, None
-            yield _match(
-                k, [("u", u), ("v", v), ("w", w)], [r.id, tri.id], facts, branch
-            )
-
-
-_DETECTORS = {
-    1: _detect_conf1,
-    2: _detect_conf2,
-    3: _detect_conf3,
-    4: _detect_conf4,
-    5: _detect_conf5,
-    6: _detect_conf6,
-    7: _detect_conf7,
-    8: _detect_conf8,
-    9: _detect_conf9,
-    10: lambda t: _detect_square_triangle(t, 10, _eval_conf10),
-    11: lambda t: _detect_square_triangle(t, 11, _eval_conf11),
-    12: lambda t: _detect_square_triangle(t, 12, _eval_conf12),
-    13: _detect_conf13,
-    14: lambda t: _detect_region_edge(t, 14, _eval_conf14, 3),
-    15: lambda t: _detect_region_edge(t, 15, _eval_conf15, 4),
-    16: lambda t: _detect_region_triangle(t, 16, _eval_conf16, 3),
-    17: lambda t: _detect_region_edge(t, 17, _eval_conf17, 5),
-    18: lambda t: _detect_region_triangle(t, 18, _eval_conf18, 4),
-    19: lambda t: _detect_region_edge(t, 19, _eval_conf19, 5),
+_PATTERNS: dict[int, _Pattern] = {
+    1: _Pattern(_UVW, _triangle_edges, _eval_conf1),
+    2: _Pattern(_UVWX, _triangle_degree3_corners, _eval_conf2),
+    3: _Pattern(_UVWX, _triangle_pairs, _eval_conf3),
+    4: _Pattern(_UVWX, _squares, _eval_conf4),
+    5: _Pattern(_UVWX, _triangle_pair_orbits, _eval_conf5),
+    6: _Pattern(_UVWX, _square_orbits, _eval_conf6),
+    7: _Pattern(_UVW, _triangle_corners, _eval_conf7),
+    8: _Pattern(_UVW, _triangle_triple_edges, _eval_conf8),
+    9: _Pattern(_UVW, _triangle_corners, _eval_conf9),
+    10: _Pattern(_UVWXY, _square_triangles, _eval_conf10),
+    11: _Pattern(_UVWXY, _square_triangles, _eval_conf11),
+    12: _Pattern(_UVWXY, _square_triangles, _eval_conf12),
+    13: _Pattern(("v1", "v2", "v3", "v4", "v5"), _labelled_regions(5), _eval_conf13),
+    14: _Pattern(_UV, _region_edges(3), _eval_conf14),
+    15: _Pattern(_UV, _region_edges(4), _eval_conf15),
+    16: _Pattern(_UVW, _region_triangles(3), _eval_conf16),
+    17: _Pattern(_UV, _region_edges(5), _eval_conf17),
+    18: _Pattern(_UVW, _region_triangles(4), _eval_conf18),
+    19: _Pattern(_UV, _region_edges(5), _eval_conf19),
 }
+
+
+def _entry(k: int) -> _Pattern:
+    if k not in _PATTERNS:
+        raise DTargetError(f"no such configuration index: {k}")
+    return _PATTERNS[k]
 
 
 def detect(t: DTarget, k: int) -> list[ConfigMatch]:
     """All matches of pattern k, deduplicated and sorted by vertex tuple."""
     _require_d8(t)
-    if k not in _DETECTORS:
-        raise DTargetError(f"no such configuration index: {k}")
+    labels, placements, evaluate = _entry(k)
+    split = -len(labels)
     seen: set[tuple] = set()
     out: list[ConfigMatch] = []
-    for match in _DETECTORS[k](t):
+    for placement in placements(t):
+        result = evaluate(t, *placement)
+        if result is None:
+            continue
+        regions, vs = placement[:split], placement[split:]
+        names, region_ids = tuple(zip(labels, vs)), tuple(r.id for r in regions)
+        match = ConfigMatch(k, names, region_ids, *result)
         key = (match.names, match.region_ids)
         if key not in seen:
             seen.add(key)
@@ -899,71 +899,19 @@ def detect_all(t: DTarget) -> list[ConfigMatch]:
     """Matches of every pattern, ascending pattern index."""
     _require_d8(t)
     out: list[ConfigMatch] = []
-    for k in range(1, 20):
+    for k in _PATTERNS:
         out.extend(detect(t, k))
     return out
 
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
     """Re-evaluate a match's defining conditions on its named elements."""
+    labels, _, evaluate = _entry(match.conf_index)
+    if tuple(name for name, _ in match.names) != labels:
+        return False
     faces = t.graph.faces
     regions = [faces[i] for i in match.region_ids]
-    vm = match.vertex_map
-    k = match.conf_index
-    if k == 1:
-        return _eval_conf1(t, regions[0], vm["u"], vm["v"], vm["w"]) is not None
-    if k == 2:
-        return _eval_conf2(t, regions[0], vm["u"], vm["v"], vm["w"], vm["x"]) is not None
-    if k == 3:
-        return (
-            _eval_conf3(t, regions[0], regions[1], vm["u"], vm["v"], vm["w"], vm["x"])
-            is not None
-        )
-    if k == 4:
-        return _eval_conf4(t, regions[0], vm["u"], vm["v"], vm["w"], vm["x"]) is not None
-    if k == 5:
-        return (
-            _eval_conf5(t, regions[0], regions[1], vm["u"], vm["v"], vm["w"], vm["x"])
-            is not None
-        )
-    if k == 6:
-        return _eval_conf6(t, regions[0], vm["u"], vm["v"], vm["w"], vm["x"]) is not None
-    if k == 7:
-        return _eval_conf7(t, regions[0], vm["u"], vm["v"], vm["w"]) is not None
-    if k == 8:
-        return _eval_conf8(t, regions[0], vm["u"], vm["v"], vm["w"]) is not None
-    if k == 9:
-        return _eval_conf9(t, regions[0], vm["u"], vm["v"], vm["w"]) is not None
-    if k in (10, 11, 12):
-        evaluator = {10: _eval_conf10, 11: _eval_conf11, 12: _eval_conf12}[k]
-        return (
-            evaluator(
-                t, regions[0], regions[1], vm["u"], vm["v"], vm["w"], vm["x"], vm["y"]
-            )
-            is not None
-        )
-    if k == 13:
-        vs = tuple(vm[f"v{i + 1}"] for i in range(5))
-        return _eval_conf13(t, regions[0], vs) is not None
-    if k in (14, 15, 17, 19):
-        evaluator = {
-            14: _eval_conf14,
-            15: _eval_conf15,
-            17: _eval_conf17,
-            19: _eval_conf19,
-        }[k]
-        return evaluator(t, regions[0], norm_edge(vm["u"], vm["v"])) is not None
-    if k == 16:
-        return (
-            _eval_conf16(t, regions[0], regions[1], vm["u"], vm["v"], vm["w"])
-            is not None
-        )
-    if k == 18:
-        return (
-            _eval_conf18(t, regions[0], regions[1], vm["u"], vm["v"], vm["w"])
-            is not None
-        )
-    raise DTargetError(f"no such configuration index: {k}")
+    return evaluate(t, *regions, *match.vertex_tuple) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +940,7 @@ def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
     for e, m in t.mult_items:
         if m > 6:
             return PrimalityVerdict(False, MultiplicityOver6(e))
-    for k in range(1, 20):
+    for k in _PATTERNS:
         matches = detect(t, k)
         if matches:
             return PrimalityVerdict(False, matches[0])

@@ -19,18 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .config import doors, is_big, is_tough, m_plus, second_region
-from .errors import DTargetError, IdentityViolation, UnsupportedD
+from .config import _require_d8, doors, is_big, is_tough, m_plus
+from .errors import DTargetError, IdentityViolation
 from .planar import DTarget, Edge, Region, norm_edge, other_region, region_pair
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
-
-
-def _require_d8(t: DTarget) -> None:
-    if t.d != 8:
-        raise UnsupportedD(f"charging is defined for d = 8 only, got d = {t.d}")
 
 
 class RegionClass(Enum):
@@ -108,16 +103,23 @@ def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     return BetaTrace(e, 6, big.id, small.id, ONE)
 
 
+def _received(value: Fraction, receiver: int | None, r: Region) -> Fraction:
+    """Charge r receives across an edge whose transfer of value goes to the
+    region with id receiver; r is one side of that edge."""
+    return value if r.id == receiver else -value
+
+
+def _require_incident(t: DTarget, e: Edge, r: Region) -> None:
+    if r.id not in (region.id for region in region_pair(t, e)):
+        raise DTargetError(f"region {r.id} is not incident with edge {e}")
+
+
 def beta_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
     """Beta charge received by r across e (negative when r is the small side)."""
     e = norm_edge(*e)
-    r1, r2 = region_pair(t, e)
-    if r.id not in (r1.id, r2.id):
-        raise DTargetError(f"region {r.id} is not incident with edge {e}")
+    _require_incident(t, e, r)
     trace = beta_trace(t, e)
-    if trace.rule is None or trace.value == 0:
-        return ZERO
-    return trace.value if r.id == trace.big_region else -trace.value
+    return _received(trace.value, trace.big_region, r)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +229,9 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
 def gamma_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
     """Gamma charge received by r across e (negative when r is the tough side)."""
     e = norm_edge(*e)
-    r1, r2 = region_pair(t, e)
-    if r.id not in (r1.id, r2.id):
-        raise DTargetError(f"region {r.id} is not incident with edge {e}")
+    _require_incident(t, e, r)
     trace = gamma_trace(t, e)
-    if trace.rule is None or trace.value == 0:
-        return ZERO
-    return trace.value if r.id == trace.receiver_region else -trace.value
+    return _received(trace.value, trace.receiver_region, r)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +298,8 @@ def charge_report(t: DTarget) -> ChargeReport:
         beta_traces.append(bt)
         gamma_traces.append(gt)
         r1, r2 = region_pair(t, e)
-        b1, b2 = beta_edge(t, e, r1), beta_edge(t, e, r2)
-        g1, g2 = gamma_edge(t, e, r1), gamma_edge(t, e, r2)
+        b1, b2 = (_received(bt.value, bt.big_region, r) for r in (r1, r2))
+        g1, g2 = (_received(gt.value, gt.receiver_region, r) for r in (r1, r2))
         if b1 + b2 != 0:
             raise IdentityViolation(f"beta not antisymmetric across {e}: {b1}, {b2}")
         if g1 + g2 != 0:

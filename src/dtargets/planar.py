@@ -122,6 +122,8 @@ class RotationGraph:
         the predecessor of u in v's clockwise rotation.  Face ids therefore
         depend only on the rotation system, not on any traversal state.
         """
+        if not _is_connected(self):
+            raise EulerViolation("graph is disconnected: not a connected planar drawing")
         darts = sorted(
             (v, u) for v in range(self.vertex_count) for u in self.rotations[v]
         )
@@ -157,6 +159,26 @@ class RotationGraph:
                 f"V - E + F = {euler}, expected 2: not a connected planar drawing"
             )
         return tuple(regions)
+
+    @cached_property
+    def connectivity(self) -> int:
+        """0 disconnected, 1 has a cut vertex, 2 has a 2-cut, 3 means
+        3-connected-or-better.
+
+        Computed by exhaustive removal of all vertex subsets of size at most
+        2; removals that leave fewer than two vertices cannot disconnect
+        anything and are skipped.
+        """
+        n = self.vertex_count
+        if not _is_connected(self):
+            return 0
+        for k in (1, 2):
+            if n - k < 2:
+                continue
+            for cut in combinations(range(n), k):
+                if not _is_connected(self, frozenset(cut)):
+                    return k
+        return 3
 
     @cached_property
     def dart_region(self) -> dict[tuple[int, int], Region]:
@@ -382,22 +404,9 @@ def _is_connected(graph: RotationGraph, removed: frozenset[int] = frozenset()) -
 
 
 def connectivity_level(graph: RotationGraph) -> int:
-    """0 disconnected, 1 has a cut vertex, 2 has a 2-cut, 3 means 3-connected-or-better.
-
-    Computed by exhaustive removal of all vertex subsets of size at most 2;
-    removals that leave fewer than two vertices cannot disconnect anything
-    and are skipped.
-    """
-    n = graph.vertex_count
-    if not _is_connected(graph):
-        return 0
-    for k in (1, 2):
-        if n - k < 2:
-            continue
-        for cut in combinations(range(n), k):
-            if not _is_connected(graph, frozenset(cut)):
-                return k
-    return 3
+    """The graph's connectivity level, computed once per graph (see
+    :attr:`RotationGraph.connectivity`)."""
+    return graph.connectivity
 
 
 def validate(t: DTarget) -> ValidationReport:

@@ -121,7 +121,13 @@ def add_zero_edge(t: DTarget, x: int, y: int) -> DTarget:
     darts = host.directed
     k = len(darts)
     for z, other in ((x, y), (y, x)):
-        (i,) = (j for j in range(k) if darts[j][1] == z)
+        visits = [j for j in range(k) if darts[j][1] == z]
+        if len(visits) != 1:
+            raise DTargetError(
+                f"region {host.id} visits vertex {z} more than once: "
+                f"no single place for edge {norm_edge(x, y)}"
+            )
+        (i,) = visits
         b = darts[(i + 1) % k][1]
         rotations[z] = list(_insert_after(tuple(rotations[z]), b, other))
     graph = RotationGraph(tuple(tuple(rot) for rot in rotations))

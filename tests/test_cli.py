@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from dtargets import cli
 from dtargets.cli import main
 from dtargets.corpus import load_fixture
 from dtargets.planar import parse_dtarget, serialize_dtarget
@@ -12,6 +13,7 @@ from dtargets.planar import parse_dtarget, serialize_dtarget
 from gadgets import prism
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "dtargets" / "fixtures"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def fixture_path(name: str) -> str:
@@ -168,6 +170,37 @@ def test_switch_path_flag(capsys):
     assert switched.m(0, 1) == 3
     assert switched.m(1, 4) == 3
     assert switched.m(3, 4) == 3
+
+
+def test_check_rejects_disconnected_input(capsys):
+    code, payload = run_json(capsys, ["check", str(DATA / "two_k4.dtarget")])
+    assert code == 1
+    assert payload["verdict"] == "violations found"
+    assert payload["details"]["euler_ok"] is False
+    assert payload["details"]["connectivity_level"] == 0
+    code, out, _ = run(capsys, ["check", str(DATA / "two_k4.dtarget")])
+    assert code == 1
+    assert "planarity (Euler): VIOLATED" in out
+
+
+def test_switch_path_repeated_boundary_vertex_is_input_error(capsys):
+    code, out, err = run(
+        capsys, ["switch", str(DATA / "tree.dtarget"), "1", "0", "2", "3", "--path"]
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_internal_fault_exits_4(capsys, monkeypatch):
+    def broken(t):
+        raise ValueError("simulated fault")
+
+    monkeypatch.setattr(cli, "charge_report", broken)
+    code, out, err = run(capsys, ["discharge", fixture_path("prism")])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert "internal error" in err and "simulated fault" in err
 
 
 def test_scan_whole_corpus(capsys):

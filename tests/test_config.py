@@ -8,6 +8,9 @@ import oracles
 from dtargets.config import (
     ConfigMatch,
     CutViolation,
+    MultiplicityOver6,
+    NotThreeConnected,
+    PrimalityVerdict,
     TooFewVertices,
     ZeroMultEdge,
     detect,
@@ -21,7 +24,8 @@ from dtargets.config import (
     recheck,
 )
 from dtargets.corpus import load_fixture
-from dtargets.errors import AmbiguousContext, NotATriangle, UnsupportedD
+from dtargets.cuts import CutWitness
+from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
 from dtargets.planar import DTarget
 
 from conftest import FIXTURES
@@ -225,3 +229,39 @@ def test_fixture_primality_witnesses(name):
     assert isinstance(verdict.witness, ConfigMatch)
     assert verdict.witness.conf_index == EXPECTED_FIRST_CONF[name]
     assert recheck(load_fixture(name), verdict.witness)
+
+
+def test_witnesses_render_themselves():
+    cases = [
+        (ZeroMultEdge((1, 2)), "ZeroMultEdge", {"edge": [1, 2]},
+         "edge (1, 2) has multiplicity 0"),
+        (TooFewVertices(4), "TooFewVertices", {"vertex_count": 4},
+         "only 4 vertices (fewer than 6)"),
+        (CutViolation(CutWitness((0, 1, 2), 6, 1)), "CutViolation", {"X": [0, 1, 2], "value": 6},
+         "odd cut X=[0, 1, 2] has value 6 < 10 with both sides larger than one vertex"),
+        (NotThreeConnected(2), "NotThreeConnected", {"level": 2},
+         "connectivity level 2 (not 3-connected)"),
+        (MultiplicityOver6((0, 3)), "MultiplicityOver6", {"edge": [0, 3]},
+         "edge (0, 3) has multiplicity above 6"),
+        (ConfigMatch(18, (("u", 0), ("v", 1), ("w", 5)), (2, 4), ("f1", "f2"), "ab"),
+         "Conf(18)",
+         {"conf": 18, "names": {"u": 0, "v": 1, "w": 5}, "region_ids": [2, 4],
+          "satisfied": ["f1", "f2"], "branch": "ab"},
+         "Conf(18) at u=0, v=1, w=5 [branch ab]: f1; f2"),
+    ]
+    for witness, kind, fields, text in cases:
+        assert witness.kind == kind
+        assert witness.payload() == {"kind": kind, **fields}
+        assert witness.text() == text
+        assert PrimalityVerdict(False, witness).witness_kind == kind
+    assert PrimalityVerdict(True, None).witness_kind is None
+
+
+def test_recheck_rejects_relabelled_match():
+    t = prism(2, 4)
+    match = detect(t, 1)[0]
+    assert recheck(t, match)
+    swapped = ConfigMatch(1, tuple(reversed(match.names)), match.region_ids, ())
+    assert not recheck(t, swapped)
+    with pytest.raises(DTargetError):
+        recheck(t, ConfigMatch(20, match.names, match.region_ids, ()))

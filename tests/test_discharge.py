@@ -315,3 +315,20 @@ def test_charging_requires_d8():
     six = DTarget.of(t.graph, 6, {e: 2 for e, _ in t.mult_items})
     with pytest.raises(UnsupportedD):
         charge_report(six)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_charge_report_traces_each_edge_once(name, monkeypatch):
+    import dtargets.discharge as discharge
+
+    calls: dict[str, list] = {"beta": [], "gamma": []}
+    for kind, original in (("beta", beta_trace), ("gamma", gamma_trace)):
+        def counted(t, e, original=original, seen=calls[kind]):
+            seen.append(e)
+            return original(t, e)
+
+        monkeypatch.setattr(discharge, f"{kind}_trace", counted)
+    t = load_fixture(name)
+    report = charge_report(t)
+    assert calls["beta"] == calls["gamma"] == list(t.graph.edges)
+    assert [tr.edge for tr in report.beta_traces] == list(t.graph.edges)

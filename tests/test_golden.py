@@ -1,0 +1,95 @@
+"""Golden gate: frozen digests of every report on the default corpus.
+
+For each of the 213 default-corpus targets the test hashes
+
+* the ``--format machine`` output of ``check``, ``classify``, ``discharge``
+  and ``colour`` (the path-dependent ``input`` field dropped),
+* the text output of ``classify`` and ``discharge`` (witness and charge
+  rendering), and
+* every ``detect_all`` match: pattern index, names, region ids, satisfied
+  facts and branch, in the order reported.
+
+A refactor of detection, charging or reporting must leave every digest
+unchanged.  When a deliberate change of output is made, regenerate the
+digests with ``python tests/test_golden.py`` and say why in the change log.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from dtargets.cli import main
+from dtargets.config import detect_all
+from dtargets.corpus import build_corpus
+from dtargets.planar import serialize_dtarget
+
+COMMANDS = ("check", "classify", "discharge", "colour")
+TEXT_COMMANDS = ("classify", "discharge")
+
+GOLDEN = {
+    "targets": 213,
+    "check": "4ebc43a26173b420662d623c03da459cb4b0969328e6c0c35fb3d51104224df1",
+    "classify": "72685030bf4b0f2c92111eac7641e29b3045e8431773c94120b6691118458582",
+    "discharge": "e5798bd95bd045b01386fe654e85244ebdcb44716e7210c62d5278579ba2d800",
+    "colour": "ad52c58911d3b33f35c24d568536d226a03032dc769ce332dfcfa07339bfe9c3",
+    "classify_text": "3aab6947c3b3b75bd6e4cb84ed716b4598455643a98f41daa2851428f89386ad",
+    "discharge_text": "bad0fdcc7482b49f3e38b82f15bb91119263a7fed15b546d44454dabd2cf6154",
+    "detect_all": "3e66c422b7fcfc4bab60ba9c3f8bbc3705c7e62a54a121f078113c66c03eb5b0",
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _machine_output(command: str, path: str) -> str:
+    code, out = _run([command, path, "--format", "machine"])
+    payload = json.loads(out)
+    assert payload.pop("exit_code") == code
+    payload.pop("input")
+    return json.dumps({"exit_code": code, **payload}, sort_keys=True)
+
+
+def _matches(t) -> str:
+    rows = [
+        [m.conf_index, list(map(list, m.names)), list(m.region_ids),
+         list(m.satisfied), m.branch]
+        for m in detect_all(t)
+    ]
+    return json.dumps(rows)
+
+
+def digests() -> dict:
+    keys = (*COMMANDS, *(f"{c}_text" for c in TEXT_COMMANDS), "detect_all")
+    hashes = {key: hashlib.sha256() for key in keys}
+    corpus = build_corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "target.dtarget")
+        for item in corpus:
+            Path(path).write_text(serialize_dtarget(item.target))
+            for command in COMMANDS:
+                line = f"{item.name}\t{_machine_output(command, path)}\n"
+                hashes[command].update(line.encode())
+            for command in TEXT_COMMANDS:
+                code, out = _run([command, path])
+                hashes[f"{command}_text"].update(f"{item.name}\t{code}\t{out}".encode())
+            hashes["detect_all"].update(f"{item.name}\t{_matches(item.target)}\n".encode())
+    return {"targets": len(corpus), **{key: h.hexdigest() for key, h in hashes.items()}}
+
+
+def test_reports_match_golden_digests():
+    assert digests() == GOLDEN
+
+
+if __name__ == "__main__":
+    json.dump(digests(), sys.stdout, indent=4)
+    print()

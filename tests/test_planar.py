@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from dtargets.errors import (
 from dtargets.planar import (
     DTarget,
     RotationGraph,
+    connectivity_level,
     norm_edge,
     other_region,
     parse_dtarget,
@@ -185,3 +188,26 @@ def test_round_trip_any_multiplicities(name, data):
     again = parse_dtarget(serialize_dtarget(t))
     assert again.mult_items == t.mult_items
     assert again.graph.rotations == t.graph.rotations
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_disconnected_graph_has_no_faces():
+    # A planar K4 plus a toroidal K4: Euler summed over both components
+    # still reads 2 + 0 = 2, so only the connectivity check rejects it.
+    t = parse_dtarget((DATA / "two_k4.dtarget").read_text())
+    with pytest.raises(EulerViolation):
+        _ = t.graph.faces
+    report = validate(t)
+    assert not report.euler_ok
+    assert report.connectivity_level == 0
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_connectivity_level_is_a_cached_graph_fact(name):
+    graph = load_fixture(name).graph
+    assert "connectivity" not in vars(graph)
+    level = connectivity_level(graph)
+    assert vars(graph)["connectivity"] == level == graph.connectivity
+    assert validate(load_fixture(name)).connectivity_level == level

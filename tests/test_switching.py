@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtargets.corpus import load_fixture
 from dtargets.errors import (
+    DTargetError,
     MismatchedD,
     NoCommonRegion,
     NotAFourCycle,
     WouldGoNegative,
 )
-from dtargets.planar import DTarget, serialize_dtarget, validate
+from dtargets.planar import DTarget, parse_dtarget, serialize_dtarget, validate
 from dtargets.switching import (
     add_zero_edge,
     is_smaller,
@@ -101,6 +104,14 @@ def test_add_zero_edge_no_common_region():
     t = load_fixture("octahedron")
     with pytest.raises(NoCommonRegion):
         add_zero_edge(t, 0, 4)
+
+
+def test_add_zero_edge_rejects_repeated_boundary_vertex():
+    # The tree's one region passes vertex 1 twice, so there is no single
+    # corner at which to attach the new edge 1-3.
+    t = parse_dtarget((Path(__file__).parent / "data" / "tree.dtarget").read_text())
+    with pytest.raises(DTargetError, match="more than once"):
+        add_zero_edge(t, 1, 3)
 
 
 def test_switch_path_on_prism_verticals():

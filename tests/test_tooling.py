@@ -1,0 +1,48 @@
+"""The benchmark's own self-tests, the names it wraps, and the independence
+of the brute-force oracles."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_selftest_passes():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_every_traced_name_is_a_callable_of_its_layer():
+    for layer, names in _bench_module("spans").WRAPPED.items():
+        module = importlib.import_module(f"dtargets.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"dtargets.{layer}.{name}"
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert not [m for m in imported if m.split(".")[0] in ("dtargets", "")], imported
