@@ -47,11 +47,12 @@ def edges_disjoint(e: Edge, f: Edge) -> bool:
     return e != f and not (set(e) & set(f))
 
 
-def _cache(t: DTarget) -> dict:
-    # DTarget is frozen but, like any dataclass, still carries an instance
-    # __dict__; per-target memoization lives there so repeated door/region
-    # queries during detection stay cheap.
-    return t.__dict__.setdefault("_config_cache", {})
+def _region_fact(t: DTarget, name: str, r: Region, compute):
+    """compute(t, r), computed once per target and region."""
+    store = t.facts.setdefault(name, {})
+    if r.id not in store:
+        store[r.id] = compute(t, r)
+    return store[r.id]
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +63,18 @@ def _cache(t: DTarget) -> dict:
 def doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
     """The doors of r: multiplicity-1 boundary edges whose far region offers a
     disjoint multiplicity-1 edge."""
-    store = _cache(t).setdefault("doors", {})
-    if r.id not in store:
-        found: list[Edge] = []
-        for e in r.edges:
-            if t.m_edge(e) != 1:
-                continue
-            far = other_region(t, e, r)
-            if any(
-                t.m_edge(f) == 1 and edges_disjoint(e, f) for f in far.edges
-            ):
-                found.append(e)
-        store[r.id] = tuple(sorted(set(found)))
-    return store[r.id]
+    return _region_fact(t, "doors", r, _find_doors)
+
+
+def _find_doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
+    found: set[Edge] = set()
+    for e in r.edges:
+        if t.m_edge(e) != 1:
+            continue
+        far = other_region(t, e, r)
+        if any(t.m_edge(f) == 1 and edges_disjoint(e, f) for f in far.edges):
+            found.add(e)
+    return tuple(sorted(found))
 
 
 def is_big(t: DTarget, r: Region) -> bool:
@@ -83,13 +83,12 @@ def is_big(t: DTarget, r: Region) -> bool:
 
 
 def second_region(t: DTarget, e: Edge, disc) -> Region:
-    """The region incident with e outside the disc (a set of region ids)."""
-    disc_ids = {d.id if isinstance(d, Region) else d for d in disc}
+    """The region incident with e outside the disc (a collection of region ids)."""
     graph = t.graph
     u, v = e
     r1 = graph.dart_region[(u, v)]
     r2 = graph.dart_region[(v, u)]
-    in1, in2 = r1.id in disc_ids, r2.id in disc_ids
+    in1, in2 = r1.id in disc, r2.id in disc
     if in1 and in2:
         raise AmbiguousContext(f"both regions of edge {norm_edge(u, v)} lie in the disc")
     if not in1 and not in2:
@@ -129,19 +128,17 @@ def is_tough(t: DTarget, r: Region) -> bool:
     least 5 (disc = the triangle itself)."""
     if r.length != 3:
         return False
-    store = _cache(t).setdefault("tough", {})
-    if r.id not in store:
-        result = triangle_multiplicity(t, r) >= 5
-        if result:
-            by_mult = sorted(r.edges, key=t.m_edge)
-            mults = [t.m_edge(e) for e in by_mult]
-            if mults == [1, 2, 2]:
-                disc = (r.id,)
-                result = (
-                    m_plus(t, by_mult[1], disc) + m_plus(t, by_mult[2], disc) >= 5
-                )
-        store[r.id] = result
-    return store[r.id]
+    return _region_fact(t, "tough", r, _find_tough)
+
+
+def _find_tough(t: DTarget, r: Region) -> bool:
+    if triangle_multiplicity(t, r) < 5:
+        return False
+    by_mult = sorted(r.edges, key=t.m_edge)
+    if [t.m_edge(e) for e in by_mult] != [1, 2, 2]:
+        return True
+    disc = (r.id,)
+    return m_plus(t, by_mult[1], disc) + m_plus(t, by_mult[2], disc) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Odd-set cuts, bonds, cocycles, and the four-property cocycle validator.
 
 All cut values are multiplicity-weighted: m(delta(X)) sums m(e) over the
-edges with exactly one end in X.  Minimization is exhaustive over odd
-subsets, with the complement symmetry m(delta(X)) = m(delta(V \\ X)) used to
-fix vertex 0 outside the enumerated sets.
+edges with exactly one end in X.  The odd-cut facts of a target come from one
+exhaustive pass over its odd subsets, with the complement symmetry
+m(delta(X)) = m(delta(V \\ X)) used to fix vertex 0 outside the enumerated
+sets.  The pass runs at most once per target (its result is kept in
+``DTarget.facts``) and serves three views: ``min_odd_cut``,
+``is_oddly_connected`` and ``strengthened_cut_check``.
 """
 
 from __future__ import annotations
@@ -76,46 +79,68 @@ def _check_cut_preconditions(t: DTarget, cap: int) -> None:
         raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {cap}")
 
 
-def _odd_cut_scan(t: DTarget):
-    """Yield (value, bitmask) for every odd X avoiding vertex 0, Gray-code order."""
+def _scan_odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
+    """The one pass over every odd X, in Gray-code order with vertex 0 fixed
+    outside (each X stands for itself and its complement).
+
+    Returns the minimum odd cut and the least odd cut with both sides larger
+    than one and value below d + 2 (None if there is none), each ties broken
+    by lexicographically least X over the sets and their complements.
+    """
     n = t.vertex_count
-    rest = list(range(1, n))
-    bits = len(rest)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), m in t.mult_items:
         adj[u].append((v, m))
         adj[v].append((u, m))
+    # Each bound starts at the largest value it may take, with no masks yet;
+    # every cut is at most the total multiplicity.
+    best, best_masks = sum(m for _, m in t.mult_items), []
+    small, small_masks = t.d + 1, []
     in_X = [False] * n
-    value = 0
-    size = 0
-    mask = 0
-    for counter in range(1, 1 << bits):
-        idx = (counter & -counter).bit_length() - 1
-        flip = rest[idx]
+    value = size = mask = 0
+    for counter in range(1, 1 << (n - 1)):
+        flip = (counter & -counter).bit_length()
         entering = not in_X[flip]
         in_X[flip] = entering
         mask ^= 1 << flip
         size += 1 if entering else -1
-        delta = 0
         for u, m in adj[flip]:
-            # After the flip, edge (flip, u) crosses iff u is on the other
-            # side; it crossed before iff (old side of flip) != side of u,
-            # i.e. the crossing state of every incident edge toggles.
-            delta += -m if in_X[u] == entering else m
-        value += delta
-        if size % 2 == 1:
-            yield value, mask
+            # Every edge at the flipped vertex toggles between crossing and
+            # not: it crosses now iff u lies on the other side.
+            value += -m if in_X[u] == entering else m
+        if not size & 1:
+            continue
+        if value <= best:
+            if value < best:
+                best, best_masks = value, []
+            best_masks.append(mask)
+        if value <= small and 1 < size < n - 1:
+            if value < small:
+                small, small_masks = value, []
+            small_masks.append(mask)
+    return (
+        _least_witness(best, best_masks, n),
+        _least_witness(small, small_masks, n) if small_masks else None,
+    )
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+def _least_witness(value: int, masks: list[int], n: int) -> CutWitness:
+    """The witness of value whose X is lexicographically least among the
+    masks and their complements."""
+    full = (1 << n) - 1
+    X = min(
+        tuple(v for v in range(n) if side >> v & 1)
+        for mask in masks
+        for side in (mask, full ^ mask)
+    )
+    return CutWitness(X=X, value=value, parity=len(X) % 2)
+
+
+def _odd_cuts(t: DTarget, cap: int) -> tuple[CutWitness, CutWitness | None]:
+    _check_cut_preconditions(t, cap)
+    if "odd_cuts" not in t.facts:
+        t.facts["odd_cuts"] = _scan_odd_cuts(t)
+    return t.facts["odd_cuts"]
 
 
 def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:
@@ -124,32 +149,12 @@ def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:
     Both an enumerated set and its complement witness the same value, so the
     tie-break considers both.
     """
-    _check_cut_preconditions(t, cap)
-    full = (1 << t.vertex_count) - 1
-    best_value: int | None = None
-    best_masks: list[int] = []
-    for value, mask in _odd_cut_scan(t):
-        if best_value is None or value < best_value:
-            best_value = value
-            best_masks = [mask]
-        elif value == best_value:
-            best_masks.append(mask)
-    assert best_value is not None and best_masks
-    candidates = []
-    for mask in best_masks:
-        candidates.append(_mask_to_tuple(mask))
-        candidates.append(_mask_to_tuple(full ^ mask))
-    X = min(candidates)
-    return CutWitness(X=X, value=best_value, parity=len(X) % 2)
+    return _odd_cuts(t, cap)[0]
 
 
 def is_oddly_connected(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> bool:
     """True iff every odd vertex subset has cut value at least d."""
-    _check_cut_preconditions(t, cap)
-    for value, _ in _odd_cut_scan(t):
-        if value < t.d:
-            return False
-    return True
+    return _odd_cuts(t, cap)[0].value >= t.d
 
 
 def strengthened_cut_check(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness | None:
@@ -157,26 +162,7 @@ def strengthened_cut_check(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness
 
     Otherwise the violating witness, minimal by (value, lexicographic X).
     """
-    _check_cut_preconditions(t, cap)
-    n = t.vertex_count
-    full = (1 << n) - 1
-    threshold = t.d + 2
-    best: tuple[int, tuple[int, ...]] | None = None
-    for value, mask in _odd_cut_scan(t):
-        if value >= threshold:
-            continue
-        size = mask.bit_count()
-        if size == 1 or n - size == 1:
-            continue
-        for candidate_mask in (mask, full ^ mask):
-            X = _mask_to_tuple(candidate_mask)
-            key = (value, X)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    value, X = best
-    return CutWitness(X=X, value=value, parity=len(X) % 2)
+    return _odd_cuts(t, cap)[1]
 
 
 # ---------------------------------------------------------------------------

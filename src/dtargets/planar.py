@@ -13,7 +13,7 @@ graph and keeps its place in the embedding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -196,12 +196,17 @@ class DTarget:
 
     ``mult_items`` is the canonical sorted tuple of (edge, multiplicity)
     pairs, so equal targets compare equal structurally.  Use :meth:`of` to
-    build one from any mapping.
+    build one from any mapping.  ``facts`` holds what the analysis layers
+    derive from the target, each computed at most once (the odd cuts, the
+    doors and toughness of each region); it takes no part in equality.
     """
 
     graph: RotationGraph
     d: int
     mult_items: tuple[tuple[Edge, int], ...]
+    facts: dict = field(
+        init=False, default_factory=dict, compare=False, hash=False, repr=False
+    )
 
     @classmethod
     def of(cls, graph: RotationGraph, d: int, mult) -> "DTarget":

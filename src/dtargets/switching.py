@@ -113,24 +113,20 @@ def add_zero_edge(t: DTarget, x: int, y: int) -> DTarget:
     if host is None:
         raise NoCommonRegion(f"no region contains both {x} and {y}")
 
-    # The new edge splits the host region.  At each end the incoming boundary
-    # dart (a, z) is followed by (z, b), which means z's clockwise rotation
-    # reads (..., b, a, ...); putting the other end between b and a routes the
-    # new edge into the host region's interior.
-    rotations = [list(rot) for rot in t.graph.rotations]
+    # The new edge joins a corner of x to a corner of y, the first of each in
+    # trace order; any two corners of one region can be joined, and the edge
+    # splits that region in two.  At a corner the incoming boundary dart
+    # (a, z) is followed by (z, b), which means z's clockwise rotation reads
+    # (..., b, a, ...); putting the other end between b and a routes the new
+    # edge into the host region's interior.
+    rotations = list(t.graph.rotations)
     darts = host.directed
     k = len(darts)
     for z, other in ((x, y), (y, x)):
-        visits = [j for j in range(k) if darts[j][1] == z]
-        if len(visits) != 1:
-            raise DTargetError(
-                f"region {host.id} visits vertex {z} more than once: "
-                f"no single place for edge {norm_edge(x, y)}"
-            )
-        (i,) = visits
+        i = next(j for j in range(k) if darts[j][1] == z)
         b = darts[(i + 1) % k][1]
-        rotations[z] = list(_insert_after(tuple(rotations[z]), b, other))
-    graph = RotationGraph(tuple(tuple(rot) for rot in rotations))
+        rotations[z] = _insert_after(rotations[z], b, other)
+    graph = RotationGraph(tuple(rotations))
     mult = dict(t.mult)
     mult[norm_edge(x, y)] = 0
     return DTarget.of(graph, t.d, mult)

@@ -39,6 +39,23 @@ def oddly_connected(t):
     return min_odd_cut_value(t) >= t.d
 
 
+def min_odd_cut_witness(t):
+    """The least (value, X) over every odd X."""
+    return min((cut_value(t, X), X) for X in odd_subsets(t.vertex_count))
+
+
+def strengthened_violation(t):
+    """The least (value, X) over odd X with both sides of at least two
+    vertices and value below d + 2; None if there is none."""
+    n = t.vertex_count
+    violations = [
+        (cut_value(t, X), X)
+        for X in odd_subsets(n)
+        if 2 <= len(X) <= n - 2 and cut_value(t, X) < t.d + 2
+    ]
+    return min(violations, default=None)
+
+
 # ---------------------------------------------------------------------------
 # Matchings and colourings
 # ---------------------------------------------------------------------------

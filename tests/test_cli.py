@@ -183,13 +183,24 @@ def test_check_rejects_disconnected_input(capsys):
     assert "planarity (Euler): VIOLATED" in out
 
 
-def test_switch_path_repeated_boundary_vertex_is_input_error(capsys):
-    code, out, err = run(
-        capsys, ["switch", str(DATA / "tree.dtarget"), "1", "0", "2", "3", "--path"]
+def test_switch_path_through_repeated_boundary_vertex(capsys):
+    # Every region at a cut vertex visits it more than once; the path switch
+    # still has a corner to put its closing edge in.
+    path = DATA / "tree.dtarget"
+    code, out, err = run(capsys, ["switch", str(path), "1", "0", "2", "3", "--path"])
+    assert code == 0
+    assert "Traceback" not in out + err
+    code, payload = run_json(
+        capsys, ["switch", str(path), "1", "0", "2", "3", "--path"]
     )
-    assert code == 2
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert code == 0
+    before = parse_dtarget(path.read_text())
+    after = parse_dtarget(payload["details"]["result"])
+    graph = after.graph
+    assert graph.vertex_count - len(graph.edges) + len(graph.faces) == 2
+    assert [after.degree_sum(v) for v in range(6)] == [
+        before.degree_sum(v) for v in range(6)
+    ]
 
 
 def test_internal_fault_exits_4(capsys, monkeypatch):

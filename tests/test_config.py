@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from dtargets import config
 from dtargets.config import (
     ConfigMatch,
     CutViolation,
@@ -25,6 +26,7 @@ from dtargets.config import (
 )
 from dtargets.corpus import load_fixture
 from dtargets.cuts import CutWitness
+from dtargets.discharge import classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
 from dtargets.planar import DTarget
 
@@ -100,6 +102,24 @@ def test_toughness_matches_oracle(name):
     t = ALL_TARGETS[name]
     for r in t.graph.faces:
         assert is_tough(t, r) == oracles.tough(t, r), f"region {r.id}"
+
+
+def test_doors_computed_once_per_region(monkeypatch):
+    computed = []
+    find = config._find_doors
+
+    def counted(t, r):
+        computed.append(r.id)
+        return find(t, r)
+
+    monkeypatch.setattr(config, "_find_doors", counted)
+    t = load_fixture("pentagonal_prism")
+    first = t.graph.faces[0]
+    assert doors(t, first) is doors(t, first)
+    for r in t.graph.faces:
+        classify_region(t, r)
+    assert computed[0] == first.id
+    assert sorted(computed) == [r.id for r in t.graph.faces]
 
 
 def test_m_plus_ambiguous_context():

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dtargets.corpus import load_fixture
+from dtargets import cuts
+from dtargets.config import is_prime
+from dtargets.corpus import enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
     bond_decomposition,
     cocycle_from,
@@ -67,6 +69,50 @@ def test_strengthened_check_needs_ten():
     assert violation is not None
     assert violation.value == 6
     assert 1 < len(violation.X) < 5
+
+
+def _assert_witnesses_match_oracle(t):
+    witness = min_odd_cut(t)
+    assert (witness.value, witness.X) == oracles.min_odd_cut_witness(t)
+    violation = strengthened_cut_check(t)
+    found = None if violation is None else (violation.value, violation.X)
+    assert found == oracles.strengthened_violation(t)
+    assert is_oddly_connected(t) == oracles.oddly_connected(t)
+
+
+def test_witnesses_match_oracle_on_corpus(corpus):
+    for item in corpus:
+        _assert_witnesses_match_oracle(item.target)
+
+
+@pytest.mark.parametrize("name", ("k4", "prism", "octahedron"))
+def test_witnesses_match_oracle_with_zero_edges(name):
+    # Zero multiplicities give tied minima and cuts below d.
+    graph = load_fixture(name).graph
+    for t in enumerate_multiplicities(graph, 8, min_mult=0):
+        _assert_witnesses_match_oracle(t)
+
+
+def test_one_odd_cut_pass_per_target(monkeypatch):
+    scanned = []
+    scan = cuts._scan_odd_cuts
+
+    def counted(t):
+        scanned.append(t)
+        return scan(t)
+
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
+    t = load_fixture("prism")
+    assert is_oddly_connected(t)
+    witness = min_odd_cut(t)
+    assert strengthened_cut_check(t) is None
+    assert is_prime(t).witness is not None
+    assert len(scanned) == 1
+    # An equal target made anew has its own facts and runs its own pass.
+    copy = t.with_mult(t.mult)
+    assert copy == t
+    assert min_odd_cut(copy) == witness
+    assert len(scanned) == 2 and scanned[1] is copy
 
 
 def test_cap_enforced():

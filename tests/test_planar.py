@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from dtargets.config import doors
 from dtargets.corpus import load_fixture
+from dtargets.cuts import min_odd_cut
 from dtargets.errors import (
     AsymmetricRotation,
     DuplicateNeighbour,
@@ -211,3 +213,13 @@ def test_connectivity_level_is_a_cached_graph_fact(name):
     level = connectivity_level(graph)
     assert vars(graph)["connectivity"] == level == graph.connectivity
     assert validate(load_fixture(name)).connectivity_level == level
+
+
+def test_facts_take_no_part_in_equality():
+    filled, fresh = load_fixture("prism"), load_fixture("prism")
+    min_odd_cut(filled)
+    doors(filled, filled.graph.faces[0])
+    assert filled.facts and not fresh.facts
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)

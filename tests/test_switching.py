@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from dtargets.corpus import load_fixture
 from dtargets.errors import (
-    DTargetError,
     MismatchedD,
     NoCommonRegion,
     NotAFourCycle,
@@ -106,12 +105,18 @@ def test_add_zero_edge_no_common_region():
         add_zero_edge(t, 0, 4)
 
 
-def test_add_zero_edge_rejects_repeated_boundary_vertex():
-    # The tree's one region passes vertex 1 twice, so there is no single
-    # corner at which to attach the new edge 1-3.
+def test_add_zero_edge_joins_first_corners_of_repeated_boundary_vertex():
+    # The tree's one region passes vertices 0 and 1 more than once; the new
+    # edge 1-3 joins the first corner of each end and splits that region.
     t = parse_dtarget((Path(__file__).parent / "data" / "tree.dtarget").read_text())
-    with pytest.raises(DTargetError, match="more than once"):
-        add_zero_edge(t, 1, 3)
+    out = add_zero_edge(t, 1, 3)
+    assert out.m(1, 3) == 0
+    assert len(out.graph.edges) == len(t.graph.edges) + 1
+    assert len(out.graph.faces) == len(t.graph.faces) + 1
+    assert out.vertex_count - len(out.graph.edges) + len(out.graph.faces) == 2
+    assert [out.degree_sum(v) for v in range(6)] == [t.degree_sum(v) for v in range(6)]
+    # Vertex 1's first corner in trace order lies between 5 and 0.
+    assert out.graph.rotations[1] == (0, 5, 3)
 
 
 def test_switch_path_on_prism_verticals():

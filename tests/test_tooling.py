@@ -46,3 +46,14 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
     assert not [m for m in imported if m.split(".")[0] in ("dtargets", "")], imported
+
+
+def test_no_module_reaches_into_an_instance_dict():
+    # Per-target state lives in the fields a class declares (DTarget.facts),
+    # never in another module's writes to an instance __dict__.
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "dtargets").glob("*.py"))
+        if "__dict__" in path.read_text()
+    ]
+    assert offenders == []
