@@ -266,6 +266,14 @@ def cmd_colour(args) -> Report:
 
 def cmd_switch(args) -> Report:
     t, path, digest = _load_target(args)
+    # The descent order compares targets only; connectivity is not needed.
+    rep = validate(t)
+    if not (rep.degree_ok and rep.euler_ok):
+        off = [v for kind, v in rep.violations if kind == "degree"]
+        raise DTargetError(
+            f"not a d-target with d = {t.d}: "
+            + (f"degree sum is not {t.d} at vertices {off}" if off else "Euler check fails")
+        )
     a, b, c, d_ = args.vertices
     if args.path:
         result = switch_path(t, a, b, c, d_)

@@ -1,14 +1,33 @@
 """Exact d-edge-colouring: d perfect matchings covering each edge m(e) times.
 
-The solver searches over matching multiplicities (how many of the d slots
-each perfect matching fills), which collapses the ordering symmetry of the
-output list; the list form is expanded only at the end.
+The solver searches nondecreasing sequences of perfect matchings of the
+target's support (the edges with m(e) > 0), taken in lexicographic order.
+Each level places one matching at or after the previous one that fits the
+residual: every edge it uses still has residual multiplicity at least 1.
+The first complete sequence found is the lexicographically least, which is
+the colouring whose count vector over the matchings is lexicographically
+greatest.
+
+A node with k matchings still to place is refuted when some positive
+residual edge lies in no fitting later matching, when some residual edge
+exceeds k, or when some triangle X has residual m(delta(X)) < k: each of
+the k remaining perfect matchings crosses that odd cut at least once
+(Edmonds' odd-set inequality).  Triangles are the 3-cycles of the graph,
+not its faces, so a graph whose faces cannot be traced is still searched.
+A (start, residual) state whose every child failed is remembered for the
+rest of the call; a state a prune refutes is not, since the prune refutes
+it again as cheaply, and so the memo stays small.
+
+The lexicographically ordered matchings of a support, and each triangle's
+edges and the edges crossing it, are facts of the graph, kept in
+``RotationGraph.facts``: targets on one graph share them, and they go when
+the graph goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import OddVertexCount, TooLarge
 from .planar import DTarget, Edge, RotationGraph, norm_edge
@@ -34,106 +53,147 @@ class EdgeColouring:
         return counts
 
 
-@lru_cache(maxsize=None)
-def _perfect_matchings_of(graph: RotationGraph) -> tuple[Matching, ...]:
-    """All perfect matchings, each a sorted edge tuple, in lexicographic order.
+def _matchings(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple[Matching, ...]:
+    """The perfect matchings of the spanning subgraph with edge set
+    ``support``, each a sorted edge tuple, in lexicographic order;
+    enumerated once per graph and support.
 
-    Recursion always matches the smallest unmatched vertex, so each matching
-    is produced exactly once with its edges already sorted.
+    Recursion always matches the smallest unmatched vertex to a larger
+    neighbour, in ascending order, so each matching is produced exactly
+    once, with its edges sorted, and in lexicographic order.
     """
-    n = graph.vertex_count
-    out: list[Matching] = []
-    matched = [False] * n
-
-    def extend(partial: list[Edge]) -> None:
-        free = next((v for v in range(n) if not matched[v]), None)
-        if free is None:
-            out.append(tuple(partial))
-            return
-        matched[free] = True
-        for u in sorted(graph.rotations[free]):
-            if not matched[u]:
-                matched[u] = True
-                partial.append(norm_edge(free, u))
-                extend(partial)
-                partial.pop()
-                matched[u] = False
-        matched[free] = False
-
-    extend([])
-    out.sort()
-    return tuple(out)
-
-
-def perfect_matchings(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> list[Matching]:
-    """All perfect matchings of the underlying simple graph."""
     n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; no perfect matchings exist")
     if n > cap:
         raise TooLarge(f"|V| = {n} exceeds the matching enumeration cap {cap}")
-    return list(_perfect_matchings_of(t.graph))
+    key = ("matchings", support)
+    known = t.graph.facts.get(key)
+    if known is not None:
+        return known
+    later: list[list[int]] = [[] for _ in range(n)]
+    for u, v in support:
+        later[u].append(v)
+    out: list[Matching] = []
+    matched = [False] * n
+    partial: list[Edge] = []
+
+    def extend(free: int) -> None:
+        while free < n and matched[free]:
+            free += 1
+        if free == n:
+            out.append(tuple(partial))
+            return
+        for u in later[free]:
+            if not matched[u]:
+                matched[u] = True
+                partial.append((free, u))
+                extend(free + 1)
+                partial.pop()
+                matched[u] = False
+
+    extend(0)
+    known = t.graph.facts[key] = tuple(out)
+    return known
+
+
+def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
+    """Each 3-cycle of the graph as (its three edges, the edges crossing it)."""
+    known = graph.facts.get("triangles")
+    if known is not None:
+        return known
+    adjacent = [set(rot) for rot in graph.rotations]
+    triangles = []
+    for a, b in graph.edges:
+        for c in adjacent[a] & adjacent[b]:
+            if c > b:
+                X = (a, b, c)
+                crossing = tuple(
+                    norm_edge(x, y) for x in X for y in graph.rotations[x] if y not in X
+                )
+                triangles.append((((a, b), (a, c), (b, c)), crossing))
+    known = graph.facts["triangles"] = tuple(triangles)
+    return known
+
+
+def perfect_matchings(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> list[Matching]:
+    """All perfect matchings of the underlying simple graph."""
+    return list(_matchings(t, t.graph.edges, cap))
 
 
 def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
     """Find a d-edge-colouring, or None after exhausting the search.
 
-    Depth-first over the matchings in their lexicographic order; at each
-    matching the multiplicity is tried from the largest feasible value
-    downward.  Feasible means no edge of the matching would exceed its
-    residual demand, so edges with m(e) = 0 exclude their matchings
-    outright.
+    Of all colourings, the one returned is the nondecreasing sequence of
+    support matchings that comes first in lexicographic order (see the
+    module docstring for the search and its prunes).
     """
-    matchings = perfect_matchings(t, cap=cap)
-    edge_index = {e: i for i, e in enumerate(t.graph.edges)}
-    member_idx: list[tuple[int, ...]] = [
-        tuple(edge_index[e] for e in M) for M in matchings
-    ]
-    containing: list[list[int]] = [[] for _ in edge_index]
-    for mi, edges in enumerate(member_idx):
-        for ei in edges:
-            containing[ei].append(mi)
-    residual = [0] * len(edge_index)
-    for e, m in t.mult_items:
-        residual[edge_index[e]] = m
-    counts: list[int] = [0] * len(matchings)
+    support = tuple(e for e, m in t.mult_items if m > 0)
+    matchings = _matchings(t, support, cap)
+    position = {e: i for i, e in enumerate(support)}
+    members = [tuple(position[e] for e in M) for M in matchings]
+    masks = [sum(1 << i for i in edges) for edges in members]
+    triangles = _triangles(t.graph)
+    # slack[c] = residual m(delta(X_c)) - k.  A matching crosses X_c once if
+    # it uses one of X_c's edges and three times if it uses none, so placing
+    # it lowers slack[c] by 0 or 2; ``thrice`` lists the triangles it lowers.
+    slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in triangles]
+    inside = [sum(1 << position[e] for e in edges if e in position) for edges, _ in triangles]
+    thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
+    residual = [m for _, m in t.mult_items if m > 0]
+    full = (1 << len(support)) - 1
+    placed: list[int] = []
+    refuted: set[tuple[int, tuple[int, ...]]] = set()
 
-    def demand_unreachable(next_matching: int, budget: int) -> bool:
-        for ei, res in enumerate(residual):
-            if res == 0:
-                continue
-            if res > budget:
-                return True
-            if all(mi < next_matching for mi in containing[ei]):
-                return True
-        return False
-
-    def search(next_matching: int, budget: int) -> bool:
-        if budget == 0:
-            return all(res == 0 for res in residual)
-        if next_matching == len(matchings):
-            return False
-        if demand_unreachable(next_matching, budget):
-            return False
-        edges = member_idx[next_matching]
-        most = min(budget, min(residual[ei] for ei in edges))
-        for take in range(most, -1, -1):
-            counts[next_matching] = take
-            for ei in edges:
-                residual[ei] -= take
-            if search(next_matching + 1, budget - take):
-                return True
-            for ei in edges:
-                residual[ei] += take
-            counts[next_matching] = 0
-        return False
-
-    if not search(0, t.d):
+    def enter(start: int, candidates: list[int], zero: int) -> list | None:
+        # zero: the support edges whose residual is 0.  A node no prune
+        # refutes becomes a frame [key, fitting matchings, zero, next child];
+        # its key joins ``refuted`` when its last child fails.
+        key = (start, tuple(residual))
+        if key in refuted or min(slack, default=0) < 0:
+            return None
+        fitting = [j for j in candidates if not masks[j] & zero]
+        covered = zero
+        for j in fitting:
+            covered |= masks[j]
+        if covered == full and max(residual, default=0) <= t.d - len(placed):
+            return [key, fitting, zero, 0]
         return None
-    expanded: list[Matching] = []
-    for mi, k in enumerate(counts):
-        expanded.extend([matchings[mi]] * k)
-    return EdgeColouring(matchings=tuple(expanded))
+
+    # Depth-first with an explicit stack, so d is not bounded by recursion.
+    root = enter(0, list(range(len(matchings))), 0)
+    frames = [root] if root else []
+    while frames:
+        frame = frames[-1]
+        key, fitting, zero, pos = frame
+        if pos:
+            j = fitting[pos - 1]
+            for e in members[j]:
+                residual[e] += 1
+            for c in thrice[j]:
+                slack[c] += 2
+            placed.pop()
+        if pos == len(fitting):
+            refuted.add(key)
+            frames.pop()
+            continue
+        frame[3] = pos + 1
+        j = fitting[pos]
+        emptied = 0
+        for e in members[j]:
+            residual[e] -= 1
+            if not residual[e]:
+                emptied |= 1 << e
+        for c in thrice[j]:
+            slack[c] -= 2
+        placed.append(j)
+        if len(placed) < t.d:
+            child = enter(j, fitting[pos:], zero | emptied)
+            if child:
+                frames.append(child)
+        elif zero | emptied == full:
+            return EdgeColouring(matchings=tuple(matchings[j] for j in placed))
+    return None
 
 
 def verify_colouring(t: DTarget, c: EdgeColouring) -> bool:

@@ -70,9 +70,18 @@ class Region:
 
 @dataclass(frozen=True)
 class RotationGraph:
-    """A connected simple graph with a clockwise rotation at every vertex."""
+    """A connected simple graph with a clockwise rotation at every vertex.
+
+    ``facts`` holds what other layers derive from the graph alone (the
+    perfect matchings of a support, the cuts of its triangles), each
+    computed at most once and shared by every target on the graph; it takes
+    no part in equality.
+    """
 
     rotations: tuple[tuple[int, ...], ...]
+    facts: dict = field(
+        init=False, default_factory=dict, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.rotations)

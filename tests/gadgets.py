@@ -8,6 +8,8 @@ in the test modules that import from here.
 
 from __future__ import annotations
 
+import random
+
 from dtargets.coloring import EdgeColouring
 from dtargets.corpus import load_fixture
 from dtargets.planar import DTarget, RotationGraph
@@ -58,6 +60,50 @@ OCTA_GAMMA2_MULT = {
 
 def octa(mult: dict) -> DTarget:
     return load_fixture("octahedron").with_mult(mult)
+
+
+# ---------------------------------------------------------------------------
+# Antiprisms carrying the sum of 8 random perfect matchings: colourable by
+# construction, and hard for a search that places one matching at a time.
+# ---------------------------------------------------------------------------
+
+
+def antiprism(n: int, seed: int) -> DTarget:
+    """The antiprism on n = 2k vertices, multiplicities summed from 8
+    perfect matchings drawn at random from ``seed``.
+
+    Outer ring 0..k-1, inner ring k..n-1; outer i meets inner k+i and
+    k+i-1 (indices mod k), so every region is a triangle but the two rims.
+    """
+    k = n // 2
+    rots = [((i - 1) % k, k + (i - 1) % k, k + i, (i + 1) % k) for i in range(k)]
+    rots += [((i + 1) % k, i, k + (i - 1) % k, k + (i + 1) % k) for i in range(k)]
+    graph = RotationGraph(tuple(rots))
+    rng = random.Random(seed)
+    mate = [-1] * n
+
+    def match_from(v: int) -> bool:
+        while v < n and mate[v] >= 0:
+            v += 1
+        if v == n:
+            return True
+        choices = [u for u in rots[v] if mate[u] < 0]
+        rng.shuffle(choices)
+        for u in choices:
+            mate[v], mate[u] = u, v
+            if match_from(v + 1):
+                return True
+            mate[v] = mate[u] = -1
+        return False
+
+    mult = dict.fromkeys(graph.edges, 0)
+    for _ in range(8):
+        mate[:] = [-1] * n
+        match_from(0)  # always succeeds: outer i with inner k+i is one
+        for v in range(n):
+            if v < mate[v]:
+                mult[(v, mate[v])] += 1
+    return DTarget.of(graph, 8, mult)
 
 
 # ---------------------------------------------------------------------------

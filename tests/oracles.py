@@ -5,6 +5,8 @@ enumeration: cut values by summing over explicit subsets, matchings by
 scanning edge subsets, pattern matches by trying all tuples.  None of the
 package's search, caching, or deduplication logic is reused; the only shared
 inputs are the raw embedding data (faces, rotations) and multiplicities.
+The one search here, ``lex_first_colouring``, is the package's earlier
+colouring solver, kept as the reference for which colouring comes first.
 """
 
 from __future__ import annotations
@@ -89,6 +91,73 @@ def colouring_exists(t):
         if all(counts.get(e, 0) == m for e, m in mult.items()):
             return True
     return False
+
+
+def lex_first_colouring(t):
+    """The colouring with the lexicographically greatest count vector over
+    the graph's perfect matchings in lexicographic order, expanded into a
+    tuple of d matchings; None if there is none.
+
+    A depth-first search over matching multiplicities, each tried from the
+    largest value its residual allows downward, pruned only edge by edge.
+    """
+    n = t.vertex_count
+    rotations = t.graph.rotations
+    matchings = []
+    matched = [False] * n
+
+    def extend(partial):
+        free = next((v for v in range(n) if not matched[v]), None)
+        if free is None:
+            matchings.append(tuple(partial))
+            return
+        matched[free] = True
+        for u in sorted(rotations[free]):
+            if not matched[u]:
+                matched[u] = True
+                partial.append(norm(free, u))
+                extend(partial)
+                partial.pop()
+                matched[u] = False
+        matched[free] = False
+
+    if n % 2 == 0:
+        extend([])
+    matchings.sort()
+    residual = dict(t.mult_items)
+    last = {e: i for i, M in enumerate(matchings) for e in M}
+    counts = [0] * len(matchings)
+
+    def unreachable(next_matching, budget):
+        for e, res in residual.items():
+            if res == 0:
+                continue
+            if res > budget:
+                return True
+            if last.get(e, -1) < next_matching:
+                return True
+        return False
+
+    def search(next_matching, budget):
+        if budget == 0:
+            return all(res == 0 for res in residual.values())
+        if next_matching == len(matchings) or unreachable(next_matching, budget):
+            return False
+        M = matchings[next_matching]
+        for take in range(min(budget, min(residual[e] for e in M)), -1, -1):
+            counts[next_matching] = take
+            for e in M:
+                residual[e] -= take
+            if search(next_matching + 1, budget - take):
+                return True
+            for e in M:
+                residual[e] += take
+        counts[next_matching] = 0
+        return False
+
+    if not search(0, t.d):
+        return None
+    return tuple(M for M, k in zip(matchings, counts) for _ in range(k))
 
 
 # ---------------------------------------------------------------------------

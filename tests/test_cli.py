@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from dtargets import cli
 from dtargets.cli import main
 from dtargets.corpus import load_fixture
@@ -186,21 +188,32 @@ def test_check_rejects_disconnected_input(capsys):
 def test_switch_path_through_repeated_boundary_vertex(capsys):
     # Every region at a cut vertex visits it more than once; the path switch
     # still has a corner to put its closing edge in.
-    path = DATA / "tree.dtarget"
-    code, out, err = run(capsys, ["switch", str(path), "1", "0", "2", "3", "--path"])
+    path = DATA / "bowtie.dtarget"
+    code, out, err = run(capsys, ["switch", str(path), "1", "0", "3", "4", "--path"])
     assert code == 0
     assert "Traceback" not in out + err
     code, payload = run_json(
-        capsys, ["switch", str(path), "1", "0", "2", "3", "--path"]
+        capsys, ["switch", str(path), "1", "0", "3", "4", "--path"]
     )
     assert code == 0
     before = parse_dtarget(path.read_text())
     after = parse_dtarget(payload["details"]["result"])
     graph = after.graph
     assert graph.vertex_count - len(graph.edges) + len(graph.faces) == 2
-    assert [after.degree_sum(v) for v in range(6)] == [
-        before.degree_sum(v) for v in range(6)
+    assert [after.degree_sum(v) for v in range(5)] == [
+        before.degree_sum(v) for v in range(5)
     ]
+
+
+@pytest.mark.parametrize("name", ["tree", "two_k4"])
+def test_switch_rejects_a_non_target(capsys, name):
+    # tree.dtarget breaks every degree sum; two_k4.dtarget fails Euler.
+    code, out, err = run(
+        capsys, ["switch", str(DATA / f"{name}.dtarget"), "1", "0", "2", "3", "--path"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "not a d-target" in err and "Traceback" not in err
 
 
 def test_internal_fault_exits_4(capsys, monkeypatch):

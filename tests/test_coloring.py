@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,19 +15,22 @@ from dtargets.coloring import (
     perfect_matchings,
     verify_colouring,
 )
-from dtargets.corpus import load_fixture
+from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import is_oddly_connected
 from dtargets.errors import OddVertexCount, TooLarge
-from dtargets.planar import DTarget, RotationGraph
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
 from gadgets import (
     OCTA_GAMMA1_MULT,
     OCTA_GAMMA2_MULT,
     OCTA_GAMMA6_MULT,
+    antiprism,
     octa,
     prism,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 EXPECTED_MATCHING_COUNTS = {
     "k4": 3,
@@ -149,3 +154,58 @@ def test_colouring_success_implies_oddly_connected_on_prisms():
         t = prism(a, 8 - 2 * a)
         if edge_colour(t) is not None:
             assert is_oddly_connected(t)
+
+
+def test_colourings_equal_the_earlier_solver_on_the_exhaustive_corpus():
+    # The search returns the lexicographically first colouring, exactly the
+    # one the earlier matching-multiplicity search returned, or None with it.
+    items = build_corpus(
+        CorpusSpec(require_oddly_connected=False, limit_per_base=1000000)
+    )
+    targets = [item.target for item in items] + [
+        parse_dtarget((DATA / f"{name}.dtarget").read_text())
+        for name in ("two_k4", "tree")
+    ]
+    assert len(targets) == 2549 + 2
+    differ = []
+    for t in targets:
+        ours = edge_colour(t, cap=64)
+        if (ours.matchings if ours else None) != oracles.lex_first_colouring(t):
+            differ.append(t)
+    assert differ == []
+
+
+@pytest.mark.parametrize("n, seed", [(20, 4), (22, 6), (24, 1)])
+def test_antiprism_cliff_is_gone(n, seed):
+    # On these cases the earlier solver, which oracles.lex_first_colouring
+    # copies, ran past 12 s each; the bound of acceptance criterion 3 is 10 s.
+    t = antiprism(n, seed)
+    start = time.perf_counter()
+    colouring = edge_colour(t, cap=64)
+    assert time.perf_counter() - start < 10.0
+    assert colouring is not None and verify_colouring(t, colouring)
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # d matchings are placed one level each; d = 1600 is past Python's
+    # default recursion limit.
+    k4 = load_fixture("k4")
+    t = DTarget.of(k4.graph, 1600, {e: 200 * m for e, m in k4.mult_items})
+    colouring = edge_colour(t)
+    assert colouring is not None and verify_colouring(t, colouring)
+    assert sorted(Counter(colouring.matchings).values()) == [400, 400, 800]
+
+
+def test_colouring_facts_live_on_the_graph():
+    # One enumeration per graph and support, shared by every target on the
+    # graph; an equal graph built afresh starts with none.
+    items = build_corpus(CorpusSpec(bases=("octahedron",)))
+    graph = items[0].target.graph
+    assert all(item.target.graph is graph for item in items)
+    for item in items:
+        edge_colour(item.target)
+    assert sorted(map(str, graph.facts)) == sorted(
+        [str(("matchings", graph.edges)), "triangles"]
+    )
+    fresh = RotationGraph(graph.rotations)
+    assert fresh == graph and hash(fresh) == hash(graph) and fresh.facts == {}

@@ -6,9 +6,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +61,29 @@ def test_no_module_reaches_into_an_instance_dict():
         if "__dict__" in path.read_text()
     ]
     assert offenders == []
+
+
+def test_no_module_keeps_a_process_wide_cache():
+    # A module-level cache keyed on a graph's value grows with every distinct
+    # graph a scan meets; graph facts live in RotationGraph.facts instead.
+    pattern = re.compile(r"lru_cache|functools\.cache\b|from functools import .*\bcache\b")
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "dtargets").glob("*.py"))
+        if pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_perfect_matchings_stays_public_with_its_cap():
+    # bench/spans.py wraps coloring.perfect_matchings by name.
+    from dtargets import coloring
+    from dtargets.corpus import load_fixture
+    from dtargets.errors import TooLarge
+
+    cap = inspect.signature(coloring.perfect_matchings).parameters["cap"]
+    assert cap.default == coloring.DEFAULT_COLOUR_CAP
+    cube = load_fixture("cube")
+    assert len(coloring.perfect_matchings(cube, cap=8)) == 9
+    with pytest.raises(TooLarge):
+        coloring.perfect_matchings(cube, cap=6)
