@@ -38,19 +38,12 @@ from .corpus import (
     load_fixture,
 )
 from .cuts import (
-    Cocycle,
     CutWitness,
     DEFAULT_CUT_CAP,
-    GueninVerdict,
-    bond_decomposition,
-    cocycle_from,
-    find_guenin_cocycles,
-    is_bond,
     is_oddly_connected,
     m_delta,
     min_odd_cut,
     strengthened_cut_check,
-    validate_guenin_cocycle,
 )
 from .discharge import (
     BetaTrace,
@@ -79,7 +72,6 @@ from .errors import (
     MissingMultiplicity,
     NegativeMultiplicity,
     NoCommonRegion,
-    NotABond,
     NotAFourCycle,
     NotATriangle,
     NotTwoConnected,

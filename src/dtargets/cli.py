@@ -25,6 +25,7 @@ from .discharge import charge_report
 from .errors import (
     BadColouring,
     DTargetError,
+    EulerViolation,
     IdentityViolation,
     MismatchedD,
     ParseError,
@@ -72,6 +73,19 @@ def _load_target(args) -> tuple[DTarget, str, str]:
 # ---------------------------------------------------------------------------
 
 
+def _require_target(t: DTarget) -> None:
+    """Refuse input whose degree sums are not all d or whose faces fail the
+    Euler check; connectivity is not needed, so it is not computed."""
+    refusal = f"not a d-target with d = {t.d}: "
+    off = [v for v in range(t.vertex_count) if t.degree_sum(v) != t.d]
+    if off:
+        raise DTargetError(refusal + f"degree sum is not {t.d} at vertices {off}")
+    try:
+        t.graph.faces
+    except EulerViolation:
+        raise DTargetError(refusal + "Euler check fails") from None
+
+
 def cmd_check(args) -> Report:
     t, path, digest = _load_target(args)
     rep = validate(t)
@@ -116,6 +130,7 @@ def cmd_check(args) -> Report:
 
 def cmd_classify(args) -> Report:
     t, path, digest = _load_target(args)
+    _require_target(t)
     verdict = is_prime(t, cap=args.cap)
     if verdict.is_prime:
         return Report(
@@ -141,6 +156,7 @@ def cmd_classify(args) -> Report:
 
 def cmd_discharge(args) -> Report:
     t, path, digest = _load_target(args)
+    _require_target(t)
     report = charge_report(t)
     region_rows = []
     lines = ["region  len  class                alpha  beta   gamma  total"]
@@ -266,14 +282,7 @@ def cmd_colour(args) -> Report:
 
 def cmd_switch(args) -> Report:
     t, path, digest = _load_target(args)
-    # The descent order compares targets only; connectivity is not needed.
-    rep = validate(t)
-    if not (rep.degree_ok and rep.euler_ok):
-        off = [v for kind, v in rep.violations if kind == "degree"]
-        raise DTargetError(
-            f"not a d-target with d = {t.d}: "
-            + (f"degree sum is not {t.d} at vertices {off}" if off else "Euler check fails")
-        )
+    _require_target(t)
     a, b, c, d_ = args.vertices
     if args.path:
         result = switch_path(t, a, b, c, d_)
@@ -319,7 +328,7 @@ def cmd_scan(args) -> Report:
         cut_cap=args.cap,
     )
     items = build_corpus(spec)
-    primes: list[dict] = []
+    primes: list[str] = []
     colour_mismatches: list[str] = []
     per_base: dict[str, int] = {}
     for item in items:
@@ -327,7 +336,7 @@ def cmd_scan(args) -> Report:
         per_base[base] = per_base.get(base, 0) + 1
         verdict = is_prime(item.target, cap=args.cap)
         if verdict.is_prime:
-            primes.append({"item": item.name, "witness": None})
+            primes.append(item.name)
         colouring = edge_colour(item.target)
         if colouring is None:
             colour_mismatches.append(item.name)
@@ -340,13 +349,13 @@ def cmd_scan(args) -> Report:
     )
     lines = [f"  {base}: {count} targets" for base, count in sorted(per_base.items())]
     if primes:
-        lines += [f"  PRIME: {p['item']}" for p in primes]
+        lines += [f"  PRIME: {name}" for name in primes]
     if colour_mismatches:
         lines += [f"  UNCOLOURABLE: {name}" for name in colour_mismatches]
     details = {
         "items": len(items),
         "per_base": per_base,
-        "prime": [p["item"] for p in primes],
+        "prime": primes,
         "uncolourable": colour_mismatches,
     }
     return Report(

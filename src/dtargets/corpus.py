@@ -130,7 +130,7 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
             continue
         taken = 0
         seen: set[tuple] = set()
-        if canonical.d == spec.d and _passes(spec, canonical):
+        if spec.limit_per_base > 0 and canonical.d == spec.d and _passes(spec, canonical):
             items.append(CorpusItem(f"{base}/canonical", canonical))
             seen.add(canonical.mult_items)
             taken += 1

@@ -83,10 +83,6 @@ class NoCommonRegion(DTargetError):
     """Edge insertion needs its two endpoints on a common region."""
 
 
-class NotABond(DTargetError):
-    """The requested edge set is not a minimal edge cut."""
-
-
 class NotATriangle(DTargetError):
     """The named region is not bounded by exactly three edges."""
 

@@ -1,8 +1,8 @@
 """Hand-built targets that exercise specific rules, verdicts, and edge cases.
 
-Each builder returns a fresh DTarget (plus companions where noted).  The
+Each builder returns a fresh DTarget.  The
 multiplicity tables were designed by hand so that a particular transfer rule,
-cut verdict, or cocycle search outcome fires; the expected outcomes are frozen
+cut verdict, or colouring search case fires; the expected outcomes are frozen
 in the test modules that import from here.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-from dtargets.coloring import EdgeColouring
 from dtargets.corpus import load_fixture
 from dtargets.planar import DTarget, RotationGraph
 
@@ -254,48 +253,3 @@ def rule5_wheel() -> DTarget:
         (3, 7): 2, (3, 11): 2, (7, 11): 2,
     }
     return DTarget.of(RotationGraph(rots), 8, mult)
-
-
-# ---------------------------------------------------------------------------
-# A pentagonal prism whose colouring admits exactly one index with a
-# four-property cocycle (the all-verticals matching, cut by the outer rim).
-# ---------------------------------------------------------------------------
-
-GUENIN_PATH = (0, 1, 6, 5)
-
-
-def guenin_pentaprism() -> tuple[DTarget, EdgeColouring]:
-    mult = {
-        (0, 1): 2, (1, 2): 4, (2, 3): 2, (3, 4): 4, (0, 4): 2,
-        (5, 6): 2, (6, 7): 4, (7, 8): 2, (8, 9): 4, (5, 9): 2,
-        (0, 5): 4, (1, 6): 2, (2, 7): 2, (3, 8): 2, (4, 9): 2,
-    }
-    target = load_fixture("pentagonal_prism").with_mult(mult)
-
-    def outer(i: int, j: int) -> tuple[int, int]:
-        return tuple(sorted((i % 5, j % 5)))
-
-    def inner(i: int, j: int) -> tuple[int, int]:
-        return tuple(sorted((5 + i % 5, 5 + j % 5)))
-
-    verticals = ((0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
-    base = ((0, 5), (1, 2), (3, 4), (6, 7), (8, 9))
-
-    def rotated(i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            sorted(
-                (
-                    (i, i + 5),
-                    outer(i + 1, i + 2),
-                    outer(i + 3, i + 4),
-                    inner(i + 1, i + 2),
-                    inner(i + 3, i + 4),
-                )
-            )
-        )
-
-    matchings = [verticals, base, base, base] + [rotated(i) for i in (1, 2, 3, 4)]
-    colouring = EdgeColouring(
-        matchings=tuple(tuple(sorted(m)) for m in matchings)
-    )
-    return target, colouring

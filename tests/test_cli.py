@@ -216,6 +216,31 @@ def test_switch_rejects_a_non_target(capsys, name):
     assert "not a d-target" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "discharge", "colour", "switch"])
+def test_off_degree_input_is_never_an_internal_fault(tmp_path, capsys, command):
+    # k4 with m(01) = 7: the degree sums are 11, 11, 8, 8.
+    k4 = load_fixture("k4")
+    path = write_target(tmp_path, k4.with_mult({**k4.mult, (0, 1): 7}))
+    cycle = ["0", "1", "2", "3"] if command == "switch" else []
+    code, out, err = run(capsys, [command, path, *cycle])
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    if command in ("classify", "discharge", "switch"):
+        assert code == 2
+        assert out == ""
+        assert "not a d-target" in err
+
+
+def test_classify_refuses_a_non_target_that_looks_prime(tmp_path, capsys):
+    # The cube with every multiplicity 2 has degree sums 6; it passes every
+    # structural bullet and matches no pattern, so is_prime finds no witness.
+    cube = load_fixture("cube")
+    path = write_target(tmp_path, cube.with_mult(dict.fromkeys(cube.edges, 2)))
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 2
+    assert "not a d-target" in err
+
+
 def test_internal_fault_exits_4(capsys, monkeypatch):
     def broken(t):
         raise ValueError("simulated fault")

@@ -86,6 +86,8 @@ def test_corpus_respects_limit_per_base():
     for base in FIXTURES:
         count = sum(1 for item in items if item.name.startswith(base + "/"))
         assert count <= 3
+    # The cap holds for each base's canonical target too.
+    assert build_corpus(CorpusSpec(limit_per_base=0)) == []
 
 
 def test_corpus_filter_off_adds_invalid_targets(corpus):

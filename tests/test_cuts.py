@@ -1,4 +1,5 @@
-"""Odd cuts, bonds, cocycles, and the four-property cocycle search."""
+"""Odd cuts: cut values, the minimum odd cut, the odd-connectivity test and
+the strengthened check, each against the brute-force oracle."""
 
 from __future__ import annotations
 
@@ -10,21 +11,15 @@ from dtargets import cuts
 from dtargets.config import is_prime
 from dtargets.corpus import enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
-    bond_decomposition,
-    cocycle_from,
-    find_guenin_cocycles,
-    is_bond,
     is_oddly_connected,
     m_delta,
     min_odd_cut,
     strengthened_cut_check,
-    validate_guenin_cocycle,
 )
-from dtargets.errors import BadColouring, NotABond, TooLarge
-from dtargets.coloring import EdgeColouring
+from dtargets.errors import TooLarge
 
 from conftest import FIXTURES
-from gadgets import GUENIN_PATH, guenin_pentaprism, prism
+from gadgets import prism
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -119,78 +114,6 @@ def test_cap_enforced():
     t = load_fixture("prism")
     with pytest.raises(TooLarge):
         min_odd_cut(t, cap=4)
-
-
-def test_is_bond_and_decomposition():
-    t = load_fixture("prism")
-    assert is_bond(t, (0, 1, 2))
-    assert is_bond(t, (0,))
-    # 0 and 5 induce no edge, so delta({0, 5}) is a union of two bonds.
-    assert not is_bond(t, (0, 5))
-    parts = bond_decomposition(t, (0, 5))
-    assert sorted(sorted(p) for p in parts) == [[0], [5]]
-
-
-def test_cocycle_from_bond_orders_dual_cycle():
-    t = load_fixture("prism")
-    cocycle = cocycle_from(t, (0, 1, 2))
-    assert set(cocycle.edges) == {(0, 3), (1, 4), (2, 5)}
-    assert sorted(cocycle.witness_X) == [0, 1, 2]
-    # Consecutive cocycle edges share a region.
-    faces = t.graph.faces
-    for i, e in enumerate(cocycle.edges):
-        f = cocycle.edges[(i + 1) % len(cocycle.edges)]
-        assert any(
-            e in r.edge_set and f in r.edge_set for r in faces
-        ), f"{e} and {f} do not share a region"
-
-
-def test_cocycle_from_non_bond_raises():
-    t = load_fixture("prism")
-    with pytest.raises(NotABond):
-        cocycle_from(t, (0, 5))
-
-
-def test_guenin_search_finds_the_vertical_cut():
-    target, colouring = guenin_pentaprism()
-    results = find_guenin_cocycles(target, colouring, GUENIN_PATH, xy_in_base=True)
-    assert sorted(results.keys()) == list(range(8))
-    found = {i: q for i, q in results.items() if q is not None}
-    assert list(found.keys()) == [0]
-    cocycle = found[0]
-    assert sorted(cocycle.witness_X) == [0, 1, 2, 3, 4]
-    assert cocycle.edge_set == frozenset({(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)})
-    verdict = validate_guenin_cocycle(target, colouring, 0, cocycle, GUENIN_PATH)
-    assert verdict.ok
-    assert verdict.meets_others_once
-    assert verdict.meets_chosen_five
-    assert verdict.is_odd_cut
-    assert verdict.path_pattern
-
-
-def test_guenin_search_excludes_first_matching_containing_xy():
-    target, colouring = guenin_pentaprism()
-    results = find_guenin_cocycles(target, colouring, GUENIN_PATH, xy_in_base=False)
-    # (0, 5) first appears in matching 0, the only index with a cocycle.
-    assert sorted(results.keys()) == list(range(1, 8))
-    assert all(q is None for q in results.values())
-
-
-def test_guenin_validator_rejects_bad_colouring():
-    target, colouring = guenin_pentaprism()
-    wrong = EdgeColouring(matchings=colouring.matchings[:4])
-    cocycle = cocycle_from(target, (0, 1, 2, 3, 4))
-    with pytest.raises(BadColouring):
-        validate_guenin_cocycle(target, wrong, 0, cocycle, GUENIN_PATH)
-
-
-def test_guenin_verdict_fields_fail_individually():
-    target, colouring = guenin_pentaprism()
-    # A one-vertex cut meets the path pattern test but not the others.
-    single = cocycle_from(target, (2,))
-    verdict = validate_guenin_cocycle(target, colouring, 0, single, GUENIN_PATH)
-    assert not verdict.ok
-    assert verdict.is_odd_cut
 
 
 @settings(max_examples=60, deadline=None)
