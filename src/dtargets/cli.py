@@ -25,12 +25,11 @@ from .discharge import charge_report
 from .errors import (
     BadColouring,
     DTargetError,
-    EulerViolation,
     IdentityViolation,
     MismatchedD,
     ParseError,
 )
-from .planar import DTarget, parse_dtarget, serialize_dtarget, validate
+from .planar import DTarget, parse_dtarget, require_target, serialize_dtarget, validate
 from .switching import is_smaller, score_sequence, switch_path, switch_square
 
 EXIT_OK = 0
@@ -71,19 +70,6 @@ def _load_target(args) -> tuple[DTarget, str, str]:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-
-def _require_target(t: DTarget) -> None:
-    """Refuse input whose degree sums are not all d or whose faces fail the
-    Euler check; connectivity is not needed, so it is not computed."""
-    refusal = f"not a d-target with d = {t.d}: "
-    off = [v for v in range(t.vertex_count) if t.degree_sum(v) != t.d]
-    if off:
-        raise DTargetError(refusal + f"degree sum is not {t.d} at vertices {off}")
-    try:
-        t.graph.faces
-    except EulerViolation:
-        raise DTargetError(refusal + "Euler check fails") from None
 
 
 def cmd_check(args) -> Report:
@@ -130,7 +116,6 @@ def cmd_check(args) -> Report:
 
 def cmd_classify(args) -> Report:
     t, path, digest = _load_target(args)
-    _require_target(t)
     verdict = is_prime(t, cap=args.cap)
     if verdict.is_prime:
         return Report(
@@ -156,7 +141,7 @@ def cmd_classify(args) -> Report:
 
 def cmd_discharge(args) -> Report:
     t, path, digest = _load_target(args)
-    _require_target(t)
+    require_target(t)
     report = charge_report(t)
     region_rows = []
     lines = ["region  len  class                alpha  beta   gamma  total"]
@@ -282,7 +267,7 @@ def cmd_colour(args) -> Report:
 
 def cmd_switch(args) -> Report:
     t, path, digest = _load_target(args)
-    _require_target(t)
+    require_target(t)
     a, b, c, d_ = args.vertices
     if args.path:
         result = switch_path(t, a, b, c, d_)

@@ -2,13 +2,18 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator and an evaluator.  Detection, re-checking and
-deduplication are generic over that table.  Conventions shared by every
+placement generator and an evaluator.  A placement (the named regions and
+vertices) depends on the embedding only, so each generator runs once per
+graph and its duplicate-free placements are kept in ``RotationGraph.facts``;
+the evaluators judge a placement's conditions on each target.  Detection and
+re-checking are generic over that table.  Conventions shared by every
 pattern:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
-  disc, and ``m_plus`` adds 1 exactly when that second region is small;
+  disc, and ``m_plus`` adds 1 exactly when that second region is small; a
+  placement whose second region is ambiguous fails, in one place for all
+  patterns (``_evaluate``);
 * named vertices are pairwise distinct and named regions are distinct
   (degenerate placements whose region union pinches into a non-disc are
   skipped);
@@ -31,9 +36,11 @@ from .planar import (
     DTarget,
     Edge,
     Region,
+    RotationGraph,
     connectivity_level,
     norm_edge,
     other_region,
+    require_target,
 )
 
 
@@ -260,14 +267,15 @@ class PrimalityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Placements: each generator yields flat tuples, the placement's regions
-# followed by its named vertices in label order.  Orbit filters keep one
-# labelling per symmetry class where a pattern is symmetric.
+# Placements: each generator reads the graph alone and yields flat tuples,
+# the placement's regions followed by its named vertices in label order.
+# Orbit filters keep one labelling per symmetry class where a pattern is
+# symmetric; bounds an evaluator checks itself are left to the evaluator.
 # ---------------------------------------------------------------------------
 
 
-def _regions_of_length(t: DTarget, length: int) -> list[Region]:
-    return [r for r in t.graph.faces if r.length == length]
+def _regions_of_length(graph: RotationGraph, length: int) -> list[Region]:
+    return [r for r in graph.faces if r.length == length]
 
 
 def _cyclic_labelings(r: Region) -> list[tuple[int, ...]]:
@@ -286,51 +294,43 @@ def _third_vertex(r: Region, u: int, v: int) -> int:
     return w
 
 
-def _degree(t: DTarget, v: int) -> int:
-    return len(t.graph.rotations[v])
+def _degree(graph: RotationGraph, v: int) -> int:
+    return len(graph.rotations[v])
 
 
-def _triangle_edges(t: DTarget):
+def _triangle_edges(graph: RotationGraph):
     """Triangle uvw with u < v."""
-    for tri in _regions_of_length(t, 3):
+    for tri in _regions_of_length(graph, 3):
         for u, v in combinations(sorted(tri.vertices), 2):
             yield tri, u, v, _third_vertex(tri, u, v)
 
 
-def _triangle_corners(t: DTarget):
+def _triangle_corners(graph: RotationGraph):
     """Triangle uvw with v < w."""
-    for tri in _regions_of_length(t, 3):
+    for tri in _regions_of_length(graph, 3):
         for u in tri.vertices:
             v, w = sorted(set(tri.vertices) - {u})
             yield tri, u, v, w
 
 
-def _triangle_degree3_corners(t: DTarget):
+def _triangle_degree3_corners(graph: RotationGraph):
     """Triangle uvw with deg(u) = 3 and x the neighbour of u off the triangle."""
-    for tri in _regions_of_length(t, 3):
+    for tri in _regions_of_length(graph, 3):
         for u in tri.vertices:
-            if _degree(t, u) != 3:
+            if _degree(graph, u) != 3:
                 continue
-            (x,) = set(t.graph.rotations[u]) - set(tri.vertices)
+            (x,) = set(graph.rotations[u]) - set(tri.vertices)
             for v, w in permutations(sorted(set(tri.vertices) - {u})):
                 yield tri, u, v, w, x
 
 
-def _triangle_triple_edges(t: DTarget):
-    """Triangle uvw whose edge uv (u < v) has multiplicity 3."""
-    for tri in _regions_of_length(t, 3):
-        for u, v in tri.edges:
-            if t.m(u, v) == 3:
-                yield tri, u, v, _third_vertex(tri, u, v)
-
-
-def _triangle_pairs(t: DTarget):
+def _triangle_pairs(graph: RotationGraph):
     """Ordered pairs of triangle regions sharing one edge, with both
     orientations of the shared edge: yields (T1, T2, u, v, w, x) for
     triangles uvw and uwx."""
-    for a, b in t.graph.edges:
-        r1 = t.graph.dart_region[(a, b)]
-        r2 = t.graph.dart_region[(b, a)]
+    for a, b in graph.edges:
+        r1 = graph.dart_region[(a, b)]
+        r2 = graph.dart_region[(b, a)]
         if r1.id == r2.id or r1.length != 3 or r2.length != 3:
             continue
         for first, second in ((r1, r2), (r2, r1)):
@@ -342,9 +342,9 @@ def _triangle_pairs(t: DTarget):
                 yield first, second, u, v, w, x
 
 
-def _triangle_pair_orbits(t: DTarget):
+def _triangle_pair_orbits(graph: RotationGraph):
     """Triangle pairs, one of each (u, v, w, x) ~ (w, x, u, v) orbit."""
-    for placement in _triangle_pairs(t):
+    for placement in _triangle_pairs(graph):
         _, _, u, v, w, x = placement
         if (u, v, w, x) <= (w, x, u, v):
             yield placement
@@ -353,8 +353,8 @@ def _triangle_pair_orbits(t: DTarget):
 def _labelled_regions(length: int):
     """Each region of the given length under every labelling of its cycle."""
 
-    def placements(t: DTarget):
-        for r in _regions_of_length(t, length):
+    def placements(graph: RotationGraph):
+        for r in _regions_of_length(graph, length):
             for vs in _cyclic_labelings(r):
                 yield (r, *vs)
 
@@ -364,22 +364,22 @@ def _labelled_regions(length: int):
 _squares = _labelled_regions(4)
 
 
-def _square_orbits(t: DTarget):
+def _square_orbits(graph: RotationGraph):
     """Squares uvwx, one labelling per orbit of the symmetries
     (u, v, w, x) -> (w, x, u, v) and (u, v, w, x) -> (v, u, x, w)."""
-    for square, u, v, w, x in _squares(t):
+    for square, u, v, w, x in _squares(graph):
         orbit = ((u, v, w, x), (w, x, u, v), (v, u, x, w), (x, w, v, u))
         if (u, v, w, x) == min(orbit):
             yield square, u, v, w, x
 
 
-def _square_triangles(t: DTarget):
+def _square_triangles(graph: RotationGraph):
     """Square region uvwx (cyclically labelled) whose edge wx borders a
     triangle region wxy; the triangle apex y avoids the square."""
-    for square, u, v, w, x in _squares(t):
+    for square, u, v, w, x in _squares(graph):
         if norm_edge(w, x) not in square.edge_set:
             continue
-        tri = other_region(t, norm_edge(w, x), square)
+        tri = other_region(graph, norm_edge(w, x), square)
         if tri.length != 3:
             continue
         y = _third_vertex(tri, w, x)
@@ -388,53 +388,45 @@ def _square_triangles(t: DTarget):
         yield square, tri, u, v, w, x, y
 
 
-def _region_edges(min_length: int):
-    """Boundary edge uv (u < v) of a region of at least the given length."""
-
-    def placements(t: DTarget):
-        for r in t.graph.faces:
-            if r.length < min_length:
-                continue
+def _region_edges(graph: RotationGraph):
+    """Boundary edge uv (u < v) of a region of length at least 3."""
+    for r in graph.faces:
+        if r.length >= 3:
             for u, v in sorted(r.edge_set):
                 yield r, u, v
 
-    return placements
 
-
-def _region_triangles(min_length: int):
-    """Edge uv on C_r, r of at least the given length, whose far region is a
+def _region_triangles(graph: RotationGraph):
+    """Edge uv on C_r, r of length at least 3, whose far region is a
     triangle uvw with w off C_r."""
-
-    def placements(t: DTarget):
-        for a, b in t.graph.edges:
-            r1 = t.graph.dart_region[(a, b)]
-            r2 = t.graph.dart_region[(b, a)]
-            if r1.id == r2.id:
+    for a, b in graph.edges:
+        r1 = graph.dart_region[(a, b)]
+        r2 = graph.dart_region[(b, a)]
+        if r1.id == r2.id:
+            continue
+        for r, tri in ((r1, r2), (r2, r1)):
+            if tri.length != 3 or r.length < 3:
                 continue
-            for r, tri in ((r1, r2), (r2, r1)):
-                if tri.length != 3 or r.length < min_length:
-                    continue
-                for u, v in ((a, b), (b, a)):
-                    w = _third_vertex(tri, u, v)
-                    if w in r.vertex_set:
-                        continue
+            for u, v in ((a, b), (b, a)):
+                w = _third_vertex(tri, u, v)
+                if w not in r.vertex_set:
                     yield r, tri, u, v, w
-
-    return placements
 
 
 # ---------------------------------------------------------------------------
-# Per-pattern evaluators: called with a placement, they return None when the
-# conditions fail, else (satisfied facts, branch); only Conf 18 has branches.
-# Each evaluator re-verifies the structural pattern, so a reported match can
-# be independently re-checked from its named elements.
+# Per-pattern evaluators: called with a target and a placement, they return
+# None when the conditions fail, else (satisfied facts, branch); only Conf 18
+# has branches.  An ambiguous second region (AmbiguousContext) fails the
+# placement in ``_evaluate``, not here.  Each evaluator re-verifies the
+# structural pattern, so a reported match can be independently re-checked
+# from its named elements.
 # ---------------------------------------------------------------------------
 
 
 def _eval_conf1(t, tri: Region, u, v, w):
     if tri.length != 3 or set(tri.vertices) != {u, v, w}:
         return None
-    if _degree(t, u) != 3 or _degree(t, v) != 3:
+    if _degree(t.graph, u) != 3 or _degree(t.graph, v) != 3:
         return None
     return (f"deg({u}) = 3", f"deg({v}) = 3"), None
 
@@ -442,7 +434,7 @@ def _eval_conf1(t, tri: Region, u, v, w):
 def _eval_conf2(t, tri: Region, u, v, w, x):
     if tri.length != 3 or set(tri.vertices) != {u, v, w}:
         return None
-    if _degree(t, u) != 3 or x in (u, v, w) or x not in t.graph.rotations[u]:
+    if _degree(t.graph, u) != 3 or x in (u, v, w) or x not in t.graph.rotations[u]:
         return None
     lhs, rhs = t.m(u, x), t.m(u, w) + t.m(v, w)
     if lhs >= rhs:
@@ -495,14 +487,11 @@ def _eval_conf5(t, first, second, u, v, w, x):
     if not _shared_edge_triangles_ok(t, first, second, u, v, w, x):
         return None
     disc = (first.id, second.id)
-    try:
-        total = (
-            m_plus(t, norm_edge(u, v), disc)
-            + t.m(u, w)
-            + m_plus(t, norm_edge(w, x), disc)
-        )
-    except AmbiguousContext:
-        return None
+    total = (
+        m_plus(t, norm_edge(u, v), disc)
+        + t.m(u, w)
+        + m_plus(t, norm_edge(w, x), disc)
+    )
     if total < 7:
         return None
     return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",), None
@@ -512,10 +501,7 @@ def _eval_conf6(t, square: Region, u, v, w, x):
     if square.length != 4 or tuple_not_square(square, u, v, w, x):
         return None
     disc = (square.id,)
-    try:
-        total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(w, x), disc)
-    except AmbiguousContext:
-        return None
+    total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(w, x), disc)
     if total < 7:
         return None
     return (f"m+({u},{v}) + m+({w},{x}) = {total} >= 7",), None
@@ -525,10 +511,7 @@ def _eval_conf7(t, tri: Region, u, v, w):
     if tri.length != 3 or set(tri.vertices) != {u, v, w}:
         return None
     disc = (tri.id,)
-    try:
-        total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(u, w), disc)
-    except AmbiguousContext:
-        return None
+    total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(u, w), disc)
     if total < 7:
         return None
     return (f"m+({u},{v}) + m+({u},{w}) = {total} >= 7",), None
@@ -562,10 +545,10 @@ def _eval_conf9(t, tri: Region, u, v, w):
         return None
     if not (t.m(u, v) == t.m(u, w) == t.m(v, w) == 2):
         return None
-    if _degree(t, u) < 4:
+    if _degree(t.graph, u) < 4:
         return None
     tri_vertices = {u, v, w}
-    facts = [f"deg({u}) = {_degree(t, u)} >= 4", "all multiplicities 2"]
+    facts = [f"deg({u}) = {_degree(t.graph, u)} >= 4", "all multiplicities 2"]
     for e in (norm_edge(u, v), norm_edge(u, w)):
         far = other_region(t, e, tri)
         ds = doors(t, far)
@@ -599,10 +582,7 @@ def _eval_conf11(t, square, tri, u, v, w, x, y):
         return None
     if not (t.m(u, v) >= 3 and t.m(w, y) >= 3 and t.m(w, x) == 1 and t.m(u, x) <= 3):
         return None
-    try:
-        plus = m_plus(t, norm_edge(x, y), (square.id, tri.id))
-    except AmbiguousContext:
-        return None
+    plus = m_plus(t, norm_edge(x, y), (square.id, tri.id))
     if plus < 3:
         return None
     return (
@@ -620,11 +600,8 @@ def _eval_conf12(t, square, tri, u, v, w, x, y):
     if not (t.m(v, w) >= 2 and t.m(w, x) == 2 and t.m(w, y) == 2 and t.m(u, x) <= 3):
         return None
     disc = (square.id, tri.id)
-    try:
-        uv_plus = m_plus(t, norm_edge(u, v), disc)
-        xy_plus = m_plus(t, norm_edge(x, y), disc)
-    except AmbiguousContext:
-        return None
+    uv_plus = m_plus(t, norm_edge(u, v), disc)
+    xy_plus = m_plus(t, norm_edge(x, y), disc)
     if uv_plus < 2 or xy_plus < 3:
         return None
     return (
@@ -649,10 +626,7 @@ def _eval_conf13(t, r: Region, *vs: int):
     if m(e1) + m(e2) + m(e3) < 8:
         return None
     disc = (r.id,)
-    try:
-        plus = m_plus(t, e1, disc) + m_plus(t, e4, disc)
-    except AmbiguousContext:
-        return None
+    plus = m_plus(t, e1, disc) + m_plus(t, e4, disc)
     if plus < 7:
         return None
     return (
@@ -666,10 +640,7 @@ def _eval_conf14(t, r: Region, u, v):
     e = norm_edge(u, v)
     if e not in r.edge_set:
         return None
-    try:
-        plus = m_plus(t, e, (r.id,))
-    except AmbiguousContext:
-        return None
+    plus = m_plus(t, e, (r.id,))
     if plus < 6:
         return None
     disjoint_doors = [f for f in doors(t, r) if edges_disjoint(e, f)]
@@ -685,10 +656,7 @@ def _eval_conf15(t, r: Region, u, v):
     e = norm_edge(u, v)
     if r.length < 4 or e not in r.edge_set:
         return None
-    try:
-        plus = m_plus(t, e, (r.id,))
-    except AmbiguousContext:
-        return None
+    plus = m_plus(t, e, (r.id,))
     if plus < 4:
         return None
     others = [f for f in r.edges if edges_disjoint(e, f)]
@@ -712,10 +680,7 @@ def _eval_conf16(t, r: Region, tri: Region, u, v, w):
     if uv not in r.edge_set or r.id == tri.id or w in r.vertex_set:
         return None
     disc = (r.id, tri.id)
-    try:
-        uw_plus = m_plus(t, norm_edge(u, w), disc)
-    except AmbiguousContext:
-        return None
+    uw_plus = m_plus(t, norm_edge(u, w), disc)
     if t.m(u, v) + uw_plus < 4:
         return None
     if t.m(v, w) > t.m(u, w):
@@ -739,14 +704,11 @@ def _eval_conf17(t, r: Region, u, v):
     if r.length < 5 or e not in r.edge_set:
         return None
     disc = (r.id,)
-    try:
-        plus = m_plus(t, e, disc)
-        if plus < 5:
-            return None
-        others = [f for f in r.edges if edges_disjoint(e, f)]
-        if any(m_plus(t, f, disc) < 2 for f in others):
-            return None
-    except AmbiguousContext:
+    plus = m_plus(t, e, disc)
+    if plus < 5:
+        return None
+    others = [f for f in r.edges if edges_disjoint(e, f)]
+    if any(m_plus(t, f, disc) < 2 for f in others):
         return None
     light = sum(1 for f in others if not is_heavy(t, f, r, 3))
     if light > 1:
@@ -765,10 +727,7 @@ def _eval_conf18(t, r: Region, tri: Region, u, v, w):
     if r.length < 4 or uv not in r.edge_set or r.id == tri.id or w in r.vertex_set:
         return None
     disc = (r.id, tri.id)
-    try:
-        uw_plus = m_plus(t, norm_edge(u, w), disc)
-    except AmbiguousContext:
-        return None
+    uw_plus = m_plus(t, norm_edge(u, w), disc)
     if uw_plus + t.m(u, v) < 5:
         return None
     if t.m(v, w) > t.m(u, w):
@@ -778,6 +737,7 @@ def _eval_conf18(t, r: Region, tri: Region, u, v, w):
         return None
 
     def count_ok(edge_set: list[Edge]) -> bool:
+        # An ambiguous edge fails this branch only, not the placement.
         try:
             if any(m_plus(t, f, disc) < 2 for f in edge_set):
                 return False
@@ -806,10 +766,7 @@ def _eval_conf19(t, r: Region, u, v):
     e = norm_edge(u, v)
     if r.length < 5 or e not in r.edge_set:
         return None
-    try:
-        plus = m_plus(t, e, (r.id,))
-    except AmbiguousContext:
-        return None
+    plus = m_plus(t, e, (r.id,))
     if plus < 5:
         return None
     others = [f for f in r.edges if edges_disjoint(e, f)]
@@ -832,7 +789,7 @@ def _eval_conf19(t, r: Region, u, v):
 
 class _Pattern(NamedTuple):
     labels: tuple[str, ...]  # names of the placement's vertices, in order
-    placements: Callable[[DTarget], Iterator[tuple]]
+    placements: Callable[[RotationGraph], Iterator[tuple]]
     evaluate: Callable[..., tuple[tuple[str, ...], str | None] | None]
 
 
@@ -849,18 +806,18 @@ _PATTERNS: dict[int, _Pattern] = {
     5: _Pattern(_UVWX, _triangle_pair_orbits, _eval_conf5),
     6: _Pattern(_UVWX, _square_orbits, _eval_conf6),
     7: _Pattern(_UVW, _triangle_corners, _eval_conf7),
-    8: _Pattern(_UVW, _triangle_triple_edges, _eval_conf8),
+    8: _Pattern(_UVW, _triangle_edges, _eval_conf8),
     9: _Pattern(_UVW, _triangle_corners, _eval_conf9),
     10: _Pattern(_UVWXY, _square_triangles, _eval_conf10),
     11: _Pattern(_UVWXY, _square_triangles, _eval_conf11),
     12: _Pattern(_UVWXY, _square_triangles, _eval_conf12),
     13: _Pattern(("v1", "v2", "v3", "v4", "v5"), _labelled_regions(5), _eval_conf13),
-    14: _Pattern(_UV, _region_edges(3), _eval_conf14),
-    15: _Pattern(_UV, _region_edges(4), _eval_conf15),
-    16: _Pattern(_UVW, _region_triangles(3), _eval_conf16),
-    17: _Pattern(_UV, _region_edges(5), _eval_conf17),
-    18: _Pattern(_UVW, _region_triangles(4), _eval_conf18),
-    19: _Pattern(_UV, _region_edges(5), _eval_conf19),
+    14: _Pattern(_UV, _region_edges, _eval_conf14),
+    15: _Pattern(_UV, _region_edges, _eval_conf15),
+    16: _Pattern(_UVW, _region_triangles, _eval_conf16),
+    17: _Pattern(_UV, _region_edges, _eval_conf17),
+    18: _Pattern(_UVW, _region_triangles, _eval_conf18),
+    19: _Pattern(_UV, _region_edges, _eval_conf19),
 }
 
 
@@ -870,24 +827,35 @@ def _entry(k: int) -> _Pattern:
     return _PATTERNS[k]
 
 
+def _placements(graph: RotationGraph, generate) -> tuple[tuple, ...]:
+    """generate(graph) without repeats, run once per graph."""
+    if generate not in graph.facts:
+        graph.facts[generate] = tuple(dict.fromkeys(generate(graph)))
+    return graph.facts[generate]
+
+
+def _evaluate(t: DTarget, evaluate, placement):
+    """evaluate(t, *placement); a placement whose second region is ambiguous
+    fails."""
+    try:
+        return evaluate(t, *placement)
+    except AmbiguousContext:
+        return None
+
+
 def detect(t: DTarget, k: int) -> list[ConfigMatch]:
-    """All matches of pattern k, deduplicated and sorted by vertex tuple."""
+    """All matches of pattern k, one per placement, sorted by vertex tuple."""
     _require_d8(t)
-    labels, placements, evaluate = _entry(k)
+    labels, generate, evaluate = _entry(k)
     split = -len(labels)
-    seen: set[tuple] = set()
     out: list[ConfigMatch] = []
-    for placement in placements(t):
-        result = evaluate(t, *placement)
+    for placement in _placements(t.graph, generate):
+        result = _evaluate(t, evaluate, placement)
         if result is None:
             continue
         regions, vs = placement[:split], placement[split:]
         names, region_ids = tuple(zip(labels, vs)), tuple(r.id for r in regions)
-        match = ConfigMatch(k, names, region_ids, *result)
-        key = (match.names, match.region_ids)
-        if key not in seen:
-            seen.add(key)
-            out.append(match)
+        out.append(ConfigMatch(k, names, region_ids, *result))
     out.sort(key=lambda m: m.vertex_tuple)
     return out
 
@@ -907,8 +875,8 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
     if tuple(name for name, _ in match.names) != labels:
         return False
     faces = t.graph.faces
-    regions = [faces[i] for i in match.region_ids]
-    return evaluate(t, *regions, *match.vertex_tuple) is not None
+    regions = tuple(faces[i] for i in match.region_ids)
+    return _evaluate(t, evaluate, regions + match.vertex_tuple) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -917,12 +885,14 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
 
 
 def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
-    """Check the structural bullets in their fixed order, then the patterns.
+    """Refuse a non-target (``DTargetError``), then check the structural
+    bullets in their fixed order, then the patterns.
 
     The first failing check becomes the witness; a prime verdict is never
     expected on valid input and is surfaced loudly by callers.
     """
     _require_d8(t)
+    require_target(t)
     for e, m in t.mult_items:
         if m == 0:
             return PrimalityVerdict(False, ZeroMultEdge(e))

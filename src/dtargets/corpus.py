@@ -90,11 +90,8 @@ def enumerate_multiplicities(
 @dataclass(frozen=True)
 class CorpusSpec:
     bases: tuple[str, ...] = FIXTURE_NAMES
-    d: int = 8
     max_vertices: int = 12
     require_oddly_connected: bool = True
-    require_valid: bool = True
-    min_mult: int = 1
     limit_per_base: int = 48
     cut_cap: int = DEFAULT_CUT_CAP
 
@@ -106,10 +103,9 @@ class CorpusItem:
 
 
 def _passes(spec: CorpusSpec, t: DTarget) -> bool:
-    if spec.require_valid:
-        report = validate(t)
-        if not (report.degree_ok and report.euler_ok):
-            return False
+    report = validate(t)
+    if not (report.degree_ok and report.euler_ok):
+        return False
     if spec.require_oddly_connected:
         try:
             if not is_oddly_connected(t, cap=spec.cut_cap):
@@ -121,8 +117,10 @@ def _passes(spec: CorpusSpec, t: DTarget) -> bool:
 
 def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
     """A deterministic target list: for each base graph, its bundled
-    multiplicity assignment first, then enumerated assignments in order,
-    filtered per the spec and capped at limit_per_base."""
+    multiplicity assignment first, then its d = 8 assignments with every
+    multiplicity positive in enumeration order, each kept only if it
+    validates (and, per the spec, is oddly connected), capped at
+    limit_per_base."""
     items: list[CorpusItem] = []
     for base in spec.bases:
         canonical = load_fixture(base)
@@ -130,14 +128,12 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
             continue
         taken = 0
         seen: set[tuple] = set()
-        if spec.limit_per_base > 0 and canonical.d == spec.d and _passes(spec, canonical):
+        if spec.limit_per_base > 0 and canonical.d == 8 and _passes(spec, canonical):
             items.append(CorpusItem(f"{base}/canonical", canonical))
             seen.add(canonical.mult_items)
             taken += 1
         counter = 0
-        for t in enumerate_multiplicities(
-            canonical.graph, spec.d, min_mult=spec.min_mult
-        ):
+        for t in enumerate_multiplicities(canonical.graph, 8, min_mult=1):
             if taken >= spec.limit_per_base:
                 break
             if t.mult_items in seen:

@@ -23,7 +23,6 @@ DEFAULT_CUT_CAP = 24
 class CutWitness:
     X: tuple[int, ...]
     value: int
-    parity: int
 
 
 def m_delta(t: DTarget, X) -> int:
@@ -98,7 +97,7 @@ def _least_witness(value: int, masks: list[int], n: int) -> CutWitness:
         for mask in masks
         for side in (mask, full ^ mask)
     )
-    return CutWitness(X=X, value=value, parity=len(X) % 2)
+    return CutWitness(X=X, value=value)
 
 
 def _odd_cuts(t: DTarget, cap: int) -> tuple[CutWitness, CutWitness | None]:

@@ -73,9 +73,9 @@ class RotationGraph:
     """A connected simple graph with a clockwise rotation at every vertex.
 
     ``facts`` holds what other layers derive from the graph alone (the
-    perfect matchings of a support, the cuts of its triangles), each
-    computed at most once and shared by every target on the graph; it takes
-    no part in equality.
+    pattern placements of each generator, the perfect matchings of a
+    support, the cuts of its triangles), each computed at most once and
+    shared by every target on the graph; it takes no part in equality.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -421,6 +421,19 @@ def connectivity_level(graph: RotationGraph) -> int:
     """The graph's connectivity level, computed once per graph (see
     :attr:`RotationGraph.connectivity`)."""
     return graph.connectivity
+
+
+def require_target(t: DTarget) -> None:
+    """Refuse input whose degree sums are not all d or whose faces fail the
+    Euler check; connectivity is not needed, so it is not computed."""
+    refusal = f"not a d-target with d = {t.d}: "
+    off = [v for v in range(t.vertex_count) if t.degree_sum(v) != t.d]
+    if off:
+        raise DTargetError(refusal + f"degree sum is not {t.d} at vertices {off}")
+    try:
+        t.graph.faces
+    except EulerViolation:
+        raise DTargetError(refusal + "Euler check fails") from None
 
 
 def validate(t: DTarget) -> ValidationReport:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -28,7 +30,7 @@ from dtargets.corpus import load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
-from dtargets.planar import DTarget
+from dtargets.planar import DTarget, parse_dtarget
 
 from conftest import FIXTURES
 from gadgets import (
@@ -189,6 +191,53 @@ def test_detect_dedups_and_sorts():
     )
 
 
+def test_placements_are_generated_once_per_graph(monkeypatch):
+    runs: dict = {}
+    wrappers: dict = {}
+
+    def counted(generate):
+        def wrapper(graph):
+            runs[generate] = runs.get(generate, 0) + 1
+            return generate(graph)
+
+        return wrapper
+
+    for k, pattern in config._PATTERNS.items():
+        generate = pattern.placements
+        if generate not in wrappers:
+            wrappers[generate] = counted(generate)
+        monkeypatch.setitem(
+            config._PATTERNS, k, pattern._replace(placements=wrappers[generate])
+        )
+    t = load_fixture("pentagonal_prism")
+    first = detect_all(t)
+    assert detect_all(t.with_mult(t.mult)) == first
+    assert len(wrappers) == 11
+    assert runs == dict.fromkeys(wrappers, 1)
+    assert set(t.graph.facts) == set(wrappers.values())
+
+
+def test_ambiguous_second_regions_fail_their_placements(monkeypatch):
+    # The tree's one region lies on both sides of each of its edges, so every
+    # edge placement of Conf 14, 15, 17 and 19 has no second region.
+    raised = []
+    second_region = config.second_region
+
+    def counted(t, e, disc):
+        try:
+            return second_region(t, e, disc)
+        except AmbiguousContext:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(config, "second_region", counted)
+    tree = parse_dtarget((Path(__file__).parent / "data" / "tree.dtarget").read_text())
+    assert detect_all(tree) == []
+    assert len(raised) == 4 * 5
+    assert not recheck(tree, ConfigMatch(14, (("u", 0), ("v", 1)), (0,), ()))
+    assert len(raised) == 4 * 5 + 1
+
+
 def test_known_prism_conf1():
     t = prism(2, 4)
     matches = detect(t, 1)
@@ -234,6 +283,16 @@ def test_primality_witness_chain():
     assert conf.witness_kind == "Conf(1)"
 
 
+@pytest.mark.parametrize("name", ["cube", "pentagonal_prism"])
+def test_is_prime_refuses_a_non_target(name):
+    # Every multiplicity 2 gives degree sums 6: no structural bullet fails and
+    # no pattern matches, so only the target check stands between such input
+    # and a prime verdict.
+    t = load_fixture(name)
+    with pytest.raises(DTargetError, match="not a d-target"):
+        is_prime(t.with_mult(dict.fromkeys(t.edges, 2)))
+
+
 EXPECTED_FIRST_CONF = {
     "prism": 1,
     "cube": 4,
@@ -257,7 +316,7 @@ def test_witnesses_render_themselves():
          "edge (1, 2) has multiplicity 0"),
         (TooFewVertices(4), "TooFewVertices", {"vertex_count": 4},
          "only 4 vertices (fewer than 6)"),
-        (CutViolation(CutWitness((0, 1, 2), 6, 1)), "CutViolation", {"X": [0, 1, 2], "value": 6},
+        (CutViolation(CutWitness((0, 1, 2), 6)), "CutViolation", {"X": [0, 1, 2], "value": 6},
          "odd cut X=[0, 1, 2] has value 6 < 10 with both sides larger than one vertex"),
         (NotThreeConnected(2), "NotThreeConnected", {"level": 2},
          "connectivity level 2 (not 3-connected)"),

@@ -75,6 +75,16 @@ def test_no_module_keeps_a_process_wide_cache():
     assert offenders == []
 
 
+def test_placement_generators_take_the_graph_only():
+    # Placements are facts of the embedding, kept per graph; a generator that
+    # took the target could read multiplicities into them.
+    from dtargets import config
+
+    for k, pattern in config._PATTERNS.items():
+        params = list(inspect.signature(pattern.placements).parameters)
+        assert params == ["graph"], (k, params)
+
+
 def test_perfect_matchings_stays_public_with_its_cap():
     # bench/spans.py wraps coloring.perfect_matchings by name.
     from dtargets import coloring
