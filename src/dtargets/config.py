@@ -2,12 +2,14 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator and an evaluator.  A placement (the named regions and
-vertices) depends on the embedding only, so each generator runs once per
-graph and its duplicate-free placements are kept in ``RotationGraph.facts``;
-the evaluators judge a placement's conditions on each target.  Detection and
-re-checking are generic over that table.  Conventions shared by every
-pattern:
+placement generator, the generator's shape predicate and an evaluator.  A
+placement (the named regions and vertices) and its shape depend on the
+embedding only, so each generator runs once per graph and its duplicate-free
+placements of the right shape are kept in ``RotationGraph.facts``, in
+vertex-tuple order; the evaluators judge only a placement's multiplicity
+conditions on each target.  Detection and re-checking are generic over that
+table, and ``is_prime`` stops at the least match.  Conventions shared by
+every pattern:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -271,6 +273,10 @@ class PrimalityVerdict:
 # the placement's regions followed by its named vertices in label order.
 # Orbit filters keep one labelling per symmetry class where a pattern is
 # symmetric; bounds an evaluator checks itself are left to the evaluator.
+# Each generator has one shape predicate, shape(graph, *placement): the
+# structure of the pattern (which regions, which cycles, which degrees),
+# checked once per graph on the generated placements and again by
+# ``recheck`` on a reported match.
 # ---------------------------------------------------------------------------
 
 
@@ -296,6 +302,56 @@ def _third_vertex(r: Region, u: int, v: int) -> int:
 
 def _degree(graph: RotationGraph, v: int) -> int:
     return len(graph.rotations[v])
+
+
+def _region_cycle(graph: RotationGraph, r: Region, *vs: int) -> bool:
+    """vs, in order, is the boundary cycle of r."""
+    k = len(vs)
+    return (
+        r.length == k
+        and len(set(vs)) == k
+        and all(norm_edge(vs[i - 1], vs[i]) in r.edge_set for i in range(k))
+    )
+
+
+def _degree3_corner_shape(graph: RotationGraph, tri: Region, u, v, w, x) -> bool:
+    return (
+        _region_cycle(graph, tri, u, v, w)
+        and _degree(graph, u) == 3
+        and x not in (u, v, w)
+        and x in graph.rotations[u]
+    )
+
+
+def _triangle_pair_shape(graph: RotationGraph, first, second, u, v, w, x) -> bool:
+    return (
+        first.id != second.id
+        and v != x
+        and _region_cycle(graph, first, u, v, w)
+        and _region_cycle(graph, second, u, w, x)
+    )
+
+
+def _square_triangle_shape(graph: RotationGraph, square, tri, u, v, w, x, y) -> bool:
+    return (
+        square.id != tri.id
+        and y not in (u, v)
+        and _region_cycle(graph, square, u, v, w, x)
+        and _region_cycle(graph, tri, w, x, y)
+    )
+
+
+def _region_edge_shape(graph: RotationGraph, r: Region, u, v) -> bool:
+    return r.length >= 3 and norm_edge(u, v) in r.edge_set
+
+
+def _region_triangle_shape(graph: RotationGraph, r, tri, u, v, w) -> bool:
+    return (
+        r.id != tri.id
+        and w not in r.vertex_set
+        and _region_edge_shape(graph, r, u, v)
+        and _region_cycle(graph, tri, u, v, w)
+    )
 
 
 def _triangle_edges(graph: RotationGraph):
@@ -335,10 +391,7 @@ def _triangle_pairs(graph: RotationGraph):
             continue
         for first, second in ((r1, r2), (r2, r1)):
             for u, w in ((a, b), (b, a)):
-                v = _third_vertex(first, u, w)
-                x = _third_vertex(second, u, w)
-                if v == x:
-                    continue
+                v, x = _third_vertex(first, u, w), _third_vertex(second, u, w)
                 yield first, second, u, v, w, x
 
 
@@ -365,99 +418,66 @@ _squares = _labelled_regions(4)
 
 
 def _square_orbits(graph: RotationGraph):
-    """Squares uvwx, one labelling per orbit of the symmetries
+    """Conf 4's squares uvwx, one labelling per orbit of the symmetries
     (u, v, w, x) -> (w, x, u, v) and (u, v, w, x) -> (v, u, x, w)."""
-    for square, u, v, w, x in _squares(graph):
+    for square, u, v, w, x in _placements(graph, _PATTERNS[4]):
         orbit = ((u, v, w, x), (w, x, u, v), (v, u, x, w), (x, w, v, u))
         if (u, v, w, x) == min(orbit):
             yield square, u, v, w, x
 
 
 def _square_triangles(graph: RotationGraph):
-    """Square region uvwx (cyclically labelled) whose edge wx borders a
-    triangle region wxy; the triangle apex y avoids the square."""
-    for square, u, v, w, x in _squares(graph):
-        if norm_edge(w, x) not in square.edge_set:
-            continue
+    """Conf 4's squares uvwx whose edge wx borders a triangle region wxy."""
+    for square, u, v, w, x in _placements(graph, _PATTERNS[4]):
         tri = other_region(graph, norm_edge(w, x), square)
-        if tri.length != 3:
-            continue
-        y = _third_vertex(tri, w, x)
-        if y in (u, v):
-            continue
-        yield square, tri, u, v, w, x, y
+        if tri.length == 3:
+            yield square, tri, u, v, w, x, _third_vertex(tri, w, x)
 
 
 def _region_edges(graph: RotationGraph):
-    """Boundary edge uv (u < v) of a region of length at least 3."""
+    """Boundary edge uv (u < v) of a region."""
     for r in graph.faces:
-        if r.length >= 3:
-            for u, v in sorted(r.edge_set):
-                yield r, u, v
+        for u, v in sorted(r.edge_set):
+            yield r, u, v
 
 
 def _region_triangles(graph: RotationGraph):
-    """Edge uv on C_r, r of length at least 3, whose far region is a
-    triangle uvw with w off C_r."""
+    """Edge uv on C_r whose far region is a triangle uvw."""
     for a, b in graph.edges:
         r1 = graph.dart_region[(a, b)]
         r2 = graph.dart_region[(b, a)]
         if r1.id == r2.id:
             continue
         for r, tri in ((r1, r2), (r2, r1)):
-            if tri.length != 3 or r.length < 3:
-                continue
-            for u, v in ((a, b), (b, a)):
-                w = _third_vertex(tri, u, v)
-                if w not in r.vertex_set:
-                    yield r, tri, u, v, w
+            if tri.length == 3:
+                for u, v in ((a, b), (b, a)):
+                    yield r, tri, u, v, _third_vertex(tri, u, v)
 
 
 # ---------------------------------------------------------------------------
 # Per-pattern evaluators: called with a target and a placement, they return
 # None when the conditions fail, else (satisfied facts, branch); only Conf 18
 # has branches.  An ambiguous second region (AmbiguousContext) fails the
-# placement in ``_evaluate``, not here.  Each evaluator re-verifies the
-# structural pattern, so a reported match can be independently re-checked
-# from its named elements.
+# placement in ``_evaluate``, not here.  The shape predicate has already
+# passed (once per graph, or in ``recheck``), so an evaluator judges the
+# multiplicities, and only the bounds particular to its own pattern.
 # ---------------------------------------------------------------------------
 
 
 def _eval_conf1(t, tri: Region, u, v, w):
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
     if _degree(t.graph, u) != 3 or _degree(t.graph, v) != 3:
         return None
     return (f"deg({u}) = 3", f"deg({v}) = 3"), None
 
 
 def _eval_conf2(t, tri: Region, u, v, w, x):
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
-    if _degree(t.graph, u) != 3 or x in (u, v, w) or x not in t.graph.rotations[u]:
-        return None
     lhs, rhs = t.m(u, x), t.m(u, w) + t.m(v, w)
     if lhs >= rhs:
         return None
     return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",), None
 
 
-def _shared_edge_triangles_ok(t, first: Region, second: Region, u, v, w, x) -> bool:
-    return (
-        first.length == 3
-        and second.length == 3
-        and first.id != second.id
-        and set(first.vertices) == {u, v, w}
-        and set(second.vertices) == {u, w, x}
-        and len({u, v, w, x}) == 4
-        and norm_edge(u, w) in first.edge_set
-        and norm_edge(u, w) in second.edge_set
-    )
-
-
 def _eval_conf3(t, first, second, u, v, w, x):
-    if not _shared_edge_triangles_ok(t, first, second, u, v, w, x):
-        return None
     total = t.m(u, v) + t.m(u, w) + t.m(v, w) + t.m(u, x)
     if total < 8:
         return None
@@ -465,8 +485,6 @@ def _eval_conf3(t, first, second, u, v, w, x):
 
 
 def _eval_conf4(t, square: Region, u, v, w, x):
-    if square.length != 4 or tuple_not_square(square, u, v, w, x):
-        return None
     total = t.m(u, v) + t.m(v, w) + t.m(u, x)
     profile = (t.m(u, v), t.m(v, w), t.m(w, x), t.m(u, x))
     if total < 8 or profile == (4, 2, 1, 2):
@@ -477,15 +495,7 @@ def _eval_conf4(t, square: Region, u, v, w, x):
     ), None
 
 
-def tuple_not_square(square: Region, u, v, w, x) -> bool:
-    """True when u,v,w,x is NOT the square's boundary cycle in order."""
-    need = {norm_edge(u, v), norm_edge(v, w), norm_edge(w, x), norm_edge(u, x)}
-    return len({u, v, w, x}) != 4 or need != set(square.edge_set)
-
-
 def _eval_conf5(t, first, second, u, v, w, x):
-    if not _shared_edge_triangles_ok(t, first, second, u, v, w, x):
-        return None
     disc = (first.id, second.id)
     total = (
         m_plus(t, norm_edge(u, v), disc)
@@ -498,8 +508,6 @@ def _eval_conf5(t, first, second, u, v, w, x):
 
 
 def _eval_conf6(t, square: Region, u, v, w, x):
-    if square.length != 4 or tuple_not_square(square, u, v, w, x):
-        return None
     disc = (square.id,)
     total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(w, x), disc)
     if total < 7:
@@ -508,8 +516,6 @@ def _eval_conf6(t, square: Region, u, v, w, x):
 
 
 def _eval_conf7(t, tri: Region, u, v, w):
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
     disc = (tri.id,)
     total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(u, w), disc)
     if total < 7:
@@ -522,8 +528,6 @@ def _door_disjoint_from(t, region: Region, vertices: set[int]) -> bool:
 
 
 def _eval_conf8(t, tri: Region, u, v, w):
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
     if t.m(u, v) != 3 or t.m(u, w) != 2 or t.m(v, w) != 2:
         return None
     tri_vertices = {u, v, w}
@@ -541,8 +545,6 @@ def _eval_conf8(t, tri: Region, u, v, w):
 
 
 def _eval_conf9(t, tri: Region, u, v, w):
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
     if not (t.m(u, v) == t.m(u, w) == t.m(v, w) == 2):
         return None
     if _degree(t.graph, u) < 4:
@@ -558,28 +560,13 @@ def _eval_conf9(t, tri: Region, u, v, w):
     return tuple(facts), None
 
 
-def _square_triangle_ok(square, tri, u, v, w, x, y) -> bool:
-    return (
-        square.length == 4
-        and tri.length == 3
-        and square.id != tri.id
-        and not tuple_not_square(square, u, v, w, x)
-        and set(tri.vertices) == {w, x, y}
-        and y not in (u, v)
-    )
-
-
 def _eval_conf10(t, square, tri, u, v, w, x, y):
-    if not _square_triangle_ok(square, tri, u, v, w, x, y):
-        return None
     if not (t.m(u, v) == 2 and t.m(w, x) == 2 and t.m(x, y) == 2 and t.m(v, w) == 4):
         return None
     return ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4"), None
 
 
 def _eval_conf11(t, square, tri, u, v, w, x, y):
-    if not _square_triangle_ok(square, tri, u, v, w, x, y):
-        return None
     if not (t.m(u, v) >= 3 and t.m(w, y) >= 3 and t.m(w, x) == 1 and t.m(u, x) <= 3):
         return None
     plus = m_plus(t, norm_edge(x, y), (square.id, tri.id))
@@ -595,8 +582,6 @@ def _eval_conf11(t, square, tri, u, v, w, x, y):
 
 
 def _eval_conf12(t, square, tri, u, v, w, x, y):
-    if not _square_triangle_ok(square, tri, u, v, w, x, y):
-        return None
     if not (t.m(v, w) >= 2 and t.m(w, x) == 2 and t.m(w, y) == 2 and t.m(u, x) <= 3):
         return None
     disc = (square.id, tri.id)
@@ -614,12 +599,7 @@ def _eval_conf12(t, square, tri, u, v, w, x, y):
 
 
 def _eval_conf13(t, r: Region, *vs: int):
-    if r.length != 5 or len(set(vs)) != 5 or set(vs) != set(r.vertices):
-        return None
-    edges = [norm_edge(vs[i], vs[(i + 1) % 5]) for i in range(5)]
-    if any(e not in r.edge_set for e in edges):
-        return None
-    e1, e2, e3, e4, e5 = edges
+    e1, e2, e3, e4, e5 = (norm_edge(vs[i], vs[(i + 1) % 5]) for i in range(5))
     m = t.m_edge
     if m(e1) < max(m(e2), m(e5)):
         return None
@@ -638,8 +618,6 @@ def _eval_conf13(t, r: Region, *vs: int):
 
 def _eval_conf14(t, r: Region, u, v):
     e = norm_edge(u, v)
-    if e not in r.edge_set:
-        return None
     plus = m_plus(t, e, (r.id,))
     if plus < 6:
         return None
@@ -654,7 +632,7 @@ def _eval_conf14(t, r: Region, u, v):
 
 def _eval_conf15(t, r: Region, u, v):
     e = norm_edge(u, v)
-    if r.length < 4 or e not in r.edge_set:
+    if r.length < 4:
         return None
     plus = m_plus(t, e, (r.id,))
     if plus < 4:
@@ -675,10 +653,6 @@ def _second_boundary_edge_at(r: Region, u: int, first: Edge) -> Edge | None:
 
 def _eval_conf16(t, r: Region, tri: Region, u, v, w):
     uv = norm_edge(u, v)
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
-    if uv not in r.edge_set or r.id == tri.id or w in r.vertex_set:
-        return None
     disc = (r.id, tri.id)
     uw_plus = m_plus(t, norm_edge(u, w), disc)
     if t.m(u, v) + uw_plus < 4:
@@ -701,7 +675,7 @@ def _eval_conf16(t, r: Region, tri: Region, u, v, w):
 
 def _eval_conf17(t, r: Region, u, v):
     e = norm_edge(u, v)
-    if r.length < 5 or e not in r.edge_set:
+    if r.length < 5:
         return None
     disc = (r.id,)
     plus = m_plus(t, e, disc)
@@ -722,9 +696,7 @@ def _eval_conf17(t, r: Region, u, v):
 
 def _eval_conf18(t, r: Region, tri: Region, u, v, w):
     uv = norm_edge(u, v)
-    if tri.length != 3 or set(tri.vertices) != {u, v, w}:
-        return None
-    if r.length < 4 or uv not in r.edge_set or r.id == tri.id or w in r.vertex_set:
+    if r.length < 4:
         return None
     disc = (r.id, tri.id)
     uw_plus = m_plus(t, norm_edge(u, w), disc)
@@ -764,7 +736,7 @@ def _eval_conf18(t, r: Region, tri: Region, u, v, w):
 
 def _eval_conf19(t, r: Region, u, v):
     e = norm_edge(u, v)
-    if r.length < 5 or e not in r.edge_set:
+    if r.length < 5:
         return None
     plus = m_plus(t, e, (r.id,))
     if plus < 5:
@@ -790,6 +762,7 @@ def _eval_conf19(t, r: Region, u, v):
 class _Pattern(NamedTuple):
     labels: tuple[str, ...]  # names of the placement's vertices, in order
     placements: Callable[[RotationGraph], Iterator[tuple]]
+    shape: Callable[..., bool]  # the generator's, so patterns sharing it agree
     evaluate: Callable[..., tuple[tuple[str, ...], str | None] | None]
 
 
@@ -797,27 +770,28 @@ _UV = ("u", "v")
 _UVW = ("u", "v", "w")
 _UVWX = ("u", "v", "w", "x")
 _UVWXY = ("u", "v", "w", "x", "y")
+_V5 = ("v1", "v2", "v3", "v4", "v5")
 
 _PATTERNS: dict[int, _Pattern] = {
-    1: _Pattern(_UVW, _triangle_edges, _eval_conf1),
-    2: _Pattern(_UVWX, _triangle_degree3_corners, _eval_conf2),
-    3: _Pattern(_UVWX, _triangle_pairs, _eval_conf3),
-    4: _Pattern(_UVWX, _squares, _eval_conf4),
-    5: _Pattern(_UVWX, _triangle_pair_orbits, _eval_conf5),
-    6: _Pattern(_UVWX, _square_orbits, _eval_conf6),
-    7: _Pattern(_UVW, _triangle_corners, _eval_conf7),
-    8: _Pattern(_UVW, _triangle_edges, _eval_conf8),
-    9: _Pattern(_UVW, _triangle_corners, _eval_conf9),
-    10: _Pattern(_UVWXY, _square_triangles, _eval_conf10),
-    11: _Pattern(_UVWXY, _square_triangles, _eval_conf11),
-    12: _Pattern(_UVWXY, _square_triangles, _eval_conf12),
-    13: _Pattern(("v1", "v2", "v3", "v4", "v5"), _labelled_regions(5), _eval_conf13),
-    14: _Pattern(_UV, _region_edges, _eval_conf14),
-    15: _Pattern(_UV, _region_edges, _eval_conf15),
-    16: _Pattern(_UVW, _region_triangles, _eval_conf16),
-    17: _Pattern(_UV, _region_edges, _eval_conf17),
-    18: _Pattern(_UVW, _region_triangles, _eval_conf18),
-    19: _Pattern(_UV, _region_edges, _eval_conf19),
+    1: _Pattern(_UVW, _triangle_edges, _region_cycle, _eval_conf1),
+    2: _Pattern(_UVWX, _triangle_degree3_corners, _degree3_corner_shape, _eval_conf2),
+    3: _Pattern(_UVWX, _triangle_pairs, _triangle_pair_shape, _eval_conf3),
+    4: _Pattern(_UVWX, _squares, _region_cycle, _eval_conf4),
+    5: _Pattern(_UVWX, _triangle_pair_orbits, _triangle_pair_shape, _eval_conf5),
+    6: _Pattern(_UVWX, _square_orbits, _region_cycle, _eval_conf6),
+    7: _Pattern(_UVW, _triangle_corners, _region_cycle, _eval_conf7),
+    8: _Pattern(_UVW, _triangle_edges, _region_cycle, _eval_conf8),
+    9: _Pattern(_UVW, _triangle_corners, _region_cycle, _eval_conf9),
+    10: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf10),
+    11: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf11),
+    12: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf12),
+    13: _Pattern(_V5, _labelled_regions(5), _region_cycle, _eval_conf13),
+    14: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf14),
+    15: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf15),
+    16: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _eval_conf16),
+    17: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf17),
+    18: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _eval_conf18),
+    19: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf19),
 }
 
 
@@ -827,10 +801,16 @@ def _entry(k: int) -> _Pattern:
     return _PATTERNS[k]
 
 
-def _placements(graph: RotationGraph, generate) -> tuple[tuple, ...]:
-    """generate(graph) without repeats, run once per graph."""
+def _placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
+    """The pattern's placements on the graph: its generator's output without
+    repeats and of the right shape, stably sorted by vertex tuple.  Built once
+    per graph and generator."""
+    generate = pattern.placements
     if generate not in graph.facts:
-        graph.facts[generate] = tuple(dict.fromkeys(generate(graph)))
+        split = -len(pattern.labels)
+        kept = [p for p in dict.fromkeys(generate(graph)) if pattern.shape(graph, *p)]
+        kept.sort(key=lambda p: p[split:])
+        graph.facts[generate] = tuple(kept)
     return graph.facts[generate]
 
 
@@ -843,21 +823,22 @@ def _evaluate(t: DTarget, evaluate, placement):
         return None
 
 
+def _matches(t: DTarget, k: int) -> Iterator[ConfigMatch]:
+    """The matches of pattern k, one per placement, in placement order."""
+    pattern = _entry(k)
+    split = -len(pattern.labels)
+    for placement in _placements(t.graph, pattern):
+        result = _evaluate(t, pattern.evaluate, placement)
+        if result is not None:
+            regions, vs = placement[:split], placement[split:]
+            names = tuple(zip(pattern.labels, vs))
+            yield ConfigMatch(k, names, tuple(r.id for r in regions), *result)
+
+
 def detect(t: DTarget, k: int) -> list[ConfigMatch]:
     """All matches of pattern k, one per placement, sorted by vertex tuple."""
     _require_d8(t)
-    labels, generate, evaluate = _entry(k)
-    split = -len(labels)
-    out: list[ConfigMatch] = []
-    for placement in _placements(t.graph, generate):
-        result = _evaluate(t, evaluate, placement)
-        if result is None:
-            continue
-        regions, vs = placement[:split], placement[split:]
-        names, region_ids = tuple(zip(labels, vs)), tuple(r.id for r in regions)
-        out.append(ConfigMatch(k, names, region_ids, *result))
-    out.sort(key=lambda m: m.vertex_tuple)
-    return out
+    return list(_matches(t, k))
 
 
 def detect_all(t: DTarget) -> list[ConfigMatch]:
@@ -870,13 +851,13 @@ def detect_all(t: DTarget) -> list[ConfigMatch]:
 
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
-    """Re-evaluate a match's defining conditions on its named elements."""
-    labels, _, evaluate = _entry(match.conf_index)
+    """Re-check a match's shape and conditions on its named elements."""
+    labels, _, shape, evaluate = _entry(match.conf_index)
     if tuple(name for name, _ in match.names) != labels:
         return False
     faces = t.graph.faces
-    regions = tuple(faces[i] for i in match.region_ids)
-    return _evaluate(t, evaluate, regions + match.vertex_tuple) is not None
+    placement = tuple(faces[i] for i in match.region_ids) + match.vertex_tuple
+    return shape(t.graph, *placement) and _evaluate(t, evaluate, placement) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +869,10 @@ def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
     """Refuse a non-target (``DTargetError``), then check the structural
     bullets in their fixed order, then the patterns.
 
-    The first failing check becomes the witness; a prime verdict is never
-    expected on valid input and is surfaced loudly by callers.
+    The first failing check becomes the witness: for the patterns, the least
+    match (in vertex-tuple order) of the least pattern index, found without
+    evaluating the placements after it.  A prime verdict is never expected
+    on valid input and is surfaced loudly by callers.
     """
     _require_d8(t)
     require_target(t)
@@ -907,8 +890,5 @@ def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
     for e, m in t.mult_items:
         if m > 6:
             return PrimalityVerdict(False, MultiplicityOver6(e))
-    for k in _PATTERNS:
-        matches = detect(t, k)
-        if matches:
-            return PrimalityVerdict(False, matches[0])
-    return PrimalityVerdict(True, None)
+    match = next((m for k in _PATTERNS for m in _matches(t, k)), None)
+    return PrimalityVerdict(match is None, match)

@@ -233,7 +233,8 @@ def test_off_degree_input_is_never_an_internal_fault(tmp_path, capsys, command):
 
 def test_classify_refuses_a_non_target_that_looks_prime(tmp_path, capsys):
     # The cube with every multiplicity 2 has degree sums 6; it passes every
-    # structural bullet and matches no pattern, so is_prime finds no witness.
+    # structural bullet and matches no pattern, so only the target check,
+    # which makes is_prime raise DTargetError, keeps it from a prime verdict.
     cube = load_fixture("cube")
     path = write_target(tmp_path, cube.with_mult(dict.fromkeys(cube.edges, 2)))
     code, out, err = run(capsys, ["classify", path])

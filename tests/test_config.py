@@ -26,11 +26,11 @@ from dtargets.config import (
     m_plus,
     recheck,
 )
-from dtargets.corpus import load_fixture
+from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
-from dtargets.planar import DTarget, parse_dtarget
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
 from gadgets import (
@@ -236,6 +236,113 @@ def test_ambiguous_second_regions_fail_their_placements(monkeypatch):
     assert len(raised) == 4 * 5
     assert not recheck(tree, ConfigMatch(14, (("u", 0), ("v", 1)), (0,), ()))
     assert len(raised) == 4 * 5 + 1
+
+
+DATA_TARGETS = sorted((Path(__file__).parent / "data").glob("*.dtarget"))
+
+
+def _least_detected(t):
+    for k in config._PATTERNS:
+        matches = detect(t, k)
+        if matches:
+            return matches[0]
+    return None
+
+
+def test_is_prime_stops_at_the_least_detected_match():
+    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
+    targets = [item.target for item in build_corpus(spec)]
+    targets += [parse_dtarget(path.read_text()) for path in DATA_TARGETS]
+    reached = 0
+    for t in targets:
+        try:
+            verdict = is_prime(t)
+        except DTargetError:
+            verdict = None
+        if verdict is not None and (
+            verdict.witness is None or isinstance(verdict.witness, ConfigMatch)
+        ):
+            reached += 1
+            assert verdict.witness == _least_detected(t)
+        else:
+            # is_prime stopped before the patterns: check the early exit alone.
+            for k in config._PATTERNS:
+                try:
+                    least = next(iter(detect(t, k)), None)
+                except DTargetError:  # a disconnected drawing has no regions
+                    break
+                assert next(config._matches(t, k), None) == least
+    assert reached == 2366
+
+
+def test_is_prime_evaluates_fewer_placements_than_detect(monkeypatch):
+    calls = []
+    pattern = config._PATTERNS[4]
+
+    def counted(t, *placement):
+        calls.append(placement)
+        return pattern.evaluate(t, *placement)
+
+    monkeypatch.setitem(config._PATTERNS, 4, pattern._replace(evaluate=counted))
+    cube = load_fixture("cube")
+    matches = detect(cube, 4)
+    detect_calls = len(calls)
+    assert len(matches) > 1
+    calls.clear()
+    assert is_prime(cube).witness == matches[0]
+    assert len(calls) < detect_calls
+
+
+def test_patterns_sharing_a_generator_share_its_shape():
+    # The first pattern to read a generator's placements filters them by its
+    # shape for every pattern on that generator.
+    shapes: dict = {}
+    for pattern in config._PATTERNS.values():
+        assert shapes.setdefault(pattern.placements, pattern.shape) is pattern.shape
+
+
+@pytest.mark.parametrize("source", [*FIXTURES, *(path.name for path in DATA_TARGETS)])
+def test_cached_placements_have_their_shape_and_order(source):
+    if source in FIXTURES:
+        t = load_fixture(source)
+    else:
+        t = parse_dtarget((Path(__file__).parent / "data" / source).read_text())
+    try:
+        detect_all(t)
+    except DTargetError:  # a disconnected drawing has no regions to place on
+        assert not t.graph.facts
+        return
+    for pattern in config._PATTERNS.values():
+        placements = t.graph.facts[pattern.placements]
+        assert all(pattern.shape(t.graph, *p) for p in placements)
+        split = -len(pattern.labels)
+        assert [p[split:] for p in placements] == sorted(p[split:] for p in placements)
+        assert len(set(placements)) == len(placements)
+
+
+def test_recheck_rejects_a_conf4_match_off_its_square():
+    cube = load_fixture("cube")
+    match = detect(cube, 4)[0]
+    other = next(r for r in cube.graph.faces if r.id != match.region_ids[0])
+    moved = ConfigMatch(4, match.names, (other.id,), match.satisfied)
+    # The multiplicities still pass; only the shape check rejects.
+    assert config._eval_conf4(cube, other, *match.vertex_tuple) is not None
+    assert not recheck(cube, moved)
+    u, v, w, x = match.names
+    assert not recheck(cube, ConfigMatch(4, (u, w, v, x), match.region_ids, ()))
+
+
+def test_recheck_rejects_a_conf3_match_with_a_non_triangle_region():
+    # A square pyramid: four triangles around apex 0 over the square 1-4-3-2.
+    graph = RotationGraph(((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2, 4), (0, 3, 1)))
+    t = DTarget.of(graph, 8, {e: 2 if 0 in e else 3 for e in graph.edges})
+    match = detect(t, 3)[0]
+    assert recheck(t, match)
+    (square,) = [r for r in graph.faces if r.length == 4]
+    first = graph.faces[match.region_ids[0]]
+    assert config._eval_conf3(t, first, square, *match.vertex_tuple) is not None
+    swapped = ConfigMatch(3, match.names, (first.id, square.id), match.satisfied)
+    assert not recheck(t, swapped)
 
 
 def test_known_prism_conf1():
