@@ -18,10 +18,11 @@ A (start, residual) state whose every child failed is remembered for the
 rest of the call; a state a prune refutes is not, since the prune refutes
 it again as cheaply, and so the memo stays small.
 
-The lexicographically ordered matchings of a support, and each triangle's
-edges and the edges crossing it, are facts of the graph, kept in
-``RotationGraph.facts``: targets on one graph share them, and they go when
-the graph goes.
+The lexicographically ordered matchings of a support with the search's
+tables for them, and each triangle's edges and the edges crossing it, are
+facts of the graph, kept in ``RotationGraph.facts``: targets on one graph
+share them, and they go when the graph goes.  A call builds only its
+residual multiplicities and triangle slacks.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ class EdgeColouring:
         return counts
 
 
-def _matchings(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple[Matching, ...]:
-    """The perfect matchings of the spanning subgraph with edge set
-    ``support``, each a sorted edge tuple, in lexicographic order;
-    enumerated once per graph and support.
+def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple:
+    """The search tables of the spanning subgraph with edge set ``support``,
+    built once per graph and support: its perfect matchings, each a sorted
+    edge tuple, in lexicographic order; each matching's support positions
+    and their bit mask; and the triangles each matching crosses three times.
 
     Recursion always matches the smallest unmatched vertex to a larger
     neighbour, in ascending order, so each matching is produced exactly
@@ -93,7 +95,17 @@ def _matchings(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple[Matchin
                 matched[u] = False
 
     extend(0)
-    known = t.graph.facts[key] = tuple(out)
+    position = {e: i for i, e in enumerate(support)}
+    members = [tuple(position[e] for e in M) for M in out]
+    masks = [sum(1 << i for i in edges) for edges in members]
+    # A matching crosses a triangle once if it uses one of its edges and
+    # three times if it uses none; ``thrice`` lists the latter.
+    inside = [
+        sum(1 << position[e] for e in edges if e in position)
+        for edges, _ in _triangles(t.graph)
+    ]
+    thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
+    known = t.graph.facts[key] = (tuple(out), members, masks, thrice)
     return known
 
 
@@ -118,7 +130,7 @@ def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
 
 def perfect_matchings(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
-    return list(_matchings(t, t.graph.edges, cap))
+    return list(_support_tables(t, t.graph.edges, cap)[0])
 
 
 def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
@@ -129,17 +141,10 @@ def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | No
     module docstring for the search and its prunes).
     """
     support = tuple(e for e, m in t.mult_items if m > 0)
-    matchings = _matchings(t, support, cap)
-    position = {e: i for i, e in enumerate(support)}
-    members = [tuple(position[e] for e in M) for M in matchings]
-    masks = [sum(1 << i for i in edges) for edges in members]
-    triangles = _triangles(t.graph)
-    # slack[c] = residual m(delta(X_c)) - k.  A matching crosses X_c once if
-    # it uses one of X_c's edges and three times if it uses none, so placing
-    # it lowers slack[c] by 0 or 2; ``thrice`` lists the triangles it lowers.
-    slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in triangles]
-    inside = [sum(1 << position[e] for e in edges if e in position) for edges, _ in triangles]
-    thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
+    matchings, members, masks, thrice = _support_tables(t, support, cap)
+    # slack[c] = residual m(delta(X_c)) - k; placing matching j lowers it by
+    # 2 for each c in thrice[j] and leaves the rest.
+    slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in _triangles(t.graph)]
     residual = [m for _, m in t.mult_items if m > 0]
     full = (1 << len(support)) - 1
     placed: list[int] = []
@@ -197,12 +202,15 @@ def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | No
 
 
 def verify_colouring(t: DTarget, c: EdgeColouring) -> bool:
-    """True iff c is a list of d perfect matchings covering each edge m(e) times."""
+    """True iff c is a list of d perfect matchings covering each edge m(e) times.
+
+    A colouring repeats its matchings, so each distinct one is checked once.
+    """
     if len(c.matchings) != t.d:
         return False
     n = t.vertex_count
     edge_set = t.graph.edge_set
-    for M in c.matchings:
+    for M in dict.fromkeys(c.matchings):
         used: set[int] = set()
         for u, v in M:
             if norm_edge(u, v) not in edge_set:

@@ -42,49 +42,55 @@ def enumerate_multiplicities(
     cap_edges: int = DEFAULT_ENUM_CAP,
 ) -> Iterator[DTarget]:
     """All multiplicity assignments with every vertex sum exactly d, in
-    ascending lexicographic order over the sorted edge list."""
+    ascending lexicographic order over the sorted edge list.
+
+    An odometer over the edges, each running through the values its ends'
+    sums so far allow; a complete assignment is zipped with ``graph.edges``
+    (sorted and normalised) into a target, which ``__post_init__`` checks.
+    """
     edges = graph.edges
-    if len(edges) > cap_edges:
-        raise TooLarge(f"{len(edges)} edges exceeds the enumeration cap {cap_edges}")
-    n = graph.vertex_count
-    remaining = [0] * n
-    for u, v in edges:
-        remaining[u] += 1
-        remaining[v] += 1
-    deg = [0] * n
-    assignment: list[int] = []
+    k = len(edges)
+    if k > cap_edges:
+        raise TooLarge(f"{k} edges exceeds the enumeration cap {cap_edges}")
+    # after[i]: how many edges after edge i meet each of its two ends
+    after = [
+        (sum(u in f for f in edges[i + 1 :]), sum(v in f for f in edges[i + 1 :]))
+        for i, (u, v) in enumerate(edges)
+    ]
+    deg = [0] * graph.vertex_count
+    values, top = [0] * k, [0] * k
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(edges):
-            yield tuple(assignment)
-            return
+    def put(i: int, m: int) -> None:
         u, v = edges[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        lo = min_mult
-        hi = min(
-            d - deg[u] - min_mult * remaining[u],
-            d - deg[v] - min_mult * remaining[v],
-        )
-        if remaining[u] == 0:
-            lo = max(lo, d - deg[u])
-            hi = min(hi, d - deg[u])
-        if remaining[v] == 0:
-            lo = max(lo, d - deg[v])
-            hi = min(hi, d - deg[v])
-        for m in range(lo, hi + 1):
-            deg[u] += m
-            deg[v] += m
-            assignment.append(m)
-            yield from rec(i + 1)
-            assignment.pop()
-            deg[u] -= m
-            deg[v] -= m
-        remaining[u] += 1
-        remaining[v] += 1
+        deg[u] += m - values[i]
+        deg[v] += m - values[i]
+        values[i] = m
 
-    for values in rec(0):
-        yield DTarget.of(graph, d, dict(zip(edges, values)))
+    i = 0
+    while i >= 0:
+        if i == k:
+            yield DTarget(graph, d, tuple(zip(edges, values)))
+        else:
+            (u, v), (later_u, later_v) = edges[i], after[i]
+            lo = min_mult
+            hi = min(d - deg[u] - min_mult * later_u, d - deg[v] - min_mult * later_v)
+            if not later_u:
+                lo, hi = max(lo, d - deg[u]), min(hi, d - deg[u])
+            if not later_v:
+                lo, hi = max(lo, d - deg[v]), min(hi, d - deg[v])
+            if lo <= hi:
+                top[i] = hi
+                put(i, lo)
+                i += 1
+                continue
+        # back up to the last edge with a larger value left and advance it
+        i -= 1
+        while i >= 0 and values[i] == top[i]:
+            put(i, 0)
+            i -= 1
+        if i >= 0:
+            put(i, values[i] + 1)
+            i += 1
 
 
 @dataclass(frozen=True)
@@ -103,16 +109,13 @@ class CorpusItem:
 
 
 def _passes(spec: CorpusSpec, t: DTarget) -> bool:
+    """Whether t validates and, per the spec, is oddly connected.  A refusal
+    of the cut check (a target past ``cut_cap``) is raised, not read as a
+    negative verdict."""
     report = validate(t)
     if not (report.degree_ok and report.euler_ok):
         return False
-    if spec.require_oddly_connected:
-        try:
-            if not is_oddly_connected(t, cap=spec.cut_cap):
-                return False
-        except DTargetError:
-            return False
-    return True
+    return not spec.require_oddly_connected or is_oddly_connected(t, cap=spec.cut_cap)
 
 
 def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:

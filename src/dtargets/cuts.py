@@ -90,14 +90,14 @@ def _scan_odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
 
 def _least_witness(value: int, masks: list[int], n: int) -> CutWitness:
     """The witness of value whose X is lexicographically least among the
-    masks and their complements."""
+    masks and their complements.
+
+    No mask holds vertex 0, so every complement does and comes before every
+    mask; the least X is the least complement, each built once.
+    """
     full = (1 << n) - 1
-    X = min(
-        tuple(v for v in range(n) if side >> v & 1)
-        for mask in masks
-        for side in (mask, full ^ mask)
-    )
-    return CutWitness(X=X, value=value)
+    X = min([v for v in range(n) if side >> v & 1] for side in (full ^ m for m in masks))
+    return CutWitness(X=tuple(X), value=value)
 
 
 def _odd_cuts(t: DTarget, cap: int) -> tuple[CutWitness, CutWitness | None]:

@@ -205,9 +205,11 @@ class DTarget:
 
     ``mult_items`` is the canonical sorted tuple of (edge, multiplicity)
     pairs, so equal targets compare equal structurally.  Use :meth:`of` to
-    build one from any mapping.  ``facts`` holds what the analysis layers
-    derive from the target, each computed at most once (the odd cuts, the
-    doors and toughness of each region); it takes no part in equality.
+    build one from any mapping; the corpus passes pairs in ``graph.edges``
+    order directly, and ``__post_init__`` checks either.  ``facts`` holds what
+    the analysis layers derive from the target, each computed at most once
+    (the odd cuts, the doors and toughness of each region); like the cached
+    ``mult`` and ``degree_sums``, it takes no part in equality.
     """
 
     graph: RotationGraph
@@ -231,7 +233,7 @@ class DTarget:
     def __post_init__(self) -> None:
         if self.d <= 0:
             raise ParseError(f"d must be positive, got {self.d}")
-        edges = set(self.graph.edges)
+        edges = self.graph.edge_set
         seen: set[Edge] = set()
         for e, m in self.mult_items:
             if e not in edges:
@@ -263,9 +265,18 @@ class DTarget:
     def edges(self) -> tuple[Edge, ...]:
         return self.graph.edges
 
+    @cached_property
+    def degree_sums(self) -> tuple[int, ...]:
+        """m(delta(v)) for every vertex v, from one pass over ``mult_items``."""
+        sums = [0] * self.vertex_count
+        for (u, v), m in self.mult_items:
+            sums[u] += m
+            sums[v] += m
+        return tuple(sums)
+
     def degree_sum(self, v: int) -> int:
         """m(delta(v)): total multiplicity of the edges incident with v."""
-        return sum(self.m(v, u) for u in self.graph.rotations[v])
+        return self.degree_sums[v]
 
     def with_mult(self, mult) -> "DTarget":
         """Same graph and d, different multiplicities."""
@@ -427,7 +438,7 @@ def require_target(t: DTarget) -> None:
     """Refuse input whose degree sums are not all d or whose faces fail the
     Euler check; connectivity is not needed, so it is not computed."""
     refusal = f"not a d-target with d = {t.d}: "
-    off = [v for v in range(t.vertex_count) if t.degree_sum(v) != t.d]
+    off = [v for v, total in enumerate(t.degree_sums) if total != t.d]
     if off:
         raise DTargetError(refusal + f"degree sum is not {t.d} at vertices {off}")
     try:
@@ -438,12 +449,10 @@ def require_target(t: DTarget) -> None:
 
 def validate(t: DTarget) -> ValidationReport:
     """Check the degree equations and the Euler face count; report connectivity."""
-    violations: list[tuple[str, object]] = []
-    degree_ok = True
-    for v in range(t.vertex_count):
-        if t.degree_sum(v) != t.d:
-            degree_ok = False
-            violations.append(("degree", v))
+    violations: list[tuple[str, object]] = [
+        ("degree", v) for v, total in enumerate(t.degree_sums) if total != t.d
+    ]
+    degree_ok = not violations
     try:
         t.graph.faces
         euler_ok = True

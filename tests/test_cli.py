@@ -270,6 +270,15 @@ def test_scan_restricted_base(capsys):
     assert payload["details"]["prime"] == []
 
 
+def test_scan_reports_a_cut_cap_refusal(capsys):
+    # The cube's 8 vertices exceed a cut cap of 6: the scan stops with the
+    # refusal instead of reading it as "not oddly connected".
+    code, out, err = run(capsys, ["scan", "--cap", "6", "--bases", "cube,prism"])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert "exceeds the cut enumeration cap 6" in err
+
+
 def test_out_writes_report(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, payload = run_json(

@@ -209,3 +209,31 @@ def test_colouring_facts_live_on_the_graph():
     )
     fresh = RotationGraph(graph.rotations)
     assert fresh == graph and hash(fresh) == hash(graph) and fresh.facts == {}
+
+
+class _CountedWrites(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_colour_tables_are_built_once_per_support():
+    # The matchings of a support and the search's tables for them are built
+    # and stored by the first call on the support; every later call reads
+    # them.
+    items = build_corpus(CorpusSpec(bases=("octahedron",), limit_per_base=1000000))
+    graph = items[0].target.graph
+    facts = _CountedWrites(graph.facts)
+    object.__setattr__(graph, "facts", facts)
+    for item in items:
+        assert item.target.graph is graph
+        assert verify_colouring(item.target, edge_colour(item.target))
+    supports = {tuple(e for e, m in item.target.mult_items if m) for item in items}
+    assert len(items) > len(supports)
+    assert facts.writes == Counter(
+        {"triangles": 1, **{("matchings", s): 1 for s in supports}}
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from dtargets.corpus import (
@@ -13,7 +15,7 @@ from dtargets.corpus import (
 )
 from dtargets.cuts import is_oddly_connected
 from dtargets.errors import DTargetError, TooLarge
-from dtargets.planar import validate
+from dtargets.planar import DTarget, validate
 
 from conftest import FIXTURES
 
@@ -48,6 +50,40 @@ def test_enumerate_multiplicities_min_mult():
     assert len(positive) < len(all_targets)
     for t in positive:
         assert all(m >= 1 for _, m in t.mult_items)
+
+
+@pytest.mark.parametrize("min_mult", (0, 1))
+def test_enumeration_equals_brute_force_in_order(min_mult):
+    # k4 at d = 4: every assignment of 0..4 per edge, kept when each vertex
+    # sums to 4, in ascending lexicographic order.
+    graph = load_fixture("k4").graph
+    expected = [
+        values
+        for values in product(range(min_mult, 5), repeat=len(graph.edges))
+        if all(
+            sum(m for e, m in zip(graph.edges, values) if v in e) == 4
+            for v in range(4)
+        )
+    ]
+    got = [
+        tuple(m for _, m in t.mult_items)
+        for t in enumerate_multiplicities(graph, 4, min_mult=min_mult)
+    ]
+    assert got == expected and got
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_enumerated_targets_equal_those_built_by_of(name):
+    # Targets are built directly from graph.edges; each must be the very
+    # target DTarget.of builds from the same assignment.
+    graph = load_fixture(name).graph
+    count = 0
+    for t in enumerate_multiplicities(graph, 8, min_mult=0):
+        built = DTarget.of(graph, 8, dict(t.mult_items))
+        assert built == t and hash(built) == hash(t)
+        assert built.mult_items == t.mult_items
+        count += 1
+    assert count > 0
 
 
 def test_enumerate_multiplicities_cap():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from dtargets import cuts
 from dtargets.config import is_prime
-from dtargets.corpus import enumerate_multiplicities, load_fixture
+from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
     is_oddly_connected,
     m_delta,
@@ -86,6 +86,19 @@ def test_witnesses_match_oracle_with_zero_edges(name):
     graph = load_fixture(name).graph
     for t in enumerate_multiplicities(graph, 8, min_mult=0):
         _assert_witnesses_match_oracle(t)
+
+
+def test_witnesses_contain_vertex_0_on_the_exhaustive_corpus():
+    # The pass fixes vertex 0 outside every set it scans, so the least of a
+    # set and its complement is the complement; that is why comparing the
+    # complements alone gives the same witnesses.
+    items = build_corpus(
+        CorpusSpec(require_oddly_connected=False, limit_per_base=1000000)
+    )
+    assert len(items) == 2549
+    for item in items:
+        witnesses = [min_odd_cut(item.target), strengthened_cut_check(item.target)]
+        assert all(0 in w.X for w in witnesses if w is not None), item.name
 
 
 def test_one_odd_cut_pass_per_target(monkeypatch):

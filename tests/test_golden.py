@@ -9,6 +9,10 @@ For each of the 213 default-corpus targets the test hashes
 * every ``detect_all`` match: pattern index, names, region ids, satisfied
   facts and branch, in the order reported.
 
+It also hashes the ``--format machine`` output of the exhaustive scan
+(every enumerated target of every fixture) and compares it with the
+benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``.
+
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
 digests with ``python tests/test_golden.py`` and say why in the change log.
@@ -28,6 +32,8 @@ from dtargets.cli import main
 from dtargets.config import detect_all
 from dtargets.corpus import build_corpus
 from dtargets.planar import serialize_dtarget
+
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 COMMANDS = ("check", "classify", "discharge", "colour")
 TEXT_COMMANDS = ("classify", "discharge")
@@ -88,6 +94,13 @@ def digests() -> dict:
 
 def test_reports_match_golden_digests():
     assert digests() == GOLDEN
+
+
+def test_exhaustive_scan_matches_the_benchmark_digest():
+    code, out = _run(["scan", "--limit-per-base", "1000000", "--format", "machine"])
+    assert code == 0
+    expected = json.loads(BENCH_GOLDEN.read_text())["corpus_scan_sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 if __name__ == "__main__":

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dtargets.config import doors
+from dtargets.config import doors, is_prime
 from dtargets.corpus import load_fixture
 from dtargets.cuts import min_odd_cut
 from dtargets.errors import (
@@ -223,3 +224,23 @@ def test_facts_take_no_part_in_equality():
     assert filled == fresh
     assert hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
+
+
+def test_degree_sums_are_computed_once_per_target(monkeypatch):
+    # validate and is_prime (through require_target) both check the degree
+    # sums; one pass over the multiplicities serves both.
+    computed = []
+    sums = DTarget.degree_sums.func
+
+    def counted(t):
+        computed.append(t)
+        return sums(t)
+
+    prop = cached_property(counted)
+    prop.__set_name__(DTarget, "degree_sums")
+    monkeypatch.setattr(DTarget, "degree_sums", prop)
+    t = load_fixture("octahedron")
+    assert validate(t).degree_ok
+    assert is_prime(t).witness is not None
+    assert [t.degree_sum(v) for v in range(t.vertex_count)] == [8] * t.vertex_count
+    assert len(computed) == 1 and computed[0] is t
