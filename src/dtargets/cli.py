@@ -84,7 +84,7 @@ def cmd_check(args) -> Report:
         "degree_ok": rep.degree_ok,
         "euler_ok": rep.euler_ok,
         "connectivity_level": rep.connectivity_level,
-        "violations": [list(v) if isinstance(v, tuple) else v for v in rep.violations],
+        "violations": [list(v) for v in rep.violations],
     }
     lines = [
         f"d = {t.d}, {t.vertex_count} vertices, {len(t.graph.edges)} edges, "

@@ -20,9 +20,9 @@ it again as cheaply, and so the memo stays small.
 
 The lexicographically ordered matchings of a support with the search's
 tables for them, and each triangle's edges and the edges crossing it, are
-facts of the graph, kept in ``RotationGraph.facts``: targets on one graph
-share them, and they go when the graph goes.  A call builds only its
-residual multiplicities and triangle slacks.
+facts of the graph, kept by ``planar.fact``: targets on one graph share
+them, and they go when the graph goes.  A call builds only its residual
+multiplicities and triangle slacks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import OddVertexCount, TooLarge
-from .planar import DTarget, Edge, RotationGraph, norm_edge
+from .planar import DTarget, Edge, RotationGraph, fact, norm_edge
 
 DEFAULT_COLOUR_CAP = 20
 
@@ -55,24 +55,26 @@ class EdgeColouring:
 
 
 def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple:
-    """The search tables of the spanning subgraph with edge set ``support``,
-    built once per graph and support: its perfect matchings, each a sorted
-    edge tuple, in lexicographic order; each matching's support positions
-    and their bit mask; and the triangles each matching crosses three times.
-
-    Recursion always matches the smallest unmatched vertex to a larger
-    neighbour, in ascending order, so each matching is produced exactly
-    once, with its edges sorted, and in lexicographic order.
-    """
+    # The refusals depend on each call's cap, so they come before the lookup.
     n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; no perfect matchings exist")
     if n > cap:
         raise TooLarge(f"|V| = {n} exceeds the matching enumeration cap {cap}")
-    key = ("matchings", support)
-    known = t.graph.facts.get(key)
-    if known is not None:
-        return known
+    return fact(t.graph, ("matchings", support), _build_tables, support)
+
+
+def _build_tables(graph: RotationGraph, support: tuple[Edge, ...]) -> tuple:
+    """The search tables of the spanning subgraph with edge set ``support``:
+    its perfect matchings, each a sorted edge tuple, in lexicographic order;
+    each matching's support positions and their bit mask; and the triangles
+    each matching crosses three times.
+
+    Recursion always matches the smallest unmatched vertex to a larger
+    neighbour, in ascending order, so each matching is produced exactly
+    once, with its edges sorted, and in lexicographic order.
+    """
+    n = graph.vertex_count
     later: list[list[int]] = [[] for _ in range(n)]
     for u, v in support:
         later[u].append(v)
@@ -102,18 +104,18 @@ def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple:
     # three times if it uses none; ``thrice`` lists the latter.
     inside = [
         sum(1 << position[e] for e in edges if e in position)
-        for edges, _ in _triangles(t.graph)
+        for edges, _ in _triangles(graph)
     ]
     thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
-    known = t.graph.facts[key] = (tuple(out), members, masks, thrice)
-    return known
+    return tuple(out), members, masks, thrice
 
 
 def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
     """Each 3-cycle of the graph as (its three edges, the edges crossing it)."""
-    known = graph.facts.get("triangles")
-    if known is not None:
-        return known
+    return fact(graph, "triangles", _find_triangles)
+
+
+def _find_triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
     adjacent = [set(rot) for rot in graph.rotations]
     triangles = []
     for a, b in graph.edges:
@@ -124,8 +126,7 @@ def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
                     norm_edge(x, y) for x in X for y in graph.rotations[x] if y not in X
                 )
                 triangles.append((((a, b), (a, c), (b, c)), crossing))
-    known = graph.facts["triangles"] = tuple(triangles)
-    return known
+    return tuple(triangles)
 
 
 def perfect_matchings(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> list[Matching]:

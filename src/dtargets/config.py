@@ -5,11 +5,11 @@ Each pattern is one entry of the pattern table: its vertex labels, a
 placement generator, the generator's shape predicate and an evaluator.  A
 placement (the named regions and vertices) and its shape depend on the
 embedding only, so each generator runs once per graph and its duplicate-free
-placements of the right shape are kept in ``RotationGraph.facts``, in
-vertex-tuple order; the evaluators judge only a placement's multiplicity
-conditions on each target.  Detection and re-checking are generic over that
-table, and ``is_prime`` stops at the least match.  Conventions shared by
-every pattern:
+placements of the right shape are a graph fact (``planar.fact``), in
+vertex-tuple order, as the doors and toughness of each region are facts of
+a target; the evaluators judge only a placement's multiplicity conditions on
+each target.  Detection and re-checking are generic over that table, and
+``is_prime`` stops at the least match.  Conventions shared by every pattern:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -40,6 +40,7 @@ from .planar import (
     Region,
     RotationGraph,
     connectivity_level,
+    fact,
     norm_edge,
     other_region,
     require_target,
@@ -56,14 +57,6 @@ def edges_disjoint(e: Edge, f: Edge) -> bool:
     return e != f and not (set(e) & set(f))
 
 
-def _region_fact(t: DTarget, name: str, r: Region, compute):
-    """compute(t, r), computed once per target and region."""
-    store = t.facts.setdefault(name, {})
-    if r.id not in store:
-        store[r.id] = compute(t, r)
-    return store[r.id]
-
-
 # ---------------------------------------------------------------------------
 # Predicates
 # ---------------------------------------------------------------------------
@@ -72,7 +65,7 @@ def _region_fact(t: DTarget, name: str, r: Region, compute):
 def doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
     """The doors of r: multiplicity-1 boundary edges whose far region offers a
     disjoint multiplicity-1 edge."""
-    return _region_fact(t, "doors", r, _find_doors)
+    return fact(t, ("doors", r.id), _find_doors, r)
 
 
 def _find_doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
@@ -137,7 +130,7 @@ def is_tough(t: DTarget, r: Region) -> bool:
     least 5 (disc = the triangle itself)."""
     if r.length != 3:
         return False
-    return _region_fact(t, "tough", r, _find_tough)
+    return fact(t, ("tough", r.id), _find_tough, r)
 
 
 def _find_tough(t: DTarget, r: Region) -> bool:
@@ -802,16 +795,17 @@ def _entry(k: int) -> _Pattern:
 
 
 def _placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
-    """The pattern's placements on the graph: its generator's output without
-    repeats and of the right shape, stably sorted by vertex tuple.  Built once
-    per graph and generator."""
-    generate = pattern.placements
-    if generate not in graph.facts:
-        split = -len(pattern.labels)
-        kept = [p for p in dict.fromkeys(generate(graph)) if pattern.shape(graph, *p)]
-        kept.sort(key=lambda p: p[split:])
-        graph.facts[generate] = tuple(kept)
-    return graph.facts[generate]
+    """The pattern's placements on the graph, kept under its generator."""
+    return fact(graph, pattern.placements, _shaped_placements, pattern)
+
+
+def _shaped_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
+    """The generator's output without repeats and of the right shape, stably
+    sorted by vertex tuple."""
+    split = -len(pattern.labels)
+    kept = [p for p in dict.fromkeys(pattern.placements(graph)) if pattern.shape(graph, *p)]
+    kept.sort(key=lambda p: p[split:])
+    return tuple(kept)
 
 
 def _evaluate(t: DTarget, evaluate, placement):

@@ -130,21 +130,18 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
         if canonical.vertex_count > spec.max_vertices:
             continue
         taken = 0
-        seen: set[tuple] = set()
         if spec.limit_per_base > 0 and canonical.d == 8 and _passes(spec, canonical):
             items.append(CorpusItem(f"{base}/canonical", canonical))
-            seen.add(canonical.mult_items)
             taken += 1
         counter = 0
+        # The enumeration yields each assignment once, so only the canonical
+        # target can come up twice; one that failed above fails again.
         for t in enumerate_multiplicities(canonical.graph, 8, min_mult=1):
             if taken >= spec.limit_per_base:
                 break
-            if t.mult_items in seen:
-                continue
-            if not _passes(spec, t):
+            if t == canonical or not _passes(spec, t):
                 continue
             items.append(CorpusItem(f"{base}/{counter:04d}", t))
-            seen.add(t.mult_items)
             taken += 1
             counter += 1
     return items

@@ -4,8 +4,8 @@ All cut values are multiplicity-weighted: m(delta(X)) sums m(e) over the
 edges with exactly one end in X.  The odd-cut facts of a target come from one
 exhaustive pass over its odd subsets, with the complement symmetry
 m(delta(X)) = m(delta(V \\ X)) used to fix vertex 0 outside the enumerated
-sets.  The pass runs at most once per target (its result is kept in
-``DTarget.facts``) and serves three views: ``min_odd_cut``,
+sets.  The pass runs at most once per target (``planar.fact`` keeps its
+result under ``"odd_cuts"``) and serves three views: ``min_odd_cut``,
 ``is_oddly_connected`` and ``strengthened_cut_check``.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OddVertexCount, TooLarge
-from .planar import DTarget
+from .planar import DTarget, fact
 
 DEFAULT_CUT_CAP = 24
 
@@ -33,14 +33,6 @@ def m_delta(t: DTarget, X) -> int:
         if (u in inside) != (v in inside):
             total += m
     return total
-
-
-def _check_cut_preconditions(t: DTarget, cap: int) -> None:
-    n = t.vertex_count
-    if n % 2 != 0:
-        raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
-    if n > cap:
-        raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {cap}")
 
 
 def _scan_odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
@@ -101,10 +93,13 @@ def _least_witness(value: int, masks: list[int], n: int) -> CutWitness:
 
 
 def _odd_cuts(t: DTarget, cap: int) -> tuple[CutWitness, CutWitness | None]:
-    _check_cut_preconditions(t, cap)
-    if "odd_cuts" not in t.facts:
-        t.facts["odd_cuts"] = _scan_odd_cuts(t)
-    return t.facts["odd_cuts"]
+    # The refusals depend on each call's cap, so they come before the lookup.
+    n = t.vertex_count
+    if n % 2 != 0:
+        raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
+    if n > cap:
+        raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {cap}")
+    return fact(t, "odd_cuts", _scan_odd_cuts)
 
 
 def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:

@@ -36,6 +36,19 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def fact(owner, key, compute, *args):
+    """compute(owner, *args), kept in ``owner.facts`` under key: the one way a
+    layer stores what it derives from a graph or a target.  It runs at most
+    once per owner and key; if it raises, nothing is stored."""
+    facts = owner.facts
+    try:
+        return facts[key]
+    except KeyError:
+        pass
+    value = facts[key] = compute(owner, *args)
+    return value
+
+
 @dataclass(frozen=True)
 class Region:
     """A face of the embedding.
@@ -74,7 +87,7 @@ class RotationGraph:
 
     ``facts`` holds what other layers derive from the graph alone (the
     pattern placements of each generator, the perfect matchings of a
-    support, the cuts of its triangles), each computed at most once and
+    support, the cuts of its triangles), each kept by :func:`fact` and
     shared by every target on the graph; it takes no part in equality.
     """
 
@@ -206,10 +219,11 @@ class DTarget:
     ``mult_items`` is the canonical sorted tuple of (edge, multiplicity)
     pairs, so equal targets compare equal structurally.  Use :meth:`of` to
     build one from any mapping; the corpus passes pairs in ``graph.edges``
-    order directly, and ``__post_init__`` checks either.  ``facts`` holds what
-    the analysis layers derive from the target, each computed at most once
-    (the odd cuts, the doors and toughness of each region); like the cached
-    ``mult`` and ``degree_sums``, it takes no part in equality.
+    order directly, and ``__post_init__`` checks either, edges strictly
+    increasing.  ``facts`` holds what the analysis layers derive from the
+    target, each kept by :func:`fact` (the odd cuts, the doors and toughness
+    of each region); like the cached ``mult`` and ``degree_sums``, it takes
+    no part in equality.
     """
 
     graph: RotationGraph
@@ -221,30 +235,25 @@ class DTarget:
 
     @classmethod
     def of(cls, graph: RotationGraph, d: int, mult) -> "DTarget":
-        items: dict[Edge, int] = {}
         pairs = mult.items() if hasattr(mult, "items") else mult
-        for (u, v), m in pairs:
-            e = norm_edge(u, v)
-            if e in items:
-                raise ParseError(f"multiplicity given twice for edge {e}")
-            items[e] = m
-        return cls(graph, d, tuple(sorted(items.items())))
+        return cls(graph, d, tuple(sorted((norm_edge(u, v), m) for (u, v), m in pairs)))
 
     def __post_init__(self) -> None:
         if self.d <= 0:
             raise ParseError(f"d must be positive, got {self.d}")
         edges = self.graph.edge_set
-        seen: set[Edge] = set()
+        last: Edge = (-1, -1)
         for e, m in self.mult_items:
             if e not in edges:
                 raise ParseError(f"multiplicity given for non-edge {e}")
-            if e in seen:
-                raise ParseError(f"multiplicity given twice for edge {e}")
-            seen.add(e)
+            if e <= last:
+                problem = "given twice" if e == last else f"given after edge {last}"
+                raise ParseError(f"multiplicity {problem} for edge {e}")
+            last = e
             if m < 0:
                 raise NegativeMultiplicity(f"edge {e} has multiplicity {m}")
-        missing = edges - seen
-        if missing:
+        if len(self.mult_items) != len(edges):
+            missing = edges.difference(e for e, _ in self.mult_items)
             raise MissingMultiplicity(f"no multiplicity for edge {min(missing)}")
 
     @cached_property

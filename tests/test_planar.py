@@ -23,6 +23,7 @@ from dtargets.planar import (
     DTarget,
     RotationGraph,
     connectivity_level,
+    fact,
     norm_edge,
     other_region,
     parse_dtarget,
@@ -150,6 +151,17 @@ def test_parse_rejects_garbage():
         parse_dtarget("this is not a target\n")
 
 
+def test_target_items_must_come_in_edge_order():
+    k4 = load_fixture("k4")
+    with pytest.raises(ParseError, match="given after edge"):
+        DTarget(k4.graph, 8, tuple(reversed(k4.mult_items)))
+    rebuilt = DTarget.of(k4.graph, 8, [((v, u), m) for (u, v), m in reversed(k4.mult_items)])
+    assert rebuilt == k4 and hash(rebuilt) == hash(k4)
+    (u, v), m = k4.mult_items[0]
+    with pytest.raises(ParseError, match="given twice"):
+        DTarget.of(k4.graph, 8, [*k4.mult_items, ((v, u), m)])
+
+
 def test_nonplanar_rotation_system_rejected():
     # K4 with vertex 0's rotation order flipped: the face trace no longer
     # closes into V - E + F = 2.
@@ -244,3 +256,36 @@ def test_degree_sums_are_computed_once_per_target(monkeypatch):
     assert is_prime(t).witness is not None
     assert [t.degree_sum(v) for v in range(t.vertex_count)] == [8] * t.vertex_count
     assert len(computed) == 1 and computed[0] is t
+
+
+def test_a_fact_is_computed_once_per_owner_and_key():
+    runs = []
+
+    def compute(owner, *args):
+        runs.append((owner, args))
+        return len(runs)
+
+    first, second = load_fixture("prism"), load_fixture("prism")
+    assert fact(first, "count", compute, 1) == fact(first, "count", compute, 2) == 1
+    assert fact(first, ("count", 2), compute, 2) == 2
+    # An equal owner built afresh keeps its own facts.
+    assert second == first and fact(second, "count", compute) == 3
+    assert runs == [(first, (1,)), (first, (2,)), (second, ())]
+    assert first.graph.facts == {} and second.facts == {"count": 3}
+
+
+def test_a_fact_whose_compute_raises_is_not_stored():
+    graph = load_fixture("cube").graph
+    calls = []
+
+    def compute(owner):
+        calls.append(owner)
+        if len(calls) == 1:
+            raise ValueError("first call fails")
+        return "done"
+
+    with pytest.raises(ValueError):
+        fact(graph, "flaky", compute)
+    assert "flaky" not in graph.facts
+    assert fact(graph, "flaky", compute) == "done" == graph.facts["flaky"]
+    assert len(calls) == 2

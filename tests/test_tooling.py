@@ -75,6 +75,18 @@ def test_no_module_keeps_a_process_wide_cache():
     assert offenders == []
 
 
+def test_only_planar_touches_the_facts_stores():
+    # Every cached fact goes through planar.fact, so the way facts are keyed
+    # and stored is known in one module.
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "src" / "dtargets").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "facts"
+    ]
+    assert set(offenders) <= {"planar.py"}, offenders
+
+
 def test_placement_generators_take_the_graph_only():
     # Placements are facts of the embedding, kept per graph; a generator that
     # took the target could read multiplicities into them.
