@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, count, islice
 from typing import Iterator
 
-from .cuts import DEFAULT_CUT_CAP, is_oddly_connected
+from .cuts import DEFAULT_CUT_CAP, is_oddly_connected, odd_cuts_of
 from .errors import DTargetError, TooLarge
 from .planar import DTarget, RotationGraph, parse_dtarget, validate
 
@@ -108,40 +109,40 @@ class CorpusItem:
     target: DTarget
 
 
-def _passes(spec: CorpusSpec, t: DTarget) -> bool:
-    """Whether t validates and, per the spec, is oddly connected.  A refusal
-    of the cut check (a target past ``cut_cap``) is raised, not read as a
-    negative verdict."""
-    report = validate(t)
-    if not (report.degree_ok and report.euler_ok):
-        return False
-    return not spec.require_oddly_connected or is_oddly_connected(t, cap=spec.cut_cap)
-
-
 def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
     """A deterministic target list: for each base graph, its bundled
     multiplicity assignment first, then its d = 8 assignments with every
     multiplicity positive in enumeration order, each kept only if it
     validates (and, per the spec, is oddly connected), capped at
-    limit_per_base."""
+    limit_per_base.
+
+    Candidates come in slices of as many as are still wanted, each slice's
+    odd cuts in one batch, so an exhaustive base runs one odd-cut walk.  A
+    refusal of the cut check (past ``cut_cap``) is raised, not read as a
+    negative verdict.
+    """
     items: list[CorpusItem] = []
     for base in spec.bases:
         canonical = load_fixture(base)
         if canonical.vertex_count > spec.max_vertices:
             continue
-        taken = 0
-        if spec.limit_per_base > 0 and canonical.d == 8 and _passes(spec, canonical):
-            items.append(CorpusItem(f"{base}/canonical", canonical))
-            taken += 1
-        counter = 0
         # The enumeration yields each assignment once, so only the canonical
-        # target can come up twice; one that failed above fails again.
-        for t in enumerate_multiplicities(canonical.graph, 8, min_mult=1):
-            if taken >= spec.limit_per_base:
+        # target can come up twice.
+        enumerated = enumerate_multiplicities(canonical.graph, 8, min_mult=1)
+        others = (t for t in enumerated if t != canonical)
+        candidates = chain([canonical] if canonical.d == 8 else [], others)
+        kept: list[DTarget] = []
+        while len(kept) < spec.limit_per_base:
+            batch = list(islice(candidates, spec.limit_per_base - len(kept)))
+            if not batch:
                 break
-            if t == canonical or not _passes(spec, t):
-                continue
-            items.append(CorpusItem(f"{base}/{counter:04d}", t))
-            taken += 1
-            counter += 1
+            valid = [t for t in batch if (r := validate(t)).degree_ok and r.euler_ok]
+            if spec.require_oddly_connected:
+                odd_cuts_of(valid, spec.cut_cap)
+                valid = [t for t in valid if is_oddly_connected(t, spec.cut_cap)]
+            kept += valid
+        numbers = count()
+        for t in kept:
+            name = "canonical" if t is canonical else f"{next(numbers):04d}"
+            items.append(CorpusItem(f"{base}/{name}", t))
     return items

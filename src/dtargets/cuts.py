@@ -1,20 +1,23 @@
 """Odd-set cuts of a target.
 
 All cut values are multiplicity-weighted: m(delta(X)) sums m(e) over the
-edges with exactly one end in X.  The odd-cut facts of a target come from one
-exhaustive pass over its odd subsets, with the complement symmetry
-m(delta(X)) = m(delta(V \\ X)) used to fix vertex 0 outside the enumerated
-sets.  The pass runs at most once per target (``planar.fact`` keeps its
-result under ``"odd_cuts"``) and serves three views: ``min_odd_cut``,
-``is_oddly_connected`` and ``strengthened_cut_check``.
+edges with exactly one end in X.  The odd-cut facts come from one walk over
+the odd X without vertex 0, which by the complement symmetry stand for every
+odd set: Y runs over the subsets of {2, ..., n-1} in Gray-code order and X is
+Y, or Y with vertex 1 added when |Y| is even.  ``odd_cuts_of`` walks once for
+a batch of targets on one graph, their values in one int with a lane of w
+bits per target, so a step costs a few int operations for the whole batch.
+``planar.facts`` keeps each target's result under ``"odd_cuts"`` for the
+three views, each a batch of one: ``min_odd_cut``, ``is_oddly_connected``
+and ``strengthened_cut_check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OddVertexCount, TooLarge
-from .planar import DTarget, fact
+from .errors import DTargetError, OddVertexCount, TooLarge
+from .planar import DTarget, facts
 
 DEFAULT_CUT_CAP = 24
 
@@ -35,71 +38,123 @@ def m_delta(t: DTarget, X) -> int:
     return total
 
 
-def _scan_odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
-    """The one pass over every odd X, in Gray-code order with vertex 0 fixed
-    outside (each X stands for itself and its complement).
+def _pack(values, w: int) -> int:
+    """One int holding values[i] in bits i*w to i*w + w - 1 (w a multiple of 8)."""
+    return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
 
-    Returns the minimum odd cut and the least odd cut with both sides larger
-    than one and value below d + 2 (None if there is none), each ties broken
-    by lexicographically least X over the sets and their complements.
+
+def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness | None]]:
+    """The one walk for targets on one graph: for each, the minimum odd cut
+    and the least odd cut with both sides larger than one and value below
+    d + 2 (None if there is none), each tie broken by lexicographically least
+    X over the sets and their complements.
+
+    Lane i of ``X`` holds target i's m(delta(X)) below its top (guard) bit,
+    as no value exceeds the total multiplicity.  A limit packs 2**(w-1) + b_i
+    per lane, so its difference with ``X`` keeps the guard bit exactly where
+    the value is at most b_i, with no borrow between lanes.
     """
-    n = t.vertex_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), m in t.mult_items:
-        adj[u].append((v, m))
-        adj[v].append((u, m))
-    # Each bound starts at the largest value it may take, with no masks yet;
-    # every cut is at most the total multiplicity.
-    best, best_masks = sum(m for _, m in t.mult_items), []
-    small, small_masks = t.d + 1, []
-    in_X = [False] * n
-    value = size = mask = 0
-    for counter in range(1, 1 << (n - 1)):
-        flip = (counter & -counter).bit_length()
-        entering = not in_X[flip]
-        in_X[flip] = entering
-        mask ^= 1 << flip
-        size += 1 if entering else -1
-        for u, m in adj[flip]:
-            # Every edge at the flipped vertex toggles between crossing and
-            # not: it crosses now iff u lies on the other side.
-            value += -m if in_X[u] == entering else m
-        if not size & 1:
-            continue
-        if value <= best:
-            if value < best:
-                best, best_masks = value, []
-            best_masks.append(mask)
-        if value <= small and 1 < size < n - 1:
-            if value < small:
-                small, small_masks = value, []
-            small_masks.append(mask)
-    return (
-        _least_witness(best, best_masks, n),
-        _least_witness(small, small_masks, n) if small_masks else None,
-    )
+    n = targets[0].vertex_count
+    top = max(max(sum(t.degree_sums) // 2, t.d + 1) for t in targets)
+    w = 8 * (top.bit_length() // 8 + 1)
+    lane = (1 << w) - 1
+    guards = _pack([1 << (w - 1)] * len(targets), w)
+    # Per vertex: its packed degree sum, its neighbours that can be in Y (by
+    # bit, with twice the packed edge) and twice its packed edge to vertex 1.
+    degree, inner, to_1 = [0] * n, [[] for _ in range(n)], [0] * n
+    for column in zip(*(t.mult_items for t in targets)):
+        (u, v), _ = column[0]
+        m = _pack([m for _, m in column], w)
+        degree[u] += m
+        degree[v] += m
+        if u >= 2:
+            inner[u].append((1 << v, 2 * m))
+            inner[v].append((1 << u, 2 * m))
+        elif u == 1:
+            to_1[v] = 2 * m
+    table = [(1 << f, degree[f], inner[f], to_1[f]) for f in range(n)]
+    # Per bound (minimum, strengthened check) and lane: the best value so far
+    # and the sets reaching it.  V minus 0 has value degree_sum(0) and (0,) is
+    # the least set, so the minimum collects only values below that at first.
+    best = [[t.degree_sums[0] for t in targets], [t.d + 2 for t in targets]]
+    masks = [[[] for _ in targets], [[] for _ in targets]]
+    limits = [_pack([(1 << (w - 1)) + b - 1 for b in bs], w) for bs in best]
+
+    def collect(k: int, hits: int, X: int, x: int) -> None:
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            i = low.bit_length() // w - 1
+            v = X >> (i * w) & lane
+            if v == best[k][i]:
+                masks[k][i].append(x)
+            else:
+                limits[k] += (v - best[k][i] + (not masks[k][i])) << (i * w)
+                best[k][i], masks[k][i] = v, [x]
+
+    one = degree[1]
+    value = y_to_1 = Y = 0
+    for counter in range(1 << (n - 2)):
+        if counter:
+            bit, step, nbrs, f_to_1 = table[(counter & -counter).bit_length() + 1]
+            Y ^= bit
+            for other, twice in nbrs:
+                if Y & other:
+                    step -= twice
+            if Y & bit:
+                value += step
+                y_to_1 += f_to_1
+            else:
+                value -= step
+                y_to_1 -= f_to_1
+        # Y is the Gray code of counter, so |Y| has the parity of counter.
+        if counter & 1:
+            X, x = value, Y
+        else:
+            X, x = value + one - y_to_1, Y | 2
+        hits = (limits[0] - X) & guards
+        if hits:
+            collect(0, hits, X, x)
+        hits = (limits[1] - X) & guards
+        if hits and 1 < x.bit_count() < n - 1:
+            collect(1, hits, X, x)
+    return [
+        (_least_witness(v, ms, n) or CutWitness(X=(0,), value=v), _least_witness(s, ss, n))
+        for v, ms, s, ss in zip(best[0], masks[0], best[1], masks[1])
+    ]
 
 
-def _least_witness(value: int, masks: list[int], n: int) -> CutWitness:
+def _least_witness(value: int, masks: list[int], n: int) -> CutWitness | None:
     """The witness of value whose X is lexicographically least among the
-    masks and their complements.
+    masks and their complements; None if there are no masks.
 
     No mask holds vertex 0, so every complement does and comes before every
     mask; the least X is the least complement, each built once.
     """
+    if not masks:
+        return None
     full = (1 << n) - 1
     X = min([v for v in range(n) if side >> v & 1] for side in (full ^ m for m in masks))
     return CutWitness(X=tuple(X), value=value)
 
 
-def _odd_cuts(t: DTarget, cap: int) -> tuple[CutWitness, CutWitness | None]:
-    # The refusals depend on each call's cap, so they come before the lookup.
-    n = t.vertex_count
+def odd_cuts_of(
+    targets: list[DTarget], cap: int = DEFAULT_CUT_CAP
+) -> list[tuple[CutWitness, CutWitness | None]]:
+    """The odd-cut facts (minimum odd cut, strengthened-check violation or
+    None) of targets on one graph, in order; those not yet known come from
+    one walk.  The refusals depend on each call's cap, so they come first."""
+    if not targets:
+        return []
+    graph = targets[0].graph
+    if any(t.graph != graph for t in targets):
+        raise DTargetError("odd cuts are computed for targets on one graph only")
+    n = graph.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
     if n > cap:
         raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {cap}")
-    return fact(t, "odd_cuts", _scan_odd_cuts)
+    return facts(targets, "odd_cuts", _scan_odd_cuts)
 
 
 def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:
@@ -108,12 +163,12 @@ def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:
     Both an enumerated set and its complement witness the same value, so the
     tie-break considers both.
     """
-    return _odd_cuts(t, cap)[0]
+    return odd_cuts_of([t], cap)[0][0]
 
 
 def is_oddly_connected(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> bool:
     """True iff every odd vertex subset has cut value at least d."""
-    return _odd_cuts(t, cap)[0].value >= t.d
+    return odd_cuts_of([t], cap)[0][0].value >= t.d
 
 
 def strengthened_cut_check(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness | None:
@@ -121,4 +176,4 @@ def strengthened_cut_check(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness
 
     Otherwise the violating witness, minimal by (value, lexicographic X).
     """
-    return _odd_cuts(t, cap)[1]
+    return odd_cuts_of([t], cap)[0][1]

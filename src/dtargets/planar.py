@@ -49,6 +49,18 @@ def fact(owner, key, compute, *args):
     return value
 
 
+def facts(owners, key, compute):
+    """The fact under key of every owner, in order: the batch form of
+    :func:`fact`.  One call compute(missing) gets the values of the owners
+    that lack it, each once and in order of first appearance; if it raises,
+    nothing is stored."""
+    missing = list({id(o): o for o in owners if key not in o.facts}.values())
+    if missing:
+        for owner, value in zip(missing, compute(missing), strict=True):
+            owner.facts[key] = value
+    return [o.facts[key] for o in owners]
+
+
 @dataclass(frozen=True)
 class Region:
     """A face of the embedding.

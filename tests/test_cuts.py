@@ -3,6 +3,9 @@ the strengthened check, each against the brute-force oracle."""
 
 from __future__ import annotations
 
+import random
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +19,8 @@ from dtargets.cuts import (
     min_odd_cut,
     strengthened_cut_check,
 )
-from dtargets.errors import TooLarge
+from dtargets.errors import DTargetError, OddVertexCount, TooLarge
+from dtargets.planar import DTarget, RotationGraph
 
 from conftest import FIXTURES
 from gadgets import prism
@@ -105,9 +109,9 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     scanned = []
     scan = cuts._scan_odd_cuts
 
-    def counted(t):
-        scanned.append(t)
-        return scan(t)
+    def counted(targets):
+        scanned.extend(targets)
+        return scan(targets)
 
     monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
     t = load_fixture("prism")
@@ -121,6 +125,105 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     assert copy == t
     assert min_odd_cut(copy) == witness
     assert len(scanned) == 2 and scanned[1] is copy
+
+
+def test_the_exhaustive_corpus_runs_one_pass_per_base(monkeypatch):
+    batches = []
+    scan = cuts._scan_odd_cuts
+
+    def counted(targets):
+        batches.append(targets)
+        return scan(targets)
+
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
+    items = build_corpus(CorpusSpec(limit_per_base=1000000))
+    assert len(batches) == len(FIXTURES)
+    assert [b[0].graph for b in batches] == [load_fixture(n).graph for n in FIXTURES]
+    assert sum(map(len, batches)) == 2549 and len(items) == 2527
+    scanned = {id(t) for b in batches for t in b}
+    assert all(id(item.target) in scanned for item in items)
+
+
+def _fresh(t):
+    return DTarget(t.graph, t.d, t.mult_items)
+
+
+@cache
+def _mixed_batch(name):
+    """A seeded batch on one fixture graph: enumerated d = 8 targets with
+    zero multiplicities, then random ones with other d and uneven degree
+    sums, and one whose values need two-byte lanes; with each target's
+    oracle (minimum witness, strengthened violation)."""
+    graph = load_fixture(name).graph
+    rng = random.Random(name)
+    zeros = list(enumerate_multiplicities(graph, 8, min_mult=0))
+    batch = rng.sample(zeros, min(len(zeros), 30))
+    for _ in range(30):
+        d = rng.choice((1, 2, 3, 5, 8, 13))
+        values = [rng.choice((0, 0, 1, 2, 3, d)) for _ in graph.edges]
+        batch.append(DTarget(graph, d, tuple(zip(graph.edges, values))))
+    # A total multiplicity of 200 needs a lane of 16 bits: 8 hold no guard bit.
+    values = [rng.randint(0, 12) for _ in graph.edges]
+    values[0] = 200 - sum(values[1:])
+    batch.append(DTarget(graph, 8, tuple(zip(graph.edges, values))))
+    expected = [
+        (oracles.min_odd_cut_witness(t), oracles.strengthened_violation(t)) for t in batch
+    ]
+    return batch, expected
+
+
+def _as_oracle(facts):
+    least, small = facts
+    return (least.value, least.X), None if small is None else (small.value, small.X)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_mixed_batch_matches_the_oracles_and_each_target_alone(name):
+    batch, expected = _mixed_batch(name)
+    batch = [_fresh(t) for t in batch]
+    assert any(m == 0 for t in batch for _, m in t.mult_items)
+    assert len({t.d for t in batch}) > 3
+    assert any(len(set(t.degree_sums)) > 1 for t in batch)
+    for t, facts, want in zip(batch, cuts.odd_cuts_of(batch), expected, strict=True):
+        assert _as_oracle(facts) == want
+        alone = _fresh(t)
+        assert (min_odd_cut(alone), strengthened_cut_check(alone)) == facts
+        assert is_oddly_connected(alone) == is_oddly_connected(t) == oracles.oddly_connected(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(FIXTURES), data=st.data())
+def test_sub_batches_in_any_order_give_the_same_witnesses(name, data):
+    batch, expected = _mixed_batch(name)
+    picks = data.draw(st.lists(st.integers(0, len(batch) - 1), max_size=12))
+    results = cuts.odd_cuts_of([_fresh(batch[i]) for i in picks])
+    assert [_as_oracle(r) for r in results] == [expected[i] for i in picks]
+
+
+def test_a_batch_must_share_one_graph():
+    prism_target, k4 = load_fixture("prism"), load_fixture("k4")
+    with pytest.raises(DTargetError, match="one graph"):
+        cuts.odd_cuts_of([prism_target, k4])
+    assert "odd_cuts" not in prism_target.facts
+    # Equal graphs built apart have the same edges, so they may share a walk.
+    other = load_fixture("prism")
+    assert other.graph is not prism_target.graph
+    assert cuts.odd_cuts_of([prism_target, other]) == [cuts.odd_cuts_of([other])[0]] * 2
+
+
+def test_an_empty_batch_has_no_facts(monkeypatch):
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", None)
+    assert cuts.odd_cuts_of([]) == []
+
+
+def test_odd_vertex_count_refused():
+    triangle = RotationGraph(((1, 2), (2, 0), (0, 1)))
+    t = DTarget.of(triangle, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    with pytest.raises(OddVertexCount):
+        cuts.odd_cuts_of([t])
+    with pytest.raises(OddVertexCount):
+        min_odd_cut(t)
+    assert t.facts == {}
 
 
 def test_cap_enforced():
