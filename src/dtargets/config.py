@@ -6,16 +6,17 @@ placement generator, the generator's shape predicate and an evaluator.  A
 placement (the named regions and vertices) and its shape depend on the
 embedding only, so each generator runs once per graph and its duplicate-free
 placements of the right shape are a graph fact (``planar.fact``), in
-vertex-tuple order, as the doors and toughness of each region are facts of
-a target; the evaluators judge only a placement's multiplicity conditions on
-each target.  Detection and re-checking are generic over that table, and
-``is_prime`` stops at the least match.  Conventions shared by every pattern:
+vertex-tuple order.  The door table (each region's doors and whether it is
+small, filled in one pass on first use) and each triangle's toughness are
+facts of a target, and the evaluators judge only a placement's multiplicity
+conditions on each target.  Detection and re-checking are generic over the
+pattern table; ``is_prime`` stops at the least match.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
   disc, and ``m_plus`` adds 1 exactly when that second region is small; a
-  placement whose second region is ambiguous fails, in one place for all
-  patterns (``_evaluate``);
+  placement whose second region is ambiguous fails, for all patterns alike
+  (in ``_matches`` and ``recheck``);
 * named vertices are pairwise distinct and named regions are distinct
   (degenerate placements whose region union pinches into a non-disc are
   skipped);
@@ -65,7 +66,18 @@ def edges_disjoint(e: Edge, f: Edge) -> bool:
 def doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
     """The doors of r: multiplicity-1 boundary edges whose far region offers a
     disjoint multiplicity-1 edge."""
-    return fact(t, ("doors", r.id), _find_doors, r)
+    return door_table(t)[0][r.id]
+
+
+def door_table(t: DTarget) -> tuple[tuple[tuple[Edge, ...], ...], tuple[bool, ...]]:
+    """(doors, small) indexed by region id, small meaning fewer than four
+    doors: one fact of the target, filled in one pass on first use."""
+    return fact(t, "doors", _door_table)
+
+
+def _door_table(t: DTarget):
+    table = tuple(_find_doors(t, r) for r in t.graph.faces)
+    return table, tuple(len(ds) < 4 for ds in table)
 
 
 def _find_doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
@@ -81,7 +93,7 @@ def _find_doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
 
 def is_big(t: DTarget, r: Region) -> bool:
     """At least four doors."""
-    return len(doors(t, r)) >= 4
+    return not door_table(t)[1][r.id]
 
 
 def second_region(t: DTarget, e: Edge, disc) -> Region:
@@ -101,7 +113,7 @@ def second_region(t: DTarget, e: Edge, disc) -> Region:
 def m_plus(t: DTarget, e: Edge, disc) -> int:
     """m(e), plus one when the second region outside the disc is small."""
     second = second_region(t, e, disc)
-    return t.m_edge(e) + (0 if is_big(t, second) else 1)
+    return t.m_edge(e) + door_table(t)[1][second.id]
 
 
 def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
@@ -451,9 +463,9 @@ def _region_triangles(graph: RotationGraph):
 # Per-pattern evaluators: called with a target and a placement, they return
 # None when the conditions fail, else (satisfied facts, branch); only Conf 18
 # has branches.  An ambiguous second region (AmbiguousContext) fails the
-# placement in ``_evaluate``, not here.  The shape predicate has already
-# passed (once per graph, or in ``recheck``), so an evaluator judges the
-# multiplicities, and only the bounds particular to its own pattern.
+# placement in ``_matches`` and ``recheck``, not here.  The shape predicate
+# has already passed (once per graph, or in ``recheck``), so an evaluator
+# judges the multiplicities, and only the bounds particular to its own pattern.
 # ---------------------------------------------------------------------------
 
 
@@ -808,21 +820,16 @@ def _shaped_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, 
     return tuple(kept)
 
 
-def _evaluate(t: DTarget, evaluate, placement):
-    """evaluate(t, *placement); a placement whose second region is ambiguous
-    fails."""
-    try:
-        return evaluate(t, *placement)
-    except AmbiguousContext:
-        return None
-
-
 def _matches(t: DTarget, k: int) -> Iterator[ConfigMatch]:
-    """The matches of pattern k, one per placement, in placement order."""
+    """The matches of pattern k, one per placement, in placement order; a
+    placement whose second region is ambiguous fails."""
     pattern = _entry(k)
-    split = -len(pattern.labels)
+    split, evaluate = -len(pattern.labels), pattern.evaluate
     for placement in _placements(t.graph, pattern):
-        result = _evaluate(t, pattern.evaluate, placement)
+        try:
+            result = evaluate(t, *placement)
+        except AmbiguousContext:
+            continue
         if result is not None:
             regions, vs = placement[:split], placement[split:]
             names = tuple(zip(pattern.labels, vs))
@@ -851,7 +858,10 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
         return False
     faces = t.graph.faces
     placement = tuple(faces[i] for i in match.region_ids) + match.vertex_tuple
-    return shape(t.graph, *placement) and _evaluate(t, evaluate, placement) is not None
+    try:
+        return shape(t.graph, *placement) and evaluate(t, *placement) is not None
+    except AmbiguousContext:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ families then move charge across edges without changing the total:
   small non-tough region (the non-tough side receives).
 
 Each family is an ordered first-match rule chain; the matched rule id is
-recorded so a report can be audited line by line.
+recorded so a report can be audited line by line.  A rule moves 0, 1/2 or 1
+(``ZERO``, ``HALF``, ``ONE``): ``charge_report`` sums each region's beta and
+gamma as integers in half-units, checks every identity on those, and makes
+``Fraction``s only for its rows.  Big and small are read from the target's
+door table (``config.door_table``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .config import _require_d8, doors, is_big, is_tough, m_plus
+from .config import _require_d8, door_table, is_big, is_tough, m_plus
 from .errors import DTargetError, IdentityViolation
 from .planar import DTarget, Edge, Region, norm_edge, other_region, region_pair
 
@@ -80,12 +84,12 @@ def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     _require_d8(t)
     e = norm_edge(*e)
     r1, r2 = region_pair(t, e)
-    big1, big2 = is_big(t, r1), is_big(t, r2)
-    if big1 == big2:
+    table, small_flag = door_table(t)
+    if small_flag[r1.id] == small_flag[r2.id]:
         return BetaTrace(e, None, None, None, ZERO)
-    big, small = (r1, r2) if big1 else (r2, r1)
+    big, small = (r2, r1) if small_flag[r1.id] else (r1, r2)
 
-    if e in doors(t, big):
+    if e in table[big.id]:
         return BetaTrace(e, 1, big.id, small.id, ZERO)
 
     f1, f2 = _flanking_edges(big, e)
@@ -151,7 +155,8 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     _require_d8(t)
     e = norm_edge(*e)
     r1, r2 = region_pair(t, e)
-    if is_big(t, r1) or is_big(t, r2):
+    table, small_flag = door_table(t)
+    if not (small_flag[r1.id] and small_flag[r2.id]):
         return GammaTrace(e, None, None, None, ZERO)
     tough1, tough2 = is_tough(t, r1), is_tough(t, r2)
     if tough1 == tough2:
@@ -163,8 +168,8 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     m = t.m_edge
     bindings = ((e1, e2), (e2, e1))
 
-    def far_region(f: Edge) -> Region:
-        return other_region(t, f, tough)
+    def far_small(f: Edge) -> bool:
+        return small_flag[other_region(t, f, tough).id]
 
     def finish(rule: int, value: Fraction) -> GammaTrace:
         return GammaTrace(e, rule, receiver.id, tough.id, value)
@@ -180,12 +185,12 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     # rule 2 (either binding)
     if m(e) == 1:
         for a, b in bindings:
-            if m_plus(t, a, disc) >= 4 and m(b) == 1 and not is_big(t, far_region(b)):
+            if m_plus(t, a, disc) >= 4 and m(b) == 1 and far_small(b):
                 return finish(2, HALF)
     # rule 3 (either binding)
     if m(e) == 1:
         for a, b in bindings:
-            if m(a) == 3 and m(b) == 1 and not is_big(t, far_region(b)):
+            if m(a) == 3 and m(b) == 1 and far_small(b):
                 z = _common_vertex(e, a)
                 flank = [f for f in receiver.edges if z in f and f != e]
                 if len(flank) == 1 and m(flank[0]) == 4:
@@ -197,15 +202,15 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
         and m(e2) >= 2
         and m_plus(t, e1, disc) + m_plus(t, e2, disc) >= 5
     ):
-        ds = doors(t, receiver)
+        ds = table[receiver.id]
         consecutive = [f for f in receiver.edges if f != e and set(f) & set(e)]
         extra = (
             len(ds) > 1
             or any(not (set(d) & set(e)) for d in ds)
             or (
                 any(m(f) == 4 for f in consecutive)
-                and not is_big(t, far_region(e1))
-                and not is_big(t, far_region(e2))
+                and far_small(e1)
+                and far_small(e2)
             )
         )
         if extra:
@@ -216,8 +221,8 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
             z = _common_vertex(e, a)
             if (
                 len(t.graph.rotations[z]) == 3
-                and not is_big(t, far_region(a))
-                and is_big(t, far_region(b))
+                and far_small(a)
+                and not far_small(b)
             ):
                 return finish(5, HALF)
     # rule 6 (symmetric)
@@ -287,32 +292,32 @@ def charge_report(t: DTarget) -> ChargeReport:
     """
     _require_d8(t)
     faces = t.graph.faces
-    beta_sum = {r.id: ZERO for r in faces}
-    gamma_sum = {r.id: ZERO for r in faces}
+    beta = [0] * len(faces)  # half-units: twice the charge each region receives
+    gamma = [0] * len(faces)
     beta_traces: list[BetaTrace] = []
     gamma_traces: list[GammaTrace] = []
 
     for e in t.graph.edges:
-        bt = beta_trace(t, e)
-        gt = gamma_trace(t, e)
+        bt, gt = beta_trace(t, e), gamma_trace(t, e)
         beta_traces.append(bt)
         gamma_traces.append(gt)
         r1, r2 = region_pair(t, e)
-        b1, b2 = (_received(bt.value, bt.big_region, r) for r in (r1, r2))
-        g1, g2 = (_received(gt.value, gt.receiver_region, r) for r in (r1, r2))
-        if b1 + b2 != 0:
-            raise IdentityViolation(f"beta not antisymmetric across {e}: {b1}, {b2}")
-        if g1 + g2 != 0:
-            raise IdentityViolation(f"gamma not antisymmetric across {e}: {g1}, {g2}")
-        if (b1 != 0 or b2 != 0) and (g1 != 0 or g2 != 0):
+        hb, hg = _halves(bt.value), _halves(gt.value)
+        b1, b2 = (hb if r.id == bt.big_region else -hb for r in (r1, r2))
+        g1, g2 = (hg if r.id == gt.receiver_region else -hg for r in (r1, r2))
+        for family, x1, x2 in (("beta", b1, b2), ("gamma", g1, g2)):
+            if x1 + x2:
+                pair = f"{Fraction(x1, 2)}, {Fraction(x2, 2)}"
+                raise IdentityViolation(f"{family} not antisymmetric across {e}: {pair}")
+        if (b1 or b2) and (g1 or g2):
             raise IdentityViolation(f"both transfer families moved charge across {e}")
         for r, b, g in ((r1, b1, g1), (r2, b2, g2)):
-            if abs(b + g) > 1:
+            if abs(b + g) > 2:
                 raise IdentityViolation(
-                    f"transfer across {e} into region {r.id} exceeds 1: {b + g}"
+                    f"transfer across {e} into region {r.id} exceeds 1: {Fraction(b + g, 2)}"
                 )
-            beta_sum[r.id] += b
-            gamma_sum[r.id] += g
+            beta[r.id] += b
+            gamma[r.id] += g
 
     regions = tuple(
         RegionCharge(
@@ -320,23 +325,26 @@ def charge_report(t: DTarget) -> ChargeReport:
             region_class=classify_region(t, r),
             length=r.length,
             alpha=alpha(t, r),
-            beta=beta_sum[r.id],
-            gamma=gamma_sum[r.id],
+            beta=Fraction(beta[r.id], 2),
+            gamma=Fraction(gamma[r.id], 2),
         )
         for r in faces
     )
-    report = ChargeReport(
-        regions=regions,
-        beta_traces=tuple(beta_traces),
-        gamma_traces=tuple(gamma_traces),
-    )
-    if report.alpha_total != 16:
-        raise IdentityViolation(f"alpha total is {report.alpha_total}, expected 16")
-    if report.beta_total != 0:
-        raise IdentityViolation(f"beta total is {report.beta_total}, expected 0")
-    if report.gamma_total != 0:
-        raise IdentityViolation(f"gamma total is {report.gamma_total}, expected 0")
-    return report
+    alpha_total = sum(rc.alpha for rc in regions)
+    if alpha_total != 16:
+        raise IdentityViolation(f"alpha total is {alpha_total}, expected 16")
+    for family, halves in (("beta", sum(beta)), ("gamma", sum(gamma))):
+        if halves:
+            raise IdentityViolation(f"{family} total is {Fraction(halves, 2)}, expected 0")
+    return ChargeReport(regions, tuple(beta_traces), tuple(gamma_traces))
+
+
+def _halves(value: Fraction) -> int:
+    """value in half-units; every rule moves a multiple of 1/2."""
+    halves, rest = divmod(2 * value.numerator, value.denominator)
+    if rest:
+        raise IdentityViolation(f"transfer of {value} is not a multiple of 1/2")
+    return halves
 
 
 def positive_regions(t: DTarget) -> list[RegionCharge]:

@@ -233,8 +233,8 @@ class DTarget:
     build one from any mapping; the corpus passes pairs in ``graph.edges``
     order directly, and ``__post_init__`` checks either, edges strictly
     increasing.  ``facts`` holds what the analysis layers derive from the
-    target, each kept by :func:`fact` (the odd cuts, the doors and toughness
-    of each region); like the cached ``mult`` and ``degree_sums``, it takes
+    target, each kept by :func:`fact` (the odd cuts, the door table, the
+    toughness of each triangle); like the cached ``mult`` and ``degree_sums``, it takes
     no part in equality.
     """
 

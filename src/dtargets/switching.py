@@ -20,11 +20,13 @@ from .planar import DTarget, RotationGraph, norm_edge
 
 
 def score_sequence(t: DTarget) -> tuple[int, ...]:
-    """(n_0, ..., n_d) where n_i counts edges of multiplicity i."""
+    """(n_0, ..., n_d) where n_i counts edges of multiplicity i; an edge
+    above d has no place in it (``DTargetError``)."""
     counts = [0] * (t.d + 1)
-    for _, m in t.mult_items:
-        if m <= t.d:
-            counts[m] += 1
+    for e, m in t.mult_items:
+        if m > t.d:
+            raise DTargetError(f"edge {e} has multiplicity {m}, above d = {t.d}")
+        counts[m] += 1
     return tuple(counts)
 
 

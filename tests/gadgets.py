@@ -8,10 +8,15 @@ in the test modules that import from here.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from functools import cache
+from pathlib import Path
 
 from dtargets.corpus import load_fixture
-from dtargets.planar import DTarget, RotationGraph
+from dtargets.errors import WouldGoNegative
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget
+from dtargets.switching import switch_square
 
 # ---------------------------------------------------------------------------
 # Fixture rescalings
@@ -253,3 +258,47 @@ def rule5_wheel() -> DTarget:
         (3, 7): 2, (3, 11): 2, (7, 11): 2,
     }
     return DTarget.of(RotationGraph(rots), 8, mult)
+
+
+# ---------------------------------------------------------------------------
+# Square-switch walks from the switch_walk benchmark's three start targets:
+# the octahedron and the 16-vertex antiprism at uniform multiplicity 2, and
+# the 20-vertex prism (rings 2, verticals 4).  The starts and the 4-cycles
+# come from the benchmark's own generator, read from ``bench/gen.py``.
+# ---------------------------------------------------------------------------
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@cache
+def walk_targets(seed: int = 1, steps: int = 100) -> tuple[DTarget, ...]:
+    """The targets of one seeded walk of ``steps`` switches from each start,
+    in walk order: each step switches a random 4-cycle, in a random one of
+    its two directions, and a switch that would go negative is redrawn."""
+    gen = _bench_gen()
+    starts = (
+        gen.uniform_text(*gen.antiprism(3), 2),
+        gen.uniform_text(*gen.antiprism(8), 2),
+        gen.prism_text(20),
+    )
+    walked: list[DTarget] = []
+    for i, text in enumerate(starts):
+        rng = random.Random(seed * 101 + i)
+        t = parse_dtarget(text)
+        cycles = gen.four_cycles(t.graph.rotations)
+        while len(walked) < (i + 1) * steps:
+            u, v, w, x = rng.choice(cycles)
+            if rng.random() < 0.5:
+                u, v, w, x = v, w, x, u
+            try:
+                t = switch_square(t, u, v, w, x)
+            except WouldGoNegative:
+                continue
+            walked.append(t)
+    return tuple(walked)

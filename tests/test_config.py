@@ -28,7 +28,7 @@ from dtargets.config import (
 )
 from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
-from dtargets.discharge import classify_region
+from dtargets.discharge import charge_report, classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
@@ -48,6 +48,7 @@ from gadgets import (
     prism,
     rule5_wheel,
     two_big_rings,
+    walk_targets,
 )
 
 
@@ -122,6 +123,39 @@ def test_doors_computed_once_per_region(monkeypatch):
         classify_region(t, r)
     assert computed[0] == first.id
     assert sorted(computed) == [r.id for r in t.graph.faces]
+
+
+def _counting_find_doors(monkeypatch) -> list:
+    computed = []
+    find = config._find_doors
+
+    def counted(t, r):
+        computed.append((t, r.id))
+        return find(t, r)
+
+    monkeypatch.setattr(config, "_find_doors", counted)
+    return computed
+
+
+def test_a_walk_step_finds_each_region_s_doors_once(monkeypatch):
+    # The walk's order: charge_report, then detect_all, on each new target.
+    computed = _counting_find_doors(monkeypatch)
+    for walked in walk_targets()[::7]:
+        t = DTarget(walked.graph, walked.d, walked.mult_items)  # no facts yet
+        charge_report(t)
+        detect_all(t)
+        assert all(owner is t for owner, _ in computed)
+        assert [rid for _, rid in computed] == [r.id for r in t.graph.faces]
+        computed.clear()
+
+
+def test_the_exhaustive_scan_finds_no_doors(monkeypatch):
+    computed = _counting_find_doors(monkeypatch)
+    items = build_corpus(CorpusSpec(limit_per_base=1_000_000))
+    assert len(items) == 2527
+    for item in items:
+        is_prime(item.target)
+    assert computed == []
 
 
 def test_m_plus_ambiguous_context():

@@ -19,8 +19,8 @@ from dtargets.discharge import (
     gamma_trace,
     positive_regions,
 )
-from dtargets.errors import UnsupportedD
-from dtargets.planar import DTarget
+from dtargets.errors import IdentityViolation, UnsupportedD
+from dtargets.planar import DTarget, region_pair
 
 from conftest import FIXTURES
 from gadgets import (
@@ -38,6 +38,7 @@ from gadgets import (
     prism,
     rule5_wheel,
     two_big_rings,
+    walk_targets,
 )
 
 HALF = Fraction(1, 2)
@@ -332,3 +333,39 @@ def test_charge_report_traces_each_edge_once(name, monkeypatch):
     report = charge_report(t)
     assert calls["beta"] == calls["gamma"] == list(t.graph.edges)
     assert [tr.edge for tr in report.beta_traces] == list(t.graph.edges)
+
+
+def _traced_sums(t, report):
+    """Each region's beta and gamma, re-summed as Fractions from the traces:
+    a trace's value goes to its receiver and comes from the other side."""
+    sums = {r.id: [ZERO, ZERO] for r in t.graph.faces}
+    for family, traces in enumerate((report.beta_traces, report.gamma_traces)):
+        for trace in traces:
+            receiver = trace.big_region if family == 0 else trace.receiver_region
+            for r in region_pair(t, trace.edge):
+                sums[r.id][family] += trace.value if r.id == receiver else -trace.value
+    return sums
+
+
+def test_region_charges_are_the_sums_of_their_traces():
+    targets = [load_fixture(name) for name in FIXTURES]
+    targets += [build() for build in GADGETS.values()]
+    targets += walk_targets()[::10]
+    for t in targets:
+        report = charge_report(t)
+        sums = _traced_sums(t, report)
+        for rc in report.regions:
+            assert [rc.beta, rc.gamma] == sums[rc.region_id]
+            assert isinstance(rc.beta, Fraction) and isinstance(rc.gamma, Fraction)
+
+
+def test_an_identity_violation_prints_charges_not_half_units(monkeypatch):
+    import dtargets.discharge as discharge
+    from dtargets.discharge import BetaTrace
+
+    # No big region: both sides give the half away.
+    monkeypatch.setattr(
+        discharge, "beta_trace", lambda t, e: BetaTrace(e, 3, None, None, HALF)
+    )
+    with pytest.raises(IdentityViolation, match=r"^beta not antisymmetric .*: -1/2, -1/2$"):
+        charge_report(load_fixture("prism"))

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from dtargets.config import detect, detect_all, doors, is_big, is_tough, recheck
 from dtargets.corpus import load_fixture
+from dtargets.discharge import charge_report
 from dtargets.errors import (
+    DTargetError,
     MismatchedD,
     NoCommonRegion,
     NotAFourCycle,
@@ -26,7 +29,7 @@ from dtargets.switching import (
     switch_square,
 )
 
-from gadgets import prism
+from gadgets import prism, walk_targets
 
 
 def test_score_sequences_frozen():
@@ -35,6 +38,21 @@ def test_score_sequences_frozen():
     assert score_sequence(load_fixture("octahedron")) == (
         0, 0, 12, 0, 0, 0, 0, 0, 0,
     )
+
+
+def test_score_sequence_refuses_an_edge_above_d():
+    # Dropping the edge would give both non-targets the sequence of the
+    # other five edges, and neither would precede the other.
+    k4 = load_fixture("k4")
+    nine, twelve = (k4.with_mult({**k4.mult, (0, 1): m}) for m in (9, 12))
+    for t in (nine, twelve):
+        with pytest.raises(DTargetError, match=r"edge \(0, 1\) has multiplicity"):
+            score_sequence(t)
+    with pytest.raises(DTargetError):
+        is_smaller(nine, twelve)
+    with pytest.raises(DTargetError):
+        is_smaller(twelve, nine)
+    assert score_sequence(k4.with_mult({**k4.mult, (0, 1): 8}))[8] == 1
 
 
 def test_switch_square_octahedron_equator():
@@ -230,3 +248,23 @@ def test_random_square_switches_preserve_degrees_and_invert(data):
     for z in range(t.vertex_count):
         assert out.degree_sum(z) == t.degree_sum(z)
     assert switch_square(out, u, x, w, v) == t
+
+
+def test_walked_targets_agree_with_the_oracles():
+    # The benchmark's mutation path: 300 targets, each a square switch of the
+    # last, on three graphs whose pattern placements stay cached throughout.
+    walked = walk_targets()
+    assert len(walked) == 300
+    for t in walked:
+        report = charge_report(t)
+        assert (report.alpha_total, report.beta_total, report.gamma_total) == (16, 0, 0)
+        by_index = {k: detect(t, k) for k in range(1, 20)}
+        for k, matches in by_index.items():
+            assert bool(matches) == oracles.conf_matches(t, k), (serialize_dtarget(t), k)
+        matches = detect_all(t)
+        assert matches == [m for k in by_index for m in by_index[k]]
+        assert all(recheck(t, m) for m in matches)
+        for r in t.graph.faces:
+            assert sorted(doors(t, r)) == oracles.doors(t, r)
+            assert is_big(t, r) == oracles.big(t, r)
+            assert is_tough(t, r) == oracles.tough(t, r)
