@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .coloring import DEFAULT_COLOUR_CAP, edge_colour, verify_colouring
+from .coloring import DEFAULT_COLOUR_CAP, MATCHING_LIMIT, edge_colour, verify_colouring
 from .config import is_prime
 from .corpus import CorpusSpec, FIXTURE_NAMES, build_corpus
 from .cuts import DEFAULT_CUT_CAP, is_oddly_connected, min_odd_cut
@@ -405,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("colour", help="decompose into d perfect matchings")
     _add_common(p)
-    p.add_argument(
-        "--cap", type=int, default=DEFAULT_COLOUR_CAP, help="colouring vertex cap"
-    )
+    p.add_argument("--cap", type=int, default=DEFAULT_COLOUR_CAP, help="colouring vertex "
+                   f"cap (default none); past {MATCHING_LIMIT} support matchings it refuses")
     p.set_defaults(handler=cmd_colour)
 
     p = subs.add_parser("switch", help="apply a square or path switch")

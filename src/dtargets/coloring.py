@@ -18,11 +18,12 @@ A (start, residual) state whose every child failed is remembered for the
 rest of the call; a state a prune refutes is not, since the prune refutes
 it again as cheaply, and so the memo stays small.
 
-The lexicographically ordered matchings of a support with the search's
-tables for them, and each triangle's edges and the edges crossing it, are
-facts of the graph, kept by ``planar.fact``: targets on one graph share
-them, and they go when the graph goes.  A call builds only its residual
-multiplicities and triangle slacks.
+The search's tables for a support's matchings, and each triangle's edges
+and the edges crossing it, are facts of the graph, kept by ``planar.fact``:
+targets on one graph share them, and they go when the graph goes.  A call
+builds only its residual multiplicities and triangle slacks, and a
+matching's edge tuple the first time a colouring returns it.  A support
+with more than ``MATCHING_LIMIT`` perfect matchings is refused.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import cached_property
 from .errors import OddVertexCount, TooLarge
 from .planar import DTarget, Edge, RotationGraph, fact, norm_edge
 
-DEFAULT_COLOUR_CAP = 20
+DEFAULT_COLOUR_CAP = None  # no vertex cap
+MATCHING_LIMIT = 2**14  # the most perfect matchings one support's tables hold
 
 Matching = tuple[Edge, ...]
 
@@ -54,51 +56,62 @@ class EdgeColouring:
         return counts
 
 
-def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int) -> tuple:
+def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int | None) -> tuple:
     # The refusals depend on each call's cap, so they come before the lookup.
     n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; no perfect matchings exist")
-    if n > cap:
+    if cap is not None and n > cap:
         raise TooLarge(f"|V| = {n} exceeds the matching enumeration cap {cap}")
     return fact(t.graph, ("matchings", support), _build_tables, support)
 
 
 def _build_tables(graph: RotationGraph, support: tuple[Edge, ...]) -> tuple:
     """The search tables of the spanning subgraph with edge set ``support``:
-    its perfect matchings, each a sorted edge tuple, in lexicographic order;
-    each matching's support positions and their bit mask; and the triangles
-    each matching crosses three times.
+    per perfect matching, in lexicographic order, its support positions, their
+    bit mask and the triangles it crosses three times; and a dict for the edge
+    tuples of returned matchings.  Past ``MATCHING_LIMIT`` it raises ``TooLarge``.
 
-    Recursion always matches the smallest unmatched vertex to a larger
+    The walk always matches the smallest unmatched vertex to a larger
     neighbour, in ascending order, so each matching is produced exactly
     once, with its edges sorted, and in lexicographic order.
     """
     n = graph.vertex_count
-    later: list[list[int]] = [[] for _ in range(n)]
-    for u, v in support:
-        later[u].append(v)
-    out: list[Matching] = []
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(support):
+        later[u].append((v, i))
+    members: list[tuple[int, ...]] = []
     matched = [False] * n
-    partial: list[Edge] = []
-
-    def extend(free: int) -> None:
-        while free < n and matched[free]:
-            free += 1
-        if free == n:
-            out.append(tuple(partial))
-            return
-        for u in later[free]:
+    partial: list[int] = []
+    # A stack of (free, untried options, mate), so recursion does not bound n.
+    stack: list[tuple] = []
+    free, options = 0, iter(later[0])
+    while True:
+        for u, i in options:
             if not matched[u]:
-                matched[u] = True
-                partial.append((free, u))
-                extend(free + 1)
-                partial.pop()
-                matched[u] = False
-
-    extend(0)
+                break
+        else:
+            if not stack:
+                break
+            free, options, u = stack.pop()
+            matched[u] = False
+            partial.pop()
+            continue
+        matched[u] = True
+        partial.append(i)
+        nxt = free + 1
+        while nxt < n and matched[nxt]:
+            nxt += 1
+        if nxt < n:
+            stack.append((free, options, u))
+            free, options = nxt, iter(later[nxt])
+            continue
+        if len(members) == MATCHING_LIMIT:
+            raise TooLarge(f"the support has more than {MATCHING_LIMIT} perfect matchings")
+        members.append(tuple(partial))
+        matched[u] = False
+        partial.pop()
     position = {e: i for i, e in enumerate(support)}
-    members = [tuple(position[e] for e in M) for M in out]
     masks = [sum(1 << i for i in edges) for edges in members]
     # A matching crosses a triangle once if it uses one of its edges and
     # three times if it uses none; ``thrice`` lists the latter.
@@ -107,7 +120,7 @@ def _build_tables(graph: RotationGraph, support: tuple[Edge, ...]) -> tuple:
         for edges, _ in _triangles(graph)
     ]
     thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
-    return tuple(out), members, masks, thrice
+    return members, masks, thrice, {}
 
 
 def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
@@ -129,12 +142,13 @@ def _find_triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ..
     return tuple(triangles)
 
 
-def perfect_matchings(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> list[Matching]:
+def perfect_matchings(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
-    return list(_support_tables(t, t.graph.edges, cap)[0])
+    edges = t.graph.edges
+    return [tuple(edges[i] for i in M) for M in _support_tables(t, edges, cap)[0]]
 
 
-def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
+def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
     """Find a d-edge-colouring, or None after exhausting the search.
 
     Of all colourings, the one returned is the nondecreasing sequence of
@@ -142,7 +156,7 @@ def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | No
     module docstring for the search and its prunes).
     """
     support = tuple(e for e, m in t.mult_items if m > 0)
-    matchings, members, masks, thrice = _support_tables(t, support, cap)
+    members, masks, thrice, named = _support_tables(t, support, cap)
     # slack[c] = residual m(delta(X_c)) - k; placing matching j lowers it by
     # 2 for each c in thrice[j] and leaves the rest.
     slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in _triangles(t.graph)]
@@ -167,7 +181,7 @@ def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | No
         return None
 
     # Depth-first with an explicit stack, so d is not bounded by recursion.
-    root = enter(0, list(range(len(matchings))), 0)
+    root = enter(0, list(range(len(members))), 0)
     frames = [root] if root else []
     while frames:
         frame = frames[-1]
@@ -198,7 +212,9 @@ def edge_colour(t: DTarget, cap: int = DEFAULT_COLOUR_CAP) -> EdgeColouring | No
             if child:
                 frames.append(child)
         elif zero | emptied == full:
-            return EdgeColouring(matchings=tuple(matchings[j] for j in placed))
+            for j in set(placed).difference(named):
+                named[j] = tuple(map(support.__getitem__, members[j]))
+            return EdgeColouring(tuple(map(named.__getitem__, placed)))
     return None
 
 

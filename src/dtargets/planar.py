@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
     AsymmetricRotation,
@@ -98,7 +97,7 @@ class RotationGraph:
     """A connected simple graph with a clockwise rotation at every vertex.
 
     ``facts`` holds what other layers derive from the graph alone (the
-    pattern placements of each generator, the perfect matchings of a
+    pattern placements of each generator, the colouring tables of a
     support, the cuts of its triangles), each kept by :func:`fact` and
     shared by every target on the graph; it takes no part in equality.
     """
@@ -199,19 +198,18 @@ class RotationGraph:
         """0 disconnected, 1 has a cut vertex, 2 has a 2-cut, 3 means
         3-connected-or-better.
 
-        Computed by exhaustive removal of all vertex subsets of size at most
-        2; removals that leave fewer than two vertices cannot disconnect
-        anything and are skipped.
+        A cut vertex is found by one lowpoint search (Hopcroft-Tarjan), and
+        a 2-cut {v, w} as a cut vertex w of G - v, so the check is
+        O(n (n + E)) and needs no embedding.  Removals that leave fewer
+        than two vertices cannot disconnect anything and are skipped.
         """
         n = self.vertex_count
         if not _is_connected(self):
             return 0
-        for k in (1, 2):
-            if n - k < 2:
-                continue
-            for cut in combinations(range(n), k):
-                if not _is_connected(self, frozenset(cut)):
-                    return k
+        if n >= 3 and _has_cut_vertex(self.rotations, -1):
+            return 1
+        if n >= 4 and any(_has_cut_vertex(self.rotations, v) for v in range(n)):
+            return 2
         return 3
 
     @cached_property
@@ -434,19 +432,46 @@ def other_region(t, e: Edge, r: Region) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def _is_connected(graph: RotationGraph, removed: frozenset[int] = frozenset()) -> bool:
-    remaining = [v for v in range(graph.vertex_count) if v not in removed]
-    if not remaining:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
+def _is_connected(graph: RotationGraph) -> bool:
+    seen = {0}
+    stack = [0]
     while stack:
         v = stack.pop()
         for u in graph.rotations[v]:
-            if u not in removed and u not in seen:
+            if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    return len(seen) == len(remaining)
+    return len(seen) == graph.vertex_count
+
+
+def _has_cut_vertex(rotations: tuple[tuple[int, ...], ...], skip: int) -> bool:
+    """Whether the connected graph minus vertex ``skip`` (-1: none) has a cut
+    vertex, by one iterative depth-first search with lowpoints."""
+    depth = [-1] * len(rotations)
+    low = [0] * len(rotations)
+    if skip >= 0:
+        depth[skip] = len(rotations)  # seen, and too deep to lower any lowpoint
+    root = 1 if skip == 0 else 0
+    depth[root] = 0
+    stack = [(root, iter(rotations[root]))]
+    while stack:
+        v, rest = stack[-1]
+        for u in rest:
+            if depth[u] < 0:
+                depth[u] = low[u] = len(stack)
+                stack.append((u, iter(rotations[u])))
+                break
+            if depth[u] < low[v]:
+                low[v] = depth[u]
+        else:
+            stack.pop()
+            if len(stack) > 1:  # v's parent p is not the root
+                p = stack[-1][0]
+                if low[v] >= depth[p]:
+                    return True
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return depth.count(1) > 1  # the root is a cut vertex if it has two children
 
 
 def connectivity_level(graph: RotationGraph) -> int:

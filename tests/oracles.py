@@ -59,6 +59,37 @@ def strengthened_violation(t):
 
 
 # ---------------------------------------------------------------------------
+# Connectivity
+# ---------------------------------------------------------------------------
+
+
+def connectivity_level(graph):
+    """0 if disconnected, else the least k in (1, 2) such that removing some
+    k vertices disconnects the graph, else 3; by removing every vertex and
+    every pair.  Removals that leave fewer than two vertices are skipped."""
+    n = len(graph.rotations)
+
+    def connected(removed):
+        rest = [v for v in range(n) if v not in removed]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for u in graph.rotations[stack.pop()]:
+                if u not in removed and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(rest)
+
+    if not connected(()):
+        return 0
+    for k in (1, 2):
+        if n - k >= 2:
+            if any(not connected(set(cut)) for cut in combinations(range(n), k)):
+                return k
+    return 3
+
+
+# ---------------------------------------------------------------------------
 # Matchings and colourings
 # ---------------------------------------------------------------------------
 

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from dtargets import cli
+from dtargets import cli, coloring
 from dtargets.cli import main
 from dtargets.corpus import load_fixture
 from dtargets.planar import parse_dtarget, serialize_dtarget
 
-from gadgets import prism
+from gadgets import _bench_gen, prism
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "dtargets" / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -137,6 +137,32 @@ def test_colour_fails_honestly(tmp_path, capsys):
     code, payload = run_json(capsys, ["colour", path])
     assert code == 1
     assert payload["details"]["colourable"] is False
+
+
+def ladder_path(tmp_path, n=22) -> str:
+    path = tmp_path / f"prism{n}.dtarget"
+    path.write_text(_bench_gen().prism_text(n))
+    return str(path)
+
+
+def test_colour_has_no_default_vertex_cap(tmp_path, capsys):
+    code, payload = run_json(capsys, ["colour", ladder_path(tmp_path)])
+    assert code == 0
+    assert payload["details"]["colourable"] is True
+
+
+def test_colour_cap_still_refuses(tmp_path, capsys):
+    code, out, err = run(capsys, ["colour", ladder_path(tmp_path), "--cap", "20"])
+    assert code == cli.EXIT_INPUT == 2
+    assert "exceeds the matching enumeration cap 20" in err
+
+
+def test_colour_refuses_past_the_matching_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
+    for path in (fixture_path("cube"), ladder_path(tmp_path)):
+        code, out, err = run(capsys, ["colour", path])
+        assert code == cli.EXIT_INPUT == 2
+        assert out == "" and "more than 8 perfect matchings" in err
 
 
 def test_switch_square_roundtrips(capsys):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 import oracles
+from dtargets import coloring
 from dtargets.coloring import (
     EdgeColouring,
     edge_colour,
@@ -25,6 +27,7 @@ from gadgets import (
     OCTA_GAMMA1_MULT,
     OCTA_GAMMA2_MULT,
     OCTA_GAMMA6_MULT,
+    _bench_gen,
     antiprism,
     octa,
     prism,
@@ -65,6 +68,42 @@ def test_matchings_require_even_vertex_count():
 def test_matching_cap_enforced():
     with pytest.raises(TooLarge):
         perfect_matchings(load_fixture("cube"), cap=6)
+
+
+def test_colour_tables_refuse_past_the_matching_limit(monkeypatch):
+    # The cube has 9 perfect matchings; a refused table is not stored.
+    monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
+    t = load_fixture("cube")
+    with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
+        perfect_matchings(t)
+    with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
+        edge_colour(t)
+    assert [k for k in t.graph.facts if isinstance(k, tuple) and k[0] == "matchings"] == []
+
+
+# sha256 of repr(edge_colour(t, cap=64).matchings) on the ladder prisms
+# (rings 2, verticals 4), taken while a 20-vertex default cap refused them.
+LADDER_DIGESTS = {
+    22: "2c6c5fca6d880124cf43d85f4a7e869e95b559dbbade81956485de1cfbe44ade",
+    24: "c3e6c57183b9ff01c691bbd554f27ca11c6ce5529f2513928937c1782fc696e6",
+    26: "f7da1aba99324426530b97f881687c65e405c0713057fced5ac9136f8877bd66",
+    28: "935c5785b9e7544d0c8b709a51173870a17082341ee169e5850b1aeb7203f9d4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_DIGESTS))
+def test_ladder_prisms_colour_at_the_default(n):
+    t = parse_dtarget(_bench_gen().prism_text(n))
+    colouring = edge_colour(t)
+    assert colouring is not None and verify_colouring(t, colouring)
+    assert sha256(repr(colouring.matchings).encode()).hexdigest() == LADDER_DIGESTS[n]
+
+
+def test_the_matching_limit_holds_the_40_vertex_prism():
+    t = parse_dtarget(_bench_gen().prism_text(40))
+    assert len(perfect_matchings(t)) == 15129 <= coloring.MATCHING_LIMIT
+    colouring = edge_colour(t)
+    assert colouring is not None and verify_colouring(t, colouring)
 
 
 def test_k4_colouring_uses_4_2_2():
@@ -194,6 +233,18 @@ def test_search_depth_is_not_bounded_by_recursion():
     colouring = edge_colour(t)
     assert colouring is not None and verify_colouring(t, colouring)
     assert sorted(Counter(colouring.matchings).values()) == [400, 400, 800]
+
+
+def test_matching_walk_is_not_bounded_by_recursion():
+    # A 2400-cycle whose support is one perfect matching: the walk goes
+    # 1200 levels deep, past Python's default recursion limit.
+    n = 2400
+    rots = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
+    mult = {(v, v + 1): 8 * (v % 2 == 0) for v in range(n - 1)} | {(0, n - 1): 0}
+    t = DTarget.of(RotationGraph(rots), 8, mult)
+    colouring = edge_colour(t)
+    assert colouring is not None and verify_colouring(t, colouring)
+    assert len(set(colouring.matchings)) == 1
 
 
 def test_colouring_facts_live_on_the_graph():

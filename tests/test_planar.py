@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from functools import cached_property
 from pathlib import Path
 
@@ -33,7 +35,9 @@ from dtargets.planar import (
     validate,
 )
 
+import oracles
 from conftest import FIXTURES
+from gadgets import _bench_gen
 
 EXPECTED_FACE_PROFILE = {
     # name: (vertex count, edge count, sorted face lengths)
@@ -227,6 +231,91 @@ def test_connectivity_level_is_a_cached_graph_fact(name):
     level = connectivity_level(graph)
     assert vars(graph)["connectivity"] == level == graph.connectivity
     assert validate(load_fixture(name)).connectivity_level == level
+
+
+def _graph(n, edges):
+    """The graph on 0..n-1 with the given edges; connectivity ignores the
+    order of the rotations, so they need not come from a planar drawing."""
+    rotations = [[] for _ in range(n)]
+    for u, v in edges:
+        rotations[u].append(v)
+        rotations[v].append(u)
+    return RotationGraph(tuple(map(tuple, rotations)))
+
+
+def _cycle_edges(vertices):
+    return [(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+def _wheel_edges(hub, rim):
+    return _cycle_edges(rim) + [(hub, r) for r in rim]
+
+
+def _two_wheels_glued():
+    # Two 5-wheels sharing the rim vertices 0 and 2, which are not adjacent
+    # on either rim: {0, 2} is a 2-cut.
+    return _graph(11, _wheel_edges(5, [0, 1, 2, 3, 4]) + _wheel_edges(10, [0, 6, 2, 7, 8, 9]))
+
+
+def _connectivity_cases():
+    gen = _bench_gen()
+    cases = {name: load_fixture(name).graph for name in FIXTURES}
+    for path in sorted(DATA.glob("*.dtarget")):
+        cases[path.stem] = parse_dtarget(path.read_text()).graph
+    for k in range(3, 21):
+        cases[f"prism{k}"] = RotationGraph(tuple(map(tuple, gen.prism(k)[0])))
+        cases[f"antiprism{k}"] = RotationGraph(tuple(map(tuple, gen.antiprism(k)[0])))
+    for n in range(3, 12):
+        cases[f"C{n}"] = _graph(n, _cycle_edges(list(range(n))))
+    cases["K1"] = RotationGraph(((),))
+    cases["K2"] = _graph(2, [(0, 1)])
+    cases["P3"] = _graph(3, [(0, 1), (1, 2)])
+    two_k4 = parse_dtarget((DATA / "two_k4.dtarget").read_text()).graph
+    cases["toroidal_k4"] = RotationGraph(
+        tuple(tuple(u - 4 for u in rot) for rot in two_k4.rotations[4:])
+    )
+    cases["two_wheels_glued"] = _two_wheels_glued()
+    cases["C8_with_chord"] = _graph(8, _cycle_edges(list(range(8))) + [(1, 5)])
+    cases["K4_minus_edge"] = _graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    cases["K2_3"] = _graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    # Random edge deletions from the 7-antiprism: every level turns up.
+    rng = random.Random(5)
+    edges = RotationGraph(tuple(map(tuple, gen.antiprism(7)[0]))).edges
+    for i in range(40):
+        cases[f"antiprism7_minus_{i}"] = _graph(14, rng.sample(edges, rng.randint(12, 27)))
+    return cases
+
+
+CONNECTIVITY_CASES = _connectivity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+def test_connectivity_level_matches_the_pair_removal_oracle(name):
+    graph = CONNECTIVITY_CASES[name]
+    assert connectivity_level(graph) == oracles.connectivity_level(graph)
+
+
+def test_connectivity_cases_cover_every_level():
+    levels = {name: oracles.connectivity_level(g) for name, g in CONNECTIVITY_CASES.items()}
+    assert {levels[k] for k in ("K1", "K2", "C3")} == {3}
+    assert levels["P3"] == 1 and levels["toroidal_k4"] == 3 and levels["two_k4"] == 0
+    assert {levels[k] for k in ("two_wheels_glued", "C8_with_chord", "K2_3")} == {2}
+    random_levels = {v for k, v in levels.items() if k.startswith("antiprism7_minus")}
+    assert random_levels == {0, 1, 2, 3}
+
+
+def test_connectivity_level_at_160_vertices():
+    # The pair removal took about 1 s per graph at this size.
+    gen = _bench_gen()
+    prism160 = RotationGraph(tuple(map(tuple, gen.prism(80)[0])))
+    # Two 80-vertex prisms joined by the edges 39-120 and 79-80: {39, 79}
+    # is a 2-cut and no single vertex is a cut vertex.
+    half = [(u, v) for u, rot in enumerate(gen.prism(40)[0]) for v in rot if u < v]
+    joined = _graph(160, half + [(u + 80, v + 80) for u, v in half] + [(39, 120), (79, 80)])
+    start = time.perf_counter()
+    assert connectivity_level(prism160) == 3
+    assert connectivity_level(joined) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_facts_take_no_part_in_equality():
