@@ -38,8 +38,8 @@ from .corpus import (
     load_fixture,
 )
 from .cuts import (
+    CUT_CAP,
     CutWitness,
-    DEFAULT_CUT_CAP,
     is_oddly_connected,
     m_delta,
     min_odd_cut,

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .coloring import DEFAULT_COLOUR_CAP, MATCHING_LIMIT, edge_colour, verify_colouring
+from .coloring import edge_colour, verify_colouring
 from .config import is_prime
 from .corpus import CorpusSpec, FIXTURE_NAMES, build_corpus
-from .cuts import DEFAULT_CUT_CAP, is_oddly_connected, min_odd_cut
+from .cuts import min_odd_cut
 from .discharge import charge_report
 from .errors import (
     BadColouring,
     DTargetError,
     IdentityViolation,
     MismatchedD,
+    OddVertexCount,
     ParseError,
 )
 from .planar import DTarget, parse_dtarget, require_target, serialize_dtarget, validate
@@ -96,14 +97,14 @@ def cmd_check(args) -> Report:
     oddly = False
     if rep.degree_ok and rep.euler_ok:
         try:
-            witness = min_odd_cut(t, cap=args.cap)
+            witness = min_odd_cut(t)
             oddly = witness.value >= t.d
             details["min_odd_cut"] = {"X": list(witness.X), "value": witness.value}
             lines.append(
                 f"minimum odd cut: X={list(witness.X)} value={witness.value} "
                 f"({'>=' if oddly else '<'} d={t.d})"
             )
-        except DTargetError as exc:
+        except OddVertexCount as exc:  # V itself is an odd set with cut 0
             details["min_odd_cut"] = None
             lines.append(f"odd cut check unavailable: {exc}")
     details["oddly_connected"] = oddly
@@ -116,7 +117,7 @@ def cmd_check(args) -> Report:
 
 def cmd_classify(args) -> Report:
     t, path, digest = _load_target(args)
-    verdict = is_prime(t, cap=args.cap)
+    verdict = is_prime(t)
     if verdict.is_prime:
         return Report(
             "classify",
@@ -231,7 +232,7 @@ def cmd_discharge(args) -> Report:
 
 def cmd_colour(args) -> Report:
     t, path, digest = _load_target(args)
-    colouring = edge_colour(t, cap=args.cap)
+    colouring = edge_colour(t)
     if colouring is None:
         return Report(
             "colour",
@@ -305,21 +306,17 @@ def cmd_switch(args) -> Report:
 
 
 def cmd_scan(args) -> Report:
+    if args.limit_per_base < 1:
+        raise DTargetError(f"--limit-per-base {args.limit_per_base} is below 1")
     bases = tuple(args.bases.split(",")) if args.bases else FIXTURE_NAMES
-    spec = CorpusSpec(
-        bases=bases,
-        max_vertices=args.max_vertices,
-        limit_per_base=args.limit_per_base,
-        cut_cap=args.cap,
-    )
-    items = build_corpus(spec)
+    items = build_corpus(CorpusSpec(bases=bases, limit_per_base=args.limit_per_base))
     primes: list[str] = []
     colour_mismatches: list[str] = []
     per_base: dict[str, int] = {}
     for item in items:
         base = item.name.split("/")[0]
         per_base[base] = per_base.get(base, 0) + 1
-        verdict = is_prime(item.target, cap=args.cap)
+        verdict = is_prime(item.target)
         if verdict.is_prime:
             primes.append(item.name)
         colouring = edge_colour(item.target)
@@ -391,12 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="validate structure and odd cuts")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CUT_CAP, help="cut vertex cap")
     p.set_defaults(handler=cmd_check)
 
     p = subs.add_parser("classify", help="search for a non-primality witness")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CUT_CAP, help="cut vertex cap")
     p.set_defaults(handler=cmd_classify)
 
     p = subs.add_parser("discharge", help="per-region charge report")
@@ -405,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("colour", help="decompose into d perfect matchings")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_COLOUR_CAP, help="colouring vertex "
-                   f"cap (default none); past {MATCHING_LIMIT} support matchings it refuses")
     p.set_defaults(handler=cmd_colour)
 
     p = subs.add_parser("switch", help="apply a square or path switch")
@@ -421,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("scan", help="sweep the bundled corpus for contradictions")
     _add_common(p, with_input=False)
-    p.add_argument("--cap", type=int, default=DEFAULT_CUT_CAP, help="cut vertex cap")
-    p.add_argument("--max-vertices", type=int, default=12)
     p.add_argument("--limit-per-base", type=int, default=48)
     p.add_argument("--bases", default=None, help="comma-separated base names")
     p.set_defaults(handler=cmd_scan)
@@ -434,6 +425,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
+        rendered = _render(report, args.format)
+        if args.out:
+            Path(args.out).write_text(rendered + "\n")
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -447,10 +441,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    rendered = _render(report, args.format)
     print(rendered)
-    if args.out:
-        Path(args.out).write_text(rendered + "\n")
     return report.exit_code
 
 

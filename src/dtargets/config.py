@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .cuts import CutWitness, DEFAULT_CUT_CAP, strengthened_cut_check
+from .cuts import CutWitness, strengthened_cut_check
 from .errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
 from .planar import (
     DTarget,
@@ -869,7 +869,7 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
+def is_prime(t: DTarget) -> PrimalityVerdict:
     """Refuse a non-target (``DTargetError``), then check the structural
     bullets in their fixed order, then the patterns.
 
@@ -885,7 +885,7 @@ def is_prime(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> PrimalityVerdict:
             return PrimalityVerdict(False, ZeroMultEdge(e))
     if t.vertex_count < 6:
         return PrimalityVerdict(False, TooFewVertices(t.vertex_count))
-    violation = strengthened_cut_check(t, cap=cap)
+    violation = strengthened_cut_check(t)
     if violation is not None:
         return PrimalityVerdict(False, CutViolation(violation))
     level = connectivity_level(t.graph)

@@ -1,4 +1,8 @@
-"""Bundled base graphs and systematic multiplicity enumeration over them."""
+"""Bundled base graphs and systematic multiplicity enumeration over them.
+
+The enumeration refuses a graph with more than ``ENUM_CAP`` edges
+(``TooLarge``); the cap is a constant, not an option.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,11 @@ from importlib import resources
 from itertools import chain, count, islice
 from typing import Iterator
 
-from .cuts import DEFAULT_CUT_CAP, is_oddly_connected, odd_cuts_of
+from .cuts import is_oddly_connected, odd_cuts_of
 from .errors import DTargetError, TooLarge
 from .planar import DTarget, RotationGraph, parse_dtarget, validate
 
-DEFAULT_ENUM_CAP = 16
+ENUM_CAP = 16
 
 FIXTURE_NAMES: tuple[str, ...] = (
     "k4",
@@ -37,10 +41,7 @@ def load_fixture(name: str) -> DTarget:
 
 
 def enumerate_multiplicities(
-    graph: RotationGraph,
-    d: int,
-    min_mult: int = 0,
-    cap_edges: int = DEFAULT_ENUM_CAP,
+    graph: RotationGraph, d: int, min_mult: int = 0
 ) -> Iterator[DTarget]:
     """All multiplicity assignments with every vertex sum exactly d, in
     ascending lexicographic order over the sorted edge list.
@@ -51,8 +52,8 @@ def enumerate_multiplicities(
     """
     edges = graph.edges
     k = len(edges)
-    if k > cap_edges:
-        raise TooLarge(f"{k} edges exceeds the enumeration cap {cap_edges}")
+    if k > ENUM_CAP:
+        raise TooLarge(f"{k} edges exceeds the enumeration cap {ENUM_CAP}")
     # after[i]: how many edges after edge i meet each of its two ends
     after = [
         (sum(u in f for f in edges[i + 1 :]), sum(v in f for f in edges[i + 1 :]))
@@ -97,10 +98,8 @@ def enumerate_multiplicities(
 @dataclass(frozen=True)
 class CorpusSpec:
     bases: tuple[str, ...] = FIXTURE_NAMES
-    max_vertices: int = 12
     require_oddly_connected: bool = True
     limit_per_base: int = 48
-    cut_cap: int = DEFAULT_CUT_CAP
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,12 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
 
     Candidates come in slices of as many as are still wanted, each slice's
     odd cuts in one batch, so an exhaustive base runs one odd-cut walk.  A
-    refusal of the cut check (past ``cut_cap``) is raised, not read as a
-    negative verdict.
+    refusal of the cut check (past ``cuts.CUT_CAP`` vertices) is raised, not
+    read as a negative verdict.
     """
     items: list[CorpusItem] = []
     for base in spec.bases:
         canonical = load_fixture(base)
-        if canonical.vertex_count > spec.max_vertices:
-            continue
         # The enumeration yields each assignment once, so only the canonical
         # target can come up twice.
         enumerated = enumerate_multiplicities(canonical.graph, 8, min_mult=1)
@@ -138,8 +135,8 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
                 break
             valid = [t for t in batch if (r := validate(t)).degree_ok and r.euler_ok]
             if spec.require_oddly_connected:
-                odd_cuts_of(valid, spec.cut_cap)
-                valid = [t for t in valid if is_oddly_connected(t, spec.cut_cap)]
+                odd_cuts_of(valid)
+                valid = [t for t in valid if is_oddly_connected(t)]
             kept += valid
         numbers = count()
         for t in kept:

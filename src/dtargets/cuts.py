@@ -9,7 +9,8 @@ a batch of targets on one graph, their values in one int with a lane of w
 bits per target, so a step costs a few int operations for the whole batch.
 ``planar.facts`` keeps each target's result under ``"odd_cuts"`` for the
 three views, each a batch of one: ``min_odd_cut``, ``is_oddly_connected``
-and ``strengthened_cut_check``.
+and ``strengthened_cut_check``.  Past ``CUT_CAP`` vertices the walk is
+refused with ``TooLarge``; the cap is a constant, not an option.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .errors import DTargetError, OddVertexCount, TooLarge
 from .planar import DTarget, facts
 
-DEFAULT_CUT_CAP = 24
+CUT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,11 @@ def _least_witness(value: int, masks: list[int], n: int) -> CutWitness | None:
     return CutWitness(X=tuple(X), value=value)
 
 
-def odd_cuts_of(
-    targets: list[DTarget], cap: int = DEFAULT_CUT_CAP
-) -> list[tuple[CutWitness, CutWitness | None]]:
+def odd_cuts_of(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness | None]]:
     """The odd-cut facts (minimum odd cut, strengthened-check violation or
     None) of targets on one graph, in order; those not yet known come from
-    one walk.  The refusals depend on each call's cap, so they come first."""
+    one walk.  The refusals come first, so they never depend on what is
+    already stored."""
     if not targets:
         return []
     graph = targets[0].graph
@@ -152,28 +152,28 @@ def odd_cuts_of(
     n = graph.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
-    if n > cap:
-        raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {cap}")
+    if n > CUT_CAP:
+        raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {CUT_CAP}")
     return facts(targets, "odd_cuts", _scan_odd_cuts)
 
 
-def min_odd_cut(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness:
+def min_odd_cut(t: DTarget) -> CutWitness:
     """The minimum-value odd cut; ties broken by lexicographically least X.
 
     Both an enumerated set and its complement witness the same value, so the
     tie-break considers both.
     """
-    return odd_cuts_of([t], cap)[0][0]
+    return odd_cuts_of([t])[0][0]
 
 
-def is_oddly_connected(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> bool:
+def is_oddly_connected(t: DTarget) -> bool:
     """True iff every odd vertex subset has cut value at least d."""
-    return odd_cuts_of([t], cap)[0][0].value >= t.d
+    return odd_cuts_of([t])[0][0].value >= t.d
 
 
-def strengthened_cut_check(t: DTarget, cap: int = DEFAULT_CUT_CAP) -> CutWitness | None:
+def strengthened_cut_check(t: DTarget) -> CutWitness | None:
     """None if every odd X with both sides larger than one has m(delta(X)) >= d+2.
 
     Otherwise the violating witness, minimal by (value, lexicographic X).
     """
-    return odd_cuts_of([t], cap)[0][1]
+    return odd_cuts_of([t])[0][1]

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from dtargets import cli, coloring
+from dtargets import cli, coloring, cuts
 from dtargets.cli import main
 from dtargets.corpus import load_fixture
-from dtargets.planar import parse_dtarget, serialize_dtarget
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
 from gadgets import _bench_gen, prism
 
@@ -149,12 +149,6 @@ def test_colour_has_no_default_vertex_cap(tmp_path, capsys):
     code, payload = run_json(capsys, ["colour", ladder_path(tmp_path)])
     assert code == 0
     assert payload["details"]["colourable"] is True
-
-
-def test_colour_cap_still_refuses(tmp_path, capsys):
-    code, out, err = run(capsys, ["colour", ladder_path(tmp_path), "--cap", "20"])
-    assert code == cli.EXIT_INPUT == 2
-    assert "exceeds the matching enumeration cap 20" in err
 
 
 def test_colour_refuses_past_the_matching_limit(tmp_path, capsys, monkeypatch):
@@ -296,13 +290,32 @@ def test_scan_restricted_base(capsys):
     assert payload["details"]["prime"] == []
 
 
-def test_scan_reports_a_cut_cap_refusal(capsys):
+def test_scan_reports_a_cut_cap_refusal(capsys, monkeypatch):
     # The cube's 8 vertices exceed a cut cap of 6: the scan stops with the
     # refusal instead of reading it as "not oddly connected".
-    code, out, err = run(capsys, ["scan", "--cap", "6", "--bases", "cube,prism"])
+    monkeypatch.setattr(cuts, "CUT_CAP", 6)
+    code, out, err = run(capsys, ["scan", "--bases", "cube,prism"])
     assert code == cli.EXIT_INPUT == 2
     assert out == ""
     assert "exceeds the cut enumeration cap 6" in err
+
+
+def test_check_reports_a_cut_cap_refusal(capsys, monkeypatch):
+    # A refused cut walk is unusable input, not the negative verdict that an
+    # odd vertex count (V itself an odd set with cut 0) gives.
+    monkeypatch.setattr(cuts, "CUT_CAP", 4)
+    code, out, err = run(capsys, ["check", fixture_path("prism")])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert "exceeds the cut enumeration cap 4" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_scan_refuses_a_limit_below_one(capsys, limit):
+    code, out, err = run(capsys, ["scan", "--limit-per-base", limit])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert f"--limit-per-base {limit} is below 1" in err
 
 
 def test_out_writes_report(tmp_path, capsys):
@@ -314,3 +327,21 @@ def test_out_writes_report(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(out_file.read_text())
     assert on_disk == payload
+
+
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["check", fixture_path("k4"), "--out", str(out_file)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_check_reads_an_odd_vertex_count_as_a_negative(tmp_path, capsys):
+    triangle = RotationGraph(((1, 2), (2, 0), (0, 1)))
+    t = DTarget.of(triangle, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    code, payload = run_json(capsys, ["check", write_target(tmp_path, t)])
+    assert code == cli.EXIT_NEGATIVE == 1
+    assert payload["details"]["min_odd_cut"] is None
+    assert payload["details"]["oddly_connected"] is False

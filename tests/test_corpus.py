@@ -86,10 +86,12 @@ def test_enumerated_targets_equal_those_built_by_of(name):
     assert count > 0
 
 
-def test_enumerate_multiplicities_cap():
+def test_enumerate_multiplicities_cap(monkeypatch):
+    # The pentagonal prism's 15 edges are under the real cap of 16.
     graph = load_fixture("pentagonal_prism").graph
-    with pytest.raises(TooLarge):
-        list(enumerate_multiplicities(graph, 8, cap_edges=10))
+    monkeypatch.setattr("dtargets.corpus.ENUM_CAP", 10)
+    with pytest.raises(TooLarge, match="15 edges exceeds the enumeration cap 10"):
+        list(enumerate_multiplicities(graph, 8))
 
 
 def test_corpus_is_deterministic_and_sized(corpus):

@@ -20,10 +20,10 @@ from dtargets.cuts import (
     strengthened_cut_check,
 )
 from dtargets.errors import DTargetError, OddVertexCount, TooLarge
-from dtargets.planar import DTarget, RotationGraph
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
-from gadgets import prism
+from gadgets import _bench_gen, prism
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -226,10 +226,18 @@ def test_odd_vertex_count_refused():
     assert t.facts == {}
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
     t = load_fixture("prism")
-    with pytest.raises(TooLarge):
-        min_odd_cut(t, cap=4)
+    monkeypatch.setattr(cuts, "CUT_CAP", 4)
+    with pytest.raises(TooLarge, match="exceeds the cut enumeration cap 4"):
+        min_odd_cut(t)
+    assert t.facts == {}
+
+
+def test_the_ladder_is_refused_past_24_vertices():
+    big = parse_dtarget(_bench_gen().prism_text(26))
+    with pytest.raises(TooLarge, match=r"\|V\| = 26 exceeds the cut enumeration cap 24"):
+        min_odd_cut(big)
 
 
 @settings(max_examples=60, deadline=None)

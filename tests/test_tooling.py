@@ -109,3 +109,44 @@ def test_perfect_matchings_stays_public_with_its_cap():
     assert len(coloring.perfect_matchings(cube, cap=8)) == 9
     with pytest.raises(TooLarge):
         coloring.perfect_matchings(cube, cap=6)
+
+
+def test_size_refusals_are_constants_not_knobs():
+    # Each exhaustive layer refuses past one module constant; a new option
+    # that would override it has to change this test.
+    import argparse
+    import dataclasses
+
+    from dtargets import cli, config, corpus, cuts
+
+    assert (cuts.CUT_CAP, corpus.ENUM_CAP) == (24, 16)
+    for module in (cuts, config, corpus):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ == module.__name__ and not name.startswith("_"):
+                params = set(inspect.signature(fn).parameters)
+                assert not params & {"cap", "cap_edges"}, (module.__name__, name)
+    assert [f.name for f in dataclasses.fields(corpus.CorpusSpec)] == [
+        "bases", "require_oddly_connected", "limit_per_base",
+    ]
+    common = {"--format", "--d", "--out"}
+    expected = {
+        "check": common,
+        "classify": common,
+        "discharge": common,
+        "colour": common,
+        "switch": common | {"--path"},
+        "scan": common | {"--limit-per-base", "--bases"},
+    }
+    subs = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        command: {
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for command, sub in subs.choices.items()
+    }
+    assert options == expected
