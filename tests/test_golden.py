@@ -11,7 +11,9 @@ For each of the 213 default-corpus targets the test hashes
 
 It also hashes the ``--format machine`` output of the exhaustive scan
 (every enumerated target of every fixture) and compares it with the
-benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``.
+benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``, and the
+``detect_all`` match payloads of every enumerated target (oddly connected or
+not) and of the seeded square-switch walk in ``gadgets.walk_targets``.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -30,8 +32,10 @@ from pathlib import Path
 
 from dtargets.cli import main
 from dtargets.config import detect_all
-from dtargets.corpus import build_corpus
+from dtargets.corpus import CorpusSpec, build_corpus
 from dtargets.planar import serialize_dtarget
+
+from gadgets import walk_targets
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
@@ -47,6 +51,11 @@ GOLDEN = {
     "classify_text": "3aab6947c3b3b75bd6e4cb84ed716b4598455643a98f41daa2851428f89386ad",
     "discharge_text": "bad0fdcc7482b49f3e38b82f15bb91119263a7fed15b546d44454dabd2cf6154",
     "detect_all": "3e66c422b7fcfc4bab60ba9c3f8bbc3705c7e62a54a121f078113c66c03eb5b0",
+}
+
+DETECT_ALL_GOLDEN = {
+    "enumerated": "75e1286f5aa861a97687a176abf87b53749315038e48c476e45a546f83980eac",
+    "walked": "fc85047b6f4ca186a2a0d75e83708da5c5af73f04c29b0813ad1a3f0ba05898b",
 }
 
 
@@ -103,6 +112,28 @@ def test_exhaustive_scan_matches_the_benchmark_digest():
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+def detect_all_digests() -> dict:
+    """The digest of ``[m.payload() for m in detect_all(t)]``, one line per
+    target, over each set of targets."""
+    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
+    sets = {
+        "enumerated": [item.target for item in build_corpus(spec)],
+        "walked": walk_targets(),
+    }
+    out = {}
+    for key, targets in sets.items():
+        h = hashlib.sha256()
+        for t in targets:
+            h.update(json.dumps([m.payload() for m in detect_all(t)]).encode() + b"\n")
+        out[key] = h.hexdigest()
+    return out
+
+
+def test_detect_all_payloads_match_golden_digests():
+    assert detect_all_digests() == DETECT_ALL_GOLDEN
+
+
 if __name__ == "__main__":
-    json.dump(digests(), sys.stdout, indent=4)
+    golden = {"GOLDEN": digests(), "DETECT_ALL_GOLDEN": detect_all_digests()}
+    json.dump(golden, sys.stdout, indent=4)
     print()
