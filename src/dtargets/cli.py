@@ -308,6 +308,8 @@ def cmd_switch(args) -> Report:
 def cmd_scan(args) -> Report:
     if args.limit_per_base < 1:
         raise DTargetError(f"--limit-per-base {args.limit_per_base} is below 1")
+    if args.d not in (None, 8):
+        raise MismatchedD(f"the corpus has d = 8, expected d = {args.d}")
     bases = tuple(args.bases.split(",")) if args.bases else FIXTURE_NAMES
     items = build_corpus(CorpusSpec(bases=bases, limit_per_base=args.limit_per_base))
     primes: list[str] = []
@@ -320,9 +322,7 @@ def cmd_scan(args) -> Report:
         if verdict.is_prime:
             primes.append(item.name)
         colouring = edge_colour(item.target)
-        if colouring is None:
-            colour_mismatches.append(item.name)
-        elif not verify_colouring(item.target, colouring):
+        if colouring is None or not verify_colouring(item.target, colouring):
             colour_mismatches.append(item.name)
     ok = not primes and not colour_mismatches
     verdict = (

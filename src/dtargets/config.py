@@ -2,21 +2,21 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator, the generator's shape predicate and an evaluator.  A
-placement (the named regions and vertices) and its shape depend on the
-embedding only, so each generator runs once per graph and its duplicate-free
-placements of the right shape are a graph fact (``planar.fact``), in
-vertex-tuple order.  The door table (each region's doors and whether it is
-small, filled in one pass on first use) and each triangle's toughness are
-facts of a target, and the evaluators judge only a placement's multiplicity
-conditions on each target.  Detection and re-checking are generic over the
-pattern table; ``is_prime`` stops at the least match.  Shared conventions:
+placement generator with its shape predicate, and a compile step.  A
+placement (the named regions and vertices), its shape and what its conditions
+read of the embedding depend on the graph alone, so each generator runs once
+per graph, and each pattern compiles its placements once per graph into judges
+holding edge indices, second region ids and far triangles: graph facts
+(``planar.fact``) in vertex-tuple order.  A judge reads only a target's
+multiplicity vector and door table (each region's doors and small flag, one
+target fact).  Detection and re-checking are generic over the pattern table;
+``is_prime`` stops at the least match.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
   disc, and ``m_plus`` adds 1 exactly when that second region is small; a
-  placement whose second region is ambiguous fails, for all patterns alike
-  (in ``_matches`` and ``recheck``);
+  placement whose second region is ambiguous never matches, so compiling
+  drops it (Conf 18 drops only the branch that reads it);
 * named vertices are pairwise distinct and named regions are distinct
   (degenerate placements whose region union pinches into a non-disc are
   skipped);
@@ -27,6 +27,7 @@ pattern table; ``is_prime`` stops at the least match.  Shared conventions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +56,7 @@ def _require_d8(t: DTarget) -> None:
 
 def edges_disjoint(e: Edge, f: Edge) -> bool:
     """Distinct edges sharing no end."""
-    return e != f and not (set(e) & set(f))
+    return e[0] not in f and e[1] not in f
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +99,27 @@ def is_big(t: DTarget, r: Region) -> bool:
 
 def second_region(t: DTarget, e: Edge, disc) -> Region:
     """The region incident with e outside the disc (a collection of region ids)."""
-    graph = t.graph
-    u, v = e
-    r1 = graph.dart_region[(u, v)]
-    r2 = graph.dart_region[(v, u)]
-    in1, in2 = r1.id in disc, r2.id in disc
-    if in1 and in2:
-        raise AmbiguousContext(f"both regions of edge {norm_edge(u, v)} lie in the disc")
-    if not in1 and not in2:
-        raise AmbiguousContext(f"edge {norm_edge(u, v)} is not on the disc boundary")
-    return r2 if in1 else r1
+    if (seconds := _seconds(t.graph, disc, e)) is None:
+        raise AmbiguousContext(f"edge {norm_edge(*e)} is not on the disc boundary")
+    return t.graph.faces[seconds[0]]
+
+
+def _seconds(graph: RotationGraph, disc, *pairs) -> list[int] | None:
+    """The ids of the regions outside the disc at the edges given as vertex
+    pairs, or None as soon as one is ambiguous (both or neither in the disc)."""
+    ids = []
+    for a, b in pairs:
+        r1, r2 = graph.dart_region[(a, b)].id, graph.dart_region[(b, a)].id
+        if (r1 in disc) == (r2 in disc):
+            return None
+        ids.append(r2 if r1 in disc else r1)
+    return ids
+
+
+def _indices(graph: RotationGraph, *pairs) -> list[int]:
+    """The positions in ``graph.edges`` of the edges given as vertex pairs."""
+    index = graph.edge_index
+    return [index[pair] for pair in pairs]
 
 
 def m_plus(t: DTarget, e: Edge, disc) -> int:
@@ -119,15 +131,32 @@ def m_plus(t: DTarget, e: Edge, disc) -> int:
 def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
     """m(e) >= i, or the far region is a triangle uvw with e = uv and
     m(uv) + min(m(uw), m(vw)) >= i."""
-    e = norm_edge(*e)
-    if t.m_edge(e) >= i:
-        return True
-    far = other_region(t, e, r)
-    if far.length != 3:
-        return False
-    u, v = e
-    (w,) = set(far.vertices) - {u, v}
-    return t.m_edge(e) + min(t.m(u, w), t.m(v, w)) >= i
+    other_region(t, e, r)  # refuses an edge off r or with r on both sides
+    return _hefts(t.mult_vector, [_heavy_record(t.graph, r, norm_edge(*e))])[0] >= i
+
+
+def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:
+    """(f, g, h) as edge indices, g and h the other edges of the triangle
+    across f from r, or both None when that region is no triangle."""
+    return fact(graph, "heavy", _heavy_records)[r.id, f]
+
+
+def _heavy_records(graph: RotationGraph) -> dict:
+    """Every region's heavy records, keyed by (region id, edge)."""
+    records = {}
+    for far in graph.faces:
+        for a, b in far.directed:
+            f = norm_edge(a, b)
+            w = _third_vertex(far, a, b) if far.length == 3 else None
+            g, h = _indices(graph, (a, w), (b, w)) if w is not None else (None, None)
+            records[graph.dart_region[(b, a)].id, f] = graph.edge_index[f], g, h
+    return records
+
+
+def _hefts(m, heavy) -> list[int]:
+    """m(f), plus min(m(g), m(h)) when f's far region is a triangle, for each
+    heavy record: f is i-heavy exactly when this is at least i."""
+    return [m[f] if g is None else m[f] + min(m[g], m[h]) for f, g, h in heavy]
 
 
 def triangle_multiplicity(t: DTarget, r: Region) -> int:
@@ -277,7 +306,7 @@ class PrimalityVerdict:
 # Placements: each generator reads the graph alone and yields flat tuples,
 # the placement's regions followed by its named vertices in label order.
 # Orbit filters keep one labelling per symmetry class where a pattern is
-# symmetric; bounds an evaluator checks itself are left to the evaluator.
+# symmetric; bounds a pattern checks itself are left to its compile step.
 # Each generator has one shape predicate, shape(graph, *placement): the
 # structure of the pattern (which regions, which cycles, which degrees),
 # checked once per graph on the generated placements and again by
@@ -460,195 +489,258 @@ def _region_triangles(graph: RotationGraph):
 
 
 # ---------------------------------------------------------------------------
-# Per-pattern evaluators: called with a target and a placement, they return
-# None when the conditions fail, else (satisfied facts, branch); only Conf 18
-# has branches.  An ambiguous second region (AmbiguousContext) fails the
-# placement in ``_matches`` and ``recheck``, not here.  The shape predicate
-# has already passed (once per graph, or in ``recheck``), so an evaluator
-# judges the multiplicities, and only the bounds particular to its own pattern.
+# Per-pattern compile steps.  Given the graph and a placement of the right
+# shape, each returns None if the placement can never match, else its judge,
+# judge(m, small, doors) on the multiplicity vector m and, for a flagged
+# pattern, the door table: None if the conditions fail, else (facts, branch).
 # ---------------------------------------------------------------------------
 
 
-def _eval_conf1(t, tri: Region, u, v, w):
-    if _degree(t.graph, u) != 3 or _degree(t.graph, v) != 3:
+def _light_record(graph: RotationGraph, r: Region, disc, edges) -> tuple | None:
+    """(index, second region) pairs and heavy records of edges of r, or None
+    if a second region is ambiguous."""
+    if (seconds := _seconds(graph, disc, *edges)) is None:
         return None
-    return (f"deg({u}) = 3", f"deg({v}) = 3"), None
+    heavy = [_heavy_record(graph, r, f) for f in edges]
+    return tuple(zip(_indices(graph, *edges), seconds)), heavy
 
 
-def _eval_conf2(t, tri: Region, u, v, w, x):
-    lhs, rhs = t.m(u, x), t.m(u, w) + t.m(v, w)
-    if lhs >= rhs:
+def _light_count(m, small, record) -> float:
+    """How many of the record's edges are not 3-heavy; infinitely many if the
+    record is None or an edge has m+ < 2."""
+    if record is None or any(m[f] + small[s] < 2 for f, s in record[0]):
+        return math.inf
+    return sum(h < 3 for h in _hefts(m, record[1]))
+
+
+def _region_edge(graph: RotationGraph, r: Region, u, v, min_length: int):
+    """(e, its index, its second region, r's edges disjoint from e) for e = uv;
+    None if r is shorter than min_length or the second region is ambiguous."""
+    if r.length < min_length or (seconds := _seconds(graph, (r.id,), (u, v))) is None:
         return None
-    return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",), None
+    e = norm_edge(u, v)
+    return e, graph.edge_index[e], seconds[0], [f for f in r.edges if edges_disjoint(e, f)]
 
 
-def _eval_conf3(t, first, second, u, v, w, x):
-    total = t.m(u, v) + t.m(u, w) + t.m(v, w) + t.m(u, x)
-    if total < 8:
+def _compile_conf1(graph, tri: Region, u, v, w):
+    if _degree(graph, u) != 3 or _degree(graph, v) != 3:
         return None
-    return (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",), None
+    result = (f"deg({u}) = 3", f"deg({v}) = 3"), None
+    return lambda m, small, doors: result
 
 
-def _eval_conf4(t, square: Region, u, v, w, x):
-    total = t.m(u, v) + t.m(v, w) + t.m(u, x)
-    profile = (t.m(u, v), t.m(v, w), t.m(w, x), t.m(u, x))
-    if total < 8 or profile == (4, 2, 1, 2):
-        return None
-    return (
-        f"m({u},{v}) + m({v},{w}) + m({u},{x}) = {total} >= 8",
-        f"(m(uv),m(vw),m(wx),m(ux)) = {profile} != (4, 2, 1, 2)",
-    ), None
-
-
-def _eval_conf5(t, first, second, u, v, w, x):
-    disc = (first.id, second.id)
-    total = (
-        m_plus(t, norm_edge(u, v), disc)
-        + t.m(u, w)
-        + m_plus(t, norm_edge(w, x), disc)
-    )
-    if total < 7:
-        return None
-    return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",), None
-
-
-def _eval_conf6(t, square: Region, u, v, w, x):
-    disc = (square.id,)
-    total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(w, x), disc)
-    if total < 7:
-        return None
-    return (f"m+({u},{v}) + m+({w},{x}) = {total} >= 7",), None
-
-
-def _eval_conf7(t, tri: Region, u, v, w):
-    disc = (tri.id,)
-    total = m_plus(t, norm_edge(u, v), disc) + m_plus(t, norm_edge(u, w), disc)
-    if total < 7:
-        return None
-    return (f"m+({u},{v}) + m+({u},{w}) = {total} >= 7",), None
-
-
-def _door_disjoint_from(t, region: Region, vertices: set[int]) -> bool:
-    return any(not (set(d) & vertices) for d in doors(t, region))
-
-
-def _eval_conf8(t, tri: Region, u, v, w):
-    if t.m(u, v) != 3 or t.m(u, w) != 2 or t.m(v, w) != 2:
-        return None
-    tri_vertices = {u, v, w}
-    blocked = []
-    for e in (norm_edge(u, v), norm_edge(u, w), norm_edge(v, w)):
-        far = other_region(t, e, tri)
-        if not _door_disjoint_from(t, far, tri_vertices):
-            blocked.append(e)
-    if not blocked:
-        return None
-    return (
-        "m(uv), m(uw), m(vw) = 3, 2, 2",
-        f"second region(s) of {blocked} have no door disjoint from the triangle",
-    ), None
-
-
-def _eval_conf9(t, tri: Region, u, v, w):
-    if not (t.m(u, v) == t.m(u, w) == t.m(v, w) == 2):
-        return None
-    if _degree(t.graph, u) < 4:
-        return None
-    tri_vertices = {u, v, w}
-    facts = [f"deg({u}) = {_degree(t.graph, u)} >= 4", "all multiplicities 2"]
-    for e in (norm_edge(u, v), norm_edge(u, w)):
-        far = other_region(t, e, tri)
-        ds = doors(t, far)
-        if len(ds) > 1 or _door_disjoint_from(t, far, tri_vertices):
+def _compile_conf2(graph, tri: Region, u, v, w, x):
+    ux, uw, vw = _indices(graph, (u, x), (u, w), (v, w))
+    def judge(m, small, doors):
+        lhs, rhs = m[ux], m[uw] + m[vw]
+        if lhs >= rhs:
             return None
-        facts.append(f"second region of {e}: {len(ds)} door(s), none disjoint")
-    return tuple(facts), None
+        return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",), None
+    return judge
 
 
-def _eval_conf10(t, square, tri, u, v, w, x, y):
-    if not (t.m(u, v) == 2 and t.m(w, x) == 2 and t.m(x, y) == 2 and t.m(v, w) == 4):
-        return None
-    return ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4"), None
+def _compile_conf3(graph, first, second, u, v, w, x):
+    uv, uw, vw, ux = _indices(graph, (u, v), (u, w), (v, w), (u, x))
+    def judge(m, small, doors):
+        total = m[uv] + m[uw] + m[vw] + m[ux]
+        if total < 8:
+            return None
+        return (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",), None
+    return judge
 
 
-def _eval_conf11(t, square, tri, u, v, w, x, y):
-    if not (t.m(u, v) >= 3 and t.m(w, y) >= 3 and t.m(w, x) == 1 and t.m(u, x) <= 3):
-        return None
-    plus = m_plus(t, norm_edge(x, y), (square.id, tri.id))
-    if plus < 3:
-        return None
-    return (
-        f"m({u},{v}) = {t.m(u, v)} >= 3",
-        f"m({w},{y}) = {t.m(w, y)} >= 3",
-        "m(wx) = 1",
-        f"m({u},{x}) = {t.m(u, x)} <= 3",
-        f"m+({x},{y}) = {plus} >= 3",
-    ), None
+def _compile_conf4(graph, square: Region, u, v, w, x):
+    uv, vw, wx, ux = _indices(graph, (u, v), (v, w), (w, x), (u, x))
+    def judge(m, small, doors):
+        total = m[uv] + m[vw] + m[ux]
+        profile = (m[uv], m[vw], m[wx], m[ux])
+        if total < 8 or profile == (4, 2, 1, 2):
+            return None
+        return (
+            f"m({u},{v}) + m({v},{w}) + m({u},{x}) = {total} >= 8",
+            f"(m(uv),m(vw),m(wx),m(ux)) = {profile} != (4, 2, 1, 2)",
+        ), None
+    return judge
 
 
-def _eval_conf12(t, square, tri, u, v, w, x, y):
-    if not (t.m(v, w) >= 2 and t.m(w, x) == 2 and t.m(w, y) == 2 and t.m(u, x) <= 3):
+def _compile_conf5(graph, first, second, u, v, w, x):
+    if (seconds := _seconds(graph, (first.id, second.id), (u, v), (w, x))) is None:
         return None
-    disc = (square.id, tri.id)
-    uv_plus = m_plus(t, norm_edge(u, v), disc)
-    xy_plus = m_plus(t, norm_edge(x, y), disc)
-    if uv_plus < 2 or xy_plus < 3:
-        return None
-    return (
-        f"m+({u},{v}) = {uv_plus} >= 2",
-        f"m({v},{w}) = {t.m(v, w)} >= 2",
-        "m(wx) = m(wy) = 2",
-        f"m({u},{x}) = {t.m(u, x)} <= 3",
-        f"m+({x},{y}) = {xy_plus} >= 3",
-    ), None
+    (s_uv, s_wx), (uv, uw, wx) = seconds, _indices(graph, (u, v), (u, w), (w, x))
+    def judge(m, small, doors):
+        total = m[uv] + small[s_uv] + m[uw] + m[wx] + small[s_wx]
+        if total < 7:
+            return None
+        return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",), None
+    return judge
 
 
-def _eval_conf13(t, r: Region, *vs: int):
-    e1, e2, e3, e4, e5 = (norm_edge(vs[i], vs[(i + 1) % 5]) for i in range(5))
-    m = t.m_edge
-    if m(e1) < max(m(e2), m(e5)):
+def _compile_plus_pair(graph, r: Region, ab, cd, text: str):
+    """Conf 6 and 7: m+(ab) + m+(cd) >= 7, the disc being r."""
+    if (seconds := _seconds(graph, (r.id,), ab, cd)) is None:
         return None
-    if m(e1) + m(e2) + m(e3) < 8:
-        return None
-    disc = (r.id,)
-    plus = m_plus(t, e1, disc) + m_plus(t, e4, disc)
-    if plus < 7:
-        return None
-    return (
-        f"m(e1) = {m(e1)} >= max(m(e2), m(e5)) = {max(m(e2), m(e5))}",
-        f"m(e1) + m(e2) + m(e3) = {m(e1) + m(e2) + m(e3)} >= 8",
-        f"m+(e1) + m+(e4) = {plus} >= 7",
-    ), None
+    (s_ab, s_cd), (i_ab, i_cd) = seconds, _indices(graph, ab, cd)
+    def judge(m, small, doors):
+        total = m[i_ab] + small[s_ab] + m[i_cd] + small[s_cd]
+        if total < 7:
+            return None
+        return (f"{text} = {total} >= 7",), None
+    return judge
 
 
-def _eval_conf14(t, r: Region, u, v):
-    e = norm_edge(u, v)
-    plus = m_plus(t, e, (r.id,))
-    if plus < 6:
-        return None
-    disjoint_doors = [f for f in doors(t, r) if edges_disjoint(e, f)]
-    if len(disjoint_doors) > 6:
-        return None
-    return (
-        f"m+({e[0]},{e[1]}) = {plus} >= 6",
-        f"{len(disjoint_doors)} door(s) of the region disjoint from the edge (<= 6)",
-    ), None
+def _compile_conf6(graph, square: Region, u, v, w, x):
+    return _compile_plus_pair(graph, square, (u, v), (w, x), f"m+({u},{v}) + m+({w},{x})")
 
 
-def _eval_conf15(t, r: Region, u, v):
-    e = norm_edge(u, v)
-    if r.length < 4:
+def _compile_conf7(graph, tri: Region, u, v, w):
+    return _compile_plus_pair(graph, tri, (u, v), (u, w), f"m+({u},{v}) + m+({u},{w})")
+
+
+def _door_sides(graph: RotationGraph, tri: Region, *pairs) -> list[tuple]:
+    """(e, far region id, far edges disjoint from the triangle) for each
+    triangle edge e: a far door avoids the triangle iff it is one of them."""
+    fars = [(norm_edge(a, b), other_region(graph, (a, b), tri)) for a, b in pairs]
+    return [
+        (e, far.id, {f for f in far.edges if not set(f) & tri.vertex_set}) for e, far in fars
+    ]
+
+
+def _compile_conf8(graph, tri: Region, u, v, w):
+    uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
+    sides = _door_sides(graph, tri, (u, v), (u, w), (v, w))
+    def judge(m, small, doors):
+        if m[uv] != 3 or m[uw] != 2 or m[vw] != 2:
+            return None
+        blocked = [e for e, far, free in sides if not any(d in free for d in doors[far])]
+        if not blocked:
+            return None
+        return (
+            "m(uv), m(uw), m(vw) = 3, 2, 2",
+            f"second region(s) of {blocked} have no door disjoint from the triangle",
+        ), None
+    return judge
+
+
+def _compile_conf9(graph, tri: Region, u, v, w):
+    if _degree(graph, u) < 4:
         return None
-    plus = m_plus(t, e, (r.id,))
-    if plus < 4:
+    degree = f"deg({u}) = {_degree(graph, u)} >= 4"
+    uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
+    sides = _door_sides(graph, tri, (u, v), (u, w))
+    def judge(m, small, doors):
+        if not (m[uv] == m[uw] == m[vw] == 2):
+            return None
+        facts = [degree, "all multiplicities 2"]
+        for e, far, free in sides:
+            ds = doors[far]
+            if len(ds) > 1 or any(d in free for d in ds):
+                return None
+            facts.append(f"second region of {e}: {len(ds)} door(s), none disjoint")
+        return tuple(facts), None
+    return judge
+
+
+def _compile_conf10(graph, square, tri, u, v, w, x, y):
+    uv, wx, xy, vw = _indices(graph, (u, v), (w, x), (x, y), (v, w))
+    result = ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4"), None
+    return lambda m, small, doors: (
+        result if m[uv] == m[wx] == m[xy] == 2 and m[vw] == 4 else None
+    )
+
+
+def _compile_conf11(graph, square, tri, u, v, w, x, y):
+    if (seconds := _seconds(graph, (square.id, tri.id), (x, y))) is None:
         return None
-    others = [f for f in r.edges if edges_disjoint(e, f)]
-    if not all(is_heavy(t, f, r, 3) for f in others):
+    (s_xy,) = seconds
+    uv, wy, wx, ux, xy = _indices(graph, (u, v), (w, y), (w, x), (u, x), (x, y))
+    def judge(m, small, doors):
+        if not (m[uv] >= 3 and m[wy] >= 3 and m[wx] == 1 and m[ux] <= 3):
+            return None
+        plus = m[xy] + small[s_xy]
+        if plus < 3:
+            return None
+        return (
+            f"m({u},{v}) = {m[uv]} >= 3",
+            f"m({w},{y}) = {m[wy]} >= 3",
+            "m(wx) = 1",
+            f"m({u},{x}) = {m[ux]} <= 3",
+            f"m+({x},{y}) = {plus} >= 3",
+        ), None
+    return judge
+
+
+def _compile_conf12(graph, square, tri, u, v, w, x, y):
+    if (seconds := _seconds(graph, (square.id, tri.id), (u, v), (x, y))) is None:
         return None
-    return (
-        f"m+({e[0]},{e[1]}) = {plus} >= 4",
-        f"all {len(others)} boundary edges disjoint from the edge are 3-heavy",
-    ), None
+    s_uv, s_xy = seconds
+    uv, vw, wx, wy, ux, xy = _indices(graph, (u, v), (v, w), (w, x), (w, y), (u, x), (x, y))
+    def judge(m, small, doors):
+        if not (m[vw] >= 2 and m[wx] == 2 and m[wy] == 2 and m[ux] <= 3):
+            return None
+        uv_plus, xy_plus = m[uv] + small[s_uv], m[xy] + small[s_xy]
+        if uv_plus < 2 or xy_plus < 3:
+            return None
+        return (
+            f"m+({u},{v}) = {uv_plus} >= 2",
+            f"m({v},{w}) = {m[vw]} >= 2",
+            "m(wx) = m(wy) = 2",
+            f"m({u},{x}) = {m[ux]} <= 3",
+            f"m+({x},{y}) = {xy_plus} >= 3",
+        ), None
+    return judge
+
+
+def _compile_conf13(graph, r: Region, *vs: int):
+    ring = [(vs[i], vs[(i + 1) % 5]) for i in range(5)]
+    if (seconds := _seconds(graph, (r.id,), ring[0], ring[3])) is None:
+        return None
+    (s1, s4), (e1, e2, e3, e4, e5) = seconds, _indices(graph, *ring)
+    def judge(m, small, doors):
+        if m[e1] < max(m[e2], m[e5]) or m[e1] + m[e2] + m[e3] < 8:
+            return None
+        plus = m[e1] + small[s1] + m[e4] + small[s4]
+        if plus < 7:
+            return None
+        return (
+            f"m(e1) = {m[e1]} >= max(m(e2), m(e5)) = {max(m[e2], m[e5])}",
+            f"m(e1) + m(e2) + m(e3) = {m[e1] + m[e2] + m[e3]} >= 8",
+            f"m+(e1) + m+(e4) = {plus} >= 7",
+        ), None
+    return judge
+
+
+def _compile_conf14(graph, r: Region, u, v):
+    if (edge := _region_edge(graph, r, u, v, 3)) is None:
+        return None
+    (e, i, s, others), rid = edge, r.id
+    def judge(m, small, doors):
+        plus = m[i] + small[s]
+        if plus < 6:
+            return None
+        count = sum(d in others for d in doors[rid])
+        if count > 6:
+            return None
+        return (
+            f"m+({e[0]},{e[1]}) = {plus} >= 6",
+            f"{count} door(s) of the region disjoint from the edge (<= 6)",
+        ), None
+    return judge
+
+
+def _compile_conf15(graph, r: Region, u, v):
+    if (edge := _region_edge(graph, r, u, v, 4)) is None:
+        return None
+    e, i, s, others = edge
+    heavy = [_heavy_record(graph, r, f) for f in others]
+    def judge(m, small, doors):
+        plus = m[i] + small[s]
+        if plus < 4 or not all(h >= 3 for h in _hefts(m, heavy)):
+            return None
+        return (
+            f"m+({e[0]},{e[1]}) = {plus} >= 4",
+            f"all {len(heavy)} boundary edges disjoint from the edge are 3-heavy",
+        ), None
+    return judge
 
 
 def _second_boundary_edge_at(r: Region, u: int, first: Edge) -> Edge | None:
@@ -656,107 +748,97 @@ def _second_boundary_edge_at(r: Region, u: int, first: Edge) -> Edge | None:
     return at_u[0] if len(at_u) == 1 else None
 
 
-def _eval_conf16(t, r: Region, tri: Region, u, v, w):
-    uv = norm_edge(u, v)
-    disc = (r.id, tri.id)
-    uw_plus = m_plus(t, norm_edge(u, w), disc)
-    if t.m(u, v) + uw_plus < 4:
+def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
+    seconds = _seconds(graph, (r.id, tri.id), (u, w))
+    g = _second_boundary_edge_at(r, u, norm_edge(u, v))
+    if seconds is None or g is None:
         return None
-    if t.m(v, w) > t.m(u, w):
-        return None
-    g = _second_boundary_edge_at(r, u, uv)
-    if g is None or t.m_edge(g) > t.m(u, w):
-        return None
-    away_from_u = [f for f in r.edges if u not in f]
-    if not all(is_heavy(t, f, r, 3) for f in away_from_u):
-        return None
-    return (
-        f"m({u},{v}) + m+({u},{w}) = {t.m(u, v) + uw_plus} >= 4",
-        f"m({v},{w}) = {t.m(v, w)} <= {t.m(u, w)} = m({u},{w})",
-        f"second boundary edge at {u}: m({g[0]},{g[1]}) = {t.m_edge(g)} <= m({u},{w})",
-        f"all {len(away_from_u)} boundary edges avoiding {u} are 3-heavy",
-    ), None
+    (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, (u, v), (u, w), (v, w), g)
+    away = [_heavy_record(graph, r, f) for f in r.edges if u not in f]
+    def judge(m, small, doors):
+        uw_plus = m[uw] + small[s_uw]
+        if m[uv] + uw_plus < 4 or m[vw] > m[uw] or m[gi] > m[uw]:
+            return None
+        if not all(h >= 3 for h in _hefts(m, away)):
+            return None
+        return (
+            f"m({u},{v}) + m+({u},{w}) = {m[uv] + uw_plus} >= 4",
+            f"m({v},{w}) = {m[vw]} <= {m[uw]} = m({u},{w})",
+            f"second boundary edge at {u}: m({g[0]},{g[1]}) = {m[gi]} <= m({u},{w})",
+            f"all {len(away)} boundary edges avoiding {u} are 3-heavy",
+        ), None
+    return judge
 
 
-def _eval_conf17(t, r: Region, u, v):
-    e = norm_edge(u, v)
-    if r.length < 5:
+def _compile_conf17(graph, r: Region, u, v):
+    edge = _region_edge(graph, r, u, v, 5)
+    record = edge and _light_record(graph, r, (r.id,), edge[3])
+    if record is None:
         return None
-    disc = (r.id,)
-    plus = m_plus(t, e, disc)
-    if plus < 5:
-        return None
-    others = [f for f in r.edges if edges_disjoint(e, f)]
-    if any(m_plus(t, f, disc) < 2 for f in others):
-        return None
-    light = sum(1 for f in others if not is_heavy(t, f, r, 3))
-    if light > 1:
-        return None
-    return (
-        f"m+({e[0]},{e[1]}) = {plus} >= 5",
-        "all boundary edges disjoint from the edge have m+ >= 2",
-        f"{light} of them not 3-heavy (<= 1)",
-    ), None
+    e, i, s, _ = edge
+    def judge(m, small, doors):
+        plus = m[i] + small[s]
+        if plus < 5:
+            return None
+        light = _light_count(m, small, record)
+        if light > 1:
+            return None
+        return (
+            f"m+({e[0]},{e[1]}) = {plus} >= 5",
+            "all boundary edges disjoint from the edge have m+ >= 2",
+            f"{light} of them not 3-heavy (<= 1)",
+        ), None
+    return judge
 
 
-def _eval_conf18(t, r: Region, tri: Region, u, v, w):
-    uv = norm_edge(u, v)
-    if r.length < 4:
+def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
+    disc, e = (r.id, tri.id), norm_edge(u, v)
+    seconds = _seconds(graph, disc, (u, w)) if r.length >= 4 else None
+    g = _second_boundary_edge_at(r, u, e)
+    if seconds is None or g is None:
         return None
-    disc = (r.id, tri.id)
-    uw_plus = m_plus(t, norm_edge(u, w), disc)
-    if uw_plus + t.m(u, v) < 5:
-        return None
-    if t.m(v, w) > t.m(u, w):
-        return None
-    g = _second_boundary_edge_at(r, u, uv)
-    if g is None or t.m_edge(g) > t.m(u, w):
-        return None
-
-    def count_ok(edge_set: list[Edge]) -> bool:
-        # An ambiguous edge fails this branch only, not the placement.
-        try:
-            if any(m_plus(t, f, disc) < 2 for f in edge_set):
-                return False
-        except AmbiguousContext:
-            return False
-        return sum(1 for f in edge_set if not is_heavy(t, f, r, 3)) <= 1
-
-    branch_a = (
-        t.m(u, v) == 3
-        and is_heavy(t, uv, r, 5)
-        and count_ok([f for f in r.edges if edges_disjoint(uv, f)])
-    )
-    branch_b = count_ok([f for f in r.edges if u not in f])
-    if not branch_a and not branch_b:
-        return None
-    branch = "ab" if branch_a and branch_b else ("a" if branch_a else "b")
-    return (
-        f"m+({u},{w}) + m({u},{v}) = {uw_plus + t.m(u, v)} >= 5",
-        f"m({v},{w}) <= m({u},{w})",
-        f"second boundary edge at {u} has multiplicity <= m({u},{w})",
-        f"branch {branch}",
-    ), branch
+    (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, e, (u, w), (v, w), g)
+    uv_heavy = [_heavy_record(graph, r, e)]
+    # An ambiguous second region fails its branch alone (its record is None).
+    rec_a = _light_record(graph, r, disc, [f for f in r.edges if edges_disjoint(e, f)])
+    rec_b = _light_record(graph, r, disc, [f for f in r.edges if u not in f])
+    def judge(m, small, doors):
+        uw_plus = m[uw] + small[s_uw]
+        if uw_plus + m[uv] < 5 or m[vw] > m[uw] or m[gi] > m[uw]:
+            return None
+        a = m[uv] == 3 and _hefts(m, uv_heavy)[0] >= 5 and _light_count(m, small, rec_a) <= 1
+        b = _light_count(m, small, rec_b) <= 1
+        if not a and not b:
+            return None
+        branch = "ab" if a and b else ("a" if a else "b")
+        return (
+            f"m+({u},{w}) + m({u},{v}) = {uw_plus + m[uv]} >= 5",
+            f"m({v},{w}) <= m({u},{w})",
+            f"second boundary edge at {u} has multiplicity <= m({u},{w})",
+            f"branch {branch}",
+        ), branch
+    return judge
 
 
-def _eval_conf19(t, r: Region, u, v):
-    e = norm_edge(u, v)
-    if r.length < 5:
+def _compile_conf19(graph, r: Region, u, v):
+    if (edge := _region_edge(graph, r, u, v, 5)) is None:
         return None
-    plus = m_plus(t, e, (r.id,))
-    if plus < 5:
-        return None
-    others = [f for f in r.edges if edges_disjoint(e, f)]
-    if not all(is_heavy(t, f, r, 2) for f in others):
-        return None
-    light = sum(1 for f in others if not is_heavy(t, f, r, 3))
-    if light > 2:
-        return None
-    return (
-        f"m+({e[0]},{e[1]}) = {plus} >= 5",
-        "all boundary edges disjoint from the edge are 2-heavy",
-        f"{light} of them not 3-heavy (<= 2)",
-    ), None
+    e, i, s, others = edge
+    heavy = [_heavy_record(graph, r, f) for f in others]
+    def judge(m, small, doors):
+        plus = m[i] + small[s]
+        if plus < 5:
+            return None
+        hefts = _hefts(m, heavy)
+        light = sum(h < 3 for h in hefts)
+        if light > 2 or not all(h >= 2 for h in hefts):
+            return None
+        return (
+            f"m+({e[0]},{e[1]}) = {plus} >= 5",
+            "all boundary edges disjoint from the edge are 2-heavy",
+            f"{light} of them not 3-heavy (<= 2)",
+        ), None
+    return judge
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +850,8 @@ class _Pattern(NamedTuple):
     labels: tuple[str, ...]  # names of the placement's vertices, in order
     placements: Callable[[RotationGraph], Iterator[tuple]]
     shape: Callable[..., bool]  # the generator's, so patterns sharing it agree
-    evaluate: Callable[..., tuple[tuple[str, ...], str | None] | None]
+    compile: Callable[..., Callable | None]  # (graph, *placement) -> judge or None
+    doors: bool  # whether its judges read the door table
 
 
 _UV = ("u", "v")
@@ -778,25 +861,26 @@ _UVWXY = ("u", "v", "w", "x", "y")
 _V5 = ("v1", "v2", "v3", "v4", "v5")
 
 _PATTERNS: dict[int, _Pattern] = {
-    1: _Pattern(_UVW, _triangle_edges, _region_cycle, _eval_conf1),
-    2: _Pattern(_UVWX, _triangle_degree3_corners, _degree3_corner_shape, _eval_conf2),
-    3: _Pattern(_UVWX, _triangle_pairs, _triangle_pair_shape, _eval_conf3),
-    4: _Pattern(_UVWX, _squares, _region_cycle, _eval_conf4),
-    5: _Pattern(_UVWX, _triangle_pair_orbits, _triangle_pair_shape, _eval_conf5),
-    6: _Pattern(_UVWX, _square_orbits, _region_cycle, _eval_conf6),
-    7: _Pattern(_UVW, _triangle_corners, _region_cycle, _eval_conf7),
-    8: _Pattern(_UVW, _triangle_edges, _region_cycle, _eval_conf8),
-    9: _Pattern(_UVW, _triangle_corners, _region_cycle, _eval_conf9),
-    10: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf10),
-    11: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf11),
-    12: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _eval_conf12),
-    13: _Pattern(_V5, _labelled_regions(5), _region_cycle, _eval_conf13),
-    14: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf14),
-    15: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf15),
-    16: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _eval_conf16),
-    17: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf17),
-    18: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _eval_conf18),
-    19: _Pattern(_UV, _region_edges, _region_edge_shape, _eval_conf19),
+    1: _Pattern(_UVW, _triangle_edges, _region_cycle, _compile_conf1, False),
+    2: _Pattern(_UVWX, _triangle_degree3_corners, _degree3_corner_shape,
+                _compile_conf2, False),
+    3: _Pattern(_UVWX, _triangle_pairs, _triangle_pair_shape, _compile_conf3, False),
+    4: _Pattern(_UVWX, _squares, _region_cycle, _compile_conf4, False),
+    5: _Pattern(_UVWX, _triangle_pair_orbits, _triangle_pair_shape, _compile_conf5, True),
+    6: _Pattern(_UVWX, _square_orbits, _region_cycle, _compile_conf6, True),
+    7: _Pattern(_UVW, _triangle_corners, _region_cycle, _compile_conf7, True),
+    8: _Pattern(_UVW, _triangle_edges, _region_cycle, _compile_conf8, True),
+    9: _Pattern(_UVW, _triangle_corners, _region_cycle, _compile_conf9, True),
+    10: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf10, False),
+    11: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf11, True),
+    12: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf12, True),
+    13: _Pattern(_V5, _labelled_regions(5), _region_cycle, _compile_conf13, True),
+    14: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf14, True),
+    15: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf15, True),
+    16: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _compile_conf16, True),
+    17: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf17, True),
+    18: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _compile_conf18, True),
+    19: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf19, True),
 }
 
 
@@ -820,20 +904,28 @@ def _shaped_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, 
     return tuple(kept)
 
 
+def _compile_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
+    """The pattern's placements that can match, compiled, in placement order:
+    (names, region ids, judge), kept under ("compiled", k) for pattern k."""
+    split, compiled = -len(pattern.labels), []
+    for p in _placements(graph, pattern):
+        judge = pattern.compile(graph, *p)
+        if judge is not None:
+            names = tuple(zip(pattern.labels, p[split:]))
+            compiled.append((names, tuple([r.id for r in p[:split]]), judge))
+    return tuple(compiled)
+
+
 def _matches(t: DTarget, k: int) -> Iterator[ConfigMatch]:
-    """The matches of pattern k, one per placement, in placement order; a
-    placement whose second region is ambiguous fails."""
+    """The matches of pattern k, one per placement, in placement order."""
     pattern = _entry(k)
-    split, evaluate = -len(pattern.labels), pattern.evaluate
-    for placement in _placements(t.graph, pattern):
-        try:
-            result = evaluate(t, *placement)
-        except AmbiguousContext:
-            continue
+    compiled = fact(t.graph, ("compiled", k), _compile_placements, pattern)
+    doors, small = door_table(t) if pattern.doors and compiled else (None, None)
+    m = t.mult_vector
+    for names, region_ids, judge in compiled:
+        result = judge(m, small, doors)
         if result is not None:
-            regions, vs = placement[:split], placement[split:]
-            names = tuple(zip(pattern.labels, vs))
-            yield ConfigMatch(k, names, tuple(r.id for r in regions), *result)
+            yield ConfigMatch(k, names, region_ids, *result)
 
 
 def detect(t: DTarget, k: int) -> list[ConfigMatch]:
@@ -845,23 +937,21 @@ def detect(t: DTarget, k: int) -> list[ConfigMatch]:
 def detect_all(t: DTarget) -> list[ConfigMatch]:
     """Matches of every pattern, ascending pattern index."""
     _require_d8(t)
-    out: list[ConfigMatch] = []
-    for k in _PATTERNS:
-        out.extend(detect(t, k))
-    return out
+    return [match for k in _PATTERNS for match in detect(t, k)]
 
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
-    """Re-check a match's shape and conditions on its named elements."""
-    labels, _, shape, evaluate = _entry(match.conf_index)
-    if tuple(name for name, _ in match.names) != labels:
+    """Re-check a match's shape, then compile its named elements and judge."""
+    pattern = _entry(match.conf_index)
+    if tuple(name for name, _ in match.names) != pattern.labels:
         return False
     faces = t.graph.faces
     placement = tuple(faces[i] for i in match.region_ids) + match.vertex_tuple
-    try:
-        return shape(t.graph, *placement) and evaluate(t, *placement) is not None
-    except AmbiguousContext:
+    judge = pattern.shape(t.graph, *placement) and pattern.compile(t.graph, *placement)
+    if not judge:
         return False
+    doors, small = door_table(t) if pattern.doors else (None, None)
+    return judge(t.mult_vector, small, doors) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,11 @@ class RotationGraph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's position in ``edges``, under both orientations."""
+        return {d: i for i, (u, v) in enumerate(self.edges) for d in ((u, v), (v, u))}
+
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.rotations[v]
 
@@ -232,8 +237,8 @@ class DTarget:
     order directly, and ``__post_init__`` checks either, edges strictly
     increasing.  ``facts`` holds what the analysis layers derive from the
     target, each kept by :func:`fact` (the odd cuts, the door table, the
-    toughness of each triangle); like the cached ``mult`` and ``degree_sums``, it takes
-    no part in equality.
+    toughness of each triangle); like the cached ``mult``, ``mult_vector`` and
+    ``degree_sums``, it takes no part in equality.
     """
 
     graph: RotationGraph
@@ -269,6 +274,11 @@ class DTarget:
     @cached_property
     def mult(self) -> dict[Edge, int]:
         return dict(self.mult_items)
+
+    @cached_property
+    def mult_vector(self) -> tuple[int, ...]:
+        """The multiplicities in ``graph.edges`` order (``edge_index``)."""
+        return tuple(m for _, m in self.mult_items)
 
     def m(self, u: int, v: int) -> int:
         return self.mult[norm_edge(u, v)]

@@ -345,3 +345,15 @@ def test_check_reads_an_odd_vertex_count_as_a_negative(tmp_path, capsys):
     assert code == cli.EXIT_NEGATIVE == 1
     assert payload["details"]["min_odd_cut"] is None
     assert payload["details"]["oddly_connected"] is False
+
+
+def test_scan_refuses_a_d_other_than_8(capsys):
+    # The corpus holds d = 8 targets only, so --d 9 cannot be honoured.
+    argv = ["scan", "--bases", "k4", "--limit-per-base", "2"]
+    code, out, err = run(capsys, [*argv, "--d", "9"])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert "the corpus has d = 8, expected d = 9" in err
+    code, out, err = run(capsys, [*argv, "--d", "8"])
+    assert code == cli.EXIT_OK == 0
+    assert out.startswith("scan: scanned 2 targets")

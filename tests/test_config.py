@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,8 @@ from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import charge_report, classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
-from dtargets.planar import DTarget, RotationGraph, parse_dtarget
+from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget
+from dtargets.switching import switch_square
 
 from conftest import FIXTURES
 from gadgets import (
@@ -248,26 +250,31 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
     assert detect_all(t.with_mult(t.mult)) == first
     assert len(wrappers) == 11
     assert runs == dict.fromkeys(wrappers, 1)
-    assert set(t.graph.facts) == set(wrappers.values())
+    # Beside the placements: each pattern's compiled judges, and the heavy
+    # records (the far triangle of each region's edges) the judges share.
+    compiled = {("compiled", k) for k in config._PATTERNS}
+    assert set(t.graph.facts) == set(wrappers.values()) | compiled | {"heavy"}
 
 
 def test_ambiguous_second_regions_fail_their_placements(monkeypatch):
     # The tree's one region lies on both sides of each of its edges, so every
-    # edge placement of Conf 14, 15, 17 and 19 has no second region.
+    # edge placement of Conf 14, 15, 17 and 19 has no second region: each
+    # compiles to nothing.
     raised = []
-    second_region = config.second_region
+    seconds = config._seconds
 
-    def counted(t, e, disc):
-        try:
-            return second_region(t, e, disc)
-        except AmbiguousContext:
-            raised.append(e)
-            raise
+    def counted(graph, disc, *pairs):
+        found = seconds(graph, disc, *pairs)
+        if found is None:
+            raised.append(pairs)
+        return found
 
-    monkeypatch.setattr(config, "second_region", counted)
+    monkeypatch.setattr(config, "_seconds", counted)
     tree = parse_dtarget((Path(__file__).parent / "data" / "tree.dtarget").read_text())
     assert detect_all(tree) == []
     assert len(raised) == 4 * 5
+    assert {norm_edge(*pairs[0]) for pairs in raised} == set(tree.graph.edges)
+    assert all(tree.graph.facts[("compiled", k)] == () for k in (14, 15, 17, 19))
     assert not recheck(tree, ConfigMatch(14, (("u", 0), ("v", 1)), (0,), ()))
     assert len(raised) == 4 * 5 + 1
 
@@ -313,11 +320,16 @@ def test_is_prime_evaluates_fewer_placements_than_detect(monkeypatch):
     calls = []
     pattern = config._PATTERNS[4]
 
-    def counted(t, *placement):
-        calls.append(placement)
-        return pattern.evaluate(t, *placement)
+    def counted(graph, *placement):
+        judge = pattern.compile(graph, *placement)
 
-    monkeypatch.setitem(config._PATTERNS, 4, pattern._replace(evaluate=counted))
+        def counted_judge(m, small, doors):
+            calls.append(placement)
+            return judge(m, small, doors)
+
+        return counted_judge
+
+    monkeypatch.setitem(config._PATTERNS, 4, pattern._replace(compile=counted))
     cube = load_fixture("cube")
     matches = detect(cube, 4)
     detect_calls = len(calls)
@@ -325,6 +337,47 @@ def test_is_prime_evaluates_fewer_placements_than_detect(monkeypatch):
     calls.clear()
     assert is_prime(cube).witness == matches[0]
     assert len(calls) < detect_calls
+
+
+def test_a_walk_step_compiles_nothing(monkeypatch):
+    # Placements and their compiled judges belong to the graph: a switch
+    # makes a new target on the same graph and reuses both.
+    counts = Counter()
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            counts[kind] += 1
+            return fn(*args)
+
+        return wrapper
+
+    generators: dict = {}
+    for k, pattern in config._PATTERNS.items():
+        generate = generators.setdefault(
+            pattern.placements, counted("placements", pattern.placements)
+        )
+        monkeypatch.setitem(config._PATTERNS, k, pattern._replace(
+            placements=generate, compile=counted("compile", pattern.compile)
+        ))
+    t = load_fixture("pentagonal_prism")
+    detect_all(t)
+    assert counts["placements"] == 11 and counts["compile"] > 0
+    counts.clear()
+    square = next(r for r in t.graph.faces if r.length == 4)
+    step = switch_square(t, *square.vertices)
+    assert step.graph is t.graph and step.mult != t.mult
+    detect_all(step)
+    assert counts == Counter()
+
+
+def test_is_prime_compiles_no_pattern_after_its_witness():
+    cube = load_fixture("cube")
+    witness = is_prime(cube).witness
+    assert isinstance(witness, ConfigMatch)
+    compiled = [
+        key[1] for key in cube.graph.facts if isinstance(key, tuple) and key[0] == "compiled"
+    ]
+    assert sorted(compiled) == list(range(1, witness.conf_index + 1))
 
 
 def test_patterns_sharing_a_generator_share_its_shape():
@@ -354,13 +407,19 @@ def test_cached_placements_have_their_shape_and_order(source):
         assert len(set(placements)) == len(placements)
 
 
+def _judged(t, k, *placement):
+    """Pattern k's conditions on the placement, its shape not checked (the
+    patterns used here read no doors)."""
+    return config._PATTERNS[k].compile(t.graph, *placement)(t.mult_vector, None, None)
+
+
 def test_recheck_rejects_a_conf4_match_off_its_square():
     cube = load_fixture("cube")
     match = detect(cube, 4)[0]
     other = next(r for r in cube.graph.faces if r.id != match.region_ids[0])
     moved = ConfigMatch(4, match.names, (other.id,), match.satisfied)
     # The multiplicities still pass; only the shape check rejects.
-    assert config._eval_conf4(cube, other, *match.vertex_tuple) is not None
+    assert _judged(cube, 4, other, *match.vertex_tuple) is not None
     assert not recheck(cube, moved)
     u, v, w, x = match.names
     assert not recheck(cube, ConfigMatch(4, (u, w, v, x), match.region_ids, ()))
@@ -374,7 +433,7 @@ def test_recheck_rejects_a_conf3_match_with_a_non_triangle_region():
     assert recheck(t, match)
     (square,) = [r for r in graph.faces if r.length == 4]
     first = graph.faces[match.region_ids[0]]
-    assert config._eval_conf3(t, first, square, *match.vertex_tuple) is not None
+    assert _judged(t, 3, first, square, *match.vertex_tuple) is not None
     swapped = ConfigMatch(3, match.names, (first.id, square.id), match.satisfied)
     assert not recheck(t, swapped)
 
