@@ -12,8 +12,9 @@ For each of the 213 default-corpus targets the test hashes
 It also hashes the ``--format machine`` output of the exhaustive scan
 (every enumerated target of every fixture) and compares it with the
 benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``, and the
-``detect_all`` match payloads of every enumerated target (oddly connected or
-not) and of the seeded square-switch walk in ``gadgets.walk_targets``.
+``detect_all`` match payloads and the ``charge_report`` rows and traces of
+every enumerated target (oddly connected or not) and of the seeded
+square-switch walk in ``gadgets.walk_targets``.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -33,11 +34,14 @@ from pathlib import Path
 from dtargets.cli import main
 from dtargets.config import detect_all
 from dtargets.corpus import CorpusSpec, build_corpus
-from dtargets.planar import serialize_dtarget
+from dtargets.discharge import charge_report
+from dtargets.errors import DTargetError
+from dtargets.planar import parse_dtarget, serialize_dtarget
 
 from gadgets import walk_targets
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 COMMANDS = ("check", "classify", "discharge", "colour")
 TEXT_COMMANDS = ("classify", "discharge")
@@ -56,6 +60,13 @@ GOLDEN = {
 DETECT_ALL_GOLDEN = {
     "enumerated": "75e1286f5aa861a97687a176abf87b53749315038e48c476e45a546f83980eac",
     "walked": "fc85047b6f4ca186a2a0d75e83708da5c5af73f04c29b0813ad1a3f0ba05898b",
+}
+
+CHARGE_REPORT_GOLDEN = {
+    "enumerated": "135d4ca0e7e6df7ad7752dbe0374ee16e41784f9fd8944ab5b24ad330126945a",
+    "walked": "17043bef3ad29f2c4cbedc43308580e23dfaef33b14f433af16b959022c6be66",
+    "bowtie": "18b04012f9801d65f5629d955a9934cb3dfddc159b02bbee24f1cdcaca4e3809",
+    "tree": "NotTwoConnected: edge (0, 1) borders region 0 twice",
 }
 
 
@@ -133,7 +144,46 @@ def test_detect_all_payloads_match_golden_digests():
     assert detect_all_digests() == DETECT_ALL_GOLDEN
 
 
+def _charges(t) -> str:
+    """Every region row and both trace lists of ``charge_report(t)``, or the
+    refusal's type and message."""
+    try:
+        report = charge_report(t)
+    except DTargetError as err:
+        return f"{type(err).__name__}: {err}"
+    groups = (report.regions, report.beta_traces, report.gamma_traces)
+    return json.dumps([[list(vars(row).values()) for row in g] for g in groups], default=str)
+
+
+def charge_report_digests() -> dict:
+    """The digest of ``_charges(t)``, one line per target, over each set of
+    targets; the bowtie's outer face visits its cut vertex twice.  The tree
+    has bridges, so its refusal is recorded as it reads."""
+    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
+    sets = {
+        "enumerated": [item.target for item in build_corpus(spec)],
+        "walked": walk_targets(),
+        "bowtie": [parse_dtarget((DATA / "bowtie.dtarget").read_text())],
+    }
+    out = {}
+    for key, targets in sets.items():
+        h = hashlib.sha256()
+        for t in targets:
+            h.update(_charges(t).encode() + b"\n")
+        out[key] = h.hexdigest()
+    out["tree"] = _charges(parse_dtarget((DATA / "tree.dtarget").read_text()))
+    return out
+
+
+def test_charge_reports_match_golden_digests():
+    assert charge_report_digests() == CHARGE_REPORT_GOLDEN
+
+
 if __name__ == "__main__":
-    golden = {"GOLDEN": digests(), "DETECT_ALL_GOLDEN": detect_all_digests()}
+    golden = {
+        "GOLDEN": digests(),
+        "DETECT_ALL_GOLDEN": detect_all_digests(),
+        "CHARGE_REPORT_GOLDEN": charge_report_digests(),
+    }
     json.dump(golden, sys.stdout, indent=4)
     print()
