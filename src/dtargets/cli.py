@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,42 +171,24 @@ def cmd_discharge(args) -> Report:
         "positive regions: "
         + (", ".join(f"{rc.region_id} ({rc.total})" for rc in positive) or "none")
     )
-    beta_rows = []
-    for bt in report.beta_traces:
-        if bt.rule is None:
-            continue
-        beta_rows.append(
-            {
-                "edge": list(bt.edge),
-                "rule": bt.rule,
-                "big": bt.big_region,
-                "small": bt.small_region,
-                "value": _frac(bt.value),
-            }
-        )
-        if bt.value != 0:
-            lines.append(
-                f"beta  {bt.edge}: rule {bt.rule}, big {bt.big_region} "
-                f"<- small {bt.small_region}, value {bt.value}"
+    trace_rows: dict[str, list] = {}
+    for family, traces, to, source in (
+        ("beta", report.beta_traces, "big", "small"),
+        ("gamma", report.gamma_traces, "receiver", "tough"),
+    ):
+        rows = trace_rows[f"{family}_traces"] = []
+        for edge, rule, to_id, source_id, value in map(astuple, traces):
+            if rule is None:
+                continue
+            rows.append(
+                {"edge": list(edge), "rule": rule, to: to_id, source: source_id,
+                 "value": _frac(value)}
             )
-    gamma_rows = []
-    for gt in report.gamma_traces:
-        if gt.rule is None:
-            continue
-        gamma_rows.append(
-            {
-                "edge": list(gt.edge),
-                "rule": gt.rule,
-                "receiver": gt.receiver_region,
-                "tough": gt.tough_region,
-                "value": _frac(gt.value),
-            }
-        )
-        if gt.value != 0:
-            lines.append(
-                f"gamma {gt.edge}: rule {gt.rule}, receiver {gt.receiver_region} "
-                f"<- tough {gt.tough_region}, value {gt.value}"
-            )
+            if value != 0:
+                lines.append(
+                    f"{family:<5} {edge}: rule {rule}, {to} {to_id} "
+                    f"<- {source} {source_id}, value {value}"
+                )
     details = {
         "regions": region_rows,
         "totals": {
@@ -216,8 +198,7 @@ def cmd_discharge(args) -> Report:
             "grand": _frac(report.grand_total),
         },
         "positive_regions": [rc.region_id for rc in positive],
-        "beta_traces": beta_rows,
-        "gamma_traces": gamma_rows,
+        **trace_rows,
     }
     return Report(
         "discharge",
@@ -310,7 +291,7 @@ def cmd_scan(args) -> Report:
         raise DTargetError(f"--limit-per-base {args.limit_per_base} is below 1")
     if args.d not in (None, 8):
         raise MismatchedD(f"the corpus has d = 8, expected d = {args.d}")
-    bases = tuple(args.bases.split(",")) if args.bases else FIXTURE_NAMES
+    bases = FIXTURE_NAMES if args.bases is None else tuple(args.bases.split(","))
     items = build_corpus(CorpusSpec(bases=bases, limit_per_base=args.limit_per_base))
     primes: list[str] = []
     colour_mismatches: list[str] = []

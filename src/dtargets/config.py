@@ -41,6 +41,7 @@ from .planar import (
     Edge,
     Region,
     RotationGraph,
+    boundary_edges_at,
     connectivity_level,
     fact,
     norm_edge,
@@ -743,16 +744,12 @@ def _compile_conf15(graph, r: Region, u, v):
     return judge
 
 
-def _second_boundary_edge_at(r: Region, u: int, first: Edge) -> Edge | None:
-    at_u = [f for f in r.edges if u in f and f != first]
-    return at_u[0] if len(at_u) == 1 else None
-
-
 def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
     seconds = _seconds(graph, (r.id, tri.id), (u, w))
-    g = _second_boundary_edge_at(r, u, norm_edge(u, v))
-    if seconds is None or g is None:
+    at_u = boundary_edges_at(r, norm_edge(u, v), u)
+    if seconds is None or len(at_u) != 1:
         return None
+    (g,) = at_u
     (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, (u, v), (u, w), (v, w), g)
     away = [_heavy_record(graph, r, f) for f in r.edges if u not in f]
     def judge(m, small, doors):
@@ -794,9 +791,10 @@ def _compile_conf17(graph, r: Region, u, v):
 def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
     disc, e = (r.id, tri.id), norm_edge(u, v)
     seconds = _seconds(graph, disc, (u, w)) if r.length >= 4 else None
-    g = _second_boundary_edge_at(r, u, e)
-    if seconds is None or g is None:
+    at_u = boundary_edges_at(r, e, u)
+    if seconds is None or len(at_u) != 1:
         return None
+    (g,) = at_u
     (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, e, (u, w), (v, w), g)
     uv_heavy = [_heavy_record(graph, r, e)]
     # An ambiguous second region fails its branch alone (its record is None).
@@ -941,11 +939,13 @@ def detect_all(t: DTarget) -> list[ConfigMatch]:
 
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
-    """Re-check a match's shape, then compile its named elements and judge."""
+    """Re-check a match's region ids and shape, then compile and judge it."""
     pattern = _entry(match.conf_index)
-    if tuple(name for name, _ in match.names) != pattern.labels:
-        return False
     faces = t.graph.faces
+    if tuple(name for name, _ in match.names) != pattern.labels or not all(
+        i in range(len(faces)) for i in match.region_ids
+    ):
+        return False
     placement = tuple(faces[i] for i in match.region_ids) + match.vertex_tuple
     judge = pattern.shape(t.graph, *placement) and pattern.compile(t.graph, *placement)
     if not judge:

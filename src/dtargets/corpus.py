@@ -118,8 +118,10 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
     Candidates come in slices of as many as are still wanted, each slice's
     odd cuts in one batch, so an exhaustive base runs one odd-cut walk.  A
     refusal of the cut check (past ``cuts.CUT_CAP`` vertices) is raised, not
-    read as a negative verdict.
+    read as a negative verdict, and so is a base named twice.
     """
+    if len(set(spec.bases)) < len(spec.bases):
+        raise DTargetError(f"a base is named twice in {','.join(spec.bases)}")
     items: list[CorpusItem] = []
     for base in spec.bases:
         canonical = load_fixture(base)

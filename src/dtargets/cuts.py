@@ -30,8 +30,11 @@ class CutWitness:
 
 
 def m_delta(t: DTarget, X) -> int:
-    """Multiplicity of the cut around vertex set X."""
+    """Multiplicity of the cut around vertex set X, given as distinct vertices."""
+    X = tuple(X)
     inside = frozenset(X)
+    if len(inside) < len(X) or not all(v in range(t.vertex_count) for v in inside):
+        raise DTargetError(f"{X} is not a set of distinct vertices 0..{t.vertex_count - 1}")
     total = 0
     for (u, v), m in t.mult_items:
         if (u in inside) != (v in inside):

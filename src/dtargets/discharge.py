@@ -15,6 +15,11 @@ recorded so a report can be audited line by line.  A rule moves 0, 1/2 or 1
 gamma as integers in half-units, checks every identity on those, and makes
 ``Fraction``s only for its rows.  Big and small are read from the target's
 door table (``config.door_table``).
+
+Region geometry is read one way: ``planar.boundary_edges_at`` lists a region's
+other boundary edges at one end of an edge, each caller testing their number,
+and ``_m_plus`` gives m+ of such an edge seen from its region.  Each edge's two
+regions come from ``RotationGraph.region_pairs``, looked up once per trace.
 """
 
 from __future__ import annotations
@@ -23,9 +28,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .config import _require_d8, door_table, is_big, is_tough, m_plus
+from .config import _require_d8, door_table, edges_disjoint, is_big, is_tough
 from .errors import DTargetError, IdentityViolation
-from .planar import DTarget, Edge, Region, norm_edge, other_region, region_pair
+from .planar import (
+    DTarget,
+    Edge,
+    Region,
+    boundary_edges_at,
+    norm_edge,
+    other_region,
+    region_pair,
+)
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -52,7 +65,7 @@ def classify_region(t: DTarget, r: Region) -> RegionClass:
 def alpha(t: DTarget, r: Region) -> int:
     """Initial charge: 8 - 4|C_r| + sum of m over C_r."""
     _require_d8(t)
-    return 8 - 4 * r.length + sum(t.m_edge(e) for e in r.edges)
+    return 8 - 4 * r.length + sum(t.mult[e] for e in r.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +82,12 @@ class BetaTrace:
     value: Fraction  # amount received by the big region
 
 
-def _flanking_edges(r: Region, e: Edge) -> tuple[Edge, Edge]:
-    """The two boundary edges of r sharing an end with e, one per end."""
-    a, b = e
-    at_a = [f for f in r.edges if a in f and f != e]
-    at_b = [f for f in r.edges if b in f and f != e]
-    if len(at_a) != 1 or len(at_b) != 1:
-        raise DTargetError(f"boundary of region {r.id} is not a simple cycle at {e}")
-    return at_a[0], at_b[0]
+def _m_plus(t: DTarget, small, f: Edge, r: Region) -> int:
+    """m+ of f seen from r, a region f borders once: m(f), plus one when the
+    region across f is small (``config.m_plus`` with r as the disc)."""
+    i = t.graph.edge_index[f]
+    r1, r2 = t.graph.region_pairs[i]
+    return t.mult_vector[i] + small[r2.id if r1.id == r.id else r1.id]
 
 
 def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
@@ -84,46 +95,36 @@ def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     _require_d8(t)
     e = norm_edge(*e)
     r1, r2 = region_pair(t, e)
-    table, small_flag = door_table(t)
-    if small_flag[r1.id] == small_flag[r2.id]:
+    table, small = door_table(t)
+    if small[r1.id] == small[r2.id]:
         return BetaTrace(e, None, None, None, ZERO)
-    big, small = (r2, r1) if small_flag[r1.id] else (r1, r2)
-
+    big, tiny = (r2, r1) if small[r1.id] else (r1, r2)
     if e in table[big.id]:
-        return BetaTrace(e, 1, big.id, small.id, ZERO)
-
-    f1, f2 = _flanking_edges(big, e)
-    disc = (big.id,)
-    p1, p2 = m_plus(t, f1, disc), m_plus(t, f2, disc)
-    m = t.m_edge(e)
-    if m == 2 and p1 == 6 and p2 == 6:
-        return BetaTrace(e, 2, big.id, small.id, ZERO)
-    if m == 2 and {p1, p2} == {6, 5}:
-        return BetaTrace(e, 3, big.id, small.id, HALF)
-    if m == 3 and p1 == 5 and p2 == 5:
-        return BetaTrace(e, 4, big.id, small.id, ZERO)
-    if m == 3 and (p1 == 5) != (p2 == 5):
-        return BetaTrace(e, 5, big.id, small.id, HALF)
-    return BetaTrace(e, 6, big.id, small.id, ONE)
-
-
-def _received(value: Fraction, receiver: int | None, r: Region) -> Fraction:
-    """Charge r receives across an edge whose transfer of value goes to the
-    region with id receiver; r is one side of that edge."""
-    return value if r.id == receiver else -value
-
-
-def _require_incident(t: DTarget, e: Edge, r: Region) -> None:
-    if r.id not in (region.id for region in region_pair(t, e)):
-        raise DTargetError(f"region {r.id} is not incident with edge {e}")
+        return BetaTrace(e, 1, big.id, tiny.id, ZERO)
+    flanks = [boundary_edges_at(big, e, z) for z in e]
+    if any(len(at_z) != 1 for at_z in flanks):
+        raise DTargetError(f"boundary of region {big.id} is not a simple cycle at {e}")
+    p1, p2 = (_m_plus(t, small, f, big) for (f,) in flanks)
+    m = t.mult[e]
+    if m == 2 and p1 == p2 == 6:
+        rule, value = 2, ZERO
+    elif m == 2 and {p1, p2} == {6, 5}:
+        rule, value = 3, HALF
+    elif m == 3 and p1 == p2 == 5:
+        rule, value = 4, ZERO
+    elif m == 3 and (p1 == 5) != (p2 == 5):
+        rule, value = 5, HALF
+    else:
+        rule, value = 6, ONE
+    return BetaTrace(e, rule, big.id, tiny.id, value)
 
 
 def beta_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
     """Beta charge received by r across e (negative when r is the small side)."""
     e = norm_edge(*e)
-    _require_incident(t, e, r)
+    other_region(t, e, r)  # refuses a region off e
     trace = beta_trace(t, e)
-    return _received(trace.value, trace.big_region, r)
+    return trace.value if r.id == trace.big_region else -trace.value
 
 
 # ---------------------------------------------------------------------------
@@ -140,103 +141,63 @@ class GammaTrace:
     value: Fraction  # amount received by the non-tough small region
 
 
-def _other_triangle_edges(tri: Region, e: Edge) -> tuple[Edge, Edge]:
-    rest = sorted(f for f in tri.edges if f != e)
-    return rest[0], rest[1]
-
-
-def _common_vertex(e: Edge, f: Edge) -> int:
-    (z,) = set(e) & set(f)
-    return z
-
-
 def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     """Which gamma rule fires across e, and how much the receiver gets."""
     _require_d8(t)
     e = norm_edge(*e)
     r1, r2 = region_pair(t, e)
-    table, small_flag = door_table(t)
-    if not (small_flag[r1.id] and small_flag[r2.id]):
+    table, small = door_table(t)
+    if not (small[r1.id] and small[r2.id]):
         return GammaTrace(e, None, None, None, ZERO)
     tough1, tough2 = is_tough(t, r1), is_tough(t, r2)
     if tough1 == tough2:
         return GammaTrace(e, None, None, None, ZERO)
     tough, receiver = (r1, r2) if tough1 else (r2, r1)
-
-    e1, e2 = _other_triangle_edges(tough, e)
-    disc = (tough.id,)
-    m = t.m_edge
-    bindings = ((e1, e2), (e2, e1))
-
-    def far_small(f: Edge) -> bool:
-        return small_flag[other_region(t, f, tough).id]
-
-    def finish(rule: int, value: Fraction) -> GammaTrace:
-        return GammaTrace(e, rule, receiver.id, tough.id, value)
-
-    # rule 1 (symmetric)
-    if (
-        m(e) == 1
-        and m(e1) >= 2
-        and m(e2) >= 2
-        and m_plus(t, e1, disc) + m_plus(t, e2, disc) >= 6
+    mult = t.mult
+    a, b = e
+    (ea,), (eb,) = boundary_edges_at(tough, e, a), boundary_edges_at(tough, e, b)
+    m, ma, mb = mult[e], mult[ea], mult[eb]
+    pa, pb = _m_plus(t, small, ea, tough), _m_plus(t, small, eb, tough)
+    # Either binding: x is the triangle's other edge at the end z of e, y its
+    # third edge, each with m and m+ (m+ > m when the region across is small).
+    bindings = ((a, ma, pa, mb, pb), (b, mb, pb, ma, pa))
+    if m == 1 and ma >= 2 and mb >= 2 and pa + pb >= 6:
+        rule, value = 1, ONE
+    elif m == 1 and any(px >= 4 and my == 1 and py == 2 for _, _, px, my, py in bindings):
+        rule, value = 2, HALF
+    elif m == 1 and any(
+        mx == 3 and my == 1 and py == 2
+        and [mult[f] for f in boundary_edges_at(receiver, e, z)] == [4]
+        for z, mx, _, my, py in bindings
     ):
-        return finish(1, ONE)
-    # rule 2 (either binding)
-    if m(e) == 1:
-        for a, b in bindings:
-            if m_plus(t, a, disc) >= 4 and m(b) == 1 and far_small(b):
-                return finish(2, HALF)
-    # rule 3 (either binding)
-    if m(e) == 1:
-        for a, b in bindings:
-            if m(a) == 3 and m(b) == 1 and far_small(b):
-                z = _common_vertex(e, a)
-                flank = [f for f in receiver.edges if z in f and f != e]
-                if len(flank) == 1 and m(flank[0]) == 4:
-                    return finish(3, HALF)
-    # rule 4 (symmetric)
-    if (
-        m(e) == 2
-        and m(e1) >= 2
-        and m(e2) >= 2
-        and m_plus(t, e1, disc) + m_plus(t, e2, disc) >= 5
-    ):
-        ds = table[receiver.id]
-        consecutive = [f for f in receiver.edges if f != e and set(f) & set(e)]
-        extra = (
-            len(ds) > 1
-            or any(not (set(d) & set(e)) for d in ds)
-            or (
-                any(m(f) == 4 for f in consecutive)
-                and far_small(e1)
-                and far_small(e2)
-            )
+        rule, value = 3, HALF
+    elif m == 2 and ma >= 2 and mb >= 2 and pa + pb >= 5 and (
+        len(table[receiver.id]) > 1
+        or any(edges_disjoint(e, d) for d in table[receiver.id])
+        or (
+            any(mult[f] == 4 for z in e for f in boundary_edges_at(receiver, e, z))
+            and pa > ma and pb > mb
         )
-        if extra:
-            return finish(4, ONE)
-    # rule 5 (either binding)
-    if m(e) == 2 and m(e1) == 2 and m(e2) == 2:
-        for a, b in bindings:
-            z = _common_vertex(e, a)
-            if (
-                len(t.graph.rotations[z]) == 3
-                and far_small(a)
-                and not far_small(b)
-            ):
-                return finish(5, HALF)
-    # rule 6 (symmetric)
-    if m(e) == 3 and m(e1) == 2 and m(e2) == 2:
-        return finish(6, ONE)
-    return finish(7, ZERO)
+    ):
+        rule, value = 4, ONE
+    elif m == 2 and ma == mb == 2 and any(  # small across x, not across y
+        len(t.graph.rotations[z]) == 3 and px == 3 and py == 2
+        for z, _, px, _, py in bindings
+    ):
+        rule, value = 5, HALF
+    elif m == 3 and ma == mb == 2:
+        rule, value = 6, ONE
+    else:
+        rule, value = 7, ZERO
+    return GammaTrace(e, rule, receiver.id, tough.id, value)
 
 
 def gamma_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
     """Gamma charge received by r across e (negative when r is the tough side)."""
     e = norm_edge(*e)
-    _require_incident(t, e, r)
+    other_region(t, e, r)  # refuses a region off e
     trace = gamma_trace(t, e)
-    return _received(trace.value, trace.receiver_region, r)
+    return trace.value if r.id == trace.receiver_region else -trace.value
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +258,10 @@ def charge_report(t: DTarget) -> ChargeReport:
     beta_traces: list[BetaTrace] = []
     gamma_traces: list[GammaTrace] = []
 
-    for e in t.graph.edges:
+    for e, (r1, r2) in zip(t.graph.edges, t.graph.region_pairs):
         bt, gt = beta_trace(t, e), gamma_trace(t, e)
         beta_traces.append(bt)
         gamma_traces.append(gt)
-        r1, r2 = region_pair(t, e)
         hb, hg = _halves(bt.value), _halves(gt.value)
         b1, b2 = (hb if r.id == bt.big_region else -hb for r in (r1, r2))
         g1, g2 = (hg if r.id == gt.receiver_region else -hg for r in (r1, r2))

@@ -226,6 +226,14 @@ class RotationGraph:
                 out[dart] = region
         return out
 
+    @cached_property
+    def region_pairs(self) -> tuple[tuple[Region, Region], ...]:
+        """The two faces at each edge, in ``edges`` order, ordered by id (a
+        bridge has one face twice)."""
+        at = self.dart_region
+        pairs = ((at[(u, v)], at[(v, u)]) for u, v in self.edges)
+        return tuple((r1, r2) if r1.id <= r2.id else (r2, r1) for r1, r2 in pairs)
+
 
 @dataclass(frozen=True)
 class DTarget:
@@ -418,13 +426,12 @@ def region_pair(t, e: Edge) -> tuple[Region, Region]:
     """The two distinct regions whose boundary contains e, ordered by id."""
     graph = _graph_of(t)
     u, v = e
-    if norm_edge(u, v) not in graph.edge_set:
+    if (i := graph.edge_index.get((u, v))) is None:
         raise DTargetError(f"{norm_edge(u, v)} is not an edge of the graph")
-    r1 = graph.dart_region[(u, v)]
-    r2 = graph.dart_region[(v, u)]
-    if r1.id == r2.id:
+    r1, r2 = graph.region_pairs[i]
+    if r1 is r2:
         raise NotTwoConnected(f"edge {norm_edge(u, v)} borders region {r1.id} twice")
-    return (r1, r2) if r1.id < r2.id else (r2, r1)
+    return r1, r2
 
 
 def other_region(t, e: Edge, r: Region) -> Region:
@@ -435,6 +442,12 @@ def other_region(t, e: Edge, r: Region) -> Region:
     if r.id == r2.id:
         return r1
     raise DTargetError(f"region {r.id} is not incident with edge {e}")
+
+
+def boundary_edges_at(r: Region, e: Edge, z: int) -> list[Edge]:
+    """The boundary edges of r other than e that end at z, in boundary order:
+    one in a simple cycle, more where r visits z twice."""
+    return [f for f in r.edges if z in f and f != e]
 
 
 # ---------------------------------------------------------------------------

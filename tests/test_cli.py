@@ -347,6 +347,17 @@ def test_check_reads_an_odd_vertex_count_as_a_negative(tmp_path, capsys):
     assert payload["details"]["oddly_connected"] is False
 
 
+@pytest.mark.parametrize(
+    "bases, message",
+    [("k4,k4", "a base is named twice in k4,k4"), ("", "unknown fixture ''")],
+)
+def test_scan_refuses_a_repeated_or_empty_base(capsys, bases, message):
+    code, out, err = run(capsys, ["scan", "--bases", bases, "--limit-per-base", "2"])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert message in err
+
+
 def test_scan_refuses_a_d_other_than_8(capsys):
     # The corpus holds d = 8 targets only, so --d 9 cannot be honoured.
     argv = ["scan", "--bases", "k4", "--limit-per-base", "2"]

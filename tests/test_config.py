@@ -425,6 +425,17 @@ def test_recheck_rejects_a_conf4_match_off_its_square():
     assert not recheck(cube, ConfigMatch(4, (u, w, v, x), match.region_ids, ()))
 
 
+def test_recheck_refuses_region_ids_outside_the_faces():
+    cube = load_fixture("cube")
+    match = detect(cube, 4)[0]
+    assert recheck(cube, match)
+    (i,) = match.region_ids
+    n = len(cube.graph.faces)
+    # i - n names the match's own face under negative indexing.
+    for bad in (i - n, n, n + 5):
+        assert not recheck(cube, ConfigMatch(4, match.names, (bad,), match.satisfied))
+
+
 def test_recheck_rejects_a_conf3_match_with_a_non_triangle_region():
     # A square pyramid: four triangles around apex 0 over the square 1-4-3-2.
     graph = RotationGraph(((1, 2, 3, 4), (0, 4, 2), (0, 1, 3), (0, 2, 4), (0, 3, 1)))

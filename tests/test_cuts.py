@@ -40,6 +40,15 @@ def test_m_delta_symmetric_under_complement():
         assert m_delta(t, X) == m_delta(t, everything - set(X))
 
 
+@pytest.mark.parametrize("X", [(0, 1, 99), (0, 0, 1), (-1, 0, 1)])
+def test_m_delta_refuses_what_is_not_a_vertex_set(X):
+    # Read as the set {0, 1}, each would pass for an odd set of cut value 12.
+    cube = load_fixture("cube")
+    with pytest.raises(DTargetError, match=r"is not a set of distinct vertices 0\.\.7$"):
+        m_delta(cube, X)
+    assert m_delta(cube, (0, 1)) == 12
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_canonical_fixtures_oddly_connected(name):
     t = load_fixture(name)
