@@ -109,11 +109,11 @@ def _seconds(graph: RotationGraph, disc, *pairs) -> list[int] | None:
     """The ids of the regions outside the disc at the edges given as vertex
     pairs, or None as soon as one is ambiguous (both or neither in the disc)."""
     ids = []
-    for a, b in pairs:
-        r1, r2 = graph.dart_region[(a, b)].id, graph.dart_region[(b, a)].id
-        if (r1 in disc) == (r2 in disc):
+    for pair in pairs:
+        r1, r2 = graph.region_pairs[graph.edge_index[pair]]
+        if (r1.id in disc) == (r2.id in disc):
             return None
-        ids.append(r2 if r1 in disc else r1)
+        ids.append(r2.id if r1.id in disc else r1.id)
     return ids
 
 
@@ -124,9 +124,9 @@ def _indices(graph: RotationGraph, *pairs) -> list[int]:
 
 
 def m_plus(t: DTarget, e: Edge, disc) -> int:
-    """m(e), plus one when the second region outside the disc is small."""
-    second = second_region(t, e, disc)
-    return t.m_edge(e) + door_table(t)[1][second.id]
+    """m(e), plus one when the second region outside the disc is small; the
+    discharge rules and ``is_tough`` read m+ here."""
+    return t.m_edge(e) + door_table(t)[1][second_region(t, e, disc).id]
 
 
 def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
@@ -145,12 +145,11 @@ def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:
 def _heavy_records(graph: RotationGraph) -> dict:
     """Every region's heavy records, keyed by (region id, edge)."""
     records = {}
-    for far in graph.faces:
-        for a, b in far.directed:
-            f = norm_edge(a, b)
+    for i, ((a, b), pair) in enumerate(zip(graph.edges, graph.region_pairs)):
+        for r, far in (pair, pair[::-1]):
             w = _third_vertex(far, a, b) if far.length == 3 else None
             g, h = _indices(graph, (a, w), (b, w)) if w is not None else (None, None)
-            records[graph.dart_region[(b, a)].id, f] = graph.edge_index[f], g, h
+            records[r.id, (a, b)] = i, g, h
     return records
 
 
@@ -419,9 +418,7 @@ def _triangle_pairs(graph: RotationGraph):
     """Ordered pairs of triangle regions sharing one edge, with both
     orientations of the shared edge: yields (T1, T2, u, v, w, x) for
     triangles uvw and uwx."""
-    for a, b in graph.edges:
-        r1 = graph.dart_region[(a, b)]
-        r2 = graph.dart_region[(b, a)]
+    for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
         if r1.id == r2.id or r1.length != 3 or r2.length != 3:
             continue
         for first, second in ((r1, r2), (r2, r1)):
@@ -478,9 +475,7 @@ def _region_edges(graph: RotationGraph):
 
 def _region_triangles(graph: RotationGraph):
     """Edge uv on C_r whose far region is a triangle uvw."""
-    for a, b in graph.edges:
-        r1 = graph.dart_region[(a, b)]
-        r2 = graph.dart_region[(b, a)]
+    for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
         if r1.id == r2.id:
             continue
         for r, tri in ((r1, r2), (r2, r1)):

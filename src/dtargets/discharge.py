@@ -16,10 +16,11 @@ gamma as integers in half-units, checks every identity on those, and makes
 ``Fraction``s only for its rows.  Big and small are read from the target's
 door table (``config.door_table``).
 
-Region geometry is read one way: ``planar.boundary_edges_at`` lists a region's
-other boundary edges at one end of an edge, each caller testing their number,
-and ``_m_plus`` gives m+ of such an edge seen from its region.  Each edge's two
-regions come from ``RotationGraph.region_pairs``, looked up once per trace.
+Region geometry is read one way, shared with ``config``: ``planar.boundary_edges_at``
+lists a region's other boundary edges at one end of an edge, each caller
+testing their number, and ``config.m_plus`` gives m+ of such an edge with its
+region as the disc.  Each edge's two regions come from
+``RotationGraph.region_pairs``, looked up once per trace.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .config import _require_d8, door_table, edges_disjoint, is_big, is_tough
+from .config import _require_d8, door_table, edges_disjoint, is_big, is_tough, m_plus
 from .errors import DTargetError, IdentityViolation
 from .planar import (
     DTarget,
@@ -82,14 +84,6 @@ class BetaTrace:
     value: Fraction  # amount received by the big region
 
 
-def _m_plus(t: DTarget, small, f: Edge, r: Region) -> int:
-    """m+ of f seen from r, a region f borders once: m(f), plus one when the
-    region across f is small (``config.m_plus`` with r as the disc)."""
-    i = t.graph.edge_index[f]
-    r1, r2 = t.graph.region_pairs[i]
-    return t.mult_vector[i] + small[r2.id if r1.id == r.id else r1.id]
-
-
 def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     """Which beta rule fires across e, and how much the big side receives."""
     _require_d8(t)
@@ -104,7 +98,8 @@ def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     flanks = [boundary_edges_at(big, e, z) for z in e]
     if any(len(at_z) != 1 for at_z in flanks):
         raise DTargetError(f"boundary of region {big.id} is not a simple cycle at {e}")
-    p1, p2 = (_m_plus(t, small, f, big) for (f,) in flanks)
+    disc = (big.id,)
+    p1, p2 = (m_plus(t, f, disc) for (f,) in flanks)
     m = t.mult[e]
     if m == 2 and p1 == p2 == 6:
         rule, value = 2, ZERO
@@ -141,6 +136,15 @@ class GammaTrace:
     value: Fraction  # amount received by the non-tough small region
 
 
+class _Flank(NamedTuple):
+    """An edge of the tough triangle other than e: its end z on e, its m and
+    its m+ (the region across it is small exactly when p > m)."""
+
+    z: int
+    m: int
+    p: int
+
+
 def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     """Which gamma rule fires across e, and how much the receiver gets."""
     _require_d8(t)
@@ -153,39 +157,40 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     if tough1 == tough2:
         return GammaTrace(e, None, None, None, ZERO)
     tough, receiver = (r1, r2) if tough1 else (r2, r1)
-    mult = t.mult
-    a, b = e
-    (ea,), (eb,) = boundary_edges_at(tough, e, a), boundary_edges_at(tough, e, b)
-    m, ma, mb = mult[e], mult[ea], mult[eb]
-    pa, pb = _m_plus(t, small, ea, tough), _m_plus(t, small, eb, tough)
-    # Either binding: x is the triangle's other edge at the end z of e, y its
-    # third edge, each with m and m+ (m+ > m when the region across is small).
-    bindings = ((a, ma, pa, mb, pb), (b, mb, pb, ma, pa))
-    if m == 1 and ma >= 2 and mb >= 2 and pa + pb >= 6:
+    mult, disc = t.mult, (tough.id,)
+    fa, fb = (
+        _Flank(z, mult[f], m_plus(t, f, disc))
+        for z in e
+        for f in boundary_edges_at(tough, e, z)
+    )
+    # Either binding: x is the triangle's edge at one end of e, y its third edge.
+    bindings = ((fa, fb), (fb, fa))
+    m = mult[e]
+    if m == 1 and fa.m >= 2 and fb.m >= 2 and fa.p + fb.p >= 6:
         rule, value = 1, ONE
-    elif m == 1 and any(px >= 4 and my == 1 and py == 2 for _, _, px, my, py in bindings):
+    elif m == 1 and any(x.p >= 4 and y.m == 1 and y.p > y.m for x, y in bindings):
         rule, value = 2, HALF
     elif m == 1 and any(
-        mx == 3 and my == 1 and py == 2
-        and [mult[f] for f in boundary_edges_at(receiver, e, z)] == [4]
-        for z, mx, _, my, py in bindings
+        x.m == 3 and y.m == 1 and y.p > y.m
+        and [mult[f] for f in boundary_edges_at(receiver, e, x.z)] == [4]
+        for x, y in bindings
     ):
         rule, value = 3, HALF
-    elif m == 2 and ma >= 2 and mb >= 2 and pa + pb >= 5 and (
+    elif m == 2 and fa.m >= 2 and fb.m >= 2 and fa.p + fb.p >= 5 and (
         len(table[receiver.id]) > 1
         or any(edges_disjoint(e, d) for d in table[receiver.id])
         or (
             any(mult[f] == 4 for z in e for f in boundary_edges_at(receiver, e, z))
-            and pa > ma and pb > mb
+            and fa.p > fa.m and fb.p > fb.m
         )
     ):
         rule, value = 4, ONE
-    elif m == 2 and ma == mb == 2 and any(  # small across x, not across y
-        len(t.graph.rotations[z]) == 3 and px == 3 and py == 2
-        for z, _, px, _, py in bindings
+    elif m == 2 and fa.m == fb.m == 2 and any(
+        len(t.graph.rotations[x.z]) == 3 and x.p > x.m and y.p == y.m
+        for x, y in bindings
     ):
         rule, value = 5, HALF
-    elif m == 3 and ma == mb == 2:
+    elif m == 3 and fa.m == fb.m == 2:
         rule, value = 6, ONE
     else:
         rule, value = 7, ZERO

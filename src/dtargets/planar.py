@@ -218,19 +218,11 @@ class RotationGraph:
         return 3
 
     @cached_property
-    def dart_region(self) -> dict[tuple[int, int], Region]:
-        """Map each directed edge to the unique face whose trace contains it."""
-        out: dict[tuple[int, int], Region] = {}
-        for region in self.faces:
-            for dart in region.directed:
-                out[dart] = region
-        return out
-
-    @cached_property
     def region_pairs(self) -> tuple[tuple[Region, Region], ...]:
         """The two faces at each edge, in ``edges`` order, ordered by id (a
-        bridge has one face twice)."""
-        at = self.dart_region
+        bridge has one face twice): every reader of an edge's faces reads
+        them here."""
+        at = {dart: region for region in self.faces for dart in region.directed}
         pairs = ((at[(u, v)], at[(v, u)]) for u, v in self.edges)
         return tuple((r1, r2) if r1.id <= r2.id else (r2, r1) for r1, r2 in pairs)
 
