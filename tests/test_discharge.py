@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dtargets.config import is_big, is_tough
+from dtargets.config import is_big, is_tough, m_plus
 from dtargets.corpus import load_fixture
 from dtargets.discharge import (
     RegionClass,
@@ -222,6 +222,95 @@ def test_gamma_edge_antisymmetric_view():
     tough = next(r for r in t.graph.faces if r.id == trace.tough_region)
     assert gamma_edge(t, (0, 1), receiver) == ONE
     assert gamma_edge(t, (0, 1), tough) == -ONE
+
+
+# ---------------------------------------------------------------------------
+# Near misses: a rule's gadget with one of its conditions broken, so that
+# rule must not fire.  The enumerated and walked targets fire none of beta
+# rules 2-5 or gamma rules 3 and 5, so these pin each condition.  The targets
+# need not have degree sums d: the rules read multiplicities and doors only.
+# ---------------------------------------------------------------------------
+
+
+def remultiplied(t: DTarget, changes: dict) -> DTarget:
+    return t.with_mult({**t.mult, **changes})
+
+
+# Rim edge (0, 1) of the decagonal prism: its flanks on the big rim are
+# (0, 9) and (1, 2).  Each row: gadget, changes, then m(e), the flanks' m+
+# seen from the rim, and the rule that fires instead.
+BETA_NEAR_MISSES = {
+    "rule2_at_m3": (DECA_BETA2, {(0, 1): 3}, (3, 6, 6), (6, ONE)),
+    "rule2_with_a_5_flank": (DECA_BETA2, {(1, 2): 4}, (2, 6, 5), (3, HALF)),
+    "rule3_at_m3": (DECA_BETA3, {(0, 1): 3}, (3, 5, 6), (5, HALF)),
+    "rule3_without_a_5_flank": (DECA_BETA2, {(0, 9): 3}, (2, 4, 6), (6, ONE)),
+    "rule3_without_a_6_flank": (DECA_BETA3, {(1, 2): 3}, (2, 5, 4), (6, ONE)),
+    "rule4_at_m2": (DECA_BETA4, {(0, 1): 2}, (2, 5, 5), (6, ONE)),
+    "rule4_with_one_5_flank": (DECA_BETA4, {(1, 2): 2}, (3, 5, 3), (5, HALF)),
+    "rule5_at_m4": (DECA_BETA5, {(0, 1): 4}, (4, 4, 5), (6, ONE)),
+    "rule5_without_a_5_flank": (DECA_BETA5, {(1, 2): 2}, (3, 4, 3), (6, ONE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETA_NEAR_MISSES))
+def test_beta_near_misses(name):
+    gadget, changes, (m, p1, p2), fired = BETA_NEAR_MISSES[name]
+    t = remultiplied(decaprism(*gadget), changes)
+    trace = beta_trace(t, (0, 1))
+    disc = (trace.big_region,)
+    assert (t.m_edge((0, 1)), m_plus(t, (0, 9), disc), m_plus(t, (1, 2), disc)) == (m, p1, p2)
+    assert (trace.rule, trace.value) == fired
+
+
+# Gamma across (9, 18) of two_big_rings: the tough triangle 0-9-18 has its
+# edge x = (0, 9) on the outer rim and y = (0, 18) on the inner rim, and the
+# receiver is the square 8-9-18-17.  Setting (8, 9) to 4 gives the receiver
+# its multiplicity-4 edge at 9 that rule 3 asks for, and takes the square's
+# door away from both rims.
+RING_RULE3 = {(9, 18): 1, (0, 9): 3, (8, 9): 4}
+RIM_DOORS = {(3, 4): 2, (5, 6): 2, (7, 8): 2, (12, 13): 2, (14, 15): 2, (16, 17): 2}
+
+GAMMA_NEAR_MISSES = {
+    # gear12's rule 3 edge (x = (0, 1), y = (0, 12), the receiver's edge
+    # (1, 2) at 1) at m(e) = 2, and with m(1, 2) = 3 instead of 4
+    "rule3_at_m2": (gear12, (1, 12), {(1, 12): 2}, {1, 13}),
+    "rule3_without_a_4_at_x": (gear12, (1, 12), {(1, 2): 3}, {1, 13}),
+    # rule 3 needs the region across y small: both rims are big
+    "rule3_big_across_y": (two_big_rings, (9, 18), {**RING_RULE3, (0, 18): 1}, {1, 2}),
+    # rule 3 needs m(y) = 1: m(y) = 2, the region across y not small either,
+    # and m+(x) + m+(y) = 5 keeps rule 1 out
+    "rule3_at_my2": (two_big_rings, (9, 18), {**RING_RULE3, (0, 18): 2}, {1, 2}),
+    # rule5_wheel's rule 5 edge (the degree-3 corner 0, x = (0, 1), y = (1, 2))
+    # at m(e) = 1, and with m(x) = 3 instead of 2
+    "rule5_at_m1": (rule5_wheel, (0, 2), {(0, 2): 1}, {3, 9}),
+    "rule5_at_mx3": (rule5_wheel, (0, 2), {(0, 1): 3}, {3, 9}),
+    # rule 5 needs one end of e where x's far region is small and y's is not
+    "rule5_both_rims_big": (
+        two_big_rings, (9, 18), {(9, 18): 2, (0, 9): 2, (0, 18): 2}, {1, 2}
+    ),
+    # both rims small, and the receiver has one door, at 18, so rule 4 fails
+    "rule5_both_rims_small": (
+        two_big_rings,
+        (9, 18),
+        {(9, 18): 2, (0, 9): 2, (0, 18): 2, (8, 9): 2, **RIM_DOORS},
+        set(),
+    ),
+    # rule 5 needs a degree-3 corner: the gear's triangle 0-1-12 at m = 2
+    # meets the small square 0-12-17-11 across x = (0, 12) and the big rim
+    # across y = (0, 1) only at vertex 12, of degree 4
+    "rule5_at_a_degree_4_corner": (
+        gear12, (1, 12), {(0, 1): 2, (0, 12): 2, (1, 12): 2}, {1, 13}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_NEAR_MISSES))
+def test_gamma_near_misses(name):
+    build, e, changes, big = GAMMA_NEAR_MISSES[name]
+    t = remultiplied(build(), changes)
+    assert {r.id for r in t.graph.faces if is_big(t, r)} == big
+    trace = gamma_trace(t, e)
+    assert (trace.rule, trace.value) == (7, ZERO)
 
 
 # ---------------------------------------------------------------------------
