@@ -16,11 +16,11 @@ gamma as integers in half-units, checks every identity on those, and makes
 ``Fraction``s only for its rows.  Big and small are read from the target's
 door table (``config.door_table``).
 
-Region geometry is read one way, shared with ``config``: ``planar.boundary_edges_at``
-lists a region's other boundary edges at one end of an edge, each caller
-testing their number, and ``config.m_plus`` gives m+ of such an edge with its
-region as the disc.  Each edge's two regions come from
-``RotationGraph.region_pairs``, looked up once per trace.
+Region geometry is read one way, shared with ``config``:
+``planar.boundary_edges_at`` lists a region's other boundary edges at one end
+of an edge, each caller testing their number, and ``config.m_plus`` gives m+
+of such an edge with its region as the disc.  Each edge's two regions come
+from ``RotationGraph.region_pairs``, looked up once per trace.
 """
 
 from __future__ import annotations

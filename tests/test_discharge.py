@@ -227,7 +227,7 @@ def test_gamma_edge_antisymmetric_view():
 # ---------------------------------------------------------------------------
 # Near misses: a rule's gadget with one of its conditions broken, so that
 # rule must not fire.  The enumerated and walked targets fire none of beta
-# rules 2-5 or gamma rules 3 and 5, so these pin each condition.  The targets
+# rules 2-5 or gamma rules 3 and 5, so these pin their conditions.  The targets
 # need not have degree sums d: the rules read multiplicities and doors only.
 # ---------------------------------------------------------------------------
 
