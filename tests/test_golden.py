@@ -4,8 +4,7 @@ For each of the 213 default-corpus targets the test hashes
 
 * the ``--format machine`` output of ``check``, ``classify``, ``discharge``
   and ``colour`` (the path-dependent ``input`` field dropped),
-* the text output of ``classify`` and ``discharge`` (witness and charge
-  rendering), and
+* the text output of the same four commands, and
 * every ``detect_all`` match: pattern index, names, region ids, satisfied
   facts and branch, in the order reported.
 
@@ -14,7 +13,8 @@ It also hashes the ``--format machine`` output of the exhaustive scan
 benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``, and the
 ``detect_all`` match payloads and the ``charge_report`` rows and traces of
 every enumerated target (oddly connected or not) and of the seeded
-square-switch walk in ``gadgets.walk_targets``.
+square-switch walk in ``gadgets.walk_targets``, and the machine and text
+output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -42,9 +42,9 @@ from gadgets import walk_targets
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 DATA = Path(__file__).resolve().parent / "data"
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "dtargets" / "fixtures"
 
 COMMANDS = ("check", "classify", "discharge", "colour")
-TEXT_COMMANDS = ("classify", "discharge")
 
 GOLDEN = {
     "targets": 213,
@@ -52,9 +52,16 @@ GOLDEN = {
     "classify": "72685030bf4b0f2c92111eac7641e29b3045e8431773c94120b6691118458582",
     "discharge": "e5798bd95bd045b01386fe654e85244ebdcb44716e7210c62d5278579ba2d800",
     "colour": "ad52c58911d3b33f35c24d568536d226a03032dc769ce332dfcfa07339bfe9c3",
+    "check_text": "880b62d1a11d87136b88cce245dcb7499668f77e424ad370f537ff46fa327a2b",
     "classify_text": "3aab6947c3b3b75bd6e4cb84ed716b4598455643a98f41daa2851428f89386ad",
     "discharge_text": "bad0fdcc7482b49f3e38b82f15bb91119263a7fed15b546d44454dabd2cf6154",
+    "colour_text": "8d8dfefa9cf06411f030670b345c3def7791f8369d353e0cc0183ee18d27e574",
     "detect_all": "3e66c422b7fcfc4bab60ba9c3f8bbc3705c7e62a54a121f078113c66c03eb5b0",
+}
+
+SWITCH_GOLDEN = {
+    "switch": "bfa5aaf88e8ba7ac8ca3e0493aea657c663415df9bf585fb3a637f0c52e62fae",
+    "switch_text": "8e5c1e029be414ecb505e73f5b2d37ffed3f695e97a51750636cc04445bd1587",
 }
 
 DETECT_ALL_GOLDEN = {
@@ -70,15 +77,45 @@ CHARGE_REPORT_GOLDEN = {
 }
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+# (file, the four vertices, and --path when the move is a path switch): square
+# and path moves on every fixture and the bowtie, a path whose closing edge is
+# fresh (pentagonal prism, bowtie), and refusals (no common region, not a
+# four-cycle, out of range, a mismatched --d).
+SWITCH_MOVES = (
+    ("k4", "0 1 2 3"),
+    ("k4", "0 2 1 3"),
+    ("k4", "0 1 2 3 --path"),
+    ("k4", "0 1 2 9"),
+    ("prism", "0 1 4 3"),
+    ("prism", "3 0 1 4 --path"),
+    ("prism", "0 1 2 4"),
+    ("cube", "0 1 5 4"),
+    ("cube", "3 0 1 2 --path"),
+    ("cube", "4 0 1 2 --path"),
+    ("cube", "0 1 5 4 --d 6"),
+    ("octahedron", "0 1 4 5"),
+    ("octahedron", "0 1 2 4 --path"),
+    ("pentagonal_prism", "0 1 6 5"),
+    ("pentagonal_prism", "0 4 3 2 --path"),
+    ("bowtie", "1 0 3 4 --path"),
+    ("bowtie", "2 1 0 3 --path"),
+    ("bowtie", "1 0 3 4"),
+)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def _machine_output(command: str, path: str) -> str:
-    code, out = _run([command, path, "--format", "machine"])
+def _machine_output(argv: list[str]) -> str:
+    """The ``--format machine`` output with its path-dependent ``input``
+    field dropped, or the exit code and stderr of a refusal."""
+    code, out, err = _run([*argv, "--format", "machine"])
+    if not out:
+        return json.dumps({"exit_code": code, "stderr": err})
     payload = json.loads(out)
     assert payload.pop("exit_code") == code
     payload.pop("input")
@@ -95,7 +132,7 @@ def _matches(t) -> str:
 
 
 def digests() -> dict:
-    keys = (*COMMANDS, *(f"{c}_text" for c in TEXT_COMMANDS), "detect_all")
+    keys = (*COMMANDS, *(f"{c}_text" for c in COMMANDS), "detect_all")
     hashes = {key: hashlib.sha256() for key in keys}
     corpus = build_corpus()
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,10 +140,9 @@ def digests() -> dict:
         for item in corpus:
             Path(path).write_text(serialize_dtarget(item.target))
             for command in COMMANDS:
-                line = f"{item.name}\t{_machine_output(command, path)}\n"
+                line = f"{item.name}\t{_machine_output([command, path])}\n"
                 hashes[command].update(line.encode())
-            for command in TEXT_COMMANDS:
-                code, out = _run([command, path])
+                code, out, _ = _run([command, path])
                 hashes[f"{command}_text"].update(f"{item.name}\t{code}\t{out}".encode())
             hashes["detect_all"].update(f"{item.name}\t{_matches(item.target)}\n".encode())
     return {"targets": len(corpus), **{key: h.hexdigest() for key, h in hashes.items()}}
@@ -117,10 +153,27 @@ def test_reports_match_golden_digests():
 
 
 def test_exhaustive_scan_matches_the_benchmark_digest():
-    code, out = _run(["scan", "--limit-per-base", "1000000", "--format", "machine"])
+    code, out, _ = _run(["scan", "--limit-per-base", "1000000", "--format", "machine"])
     assert code == 0
     expected = json.loads(BENCH_GOLDEN.read_text())["corpus_scan_sha256"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def switch_digests() -> dict:
+    """The digests of ``switch``'s machine and text output (with the exit
+    code and stderr) over ``SWITCH_MOVES``, one line per move."""
+    hashes = {"switch": hashlib.sha256(), "switch_text": hashlib.sha256()}
+    for name, move in SWITCH_MOVES:
+        path = str((DATA if name == "bowtie" else FIXTURES) / f"{name}.dtarget")
+        argv = ["switch", path, *move.split()]
+        hashes["switch"].update(f"{name} {move}\t{_machine_output(argv)}\n".encode())
+        code, out, err = _run(argv)
+        hashes["switch_text"].update(f"{name} {move}\t{code}\t{out}\t{err}\n".encode())
+    return {key: h.hexdigest() for key, h in hashes.items()}
+
+
+def test_switch_reports_match_golden_digests():
+    assert switch_digests() == SWITCH_GOLDEN
 
 
 def detect_all_digests() -> dict:
@@ -182,6 +235,7 @@ def test_charge_reports_match_golden_digests():
 if __name__ == "__main__":
     golden = {
         "GOLDEN": digests(),
+        "SWITCH_GOLDEN": switch_digests(),
         "DETECT_ALL_GOLDEN": detect_all_digests(),
         "CHARGE_REPORT_GOLDEN": charge_report_digests(),
     }
