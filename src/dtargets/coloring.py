@@ -8,9 +8,12 @@ The first complete sequence found is the lexicographically least, which is
 the colouring whose count vector over the matchings is lexicographically
 greatest.
 
-A node with k matchings still to place is refuted when some positive
-residual edge lies in no fitting later matching, when some residual edge
-exceeds k, or when some triangle X has residual m(delta(X)) < k: each of
+A target whose degree sums are not all d is not colourable, since d
+perfect matchings cover every vertex d times; it is answered at the root.
+Otherwise each placed matching lowers every vertex's residual sum by one,
+so no residual edge ever exceeds the k matchings still to place.  A node
+is refuted when some positive residual edge lies in no fitting later
+matching, or when some triangle X has residual m(delta(X)) < k: each of
 the k remaining perfect matchings crosses that odd cut at least once
 (Edmonds' odd-set inequality).  Triangles are the 3-cycles of the graph,
 not its faces, so a graph whose faces cannot be traced is still searched.
@@ -157,6 +160,8 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
     """
     support = tuple(e for e, m in t.mult_items if m > 0)
     members, masks, thrice, named = _support_tables(t, support, cap)
+    if any(total != t.d for total in t.degree_sums):
+        return None
     # slack[c] = residual m(delta(X_c)) - k; placing matching j lowers it by
     # 2 for each c in thrice[j] and leaves the rest.
     slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in _triangles(t.graph)]
@@ -176,9 +181,7 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
         covered = zero
         for j in fitting:
             covered |= masks[j]
-        if covered == full and max(residual, default=0) <= t.d - len(placed):
-            return [key, fitting, zero, 0]
-        return None
+        return [key, fitting, zero, 0] if covered == full else None
 
     # Depth-first with an explicit stack, so d is not bounded by recursion.
     root = enter(0, list(range(len(members))), 0)

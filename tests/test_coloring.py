@@ -81,6 +81,31 @@ def test_colour_tables_refuse_past_the_matching_limit(monkeypatch):
     assert [k for k in t.graph.facts if isinstance(k, tuple) and k[0] == "matchings"] == []
 
 
+def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
+    # d perfect matchings cover every vertex d times, so a degree sum other
+    # than d answers None before the search reads a triangle's slack; the
+    # odd-|V| and size refusals still come first.
+    assert edge_colour(parse_dtarget((DATA / "tree.dtarget").read_text())) is None
+    bowtie = parse_dtarget((DATA / "bowtie.dtarget").read_text())
+    with pytest.raises(OddVertexCount):
+        edge_colour(bowtie.with_mult({**bowtie.mult, (1, 2): 5}))
+    cube = load_fixture("cube")
+    off_cube = cube.with_mult({**cube.mult, (0, 1): 3})
+    with pytest.raises(TooLarge, match="exceeds the matching enumeration cap 6"):
+        edge_colour(off_cube, cap=6)
+    monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
+    with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
+        edge_colour(off_cube)
+
+    def no_search(graph):
+        raise AssertionError("the search started")
+
+    k4 = load_fixture("k4")
+    edge_colour(k4)  # builds the tables of the support both k4 targets share
+    monkeypatch.setattr(coloring, "_triangles", no_search)
+    assert edge_colour(k4.with_mult({**k4.mult, (0, 1): 7})) is None
+
+
 # sha256 of repr(edge_colour(t, cap=64).matchings) on the ladder prisms
 # (rings 2, verticals 4), taken while a 20-vertex default cap refused them.
 LADDER_DIGESTS = {
