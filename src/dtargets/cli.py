@@ -1,5 +1,11 @@
 """Command-line reporting over .dtarget files.
 
+``main`` reads the input file once: it hashes the bytes, parses them,
+applies ``--d`` and hands the parsed target to the command (``scan`` reads
+the bundled corpus and takes none).  A command returns only its verdict,
+exit code, details and text lines; ``main`` renders them with the command's
+name and the input's path and sha256.
+
 Exit codes: 0 = success / property verified, 1 = negative verdict (a check
 failed honestly), 2 = unusable input, 3 = an internal identity or an
 expected-impossible outcome (a prime target, a broken charge identity),
@@ -13,6 +19,7 @@ import hashlib
 import json
 import sys
 import traceback
+from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +38,7 @@ from .errors import (
     ParseError,
 )
 from .planar import DTarget, parse_dtarget, require_target, serialize_dtarget, validate
-from .switching import is_smaller, score_sequence, switch_path, switch_square
+from .switching import score_sequence, score_smaller, switch_path, switch_square
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -42,9 +49,8 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class Report:
-    command: str
-    input_path: str | None
-    sha256: str | None
+    """What a command decided; ``main`` adds the command's name and input."""
+
     verdict: str
     exit_code: int
     details: dict
@@ -59,22 +65,12 @@ def _frac(v) -> str:
     return f"{doubled.numerator}/2"
 
 
-def _load_target(args) -> tuple[DTarget, str, str]:
-    data = Path(args.input).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    t = parse_dtarget(data.decode("utf-8"))
-    if args.d is not None and t.d != args.d:
-        raise MismatchedD(f"input has d = {t.d}, expected d = {args.d}")
-    return t, args.input, digest
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> Report:
-    t, path, digest = _load_target(args)
+def cmd_check(t: DTarget) -> Report:
     rep = validate(t)
     regions = len(t.graph.faces) if rep.euler_ok else None
     details: dict = {
@@ -110,19 +106,13 @@ def cmd_check(args) -> Report:
     details["oddly_connected"] = oddly
     ok = rep.degree_ok and rep.euler_ok and oddly
     verdict = "valid oddly-connected target" if ok else "violations found"
-    return Report(
-        "check", path, digest, verdict, EXIT_OK if ok else EXIT_NEGATIVE, details, lines
-    )
+    return Report(verdict, EXIT_OK if ok else EXIT_NEGATIVE, details, lines)
 
 
-def cmd_classify(args) -> Report:
-    t, path, digest = _load_target(args)
+def cmd_classify(t: DTarget) -> Report:
     verdict = is_prime(t)
     if verdict.is_prime:
         return Report(
-            "classify",
-            path,
-            digest,
             "PRIME (no witness found; expected impossible)",
             EXIT_VIOLATION,
             {"prime": True, "witness": None},
@@ -130,9 +120,6 @@ def cmd_classify(args) -> Report:
         )
     w = verdict.witness
     return Report(
-        "classify",
-        path,
-        digest,
         f"not prime: {verdict.witness_kind}",
         EXIT_NEGATIVE,
         {"prime": False, "witness": w.payload()},
@@ -140,8 +127,7 @@ def cmd_classify(args) -> Report:
     )
 
 
-def cmd_discharge(args) -> Report:
-    t, path, digest = _load_target(args)
+def cmd_discharge(t: DTarget) -> Report:
     require_target(t)
     report = charge_report(t)
     region_rows = []
@@ -200,90 +186,51 @@ def cmd_discharge(args) -> Report:
         "positive_regions": [rc.region_id for rc in positive],
         **trace_rows,
     }
-    return Report(
-        "discharge",
-        path,
-        digest,
-        "charge identities verified (total 16)",
-        EXIT_OK,
-        details,
-        lines,
-    )
+    return Report("charge identities verified (total 16)", EXIT_OK, details, lines)
 
 
-def cmd_colour(args) -> Report:
-    t, path, digest = _load_target(args)
-    colouring = edge_colour(t)
+def cmd_colour(t: DTarget) -> Report:
+    reason = f"no decomposition into {t.d} perfect matchings exists"
+    try:
+        colouring = edge_colour(t)
+    except OddVertexCount as exc:  # V itself is an odd set with cut 0
+        colouring, reason = None, str(exc)
     if colouring is None:
-        return Report(
-            "colour",
-            path,
-            digest,
-            "not colourable",
-            EXIT_NEGATIVE,
-            {"colourable": False},
-            [f"no decomposition into {t.d} perfect matchings exists"],
-        )
+        return Report("not colourable", EXIT_NEGATIVE, {"colourable": False}, [reason])
     if not verify_colouring(t, colouring):
         raise BadColouring("produced colouring failed verification")
-    grouped: dict[tuple, int] = {}
-    for matching in colouring.matchings:
-        grouped[matching] = grouped.get(matching, 0) + 1
     lines = [f"colourable: {t.d} perfect matchings (with repetition)"]
-    matching_rows = []
-    for matching, count in sorted(grouped.items()):
-        matching_rows.append(
-            {"edges": [list(e) for e in matching], "multiplicity": count}
-        )
+    rows = []
+    for matching, count in sorted(Counter(colouring.matchings).items()):
+        rows.append({"edges": [list(e) for e in matching], "multiplicity": count})
         lines.append(f"  x{count}  {list(matching)}")
-    return Report(
-        "colour",
-        path,
-        digest,
-        "colourable",
-        EXIT_OK,
-        {"colourable": True, "matchings": matching_rows},
-        lines,
-    )
+    return Report("colourable", EXIT_OK, {"colourable": True, "matchings": rows}, lines)
 
 
-def cmd_switch(args) -> Report:
-    t, path, digest = _load_target(args)
+def cmd_switch(t: DTarget, vertices: list[int], path: bool) -> Report:
     require_target(t)
-    a, b, c, d_ = args.vertices
-    if args.path:
-        result = switch_path(t, a, b, c, d_)
-        operation = "path"
-    else:
-        result = switch_square(t, a, b, c, d_)
-        operation = "square"
-    smaller = is_smaller(result, t)
+    operation = "path" if path else "square"
+    result = (switch_path if path else switch_square)(t, *vertices)
+    before, after = score_sequence(t), score_sequence(result)
+    smaller = score_smaller(result.vertex_count, after, t.vertex_count, before)
     serialized = serialize_dtarget(result)
     details = {
         "operation": operation,
-        "vertices": [a, b, c, d_],
+        "vertices": list(vertices),
         "smaller": smaller,
-        "score_before": list(score_sequence(t)),
-        "score_after": list(score_sequence(result)),
+        "score_before": list(before),
+        "score_after": list(after),
         "result": serialized,
     }
     lines = [
-        f"{operation} switch on ({a}, {b}, {c}, {d_})",
-        f"score before: {score_sequence(t)}",
-        f"score after:  {score_sequence(result)}",
+        f"{operation} switch on {tuple(vertices)}",
+        f"score before: {before}",
+        f"score after:  {after}",
         f"strictly smaller: {'yes' if smaller else 'no'}",
         "result:",
         *("  " + line for line in serialized.rstrip("\n").split("\n")),
     ]
-    return Report(
-        "switch",
-        path,
-        digest,
-        f"{operation} switch applied",
-        EXIT_OK,
-        details,
-        lines,
-    )
+    return Report(f"{operation} switch applied", EXIT_OK, details, lines)
 
 
 def cmd_scan(args) -> Report:
@@ -311,19 +258,15 @@ def cmd_scan(args) -> Report:
         f"{len(colour_mismatches)} uncolourable-but-oddly-connected"
     )
     lines = [f"  {base}: {count} targets" for base, count in sorted(per_base.items())]
-    if primes:
-        lines += [f"  PRIME: {name}" for name in primes]
-    if colour_mismatches:
-        lines += [f"  UNCOLOURABLE: {name}" for name in colour_mismatches]
+    lines += [f"  PRIME: {name}" for name in primes]
+    lines += [f"  UNCOLOURABLE: {name}" for name in colour_mismatches]
     details = {
         "items": len(items),
         "per_base": per_base,
         "prime": primes,
         "uncolourable": colour_mismatches,
     }
-    return Report(
-        "scan", None, None, verdict, EXIT_OK if ok else EXIT_VIOLATION, details, lines
-    )
+    return Report(verdict, EXIT_OK if ok else EXIT_VIOLATION, details, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +274,17 @@ def cmd_scan(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _render(report: Report, fmt: str) -> str:
+def _render(command: str, source: dict | None, report: Report, fmt: str) -> str:
     if fmt == "machine":
         payload = {
-            "command": report.command,
-            "input": (
-                {"path": report.input_path, "sha256": report.sha256}
-                if report.input_path
-                else None
-            ),
+            "command": command,
+            "input": source,
             "verdict": report.verdict,
             "exit_code": report.exit_code,
             "details": report.details,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-    lines = [f"{report.command}: {report.verdict}"] + report.text_lines
-    return "\n".join(lines)
+    return "\n".join([f"{command}: {report.verdict}", *report.text_lines])
 
 
 def _add_common(sub, with_input=True):
@@ -357,6 +295,7 @@ def _add_common(sub, with_input=True):
     )
     sub.add_argument("--d", type=int, default=None, help="require this d value")
     sub.add_argument("--out", default=None, help="also write the report to this file")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,47 +305,48 @@ def build_parser() -> argparse.ArgumentParser:
         "switching for planar multigraph targets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler in (
+        ("check", "validate structure and odd cuts", cmd_check),
+        ("classify", "search for a non-primality witness", cmd_classify),
+        ("discharge", "per-region charge report", cmd_discharge),
+        ("colour", "decompose into d perfect matchings", cmd_colour),
+    ):
+        _add_common(subs.add_parser(name, help=help_text)).set_defaults(handler=handler)
 
-    p = subs.add_parser("check", help="validate structure and odd cuts")
-    _add_common(p)
-    p.set_defaults(handler=cmd_check)
-
-    p = subs.add_parser("classify", help="search for a non-primality witness")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = subs.add_parser("discharge", help="per-region charge report")
-    _add_common(p)
-    p.set_defaults(handler=cmd_discharge)
-
-    p = subs.add_parser("colour", help="decompose into d perfect matchings")
-    _add_common(p)
-    p.set_defaults(handler=cmd_colour)
-
-    p = subs.add_parser("switch", help="apply a square or path switch")
-    _add_common(p)
+    p = _add_common(subs.add_parser("switch", help="apply a square or path switch"))
     p.add_argument("vertices", type=int, nargs=4, help="four cycle/path vertices")
     p.add_argument(
         "--path",
         action="store_true",
         help="treat the vertices as a path x u v y instead of a four-cycle",
     )
-    p.set_defaults(handler=cmd_switch)
 
-    p = subs.add_parser("scan", help="sweep the bundled corpus for contradictions")
-    _add_common(p, with_input=False)
+    p = _add_common(
+        subs.add_parser("scan", help="sweep the bundled corpus for contradictions"),
+        with_input=False,
+    )
     p.add_argument("--limit-per-base", type=int, default=48)
     p.add_argument("--bases", default=None, help="comma-separated base names")
-    p.set_defaults(handler=cmd_scan)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.handler(args)
-        rendered = _render(report, args.format)
+        source = None
+        if args.command == "scan":
+            report = cmd_scan(args)
+        else:
+            data = Path(args.input).read_bytes()
+            source = {"path": args.input, "sha256": hashlib.sha256(data).hexdigest()}
+            t = parse_dtarget(data.decode("utf-8"))
+            if args.d is not None and t.d != args.d:
+                raise MismatchedD(f"input has d = {t.d}, expected d = {args.d}")
+            if args.command == "switch":
+                report = cmd_switch(t, args.vertices, args.path)
+            else:
+                report = args.handler(t)
+        rendered = _render(args.command, source, report, args.format)
         if args.out:
             Path(args.out).write_text(rendered + "\n")
     except (ParseError, OSError, UnicodeDecodeError) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 from dtargets import cli, coloring, cuts
 from dtargets.cli import main
-from dtargets.corpus import load_fixture
+from dtargets.corpus import FIXTURE_NAMES, load_fixture
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
 from gadgets import _bench_gen, prism
@@ -345,6 +345,44 @@ def test_check_reads_an_odd_vertex_count_as_a_negative(tmp_path, capsys):
     assert code == cli.EXIT_NEGATIVE == 1
     assert payload["details"]["min_odd_cut"] is None
     assert payload["details"]["oddly_connected"] is False
+
+
+def test_colour_reads_an_odd_vertex_count_as_not_colourable(tmp_path, capsys):
+    # V itself is an odd set with cut 0, so no colouring exists: an honest
+    # negative, as in check, not unusable input.
+    triangle = RotationGraph(((1, 2), (2, 0), (0, 1)))
+    t = DTarget.of(triangle, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+    for path, n in ((str(DATA / "bowtie.dtarget"), 5), (write_target(tmp_path, t), 3)):
+        code, payload = run_json(capsys, ["colour", path])
+        assert code == cli.EXIT_NEGATIVE == 1
+        assert payload["verdict"] == "not colourable"
+        assert payload["details"] == {"colourable": False}
+        code, out, err = run(capsys, ["colour", path])
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "colour: not colourable",
+            f"|V| = {n} is odd; no perfect matchings exist",
+        ]
+
+
+# (check, classify, discharge, colour) exit codes on each file.
+EXIT_CODES = {
+    **dict.fromkeys(FIXTURE_NAMES, (0, 1, 0, 0)),
+    "bowtie": (1, 1, 0, 1),
+    "tree": (1, 2, 2, 1),
+    "two_k4": (1, 2, 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_exit_codes_of_the_fixtures_and_data_files(capsys, name):
+    path = fixture_path(name) if name in FIXTURE_NAMES else str(DATA / f"{name}.dtarget")
+    codes = []
+    for command in ("check", "classify", "discharge", "colour"):
+        code, _, err = run(capsys, [command, path])
+        assert "Traceback" not in err, (command, err)
+        codes.append(code)
+    assert tuple(codes) == EXIT_CODES[name]
 
 
 @pytest.mark.parametrize(

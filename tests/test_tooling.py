@@ -10,6 +10,7 @@ import inspect
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,33 @@ def test_only_planar_touches_the_facts_stores():
         if isinstance(node, ast.Attribute) and node.attr == "facts"
     ]
     assert set(offenders) <= {"planar.py"}, offenders
+
+
+def test_only_cli_main_reads_the_input_file():
+    # main reads, hashes and parses the input once and hands the target to
+    # the command, so no command re-reads it or carries its path or digest.
+    import dataclasses
+
+    from dtargets import cli
+
+    readers = {"open", "read_bytes", "read_text", "sha256", "parse_dtarget"}
+
+    def calls(node):
+        return Counter(
+            name
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            for name in [getattr(call.func, "attr", getattr(call.func, "id", None))]
+            if name in readers
+        )
+
+    tree = ast.parse((ROOT / "src" / "dtargets" / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert calls(main) == Counter(read_bytes=1, sha256=1, parse_dtarget=1)
+    assert calls(tree) == calls(main)
+    assert [f.name for f in dataclasses.fields(cli.Report)] == [
+        "verdict", "exit_code", "details", "text_lines",
+    ]
 
 
 def test_placement_generators_take_the_graph_only():
