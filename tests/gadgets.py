@@ -13,7 +13,7 @@ import random
 from functools import cache
 from pathlib import Path
 
-from dtargets.corpus import load_fixture
+from dtargets.corpus import enumerate_multiplicities, load_fixture
 from dtargets.errors import WouldGoNegative
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 from dtargets.switching import switch_square
@@ -302,3 +302,33 @@ def walk_targets(seed: int = 1, steps: int = 100) -> tuple[DTarget, ...]:
                 continue
             walked.append(t)
     return tuple(walked)
+
+
+# ---------------------------------------------------------------------------
+# Targets met once: ladder prisms and uniform antiprisms on fresh graphs, and
+# every assignment of the small fixtures with zero multiplicities allowed.
+# ---------------------------------------------------------------------------
+
+ONE_SHOT_N = range(6, 41, 2)
+
+
+def one_shot_targets() -> dict[str, list[DTarget]]:
+    """Prisms (rings 2, verticals 4) and uniform antiprisms (every m = 2) on
+    6-40 vertices, from the benchmark's generator, each on a fresh graph."""
+    gen = _bench_gen()
+    return {
+        "prisms": [parse_dtarget(gen.prism_text(n)) for n in ONE_SHOT_N],
+        "antiprisms": [
+            parse_dtarget(gen.uniform_text(*gen.antiprism(n // 2), 2)) for n in ONE_SHOT_N
+        ],
+    }
+
+
+def zero_mult_targets() -> list[DTarget]:
+    """Every d = 8 assignment, zero multiplicities allowed, on k4, prism and
+    cube: 5,561 targets."""
+    return [
+        t
+        for name in ("k4", "prism", "cube")
+        for t in enumerate_multiplicities(load_fixture(name).graph, 8, min_mult=0)
+    ]

@@ -19,6 +19,7 @@ from dtargets.config import (
     ZeroMultEdge,
     detect,
     detect_all,
+    door_table,
     doors,
     is_big,
     is_heavy,
@@ -31,7 +32,7 @@ from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import charge_report, classify_region
 from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
-from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget
+from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget, serialize_dtarget
 from dtargets.switching import switch_square
 
 from conftest import FIXTURES
@@ -48,9 +49,11 @@ from gadgets import (
     octa,
     pentaprism,
     prism,
+    one_shot_targets,
     rule5_wheel,
     two_big_rings,
     walk_targets,
+    zero_mult_targets,
 )
 
 
@@ -107,6 +110,21 @@ def test_toughness_matches_oracle(name):
     t = ALL_TARGETS[name]
     for r in t.graph.faces:
         assert is_tough(t, r) == oracles.tough(t, r), f"region {r.id}"
+
+
+def test_door_table_and_toughness_match_the_oracles_on_many_targets():
+    # The one-shot ladders, every zero-multiplicity assignment of the small
+    # fixtures and the 300 walked targets: each region's doors, small flag
+    # and toughness against the brute-force oracles.
+    targets = [t for ts in one_shot_targets().values() for t in ts]
+    targets += zero_mult_targets() + list(walk_targets())
+    assert len(targets) == 36 + 5561 + 300
+    for t in targets:
+        table, small = door_table(t)
+        for r in t.graph.faces:
+            assert list(table[r.id]) == oracles.doors(t, r), (serialize_dtarget(t), r.id)
+            assert small[r.id] == (not oracles.big(t, r))
+            assert is_tough(t, r) == oracles.tough(t, r), (serialize_dtarget(t), r.id)
 
 
 def test_doors_computed_once_per_region(monkeypatch):

@@ -14,7 +14,10 @@ benchmark's ``corpus_scan_sha256`` in ``bench/golden.json``, and the
 ``detect_all`` match payloads and the ``charge_report`` rows and traces of
 every enumerated target (oddly connected or not) and of the seeded
 square-switch walk in ``gadgets.walk_targets``, and the machine and text
-output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.
+output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.  Further
+``charge_report`` digests cover one-shot prisms and uniform antiprisms with
+6-40 vertices (each parsed fresh, as the benchmark's ladder meets them) and
+every assignment with zero multiplicities allowed on k4, prism and cube.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -38,7 +41,7 @@ from dtargets.discharge import charge_report
 from dtargets.errors import DTargetError
 from dtargets.planar import parse_dtarget, serialize_dtarget
 
-from gadgets import walk_targets
+from gadgets import one_shot_targets, walk_targets, zero_mult_targets
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 DATA = Path(__file__).resolve().parent / "data"
@@ -74,6 +77,9 @@ CHARGE_REPORT_GOLDEN = {
     "walked": "17043bef3ad29f2c4cbedc43308580e23dfaef33b14f433af16b959022c6be66",
     "bowtie": "18b04012f9801d65f5629d955a9934cb3dfddc159b02bbee24f1cdcaca4e3809",
     "tree": "NotTwoConnected: edge (0, 1) borders region 0 twice",
+    "prisms": "3f9f62bf9189c0d5bc3023721fdcc06073b309c8b5edefc026c3d6fa70370592",
+    "antiprisms": "5c9f2602ce9cc6267d346ed530f16d24ccdc969394371230c356415b37426af6",
+    "zero_mult": "023a06507bc4f705c7e3af45a1d0060191f894f1f71969d49ddfc2e94697c80f",
 }
 
 
@@ -217,6 +223,8 @@ def charge_report_digests() -> dict:
         "enumerated": [item.target for item in build_corpus(spec)],
         "walked": walk_targets(),
         "bowtie": [parse_dtarget((DATA / "bowtie.dtarget").read_text())],
+        **one_shot_targets(),
+        "zero_mult": zero_mult_targets(),
     }
     out = {}
     for key, targets in sets.items():
