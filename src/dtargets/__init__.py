@@ -26,8 +26,6 @@ from .config import (
     is_tough,
     m_plus,
     recheck,
-    second_region,
-    triangle_multiplicity,
 )
 from .corpus import (
     CorpusItem,
@@ -52,11 +50,9 @@ from .discharge import (
     RegionCharge,
     RegionClass,
     alpha,
-    beta_edge,
     beta_trace,
     charge_report,
     classify_region,
-    gamma_edge,
     gamma_trace,
     positive_regions,
 )
@@ -73,7 +69,6 @@ from .errors import (
     NegativeMultiplicity,
     NoCommonRegion,
     NotAFourCycle,
-    NotATriangle,
     NotTwoConnected,
     OddVertexCount,
     ParseError,

@@ -35,7 +35,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .cuts import CutWitness, strengthened_cut_check
-from .errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
+from .errors import AmbiguousContext, DTargetError, NotTwoConnected, UnsupportedD
 from .planar import (
     DTarget,
     Edge,
@@ -78,31 +78,20 @@ def door_table(t: DTarget) -> tuple[tuple[tuple[Edge, ...], ...], tuple[bool, ..
 
 
 def _door_table(t: DTarget):
-    table = tuple(_find_doors(t, r) for r in t.graph.faces)
+    m, program = t.mult_vector, charge_program(t.graph)
+    for i, e, rid in program.bridges:
+        if m[i] == 1:
+            raise NotTwoConnected(f"edge {e} borders region {rid} twice")
+    table = tuple(
+        tuple([e for i, e, far in candidates if m[i] == 1 and 1 in map(m.__getitem__, far)])
+        for candidates in program.doors
+    )
     return table, tuple(len(ds) < 4 for ds in table)
-
-
-def _find_doors(t: DTarget, r: Region) -> tuple[Edge, ...]:
-    found: set[Edge] = set()
-    for e in r.edges:
-        if t.m_edge(e) != 1:
-            continue
-        far = other_region(t, e, r)
-        if any(t.m_edge(f) == 1 and edges_disjoint(e, f) for f in far.edges):
-            found.add(e)
-    return tuple(sorted(found))
 
 
 def is_big(t: DTarget, r: Region) -> bool:
     """At least four doors."""
     return not door_table(t)[1][r.id]
-
-
-def second_region(t: DTarget, e: Edge, disc) -> Region:
-    """The region incident with e outside the disc (a collection of region ids)."""
-    if (seconds := _seconds(t.graph, disc, e)) is None:
-        raise AmbiguousContext(f"edge {norm_edge(*e)} is not on the disc boundary")
-    return t.graph.faces[seconds[0]]
 
 
 def _seconds(graph: RotationGraph, disc, *pairs) -> list[int] | None:
@@ -124,9 +113,64 @@ def _indices(graph: RotationGraph, *pairs) -> list[int]:
 
 
 def m_plus(t: DTarget, e: Edge, disc) -> int:
-    """m(e), plus one when the second region outside the disc is small; the
-    discharge rules and ``is_tough`` read m+ here."""
-    return t.m_edge(e) + door_table(t)[1][second_region(t, e, disc).id]
+    """m(e), plus one when the second region outside the disc is small."""
+    i, small = t.graph.edge_index[e], door_table(t)[1]
+    r1, r2 = t.graph.region_pairs[i]
+    if (r1.id in disc) == (r2.id in disc):
+        raise AmbiguousContext(f"edge {norm_edge(*e)} is not on the disc boundary")
+    return t.mult_vector[i] + small[r2.id if r1.id in disc else r1.id]
+
+
+class ChargeProgram(NamedTuple):
+    """What the door table, heavy records, toughness and the discharge rules
+    read of the embedding: a graph fact.  A flank is an (edge index, far
+    region id) pair, the far id None across a bridge."""
+
+    sides: tuple  # per edge: index, edge, region ids, then each one's flanks at its ends
+    rims: tuple  # per region id: its boundary as flanks
+    doors: tuple  # per region id: (index, edge, far edges disjoint from it), by index
+    bridges: tuple  # (index, edge, region id), in region and boundary order
+
+
+def charge_program(graph: RotationGraph) -> ChargeProgram:
+    return fact(graph, "charge", _compile_charge)
+
+
+def _compile_charge(graph: RotationGraph) -> ChargeProgram:
+    """One pass over each face's darts.  On a face that is a simple cycle the
+    flanks of position j are j - 1 and j + 1, and all else is disjoint from
+    it; any other face (off the 2-connected path) scans its boundary."""
+    edges, index = graph.edges, graph.edge_index
+    ids = [(r1.id, r2.id) for r1, r2 in graph.region_pairs]
+    across = [{p: q, q: p} if p != q else {} for p, q in ids]  # region id -> far id
+    # per edge, per side (its region in ``ids``): flanks, and disjoint edges
+    flanks, disjoint = [[None, None] for _ in edges], [[None, None] for _ in edges]
+    rims = []
+    for r in graph.faces:
+        rid, k, cycle = r.id, r.length, [index[d] for d in r.directed]
+        rims.append(rim := tuple((i, across[i].get(rid)) for i in cycle))
+        if k >= 3 and len(r.vertex_set) == k:  # then no edge borders r twice
+            cycle *= 2
+            for j, (a, b) in enumerate(r.directed):
+                i, side = cycle[j], ids[cycle[j]][1] == rid
+                at = (rim[j - 1],), (rim[(j + 1) % k],)
+                flanks[i][side] = at if a < b else at[::-1]
+                disjoint[i][side] = tuple(cycle[j + 2 : j + k - 1])
+            continue
+        for i, s in rim:
+            if s is None:
+                continue
+            e, side = edges[i], ids[i][1] == rid
+            at = [map(index.__getitem__, boundary_edges_at(r, e, z)) for z in e]
+            flanks[i][side] = tuple(tuple((f, across[f].get(rid)) for f in fs) for fs in at)
+            disjoint[i][side] = tuple(f for f, _ in rim if edges_disjoint(e, edges[f]))
+    doors = [
+        tuple((i, edges[i], disjoint[i][ids[i][0] == r]) for i in sorted(own))
+        for r, own in enumerate({i for i, s in rim if s is not None} for rim in rims)
+    ]
+    sides = tuple((i, e, *ids[i], *flanks[i]) for i, e in enumerate(edges))
+    bridges = [(i, edges[i], r) for r, rim in enumerate(rims) for i, s in rim if s is None]
+    return ChargeProgram(sides, tuple(rims), tuple(doors), tuple(dict.fromkeys(bridges)))
 
 
 def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
@@ -139,18 +183,12 @@ def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
 def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:
     """(f, g, h) as edge indices, g and h the other edges of the triangle
     across f from r, or both None when that region is no triangle."""
-    return fact(graph, "heavy", _heavy_records)[r.id, f]
-
-
-def _heavy_records(graph: RotationGraph) -> dict:
-    """Every region's heavy records, keyed by (region id, edge)."""
-    records = {}
-    for i, ((a, b), pair) in enumerate(zip(graph.edges, graph.region_pairs)):
-        for r, far in (pair, pair[::-1]):
-            w = _third_vertex(far, a, b) if far.length == 3 else None
-            g, h = _indices(graph, (a, w), (b, w)) if w is not None else (None, None)
-            records[r.id, (a, b)] = i, g, h
-    return records
+    i, _, p, q, at_p, at_q = charge_program(graph).sides[graph.edge_index[f]]
+    far, at = (q, at_q) if r.id == p else (p, at_p)
+    if graph.faces[far].length != 3:
+        return i, None, None
+    ((g, _),), ((h, _),) = at
+    return i, g, h
 
 
 def _hefts(m, heavy) -> list[int]:
@@ -159,29 +197,17 @@ def _hefts(m, heavy) -> list[int]:
     return [m[f] if g is None else m[f] + min(m[g], m[h]) for f, g, h in heavy]
 
 
-def triangle_multiplicity(t: DTarget, r: Region) -> int:
-    if r.length != 3:
-        raise NotATriangle(f"region {r.id} has length {r.length}")
-    return sum(t.m_edge(e) for e in r.edges)
-
-
 def is_tough(t: DTarget, r: Region) -> bool:
     """A triangle of multiplicity at least five; in the (1,2,2) case the two
-    multiplicity-2 edges must additionally have m_plus values summing to at
-    least 5 (disc = the triangle itself)."""
+    multiplicity-2 edges must additionally have m+ values summing to at
+    least 5 (disc = the triangle itself): one leads to a small region."""
     if r.length != 3:
         return False
-    return fact(t, ("tough", r.id), _find_tough, r)
-
-
-def _find_tough(t: DTarget, r: Region) -> bool:
-    if triangle_multiplicity(t, r) < 5:
-        return False
-    by_mult = sorted(r.edges, key=t.m_edge)
-    if [t.m_edge(e) for e in by_mult] != [1, 2, 2]:
-        return True
-    disc = (r.id,)
-    return m_plus(t, by_mult[1], disc) + m_plus(t, by_mult[2], disc) >= 5
+    m, rim = t.mult_vector, charge_program(t.graph).rims[r.id]
+    a, b, c = [m[i] for i, _ in rim]
+    if a + b + c != 5 or {a, b, c} != {1, 2}:
+        return a + b + c >= 5
+    return any(door_table(t)[1][s] for i, s in rim if m[i] == 2)
 
 
 # ---------------------------------------------------------------------------

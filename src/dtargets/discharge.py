@@ -9,18 +9,17 @@ families then move charge across edges without changing the total:
 * gamma moves charge across each edge separating a tough triangle from a
   small non-tough region (the non-tough side receives).
 
-Each family is an ordered first-match rule chain; the matched rule id is
-recorded so a report can be audited line by line.  A rule moves 0, 1/2 or 1
-(``ZERO``, ``HALF``, ``ONE``): ``charge_report`` sums each region's beta and
-gamma as integers in half-units, checks every identity on those, and makes
-``Fraction``s only for its rows.  Big and small are read from the target's
-door table (``config.door_table``).
+Each family is an ordered first-match rule chain, one flat ``if``/``elif``
+shared by ``charge_report`` and the public ``beta_trace``/``gamma_trace``;
+the matched rule id is recorded so a report can be audited line by line.  A
+rule moves 0, 1/2 or 1, carried in half-units: ``charge_report`` checks every
+identity on integers and makes ``Fraction``s only for its rows.
 
-Region geometry is read one way, shared with ``config``:
-``planar.boundary_edges_at`` lists a region's other boundary edges at one end
-of an edge, each caller testing their number, and ``config.m_plus`` gives m+
-of such an edge with its region as the disc.  Each edge's two regions come
-from ``RotationGraph.region_pairs``, looked up once per trace.
+The rules read only the target's multiplicity vector and door table
+(``config.door_table``) against the graph's charge program
+(``config.charge_program``): each edge's regions and their flanks at its
+ends, each region's rim, as edge indices and region ids.  m+ of a flank is
+its multiplicity plus the small flag of its far region.
 """
 
 from __future__ import annotations
@@ -28,23 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
 
-from .config import _require_d8, door_table, edges_disjoint, is_big, is_tough, m_plus
+from .config import _require_d8, charge_program, door_table, edges_disjoint, is_tough
 from .errors import DTargetError, IdentityViolation
-from .planar import (
-    DTarget,
-    Edge,
-    Region,
-    boundary_edges_at,
-    norm_edge,
-    other_region,
-    region_pair,
-)
+from .planar import DTarget, Edge, Region, norm_edge, region_pair
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+_CHARGE = (ZERO, HALF, ONE)  # a rule's transfer, by half-units
 
 
 class RegionClass(Enum):
@@ -55,19 +46,25 @@ class RegionClass(Enum):
 
 
 def classify_region(t: DTarget, r: Region) -> RegionClass:
-    if is_big(t, r):
+    return _region_class(door_table(t)[1][r.id], r.length, is_tough(t, r))
+
+
+def _region_class(small: bool, length: int, tough: bool) -> RegionClass:
+    if not small:
         return RegionClass.BIG
-    if r.length == 3:
-        return (
-            RegionClass.TRIANGLE_TOUGH if is_tough(t, r) else RegionClass.TRIANGLE_NOT_TOUGH
-        )
+    if length == 3:
+        return RegionClass.TRIANGLE_TOUGH if tough else RegionClass.TRIANGLE_NOT_TOUGH
     return RegionClass.SMALL
 
 
 def alpha(t: DTarget, r: Region) -> int:
     """Initial charge: 8 - 4|C_r| + sum of m over C_r."""
     _require_d8(t)
-    return 8 - 4 * r.length + sum(t.mult[e] for e in r.edges)
+    return _alpha(t.mult_vector, charge_program(t.graph).rims[r.id])
+
+
+def _alpha(m, rim) -> int:
+    return 8 - 4 * len(rim) + sum([m[i] for i, _ in rim])
 
 
 # ---------------------------------------------------------------------------
@@ -86,40 +83,42 @@ class BetaTrace:
 
 def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     """Which beta rule fires across e, and how much the big side receives."""
+    side = _side(t, e)
+    return _beta(t.mult_vector, *door_table(t), side)[0]
+
+
+def _side(t: DTarget, e: Edge) -> tuple:
+    """e's entry in the charge program; refuses a non-edge and a bridge."""
     _require_d8(t)
-    e = norm_edge(*e)
-    r1, r2 = region_pair(t, e)
-    table, small = door_table(t)
-    if small[r1.id] == small[r2.id]:
-        return BetaTrace(e, None, None, None, ZERO)
-    big, tiny = (r2, r1) if small[r1.id] else (r1, r2)
-    if e in table[big.id]:
-        return BetaTrace(e, 1, big.id, tiny.id, ZERO)
-    flanks = [boundary_edges_at(big, e, z) for z in e]
-    if any(len(at_z) != 1 for at_z in flanks):
-        raise DTargetError(f"boundary of region {big.id} is not a simple cycle at {e}")
-    disc = (big.id,)
-    p1, p2 = (m_plus(t, f, disc) for (f,) in flanks)
-    m = t.mult[e]
-    if m == 2 and p1 == p2 == 6:
-        rule, value = 2, ZERO
-    elif m == 2 and {p1, p2} == {6, 5}:
-        rule, value = 3, HALF
-    elif m == 3 and p1 == p2 == 5:
-        rule, value = 4, ZERO
-    elif m == 3 and (p1 == 5) != (p2 == 5):
-        rule, value = 5, HALF
+    region_pair(t, e)
+    return charge_program(t.graph).sides[t.graph.edge_index[e]]
+
+
+def _beta(m, doors, small, side) -> tuple[BetaTrace, int]:
+    """The beta trace across the side's edge and the half-units the big side
+    receives; side is the edge's entry in the charge program."""
+    i, e, r1, r2, flanks1, flanks2 = side
+    if small[r1] == small[r2]:
+        return BetaTrace(e, None, None, None, ZERO), 0
+    big, tiny, flanks = (r2, r1, flanks2) if small[r1] else (r1, r2, flanks1)
+    if e in doors[big]:
+        return BetaTrace(e, 1, big, tiny, ZERO), 0
+    try:
+        ((f1, s1),), ((f2, s2),) = flanks
+    except ValueError:
+        raise DTargetError(f"boundary of region {big} is not a simple cycle at {e}") from None
+    me, p1, p2 = m[i], m[f1] + small[s1], m[f2] + small[s2]
+    if me == 2 and p1 == p2 == 6:
+        rule, halves = 2, 0
+    elif me == 2 and {p1, p2} == {6, 5}:
+        rule, halves = 3, 1
+    elif me == 3 and p1 == p2 == 5:
+        rule, halves = 4, 0
+    elif me == 3 and (p1 == 5) != (p2 == 5):
+        rule, halves = 5, 1
     else:
-        rule, value = 6, ONE
-    return BetaTrace(e, rule, big.id, tiny.id, value)
-
-
-def beta_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
-    """Beta charge received by r across e (negative when r is the small side)."""
-    e = norm_edge(*e)
-    other_region(t, e, r)  # refuses a region off e
-    trace = beta_trace(t, e)
-    return trace.value if r.id == trace.big_region else -trace.value
+        rule, halves = 6, 2
+    return BetaTrace(e, rule, big, tiny, _CHARGE[halves]), halves
 
 
 # ---------------------------------------------------------------------------
@@ -136,73 +135,52 @@ class GammaTrace:
     value: Fraction  # amount received by the non-tough small region
 
 
-class _Flank(NamedTuple):
-    """An edge of the tough triangle other than e: its end z on e, its m and
-    its m+ (the region across it is small exactly when p > m)."""
-
-    z: int
-    m: int
-    p: int
-
-
 def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     """Which gamma rule fires across e, and how much the receiver gets."""
-    _require_d8(t)
-    e = norm_edge(*e)
-    r1, r2 = region_pair(t, e)
-    table, small = door_table(t)
-    if not (small[r1.id] and small[r2.id]):
-        return GammaTrace(e, None, None, None, ZERO)
-    tough1, tough2 = is_tough(t, r1), is_tough(t, r2)
-    if tough1 == tough2:
-        return GammaTrace(e, None, None, None, ZERO)
-    tough, receiver = (r1, r2) if tough1 else (r2, r1)
-    mult, disc = t.mult, (tough.id,)
-    fa, fb = (
-        _Flank(z, mult[f], m_plus(t, f, disc))
-        for z in e
-        for f in boundary_edges_at(tough, e, z)
+    side = _side(t, e)
+    doors, small = door_table(t)
+    tough = {r: is_tough(t, t.graph.faces[r]) for r in side[2:4]}
+    return _gamma(t.mult_vector, doors, small, tough, t.graph.rotations, side)[0]
+
+
+def _gamma(m, doors, small, tough, rotations, side) -> tuple[GammaTrace, int]:
+    """The gamma trace across the side's edge and the half-units the
+    receiver gets; tough is indexed by region id."""
+    i, e, r1, r2, flanks1, flanks2 = side
+    if not (small[r1] and small[r2]) or tough[r1] == tough[r2]:
+        return GammaTrace(e, None, None, None, ZERO), 0
+    donor, receiver, (((fa, sa),), ((fb, sb),)), (at_a, at_b) = (
+        (r1, r2, flanks1, flanks2) if tough[r1] else (r2, r1, flanks2, flanks1)
     )
-    # Either binding: x is the triangle's edge at one end of e, y its third edge.
-    bindings = ((fa, fb), (fb, fa))
-    m = mult[e]
-    if m == 1 and fa.m >= 2 and fb.m >= 2 and fa.p + fb.p >= 6:
-        rule, value = 1, ONE
-    elif m == 1 and any(x.p >= 4 and y.m == 1 and y.p > y.m for x, y in bindings):
-        rule, value = 2, HALF
-    elif m == 1 and any(
-        x.m == 3 and y.m == 1 and y.p > y.m
-        and [mult[f] for f in boundary_edges_at(receiver, e, x.z)] == [4]
-        for x, y in bindings
+    # The triangle's edges at e's ends a and b: m, whether the region across
+    # is small, and m+.  at_a and at_b: the receiver's other edges at a and b.
+    me, ma, mb, qa, qb = m[i], m[fa], m[fb], small[sa], small[sb]
+    pa, pb = ma + qa, mb + qb
+    if me == 1 and ma >= 2 and mb >= 2 and pa + pb >= 6:
+        rule, halves = 1, 2
+    elif me == 1 and ((pa >= 4 and mb == 1 and qb) or (pb >= 4 and ma == 1 and qa)):
+        rule, halves = 2, 1
+    elif me == 1 and (
+        (ma == 3 and mb == 1 and qb and [m[f] for f, _ in at_a] == [4])
+        or (mb == 3 and ma == 1 and qa and [m[f] for f, _ in at_b] == [4])
     ):
-        rule, value = 3, HALF
-    elif m == 2 and fa.m >= 2 and fb.m >= 2 and fa.p + fb.p >= 5 and (
-        len(table[receiver.id]) > 1
-        or any(edges_disjoint(e, d) for d in table[receiver.id])
-        or (
-            any(mult[f] == 4 for z in e for f in boundary_edges_at(receiver, e, z))
-            and fa.p > fa.m and fb.p > fb.m
-        )
+        rule, halves = 3, 1
+    elif me == 2 and ma >= 2 and mb >= 2 and pa + pb >= 5 and (
+        len(doors[receiver]) > 1
+        or any(edges_disjoint(e, d) for d in doors[receiver])
+        or (qa and qb and any(m[f] == 4 for f, _ in at_a + at_b))
     ):
-        rule, value = 4, ONE
-    elif m == 2 and fa.m == fb.m == 2 and any(
-        len(t.graph.rotations[x.z]) == 3 and x.p > x.m and y.p == y.m
-        for x, y in bindings
+        rule, halves = 4, 2
+    elif me == 2 and ma == mb == 2 and (
+        (len(rotations[e[0]]) == 3 and qa and not qb)
+        or (len(rotations[e[1]]) == 3 and qb and not qa)
     ):
-        rule, value = 5, HALF
-    elif m == 3 and fa.m == fb.m == 2:
-        rule, value = 6, ONE
+        rule, halves = 5, 1
+    elif me == 3 and ma == mb == 2:
+        rule, halves = 6, 2
     else:
-        rule, value = 7, ZERO
-    return GammaTrace(e, rule, receiver.id, tough.id, value)
-
-
-def gamma_edge(t: DTarget, e: Edge, r: Region) -> Fraction:
-    """Gamma charge received by r across e (negative when r is the tough side)."""
-    e = norm_edge(*e)
-    other_region(t, e, r)  # refuses a region off e
-    trace = gamma_trace(t, e)
-    return trace.value if r.id == trace.receiver_region else -trace.value
+        rule, halves = 7, 0
+    return GammaTrace(e, rule, receiver, donor, _CHARGE[halves]), halves
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +235,52 @@ def charge_report(t: DTarget) -> ChargeReport:
     across one edge.
     """
     _require_d8(t)
-    faces = t.graph.faces
-    beta = [0] * len(faces)  # half-units: twice the charge each region receives
-    gamma = [0] * len(faces)
-    beta_traces: list[BetaTrace] = []
-    gamma_traces: list[GammaTrace] = []
+    graph, m = t.graph, t.mult_vector
+    program = charge_program(graph)
+    _side(t, graph.edges[0])  # a bridge there is refused before the door table
+    doors, small = door_table(t)
+    faces, rotations = graph.faces, graph.rotations
+    tough = [is_tough(t, r) for r in faces]
+    # half-units: twice the charge each region receives
+    beta, gamma = [0] * len(faces), [0] * len(faces)
+    beta_traces, gamma_traces = [], []
 
-    for e, (r1, r2) in zip(t.graph.edges, t.graph.region_pairs):
-        bt, gt = beta_trace(t, e), gamma_trace(t, e)
+    for side in program.sides:
+        _, e, r1, r2 = side[:4]
+        if r1 == r2:
+            region_pair(t, e)  # refuses the bridge
+        bt, hb = _beta(m, doors, small, side)
+        gt, hg = _gamma(m, doors, small, tough, rotations, side)
         beta_traces.append(bt)
         gamma_traces.append(gt)
-        hb, hg = _halves(bt.value), _halves(gt.value)
-        b1, b2 = (hb if r.id == bt.big_region else -hb for r in (r1, r2))
-        g1, g2 = (hg if r.id == gt.receiver_region else -hg for r in (r1, r2))
+        if not (hb or hg):
+            continue
+        b1, b2 = (hb if r == bt.big_region else -hb for r in (r1, r2))
+        g1, g2 = (hg if r == gt.receiver_region else -hg for r in (r1, r2))
         for family, x1, x2 in (("beta", b1, b2), ("gamma", g1, g2)):
             if x1 + x2:
                 pair = f"{Fraction(x1, 2)}, {Fraction(x2, 2)}"
                 raise IdentityViolation(f"{family} not antisymmetric across {e}: {pair}")
-        if (b1 or b2) and (g1 or g2):
+        if hb and hg:
             raise IdentityViolation(f"both transfer families moved charge across {e}")
         for r, b, g in ((r1, b1, g1), (r2, b2, g2)):
             if abs(b + g) > 2:
                 raise IdentityViolation(
-                    f"transfer across {e} into region {r.id} exceeds 1: {Fraction(b + g, 2)}"
+                    f"transfer across {e} into region {r} exceeds 1: {Fraction(b + g, 2)}"
                 )
-            beta[r.id] += b
-            gamma[r.id] += g
+            beta[r] += b
+            gamma[r] += g
 
     regions = tuple(
         RegionCharge(
             region_id=r.id,
-            region_class=classify_region(t, r),
+            region_class=_region_class(small[r.id], r.length, tough[r.id]),
             length=r.length,
-            alpha=alpha(t, r),
-            beta=Fraction(beta[r.id], 2),
-            gamma=Fraction(gamma[r.id], 2),
+            alpha=_alpha(m, rim),
+            beta=_charge(beta[r.id]),
+            gamma=_charge(gamma[r.id]),
         )
-        for r in faces
+        for r, rim in zip(faces, program.rims)
     )
     alpha_total = sum(rc.alpha for rc in regions)
     if alpha_total != 16:
@@ -304,12 +291,8 @@ def charge_report(t: DTarget) -> ChargeReport:
     return ChargeReport(regions, tuple(beta_traces), tuple(gamma_traces))
 
 
-def _halves(value: Fraction) -> int:
-    """value in half-units; every rule moves a multiple of 1/2."""
-    halves, rest = divmod(2 * value.numerator, value.denominator)
-    if rest:
-        raise IdentityViolation(f"transfer of {value} is not a multiple of 1/2")
-    return halves
+def _charge(halves: int) -> Fraction:
+    return _CHARGE[halves] if 0 <= halves <= 2 else Fraction(halves, 2)
 
 
 def positive_regions(t: DTarget) -> list[RegionCharge]:

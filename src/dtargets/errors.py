@@ -83,10 +83,6 @@ class NoCommonRegion(DTargetError):
     """Edge insertion needs its two endpoints on a common region."""
 
 
-class NotATriangle(DTargetError):
-    """The named region is not bounded by exactly three edges."""
-
-
 class AmbiguousContext(DTargetError):
     """A disc-relative quantity was requested for an edge fully inside the disc."""
 

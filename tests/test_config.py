@@ -31,7 +31,7 @@ from dtargets.config import (
 from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import charge_report, classify_region
-from dtargets.errors import AmbiguousContext, DTargetError, NotATriangle, UnsupportedD
+from dtargets.errors import AmbiguousContext, DTargetError, UnsupportedD
 from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget, serialize_dtarget
 from dtargets.switching import switch_square
 
@@ -128,49 +128,67 @@ def test_door_table_and_toughness_match_the_oracles_on_many_targets():
 
 
 def test_doors_computed_once_per_region(monkeypatch):
-    computed = []
-    find = config._find_doors
-
-    def counted(t, r):
-        computed.append(r.id)
-        return find(t, r)
-
-    monkeypatch.setattr(config, "_find_doors", counted)
+    # One pass fills every region's doors, at the first reader; later
+    # readers share it.
+    computed = _counting_door_tables(monkeypatch)
     t = load_fixture("pentagonal_prism")
     first = t.graph.faces[0]
     assert doors(t, first) is doors(t, first)
     for r in t.graph.faces:
         classify_region(t, r)
-    assert computed[0] == first.id
-    assert sorted(computed) == [r.id for r in t.graph.faces]
+    assert computed == [t]
+    assert len(door_table(t)[0]) == len(t.graph.faces)
 
 
-def _counting_find_doors(monkeypatch) -> list:
+def _counting_door_tables(monkeypatch) -> list:
     computed = []
-    find = config._find_doors
+    fill = config._door_table
 
-    def counted(t, r):
-        computed.append((t, r.id))
-        return find(t, r)
+    def counted(t):
+        computed.append(t)
+        return fill(t)
 
-    monkeypatch.setattr(config, "_find_doors", counted)
+    monkeypatch.setattr(config, "_door_table", counted)
     return computed
 
 
 def test_a_walk_step_finds_each_region_s_doors_once(monkeypatch):
     # The walk's order: charge_report, then detect_all, on each new target.
-    computed = _counting_find_doors(monkeypatch)
+    computed = _counting_door_tables(monkeypatch)
     for walked in walk_targets()[::7]:
         t = DTarget(walked.graph, walked.d, walked.mult_items)  # no facts yet
         charge_report(t)
         detect_all(t)
-        assert all(owner is t for owner, _ in computed)
-        assert [rid for _, rid in computed] == [r.id for r in t.graph.faces]
+        assert len(computed) == 1 and computed[0] is t
+        assert len(door_table(t)[0]) == len(t.graph.faces)
         computed.clear()
 
 
+def test_a_walk_step_compiles_no_charge_program(monkeypatch):
+    # The charge program belongs to the graph: the first target on a graph
+    # compiles it, and each later step of the walk, a new target on the same
+    # graph, reuses it.
+    compiled = []
+    compile_charge = config._compile_charge
+
+    def counted(graph):
+        compiled.append(graph)
+        return compile_charge(graph)
+
+    monkeypatch.setattr(config, "_compile_charge", counted)
+    walked = walk_targets()
+    for start in (0, 100, 200):
+        graph = RotationGraph(walked[start].graph.rotations)  # no facts yet
+        for step in walked[start : start + 100]:
+            t = DTarget(graph, step.d, step.mult_items)
+            charge_report(t)
+            detect_all(t)
+            assert compiled == [graph]
+        compiled.clear()
+
+
 def test_the_exhaustive_scan_finds_no_doors(monkeypatch):
-    computed = _counting_find_doors(monkeypatch)
+    computed = _counting_door_tables(monkeypatch)
     items = build_corpus(CorpusSpec(limit_per_base=1_000_000))
     assert len(items) == 2527
     for item in items:
@@ -210,14 +228,6 @@ def test_is_tough_non_triangle_false():
     t = load_fixture("cube")
     for r in t.graph.faces:
         assert not is_tough(t, r)
-
-
-def test_triangle_multiplicity_guard():
-    from dtargets.config import triangle_multiplicity
-
-    t = load_fixture("cube")
-    with pytest.raises(NotATriangle):
-        triangle_multiplicity(t, t.graph.faces[0])
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TARGETS))
@@ -268,10 +278,11 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
     assert detect_all(t.with_mult(t.mult)) == first
     assert len(wrappers) == 11
     assert runs == dict.fromkeys(wrappers, 1)
-    # Beside the placements: each pattern's compiled judges, and the heavy
-    # records (the far triangle of each region's edges) the judges share.
+    # Beside the placements: each pattern's compiled judges, and the charge
+    # program their door table and heavy records (the far triangle of each
+    # region's edges) read.
     compiled = {("compiled", k) for k in config._PATTERNS}
-    assert set(t.graph.facts) == set(wrappers.values()) | compiled | {"heavy"}
+    assert set(t.graph.facts) == set(wrappers.values()) | compiled | {"charge"}
 
 
 def test_ambiguous_second_regions_fail_their_placements(monkeypatch):

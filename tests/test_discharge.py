@@ -11,11 +11,9 @@ from dtargets.corpus import load_fixture
 from dtargets.discharge import (
     RegionClass,
     alpha,
-    beta_edge,
     beta_trace,
     charge_report,
     classify_region,
-    gamma_edge,
     gamma_trace,
     positive_regions,
 )
@@ -49,6 +47,15 @@ ZERO = Fraction(0)
 def region_by_vertices(t, vertices):
     (r,) = [r for r in t.graph.faces if r.vertex_set == frozenset(vertices)]
     return r
+
+
+def _received(trace, receiver, t) -> dict:
+    """What each region at the trace's edge receives across it: the value
+    on the receiver's side, its negative on the other."""
+    return {
+        r.id: trace.value if r.id == receiver else -trace.value
+        for r in region_pair(t, trace.edge)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +145,18 @@ def test_beta_rule1_on_door_of_deca():
     assert (trace.rule, trace.value) == (1, ZERO)
 
 
-def test_beta_edge_antisymmetric_view():
+def test_beta_is_antisymmetric_in_the_report():
+    # What each side of (1, 2) receives: the big side 1, the small side -1.
     t = decaprism(*DECA_BETA5)
-    trace = beta_trace(t, (1, 2))
-    big_r = next(r for r in t.graph.faces if r.id == trace.big_region)
-    small_r = next(r for r in t.graph.faces if r.id == trace.small_region)
-    assert beta_edge(t, (1, 2), big_r) == ONE
-    assert beta_edge(t, (1, 2), small_r) == -ONE
+    report = charge_report(t)
+    trace = report.beta_traces[t.graph.edges.index((1, 2))]
+    assert trace == beta_trace(t, (1, 2))
+    assert _received(trace, trace.big_region, t) == {
+        trace.big_region: ONE, trace.small_region: -ONE
+    }
+    sums, rows = _traced_sums(t, report), {rc.region_id: rc for rc in report.regions}
+    for r in (trace.big_region, trace.small_region):
+        assert rows[r].beta == sums[r][0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +227,18 @@ def test_gamma_no_rule_without_tough_side():
         assert trace.value == ZERO
 
 
-def test_gamma_edge_antisymmetric_view():
+def test_gamma_is_antisymmetric_in_the_report():
+    # What each side of (0, 1) receives: the receiver 1, the tough side -1.
     t = prism(2, 4)
-    trace = gamma_trace(t, (0, 1))
-    receiver = next(r for r in t.graph.faces if r.id == trace.receiver_region)
-    tough = next(r for r in t.graph.faces if r.id == trace.tough_region)
-    assert gamma_edge(t, (0, 1), receiver) == ONE
-    assert gamma_edge(t, (0, 1), tough) == -ONE
+    report = charge_report(t)
+    trace = report.gamma_traces[t.graph.edges.index((0, 1))]
+    assert trace == gamma_trace(t, (0, 1))
+    assert _received(trace, trace.receiver_region, t) == {
+        trace.receiver_region: ONE, trace.tough_region: -ONE
+    }
+    sums, rows = _traced_sums(t, report), {rc.region_id: rc for rc in report.regions}
+    for r in (trace.receiver_region, trace.tough_region):
+        assert rows[r].gamma == sums[r][1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +426,22 @@ def test_charging_requires_d8():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_charge_report_traces_each_edge_once(name, monkeypatch):
+    # Each rule chain, the one beta_trace and gamma_trace share, runs once
+    # per edge, in edge order.
     import dtargets.discharge as discharge
 
     calls: dict[str, list] = {"beta": [], "gamma": []}
-    for kind, original in (("beta", beta_trace), ("gamma", gamma_trace)):
-        def counted(t, e, original=original, seen=calls[kind]):
-            seen.append(e)
-            return original(t, e)
+    for kind in calls:
+        def counted(*args, original=getattr(discharge, f"_{kind}"), seen=calls[kind]):
+            seen.append(args[-1][1])  # the edge of its charge program entry
+            return original(*args)
 
-        monkeypatch.setattr(discharge, f"{kind}_trace", counted)
+        monkeypatch.setattr(discharge, f"_{kind}", counted)
     t = load_fixture(name)
     report = charge_report(t)
     assert calls["beta"] == calls["gamma"] == list(t.graph.edges)
     assert [tr.edge for tr in report.beta_traces] == list(t.graph.edges)
+    assert [tr.edge for tr in report.gamma_traces] == list(t.graph.edges)
 
 
 def _traced_sums(t, report):
@@ -454,7 +474,7 @@ def test_an_identity_violation_prints_charges_not_half_units(monkeypatch):
 
     # No big region: both sides give the half away.
     monkeypatch.setattr(
-        discharge, "beta_trace", lambda t, e: BetaTrace(e, 3, None, None, HALF)
+        discharge, "_beta", lambda *args: (BetaTrace(args[-1][1], 3, None, None, HALF), 1)
     )
     with pytest.raises(IdentityViolation, match=r"^beta not antisymmetric .*: -1/2, -1/2$"):
         charge_report(load_fixture("prism"))

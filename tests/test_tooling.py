@@ -115,6 +115,16 @@ def test_only_cli_main_reads_the_input_file():
     ]
 
 
+def test_discharge_reads_multiplicities_only_through_the_vector():
+    # The rules read mult_vector against the graph's charge program; the
+    # per-edge route (a multiplicity by edge, m+ by edge, boundary scans)
+    # stays out of discharge.
+    source = (ROOT / "src" / "dtargets" / "discharge.py").read_text()
+    assert "mult_vector" in source
+    routes = re.findall(r"\.mult\[|\b(?:m_edge|m_plus|boundary_edges_at)\(", source)
+    assert routes == []
+
+
 def test_placement_generators_take_the_graph_only():
     # Placements are facts of the embedding, kept per graph; a generator that
     # took the target could read multiplicities into them.
