@@ -2,15 +2,15 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator with its shape predicate, and a compile step.  A
-placement (the named regions and vertices), its shape and what its conditions
-read of the embedding depend on the graph alone, so each generator runs once
-per graph, and each pattern compiles its placements once per graph into judges
-holding edge indices, second region ids and far triangles: graph facts
-(``planar.fact``) in vertex-tuple order.  A judge reads only a target's
-multiplicity vector and door table (each region's doors and small flag, one
-target fact).  Detection and re-checking are generic over the pattern table;
-``is_prime`` stops at the least match.  Shared conventions:
+placement generator with its shape predicate, and a compile step.  Placements,
+shapes and what conditions read of the embedding depend on the graph alone,
+so each generator runs once per graph, and each pattern compiles its
+placements once per graph into judges holding edge indices, second region ids
+and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
+judge reads only a target's multiplicity vector and door table (each region's
+doors and small flag, one target fact).  The door table, heavy records,
+toughness and discharge read the charge program, a graph fact of each edge's
+flanks and each region's rim and door candidates.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that

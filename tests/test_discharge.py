@@ -145,8 +145,9 @@ def test_beta_rule1_on_door_of_deca():
     assert (trace.rule, trace.value) == (1, ZERO)
 
 
-def test_beta_is_antisymmetric_in_the_report():
-    # What each side of (1, 2) receives: the big side 1, the small side -1.
+def test_beta_edge_antisymmetric_view():
+    # Beta across (1, 2) as each side sees it, read off the report's trace
+    # and rows: the big side receives 1, the small side -1.
     t = decaprism(*DECA_BETA5)
     report = charge_report(t)
     trace = report.beta_traces[t.graph.edges.index((1, 2))]
@@ -227,8 +228,9 @@ def test_gamma_no_rule_without_tough_side():
         assert trace.value == ZERO
 
 
-def test_gamma_is_antisymmetric_in_the_report():
-    # What each side of (0, 1) receives: the receiver 1, the tough side -1.
+def test_gamma_edge_antisymmetric_view():
+    # Gamma across (0, 1) as each side sees it, read off the report's trace
+    # and rows: the receiver gets 1, the tough side -1.
     t = prism(2, 4)
     report = charge_report(t)
     trace = report.gamma_traces[t.graph.edges.index((0, 1))]
