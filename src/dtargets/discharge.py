@@ -91,7 +91,7 @@ def _side(t: DTarget, e: Edge) -> tuple:
     """e's entry in the charge program; refuses a non-edge and a bridge."""
     _require_d8(t)
     region_pair(t, e)
-    return charge_program(t.graph).sides[t.graph.edge_index[e]]
+    return charge_program(t.graph).sides[t.graph.edge_index[norm_edge(*e)]]
 
 
 def _beta(m, doors, small, side) -> tuple[BetaTrace, int]:
