@@ -21,21 +21,27 @@ A (start, residual) state whose every child failed is remembered for the
 rest of the call; a state a prune refutes is not, since the prune refutes
 it again as cheaply, and so the memo stays small.
 
-The search's tables for a support's matchings, and each triangle's edges
-and the edges crossing it, are facts of the graph, kept by ``planar.fact``:
+The search runs on packed ints, in lanes of w bits whose top bit is a
+guard, as in ``cuts``: the residual has one lane per graph edge and the
+triangle slacks m(delta(X)) - k one lane per triangle.  Placing a matching
+subtracts its lane packs, so no lane borrows from the next; a residual
+lane reads 0 where its guard clears after subtracting one, and a slack is
+negative where its guard is gone.  The tables of a support's matchings
+(their lane packs, guard masks and triangle packs) are facts of the graph,
+kept by ``planar.fact`` under the lane width and the support's zero set:
 targets on one graph share them, and they go when the graph goes.  A call
-builds only its residual multiplicities and triangle slacks, and a
-matching's edge tuple the first time a colouring returns it.  A support
-with more than ``MATCHING_LIMIT`` perfect matchings is refused.
+packs its residual and slacks, and builds a matching's edge tuple the first
+time a colouring returns it.  A support with more than ``MATCHING_LIMIT``
+perfect matchings is refused.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import OddVertexCount, TooLarge
-from .planar import DTarget, Edge, RotationGraph, fact, norm_edge
+from .planar import DTarget, Edge, RotationGraph, fact
 
 DEFAULT_COLOUR_CAP = None  # no vertex cap
 MATCHING_LIMIT = 2**14  # the most perfect matchings one support's tables hold
@@ -49,106 +55,124 @@ class EdgeColouring:
 
     matchings: tuple[Matching, ...]
 
-    @cached_property
-    def coverage(self) -> dict[Edge, int]:
-        counts: dict[Edge, int] = {}
-        for M in self.matchings:
-            for u, v in M:
-                e = norm_edge(u, v)
-                counts[e] = counts.get(e, 0) + 1
-        return counts
+
+def _lane_width(t: DTarget) -> int:
+    """Bits per lane, a multiple of 8 with the top one a guard: a residual
+    lane holds at most the largest multiplicity, and a slack lane, once the
+    degree sums are d, at most 2d."""
+    top = max(max(t.mult_vector, default=0), 2 * t.d)
+    return 8 * (top.bit_length() // 8 + 1)
 
 
-def _support_tables(t: DTarget, support: tuple[Edge, ...], cap: int | None) -> tuple:
+def _ones(count: int, w: int) -> int:
+    """A 1 in each of count lanes of w bits."""
+    return ((1 << count * w) - 1) // ((1 << w) - 1)
+
+
+def _support_tables(t: DTarget, w: int, zero: int, cap: int | None) -> tuple:
     # The refusals depend on each call's cap, so they come before the lookup.
     n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; no perfect matchings exist")
     if cap is not None and n > cap:
         raise TooLarge(f"|V| = {n} exceeds the matching enumeration cap {cap}")
-    return fact(t.graph, ("matchings", support), _build_tables, support)
+    return fact(t.graph, ("matchings", w, zero), _build_tables, w, zero)
 
 
-def _build_tables(graph: RotationGraph, support: tuple[Edge, ...]) -> tuple:
-    """The search tables of the spanning subgraph with edge set ``support``:
-    per perfect matching, in lexicographic order, its support positions, their
-    bit mask and the triangles it crosses three times; and a dict for the edge
-    tuples of returned matchings.  Past ``MATCHING_LIMIT`` it raises ``TooLarge``.
+def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
+    """The search tables of the spanning subgraph without the edges whose
+    guard bits ``zero`` holds, in lanes of w bits: per perfect matching, in
+    lexicographic order, its lane pack (1 in each edge's lane), its guard
+    mask and its triangle pack (2 in the lane of each triangle it crosses
+    three times); per edge with a triangle lane, its crossing pack; the
+    triangle guards; and a dict for the edge tuples of returned matchings.
+    Past ``MATCHING_LIMIT`` it raises ``TooLarge``.
 
     The walk always matches the smallest unmatched vertex to a larger
     neighbour, in ascending order, so each matching is produced exactly
-    once, with its edges sorted, and in lexicographic order.
+    once and in lexicographic order.  It carries the partial matching's
+    packs down: a perfect matching uses at most one edge of a triangle, and
+    crosses it three times when it uses none.
     """
     n = graph.vertex_count
-    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(support):
-        later[u].append((v, i))
-    members: list[tuple[int, ...]] = []
+    triangles = _triangles(graph)
+    tin = [0] * len(graph.edges)
+    tcross = [0] * len(graph.edges)
+    for c, (inside, crossing) in enumerate(triangles):
+        for i in inside:
+            tin[i] += 2 << (c * w)
+        for i in crossing:
+            tcross[i] += 1 << (c * w)
+    tones = _ones(len(triangles), w)
+    later: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(graph.edges):
+        if not zero >> (i * w + w - 1) & 1:
+            later[u].append((v, 1 << (i * w), tin[i]))
+    packs: list[int] = []
+    tpacks: list[int] = []
     matched = [False] * n
-    partial: list[int] = []
-    # A stack of (free, untried options, mate), so recursion does not bound n.
+    # A stack of (free, untried options, mate, packs without the mate's edge),
+    # so recursion does not bound n.
     stack: list[tuple] = []
-    free, options = 0, iter(later[0])
+    free, options, pack, tpack = 0, iter(later[0]), 0, 2 * tones
     while True:
-        for u, i in options:
+        for u, lane, tlanes in options:
             if not matched[u]:
                 break
         else:
             if not stack:
                 break
-            free, options, u = stack.pop()
+            free, options, u, pack, tpack = stack.pop()
             matched[u] = False
-            partial.pop()
             continue
         matched[u] = True
-        partial.append(i)
         nxt = free + 1
         while nxt < n and matched[nxt]:
             nxt += 1
         if nxt < n:
-            stack.append((free, options, u))
-            free, options = nxt, iter(later[nxt])
+            stack.append((free, options, u, pack, tpack))
+            free, options, pack, tpack = nxt, iter(later[nxt]), pack + lane, tpack - tlanes
             continue
-        if len(members) == MATCHING_LIMIT:
+        if len(packs) == MATCHING_LIMIT:
             raise TooLarge(f"the support has more than {MATCHING_LIMIT} perfect matchings")
-        members.append(tuple(partial))
+        packs.append(pack + lane)
+        tpacks.append(tpack - tlanes)
         matched[u] = False
-        partial.pop()
-    position = {e: i for i, e in enumerate(support)}
-    masks = [sum(1 << i for i in edges) for edges in members]
-    # A matching crosses a triangle once if it uses one of its edges and
-    # three times if it uses none; ``thrice`` lists the latter.
-    inside = [
-        sum(1 << position[e] for e in edges if e in position)
-        for edges, _ in _triangles(graph)
-    ]
-    thrice = [[c for c, m in enumerate(inside) if not mask & m] for mask in masks]
-    return members, masks, thrice, {}
+    masks = [pack << (w - 1) for pack in packs]
+    crossing = [(i, lanes) for i, lanes in enumerate(tcross) if lanes]
+    return packs, masks, tpacks, crossing, tones << (w - 1), {}
 
 
-def _triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
-    """Each 3-cycle of the graph as (its three edges, the edges crossing it)."""
+def _triangles(graph: RotationGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each 3-cycle of the graph as (the indices of its three edges, those of
+    the edges crossing it)."""
     return fact(graph, "triangles", _find_triangles)
 
 
-def _find_triangles(graph: RotationGraph) -> tuple[tuple[Matching, Matching], ...]:
+def _find_triangles(graph: RotationGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     adjacent = [set(rot) for rot in graph.rotations]
+    index = graph.edge_index
     triangles = []
     for a, b in graph.edges:
         for c in adjacent[a] & adjacent[b]:
             if c > b:
                 X = (a, b, c)
                 crossing = tuple(
-                    norm_edge(x, y) for x in X for y in graph.rotations[x] if y not in X
+                    index[(x, y)] for x in X for y in graph.rotations[x] if y not in X
                 )
-                triangles.append((((a, b), (a, c), (b, c)), crossing))
+                triangles.append(((index[(a, b)], index[(a, c)], index[(b, c)]), crossing))
     return tuple(triangles)
+
+
+def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
+    return tuple(e for i, e in enumerate(edges) if pack >> (i * w) & 1)
 
 
 def perfect_matchings(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
+    w = _lane_width(t)
     edges = t.graph.edges
-    return [tuple(edges[i] for i in M) for M in _support_tables(t, edges, cap)[0]]
+    return [_edges_of(pack, w, edges) for pack in _support_tables(t, w, 0, cap)[0]]
 
 
 def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
@@ -158,65 +182,62 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
     support matchings that comes first in lexicographic order (see the
     module docstring for the search and its prunes).
     """
-    support = tuple(e for e, m in t.mult_items if m > 0)
-    members, masks, thrice, named = _support_tables(t, support, cap)
-    if any(total != t.d for total in t.degree_sums):
+    mults = t.mult_vector
+    w = _lane_width(t)
+    ones = _ones(len(mults), w)
+    guards = ones << (w - 1)
+    size = w // 8
+    lanes = bytes(mults) if size == 1 else b"".join(m.to_bytes(size, "little") for m in mults)
+    r = int.from_bytes(lanes, "little")
+    zero = guards ^ (((r | guards) - ones) & guards)
+    packs, masks, tpacks, crossing, tguards, named = _support_tables(t, w, zero, cap)
+    d = t.d
+    if any(total != d for total in t.degree_sums):
         return None
-    # slack[c] = residual m(delta(X_c)) - k; placing matching j lowers it by
-    # 2 for each c in thrice[j] and leaves the rest.
-    slack = [sum(t.mult[e] for e in crossing) - t.d for _, crossing in _triangles(t.graph)]
-    residual = [m for _, m in t.mult_items if m > 0]
-    full = (1 << len(support)) - 1
+    # Lane c of S holds the guard plus residual m(delta(X_c)) - k; placing
+    # matching j subtracts tpacks[j].
+    S = tguards - d * (tguards >> (w - 1)) + sum(mults[i] * lanes for i, lanes in crossing)
     placed: list[int] = []
-    refuted: set[tuple[int, tuple[int, ...]]] = set()
+    refuted: set[tuple[int, int]] = set()
 
-    def enter(start: int, candidates: list[int], zero: int) -> list | None:
-        # zero: the support edges whose residual is 0.  A node no prune
-        # refutes becomes a frame [key, fitting matchings, zero, next child];
-        # its key joins ``refuted`` when its last child fails.
-        key = (start, tuple(residual))
-        if key in refuted or min(slack, default=0) < 0:
+    def enter(start: int, candidates, r: int, S: int) -> list | None:
+        # A node no prune refutes becomes a frame [key, residual, slacks,
+        # fitting matchings, next child]; its key joins ``refuted`` when its
+        # last child fails.
+        key = (start, r)
+        if key in refuted or S & tguards != tguards:
             return None
-        fitting = [j for j in candidates if not masks[j] & zero]
-        covered = zero
-        for j in fitting:
-            covered |= masks[j]
-        return [key, fitting, zero, 0] if covered == full else None
+        covered = zero = guards ^ (((r | guards) - ones) & guards)
+        fitting = []
+        for j in candidates:
+            if not masks[j] & zero:
+                fitting.append(j)
+                covered |= masks[j]
+        return [key, r, S, fitting, 0] if covered == guards else None
 
     # Depth-first with an explicit stack, so d is not bounded by recursion.
-    root = enter(0, list(range(len(members))), 0)
+    root = enter(0, range(len(packs)), r, S)
     frames = [root] if root else []
     while frames:
         frame = frames[-1]
-        key, fitting, zero, pos = frame
+        key, r, S, fitting, pos = frame
         if pos:
-            j = fitting[pos - 1]
-            for e in members[j]:
-                residual[e] += 1
-            for c in thrice[j]:
-                slack[c] += 2
             placed.pop()
         if pos == len(fitting):
             refuted.add(key)
             frames.pop()
             continue
-        frame[3] = pos + 1
+        frame[4] = pos + 1
         j = fitting[pos]
-        emptied = 0
-        for e in members[j]:
-            residual[e] -= 1
-            if not residual[e]:
-                emptied |= 1 << e
-        for c in thrice[j]:
-            slack[c] -= 2
         placed.append(j)
-        if len(placed) < t.d:
-            child = enter(j, fitting[pos:], zero | emptied)
+        if len(placed) < d:
+            child = enter(j, fitting[pos:], r - packs[j], S - tpacks[j])
             if child:
                 frames.append(child)
-        elif zero | emptied == full:
+        elif r == packs[j]:
+            edges = t.graph.edges
             for j in set(placed).difference(named):
-                named[j] = tuple(map(support.__getitem__, members[j]))
+                named[j] = _edges_of(packs[j], w, edges)
             return EdgeColouring(tuple(map(named.__getitem__, placed)))
     return None
 
@@ -224,25 +245,20 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
 def verify_colouring(t: DTarget, c: EdgeColouring) -> bool:
     """True iff c is a list of d perfect matchings covering each edge m(e) times.
 
-    A colouring repeats its matchings, so each distinct one is checked once.
+    A colouring repeats its matchings, so each distinct one is checked once
+    and counts for its edges as often as it repeats.
     """
     if len(c.matchings) != t.d:
         return False
     n = t.vertex_count
-    edge_set = t.graph.edge_set
-    for M in dict.fromkeys(c.matchings):
-        used: set[int] = set()
-        for u, v in M:
-            if norm_edge(u, v) not in edge_set:
-                return False
-            if u in used or v in used:
-                return False
-            used.add(u)
-            used.add(v)
-        if len(used) != n:
+    index = t.graph.edge_index
+    coverage = [0] * len(t.graph.edges)
+    for M, times in Counter(c.matchings).items():
+        if 2 * len(M) != n or len({x for e in M for x in e}) != n:
             return False
-    coverage = c.coverage
-    for e, m in t.mult_items:
-        if coverage.get(e, 0) != m:
-            return False
-    return True
+        for e in M:
+            i = index.get(e)
+            if i is None:
+                return False
+            coverage[i] += times
+    return tuple(coverage) == t.mult_vector

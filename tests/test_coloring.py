@@ -17,9 +17,9 @@ from dtargets.coloring import (
     perfect_matchings,
     verify_colouring,
 )
-from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
+from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import is_oddly_connected
-from dtargets.errors import OddVertexCount, TooLarge
+from dtargets.errors import DTargetError, OddVertexCount, TooLarge
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
@@ -31,6 +31,7 @@ from gadgets import (
     antiprism,
     octa,
     prism,
+    zero_mult_targets,
 )
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -207,6 +208,35 @@ def test_verify_rejects_partial_cover():
     assert not verify_colouring(t, skewed)
 
 
+def test_verify_accepts_reversed_edges():
+    t = load_fixture("k4")
+    colouring = edge_colour(t)
+    flipped = tuple(tuple((v, u) for u, v in M) for M in colouring.matchings)
+    assert verify_colouring(t, EdgeColouring(matchings=flipped))
+
+
+def test_verify_rejects_a_vertex_covered_twice():
+    # Two edges, n/2 of them, that share vertex 1 and miss vertex 3.
+    t = load_fixture("k4")
+    colouring = edge_colour(t)
+    twice = EdgeColouring(matchings=(((0, 1), (1, 2)),) + colouring.matchings[1:])
+    assert not verify_colouring(t, twice)
+
+
+def test_verify_rejects_a_self_pair():
+    t = load_fixture("k4")
+    colouring = edge_colour(t)
+    looped = EdgeColouring(matchings=(((0, 0), (2, 3)),) + colouring.matchings[1:])
+    assert not verify_colouring(t, looped)
+
+
+def test_verify_rejects_any_colouring_on_an_odd_vertex_count():
+    # The bowtie has 5 vertices, so no list of edges is a perfect matching.
+    t = parse_dtarget((DATA / "bowtie.dtarget").read_text())
+    for M in (((0, 1), (2, 3)), ((0, 1), (1, 2), (3, 4))):
+        assert not verify_colouring(t, EdgeColouring(matchings=(M,) * t.d))
+
+
 def test_verify_rejects_foreign_edges():
     t = load_fixture("k4")
     foreign = EdgeColouring(matchings=(((0, 9), (1, 2)),) * 8)
@@ -239,6 +269,27 @@ def test_colourings_equal_the_earlier_solver_on_the_exhaustive_corpus():
     assert differ == []
 
 
+# sha256 over the zero-multiplicity targets of k4, prism and cube, one line
+# each: repr(edge_colour(t).matchings), "None", or the refusal's type name.
+ZERO_MULT_DIGEST = "3b4dceac6fdd9d07c180801ad54cd36c0e6dd8da45893e7eb5a9f55975371182"
+
+
+def test_colourings_on_zero_multiplicity_targets_keep_their_digest():
+    # Only these targets have a support that is not the graph's edge set,
+    # so they reach the tables of every support the search can key.
+    digest = sha256()
+    targets = zero_mult_targets()
+    assert len(targets) == 5561
+    for t in targets:
+        try:
+            colouring = edge_colour(t)
+            line = "None" if colouring is None else repr(colouring.matchings)
+        except DTargetError as exc:
+            line = type(exc).__name__
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == ZERO_MULT_DIGEST
+
+
 @pytest.mark.parametrize("n, seed", [(20, 4), (22, 6), (24, 1)])
 def test_antiprism_cliff_is_gone(n, seed):
     # On these cases the earlier solver, which oracles.lex_first_colouring
@@ -260,6 +311,13 @@ def test_search_depth_is_not_bounded_by_recursion():
     assert sorted(Counter(colouring.matchings).values()) == [400, 400, 800]
 
 
+def test_lanes_hold_a_multiplicity_above_d():
+    # An off-degree target packs its residual before the root answers, so
+    # the lanes are sized from its largest multiplicity, not from d.
+    k4 = load_fixture("k4")
+    assert edge_colour(k4.with_mult({**k4.mult, (0, 1): 300})) is None
+
+
 def test_matching_walk_is_not_bounded_by_recursion():
     # A 2400-cycle whose support is one perfect matching: the walk goes
     # 1200 levels deep, past Python's default recursion limit.
@@ -272,17 +330,25 @@ def test_matching_walk_is_not_bounded_by_recursion():
     assert len(set(colouring.matchings)) == 1
 
 
+def _table_key(t: DTarget) -> tuple:
+    # Byte lanes hold every d = 8 target; the key's int has the guard bit
+    # (the top of its byte) of each edge with m(e) = 0.
+    zero = sum(1 << 8 * i + 7 for i, m in enumerate(t.mult_vector) if not m)
+    return ("matchings", 8, zero)
+
+
 def test_colouring_facts_live_on_the_graph():
     # One enumeration per graph and support, shared by every target on the
-    # graph; an equal graph built afresh starts with none.
+    # graph and kept under the support's zero set (none here); no colouring
+    # fact lives on a target.  An equal graph built afresh starts with none.
     items = build_corpus(CorpusSpec(bases=("octahedron",)))
     graph = items[0].target.graph
     assert all(item.target.graph is graph for item in items)
     for item in items:
+        before = dict(item.target.facts)
         edge_colour(item.target)
-    assert sorted(map(str, graph.facts)) == sorted(
-        [str(("matchings", graph.edges)), "triangles"]
-    )
+        assert item.target.facts == before
+    assert sorted(map(str, graph.facts)) == sorted([str(("matchings", 8, 0)), "triangles"])
     fresh = RotationGraph(graph.rotations)
     assert fresh == graph and hash(fresh) == hash(graph) and fresh.facts == {}
 
@@ -297,19 +363,30 @@ class _CountedWrites(dict):
         super().__setitem__(key, value)
 
 
+def _assert_one_table_write_per_support(targets: list[DTarget]) -> set:
+    graph = targets[0].graph
+    facts = _CountedWrites(graph.facts)
+    object.__setattr__(graph, "facts", facts)
+    for t in targets:
+        assert t.graph is graph
+        colouring = edge_colour(t)
+        assert colouring is None or verify_colouring(t, colouring)
+    keys = {_table_key(t) for t in targets}
+    assert len(targets) > len(keys)
+    assert facts.writes == Counter({"triangles": 1, **{key: 1 for key in keys}})
+    return keys
+
+
 def test_colour_tables_are_built_once_per_support():
     # The matchings of a support and the search's tables for them are built
     # and stored by the first call on the support; every later call reads
     # them.
     items = build_corpus(CorpusSpec(bases=("octahedron",), limit_per_base=1000000))
-    graph = items[0].target.graph
-    facts = _CountedWrites(graph.facts)
-    object.__setattr__(graph, "facts", facts)
-    for item in items:
-        assert item.target.graph is graph
-        assert verify_colouring(item.target, edge_colour(item.target))
-    supports = {tuple(e for e, m in item.target.mult_items if m) for item in items}
-    assert len(items) > len(supports)
-    assert facts.writes == Counter(
-        {"triangles": 1, **{("matchings", s): 1 for s in supports}}
-    )
+    _assert_one_table_write_per_support([item.target for item in items])
+
+
+def test_colour_tables_are_built_once_per_zero_set():
+    # The prism's zero-multiplicity targets meet 21 supports.
+    graph = load_fixture("prism").graph
+    targets = list(enumerate_multiplicities(graph, 8, min_mult=0))
+    assert len(_assert_one_table_write_per_support(targets)) == 21

@@ -125,6 +125,24 @@ def test_discharge_reads_multiplicities_only_through_the_vector():
     assert routes == []
 
 
+def test_colouring_search_reads_multiplicities_only_through_the_vector():
+    # edge_colour packs mult_vector into lanes and checks degree_sums; the
+    # tables are built from the graph and a support's zero set alone.
+    from dtargets import coloring
+
+    search = "".join(
+        inspect.getsource(fn)
+        for fn in (
+            coloring.edge_colour,
+            coloring._lane_width,
+            coloring._support_tables,
+            coloring._build_tables,
+        )
+    )
+    assert "mult_vector" in search and "degree_sums" in search
+    assert re.findall(r"\.mult\[|\.mult_items|\bnorm_edge\b", search) == []
+
+
 def test_placement_generators_take_the_graph_only():
     # Placements are facts of the embedding, kept per graph; a generator that
     # took the target could read multiplicities into them.
