@@ -21,18 +21,14 @@ A (start, residual) state whose every child failed is remembered for the
 rest of the call; a state a prune refutes is not, since the prune refutes
 it again as cheaply, and so the memo stays small.
 
-The search runs on packed ints, in lanes of w bits whose top bit is a
-guard, as in ``cuts``: the residual has one lane per graph edge and the
-triangle slacks m(delta(X)) - k one lane per triangle.  Placing a matching
-subtracts its lane packs, so no lane borrows from the next; a residual
-lane reads 0 where its guard clears after subtracting one, and a slack is
-negative where its guard is gone.  The tables of a support's matchings
-(their lane packs, guard masks and triangle packs) are facts of the graph,
-kept by ``planar.fact`` under the lane width and the support's zero set:
-targets on one graph share them, and they go when the graph goes.  A call
-packs its residual and slacks, and builds a matching's edge tuple the first
-time a colouring returns it.  A support with more than ``MATCHING_LIMIT``
-perfect matchings is refused.
+The residual (one lane per graph edge) and the slacks m(delta(X)) - k (one
+lane per triangle) are each one int of w-bit lanes under a guard bit, as in
+``cuts``: placing a matching is one subtraction per int, an edge's residual
+is 0 where its guard clears on subtracting 1, and a slack is negative where
+its guard is gone.  The matchings of a support, as lane packs, are a fact
+of the graph kept by ``planar.fact`` under w and the support's zero set, so
+targets on one graph share them.  A support with more than
+``MATCHING_LIMIT`` perfect matchings is refused.
 """
 
 from __future__ import annotations
@@ -64,8 +60,7 @@ def _lane_width(t: DTarget) -> int:
     return 8 * (top.bit_length() // 8 + 1)
 
 
-def _ones(count: int, w: int) -> int:
-    """A 1 in each of count lanes of w bits."""
+def _ones(count: int, w: int) -> int:  # a 1 in each of count lanes
     return ((1 << count * w) - 1) // ((1 << w) - 1)
 
 
@@ -80,24 +75,19 @@ def _support_tables(t: DTarget, w: int, zero: int, cap: int | None) -> tuple:
 
 
 def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
-    """The search tables of the spanning subgraph without the edges whose
-    guard bits ``zero`` holds, in lanes of w bits: per perfect matching, in
-    lexicographic order, its lane pack (1 in each edge's lane), its guard
-    mask and its triangle pack (2 in the lane of each triangle it crosses
-    three times); per edge with a triangle lane, its crossing pack; the
-    triangle guards; and a dict for the edge tuples of returned matchings.
-    Past ``MATCHING_LIMIT`` it raises ``TooLarge``.
-
-    The walk always matches the smallest unmatched vertex to a larger
-    neighbour, in ascending order, so each matching is produced exactly
-    once and in lexicographic order.  It carries the partial matching's
-    packs down: a perfect matching uses at most one edge of a triangle, and
-    crosses it three times when it uses none.
+    """The search tables, in w-bit lanes, of the spanning subgraph without
+    the edges whose lanes hold a 1 in ``zero``: per perfect matching in
+    lexicographic order, its edge pack (a 1 per edge) and triangle pack (a 2
+    per triangle it crosses three times, as it uses none of its edges); the
+    (edge, triangles it crosses) packs; the triangle guards; and a dict for
+    the edge tuples of returned matchings.  Past ``MATCHING_LIMIT`` it
+    raises ``TooLarge``.  The walk matches the smallest unmatched vertex to
+    each larger neighbour in turn, carrying the partial matching's packs, so
+    it yields each matching once, in lexicographic order.
     """
     n = graph.vertex_count
     triangles = _triangles(graph)
-    tin = [0] * len(graph.edges)
-    tcross = [0] * len(graph.edges)
+    tin, tcross = [0] * len(graph.edges), [0] * len(graph.edges)
     for c, (inside, crossing) in enumerate(triangles):
         for i in inside:
             tin[i] += 2 << (c * w)
@@ -106,10 +96,9 @@ def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
     tones = _ones(len(triangles), w)
     later: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(graph.edges):
-        if not zero >> (i * w + w - 1) & 1:
+        if not zero >> (i * w) & 1:
             later[u].append((v, 1 << (i * w), tin[i]))
-    packs: list[int] = []
-    tpacks: list[int] = []
+    packs, tpacks = [], []
     matched = [False] * n
     # A stack of (free, untried options, mate, packs without the mate's edge),
     # so recursion does not bound n.
@@ -138,14 +127,12 @@ def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
         packs.append(pack + lane)
         tpacks.append(tpack - tlanes)
         matched[u] = False
-    masks = [pack << (w - 1) for pack in packs]
     crossing = [(i, lanes) for i, lanes in enumerate(tcross) if lanes]
-    return packs, masks, tpacks, crossing, tones << (w - 1), {}
+    return packs, tpacks, crossing, tones << (w - 1), {}
 
 
 def _triangles(graph: RotationGraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each 3-cycle of the graph as (the indices of its three edges, those of
-    the edges crossing it)."""
+    """Each 3-cycle as (the indices of its three edges, those crossing it)."""
     return fact(graph, "triangles", _find_triangles)
 
 
@@ -171,8 +158,7 @@ def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
 def perfect_matchings(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
     w = _lane_width(t)
-    edges = t.graph.edges
-    return [_edges_of(pack, w, edges) for pack in _support_tables(t, w, 0, cap)[0]]
+    return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t, w, 0, cap)[0]]
 
 
 def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
@@ -189,31 +175,29 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
     size = w // 8
     lanes = bytes(mults) if size == 1 else b"".join(m.to_bytes(size, "little") for m in mults)
     r = int.from_bytes(lanes, "little")
-    zero = guards ^ (((r | guards) - ones) & guards)
-    packs, masks, tpacks, crossing, tguards, named = _support_tables(t, w, zero, cap)
+    zero = (guards ^ (((r | guards) - ones) & guards)) >> (w - 1)
+    packs, tpacks, crossing, tguards, named = _support_tables(t, w, zero, cap)
     d = t.d
     if any(total != d for total in t.degree_sums):
         return None
-    # Lane c of S holds the guard plus residual m(delta(X_c)) - k; placing
-    # matching j subtracts tpacks[j].
+    # Lane c of S holds its guard plus residual m(delta(X_c)) - k.
     S = tguards - d * (tguards >> (w - 1)) + sum(mults[i] * lanes for i, lanes in crossing)
     placed: list[int] = []
     refuted: set[tuple[int, int]] = set()
 
     def enter(start: int, candidates, r: int, S: int) -> list | None:
         # A node no prune refutes becomes a frame [key, residual, slacks,
-        # fitting matchings, next child]; its key joins ``refuted`` when its
-        # last child fails.
+        # fitting matchings, next child]; ``refuted`` gets its key at the end.
         key = (start, r)
         if key in refuted or S & tguards != tguards:
             return None
-        covered = zero = guards ^ (((r | guards) - ones) & guards)
+        covered = zero = (guards ^ (((r | guards) - ones) & guards)) >> (w - 1)
         fitting = []
         for j in candidates:
-            if not masks[j] & zero:
+            if not packs[j] & zero:
                 fitting.append(j)
-                covered |= masks[j]
-        return [key, r, S, fitting, 0] if covered == guards else None
+                covered |= packs[j]
+        return [key, r, S, fitting, 0] if covered == ones else None
 
     # Depth-first with an explicit stack, so d is not bounded by recursion.
     root = enter(0, range(len(packs)), r, S)
@@ -235,9 +219,8 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
             if child:
                 frames.append(child)
         elif r == packs[j]:
-            edges = t.graph.edges
             for j in set(placed).difference(named):
-                named[j] = _edges_of(packs[j], w, edges)
+                named[j] = _edges_of(packs[j], w, t.graph.edges)
             return EdgeColouring(tuple(map(named.__getitem__, placed)))
     return None
 

@@ -331,9 +331,9 @@ def test_matching_walk_is_not_bounded_by_recursion():
 
 
 def _table_key(t: DTarget) -> tuple:
-    # Byte lanes hold every d = 8 target; the key's int has the guard bit
-    # (the top of its byte) of each edge with m(e) = 0.
-    zero = sum(1 << 8 * i + 7 for i, m in enumerate(t.mult_vector) if not m)
+    # Byte lanes hold every d = 8 target; the key's int has a 1 in the lane
+    # of each edge with m(e) = 0.
+    zero = sum(1 << 8 * i for i, m in enumerate(t.mult_vector) if not m)
     return ("matchings", 8, zero)
 
 
