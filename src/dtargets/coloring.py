@@ -78,20 +78,20 @@ def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
     """The search tables, in w-bit lanes, of the spanning subgraph without
     the edges whose lanes hold a 1 in ``zero``: per perfect matching in
     lexicographic order, its edge pack (a 1 per edge) and triangle pack (a 2
-    per triangle it crosses three times, as it uses none of its edges); the
-    (edge, triangles it crosses) packs; the triangle guards; and a dict for
-    the edge tuples of returned matchings.  Past ``MATCHING_LIMIT`` it
-    raises ``TooLarge``.  The walk matches the smallest unmatched vertex to
-    each larger neighbour in turn, carrying the partial matching's packs, so
-    it yields each matching once, in lexicographic order.
+    per triangle it crosses three times, as it uses none of its edges); each
+    (edge, pack of the triangles it crosses) pair; the triangle guards; and
+    a dict for the edge tuples of returned matchings.  Past
+    ``MATCHING_LIMIT`` it raises ``TooLarge``.  The walk matches the smallest
+    unmatched vertex to each larger neighbour in turn, carrying the partial
+    matching's packs, so it yields each matching once, in lexicographic order.
     """
     n = graph.vertex_count
     triangles = _triangles(graph)
     tin, tcross = [0] * len(graph.edges), [0] * len(graph.edges)
-    for c, (inside, crossing) in enumerate(triangles):
+    for c, (inside, outside) in enumerate(triangles):
         for i in inside:
             tin[i] += 2 << (c * w)
-        for i in crossing:
+        for i in outside:
             tcross[i] += 1 << (c * w)
     tones = _ones(len(triangles), w)
     later: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
