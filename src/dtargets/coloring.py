@@ -22,12 +22,12 @@ rest of the call; a state a prune refutes is not, since the prune refutes
 it again as cheaply, and so the memo stays small.
 
 The residual (one lane per graph edge) and the slacks m(delta(X)) - k (one
-lane per triangle) are each one int of w-bit lanes under a guard bit, as in
-``cuts``: placing a matching is one subtraction per int, an edge's residual
-is 0 where its guard clears on subtracting 1, and a slack is negative where
-its guard is gone.  The matchings of a support, as lane packs, are a fact
-of the graph kept by ``planar.fact`` under w and the support's zero set, so
-targets on one graph share them.  A support with more than
+lane per triangle) are each one int of w-bit lanes under a guard bit, in
+the lane format of ``cuts``: placing a matching is one subtraction per int,
+an edge's residual is 0 where its guard clears on subtracting 1, and a slack
+is negative where its guard is gone.  The matchings of a support, as lane
+packs, are a fact of the graph kept by ``planar.fact`` under w and the
+support's zero set, so targets on one graph and lane width share them.  A support with more than
 ``MATCHING_LIMIT`` perfect matchings is refused.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .cuts import _lane_width, _ones, _pack
 from .errors import OddVertexCount, TooLarge
 from .planar import DTarget, Edge, RotationGraph, fact
 
@@ -52,16 +53,10 @@ class EdgeColouring:
     matchings: tuple[Matching, ...]
 
 
-def _lane_width(t: DTarget) -> int:
-    """Bits per lane, a multiple of 8 with the top one a guard: a residual
-    lane holds at most the largest multiplicity, and a slack lane, once the
-    degree sums are d, at most 2d."""
-    top = max(max(t.mult_vector, default=0), 2 * t.d)
-    return 8 * (top.bit_length() // 8 + 1)
-
-
-def _ones(count: int, w: int) -> int:  # a 1 in each of count lanes
-    return ((1 << count * w) - 1) // ((1 << w) - 1)
+def _width(t: DTarget) -> int:
+    """The search's lane width: a residual lane holds at most the largest
+    multiplicity, and a slack lane, once the degree sums are d, at most 2d."""
+    return _lane_width(max(max(t.mult_vector, default=0), 2 * t.d))
 
 
 def _support_tables(t: DTarget, w: int, zero: int, cap: int | None) -> tuple:
@@ -157,7 +152,7 @@ def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
 
 def perfect_matchings(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
-    w = _lane_width(t)
+    w = _width(t)
     return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t, w, 0, cap)[0]]
 
 
@@ -169,13 +164,15 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
     module docstring for the search and its prunes).
     """
     mults = t.mult_vector
-    w = _lane_width(t)
+    w = _width(t)
     ones = _ones(len(mults), w)
     guards = ones << (w - 1)
-    size = w // 8
-    lanes = bytes(mults) if size == 1 else b"".join(m.to_bytes(size, "little") for m in mults)
-    r = int.from_bytes(lanes, "little")
-    zero = (guards ^ (((r | guards) - ones) & guards)) >> (w - 1)
+
+    def zeros(r: int) -> int:  # a 1 in each lane of r that holds 0
+        return (guards ^ (((r | guards) - ones) & guards)) >> (w - 1)
+
+    r = _pack(mults, w)
+    zero = zeros(r)
     packs, tpacks, crossing, tguards, named = _support_tables(t, w, zero, cap)
     d = t.d
     if any(total != d for total in t.degree_sums):
@@ -191,7 +188,7 @@ def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouri
         key = (start, r)
         if key in refuted or S & tguards != tguards:
             return None
-        covered = zero = (guards ^ (((r | guards) - ones) & guards)) >> (w - 1)
+        covered = zero = zeros(r)
         fitting = []
         for j in candidates:
             if not packs[j] & zero:

@@ -42,8 +42,19 @@ def m_delta(t: DTarget, X) -> int:
     return total
 
 
+def _lane_width(top: int) -> int:
+    """Bits per lane for values up to top: a multiple of 8, top bit free for the guard."""
+    return 8 * (top.bit_length() // 8 + 1)
+
+
+def _ones(count: int, w: int) -> int:  # a 1 in each of count w-bit lanes
+    return ((1 << count * w) - 1) // ((1 << w) - 1)
+
+
 def _pack(values, w: int) -> int:
     """One int holding values[i] in bits i*w to i*w + w - 1 (w a multiple of 8)."""
+    if w == 8:  # one byte a lane: bytes() packs it without a call per value
+        return int.from_bytes(bytes(values), "little")
     return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
 
 
@@ -60,9 +71,9 @@ def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness 
     """
     n = targets[0].vertex_count
     top = max(max(sum(t.degree_sums) // 2, t.d + 1) for t in targets)
-    w = 8 * (top.bit_length() // 8 + 1)
+    w = _lane_width(top)
     lane = (1 << w) - 1
-    guards = _pack([1 << (w - 1)] * len(targets), w)
+    guards = _ones(len(targets), w) << (w - 1)
     # Per vertex: its packed degree sum, its neighbours that can be in Y (by
     # bit, with twice the packed edge) and twice its packed edge to vertex 1.
     degree, inner, to_1 = [0] * n, [[] for _ in range(n)], [0] * n

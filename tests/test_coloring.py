@@ -98,13 +98,23 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
     with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
         edge_colour(off_cube)
 
-    def no_search(graph):
-        raise AssertionError("the search started")
+    class Unread:  # the search's first read of the matchings is len(packs)
+        def __len__(self):
+            raise AssertionError("the search started")
 
+        __getitem__ = __len__
+
+    support_tables = coloring._support_tables
+
+    def unread_packs(*args):
+        packs, *rest = support_tables(*args)
+        return (Unread(), *rest)
+
+    monkeypatch.setattr(coloring, "_support_tables", unread_packs)
     k4 = load_fixture("k4")
-    edge_colour(k4)  # builds the tables of the support both k4 targets share
-    monkeypatch.setattr(coloring, "_triangles", no_search)
     assert edge_colour(k4.with_mult({**k4.mult, (0, 1): 7})) is None
+    with pytest.raises(AssertionError, match="the search started"):
+        edge_colour(k4)
 
 
 # sha256 of repr(edge_colour(t, cap=64).matchings) on the ladder prisms
@@ -363,14 +373,17 @@ class _CountedWrites(dict):
         super().__setitem__(key, value)
 
 
-def _assert_one_table_write_per_support(targets: list[DTarget]) -> set:
+def _assert_one_table_write_per_support(targets: list[DTarget], colourable: bool) -> set:
+    # With colourable set, every target must colour; otherwise a target may
+    # answer None, but a colouring returned must verify.
     graph = targets[0].graph
     facts = _CountedWrites(graph.facts)
     object.__setattr__(graph, "facts", facts)
     for t in targets:
         assert t.graph is graph
         colouring = edge_colour(t)
-        assert colouring is None or verify_colouring(t, colouring)
+        if colourable or colouring is not None:
+            assert verify_colouring(t, colouring)
     keys = {_table_key(t) for t in targets}
     assert len(targets) > len(keys)
     assert facts.writes == Counter({"triangles": 1, **{key: 1 for key in keys}})
@@ -382,11 +395,11 @@ def test_colour_tables_are_built_once_per_support():
     # and stored by the first call on the support; every later call reads
     # them.
     items = build_corpus(CorpusSpec(bases=("octahedron",), limit_per_base=1000000))
-    _assert_one_table_write_per_support([item.target for item in items])
+    _assert_one_table_write_per_support([item.target for item in items], colourable=True)
 
 
 def test_colour_tables_are_built_once_per_zero_set():
     # The prism's zero-multiplicity targets meet 21 supports.
     graph = load_fixture("prism").graph
     targets = list(enumerate_multiplicities(graph, 8, min_mult=0))
-    assert len(_assert_one_table_write_per_support(targets)) == 21
+    assert len(_assert_one_table_write_per_support(targets, colourable=False)) == 21

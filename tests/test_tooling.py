@@ -134,7 +134,7 @@ def test_colouring_search_reads_multiplicities_only_through_the_vector():
         inspect.getsource(fn)
         for fn in (
             coloring.edge_colour,
-            coloring._lane_width,
+            coloring._width,
             coloring._support_tables,
             coloring._build_tables,
         )
