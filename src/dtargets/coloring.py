@@ -40,7 +40,6 @@ from .cuts import _lane_width, _ones, _pack
 from .errors import OddVertexCount, TooLarge
 from .planar import DTarget, Edge, RotationGraph, fact
 
-DEFAULT_COLOUR_CAP = None  # no vertex cap
 MATCHING_LIMIT = 2**14  # the most perfect matchings one support's tables hold
 
 Matching = tuple[Edge, ...]
@@ -150,13 +149,13 @@ def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
     return tuple(e for i, e in enumerate(edges) if pack >> (i * w) & 1)
 
 
-def perfect_matchings(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> list[Matching]:
+def perfect_matchings(t: DTarget, cap: int | None = None) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
     w = _width(t)
     return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t, w, 0, cap)[0]]
 
 
-def edge_colour(t: DTarget, cap: int | None = DEFAULT_COLOUR_CAP) -> EdgeColouring | None:
+def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
     """Find a d-edge-colouring, or None after exhausting the search.
 
     Of all colourings, the one returned is the nondecreasing sequence of

@@ -173,13 +173,6 @@ def _compile_charge(graph: RotationGraph) -> ChargeProgram:
     return ChargeProgram(sides, tuple(rims), tuple(doors), tuple(dict.fromkeys(bridges)))
 
 
-def is_heavy(t: DTarget, e: Edge, r: Region, i: int) -> bool:
-    """m(e) >= i, or the far region is a triangle uvw with e = uv and
-    m(uv) + min(m(uw), m(vw)) >= i."""
-    other_region(t, e, r)  # refuses an edge off r or with r on both sides
-    return _hefts(t.mult_vector, [_heavy_record(t.graph, r, norm_edge(*e))])[0] >= i
-
-
 def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:
     """(f, g, h) as edge indices, g and h the other edges of the triangle
     across f from r, or both None when that region is no triangle."""

@@ -26,10 +26,6 @@ FIXTURE_NAMES: tuple[str, ...] = (
 )
 
 
-def fixture_names() -> tuple[str, ...]:
-    return FIXTURE_NAMES
-
-
 def load_fixture(name: str) -> DTarget:
     """Parse one of the bundled .dtarget files."""
     if name not in FIXTURE_NAMES:

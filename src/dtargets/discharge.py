@@ -45,10 +45,6 @@ class RegionClass(Enum):
     SMALL = "small"
 
 
-def classify_region(t: DTarget, r: Region) -> RegionClass:
-    return _region_class(door_table(t)[1][r.id], r.length, is_tough(t, r))
-
-
 def _region_class(small: bool, length: int, tough: bool) -> RegionClass:
     if not small:
         return RegionClass.BIG
@@ -293,8 +289,3 @@ def charge_report(t: DTarget) -> ChargeReport:
 
 def _charge(halves: int) -> Fraction:
     return _CHARGE[halves] if 0 <= halves <= 2 else Fraction(halves, 2)
-
-
-def positive_regions(t: DTarget) -> list[RegionCharge]:
-    """Regions whose final charge is strictly positive."""
-    return [rc for rc in charge_report(t).regions if rc.total > 0]

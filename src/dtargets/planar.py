@@ -96,10 +96,12 @@ class Region:
 class RotationGraph:
     """A connected simple graph with a clockwise rotation at every vertex.
 
-    ``facts`` holds what other layers derive from the graph alone (the
-    pattern placements of each generator, the colouring tables of a
-    support, the cuts of its triangles), each kept by :func:`fact` and
-    shared by every target on the graph; it takes no part in equality.
+    ``facts`` holds what other layers derive from the graph alone (each
+    generator's pattern placements, keyed by the generator; the compiled
+    judges ``("compiled", k)``; the charge program ``"charge"``; the
+    3-cycles and their crossing edges ``"triangles"``; a support's tables
+    ``("matchings", w, zero)``), each kept by :func:`fact` and shared by
+    every target on the graph; it takes no part in equality.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -144,9 +146,6 @@ class RotationGraph:
     def edge_index(self) -> dict[Edge, int]:
         """Each edge's position in ``edges``, under both orientations."""
         return {d: i for i, (u, v) in enumerate(self.edges) for d in ((u, v), (v, u))}
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
 
     @cached_property
     def _position(self) -> tuple[dict[int, int], ...]:
@@ -236,8 +235,8 @@ class DTarget:
     build one from any mapping; the corpus passes pairs in ``graph.edges``
     order directly, and ``__post_init__`` checks either, edges strictly
     increasing.  ``facts`` holds what the analysis layers derive from the
-    target, each kept by :func:`fact` (the odd cuts, the door table, the
-    toughness of each triangle); like the cached ``mult``, ``mult_vector`` and
+    target, each kept by :func:`fact` (the odd cuts ``"odd_cuts"`` and the
+    door table ``"doors"``); like the cached ``mult``, ``mult_vector`` and
     ``degree_sums``, it takes no part in equality.
     """
 
@@ -302,10 +301,6 @@ class DTarget:
             sums[u] += m
             sums[v] += m
         return tuple(sums)
-
-    def degree_sum(self, v: int) -> int:
-        """m(delta(v)): total multiplicity of the edges incident with v."""
-        return self.degree_sums[v]
 
     def with_mult(self, mult) -> "DTarget":
         """Same graph and d, different multiplicities."""
@@ -407,11 +402,6 @@ def serialize_dtarget(t: DTarget) -> str:
 
 def _graph_of(t) -> RotationGraph:
     return t.graph if isinstance(t, DTarget) else t
-
-
-def regions(t) -> list[Region]:
-    """All faces of the embedding (of a DTarget or a RotationGraph)."""
-    return list(_graph_of(t).faces)
 
 
 def region_pair(t, e: Edge) -> tuple[Region, Region]:

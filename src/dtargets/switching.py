@@ -144,12 +144,3 @@ def switch_path(t: DTarget, x: int, u: int, v: int, y: int) -> DTarget:
             raise DTargetError(f"{norm_edge(a, b)} is not an edge")
     widened = add_zero_edge(t, x, y)
     return switch_square(widened, x, u, v, y)
-
-
-def is_switchable(t: DTarget, u: int, v: int, w: int, x: int) -> bool:
-    """Whether the square switch applies and strictly descends the order."""
-    try:
-        switched = switch_square(t, u, v, w, x)
-    except (NotAFourCycle, WouldGoNegative):
-        return False
-    return is_smaller(switched, t)

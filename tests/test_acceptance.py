@@ -224,7 +224,7 @@ def test_criterion_6_detectors_agree_with_brute_force(corpus):
 
 def _directed_four_cycles(t):
     cycles = []
-    nbrs = {v: set(t.graph.neighbours(v)) for v in range(t.vertex_count)}
+    nbrs = {v: set(t.graph.rotations[v]) for v in range(t.vertex_count)}
     for u in range(t.vertex_count):
         for v in nbrs[u]:
             for w in nbrs[v] - {u}:
@@ -268,8 +268,7 @@ def test_criterion_7_switch_invariants_hold_over_random_moves(corpus):
         applied += 1
 
         # Degree sums are preserved exactly at every vertex.
-        for vertex in range(t.vertex_count):
-            assert switched.degree_sum(vertex) == t.degree_sum(vertex)
+        assert switched.degree_sums == t.degree_sums
 
         # Every enumerated odd-cut value moves by at most 2.
         for X, delta in _odd_cut_deltas(t, u, v, w, x):

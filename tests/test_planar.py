@@ -344,7 +344,7 @@ def test_degree_sums_are_computed_once_per_target(monkeypatch):
     t = load_fixture("octahedron")
     assert validate(t).degree_ok
     assert is_prime(t).witness is not None
-    assert [t.degree_sum(v) for v in range(t.vertex_count)] == [8] * t.vertex_count
+    assert t.degree_sums == (8,) * t.vertex_count
     assert len(computed) == 1 and computed[0] is t
 
 

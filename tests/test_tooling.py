@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -160,11 +161,40 @@ def test_perfect_matchings_stays_public_with_its_cap():
     from dtargets.errors import TooLarge
 
     cap = inspect.signature(coloring.perfect_matchings).parameters["cap"]
-    assert cap.default == coloring.DEFAULT_COLOUR_CAP
+    assert cap.default is None
     cube = load_fixture("cube")
     assert len(coloring.perfect_matchings(cube, cap=8)) == 9
     with pytest.raises(TooLarge):
         coloring.perfect_matchings(cube, cap=6)
+
+
+def test_the_package_exposes_its_modules_only():
+    # The modules are the API: __init__ binds the library modules and the
+    # version, and importing the package leaves the command line unloaded.
+    modules = ["coloring", "config", "corpus", "cuts", "discharge", "errors", "planar", "switching"]
+    tree = ast.parse((ROOT / "src" / "dtargets" / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    bound = []
+    for node in tree.body[1:]:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            bound += [alias.asname or alias.name for alias in node.names]
+        else:
+            stores = [n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Store)]
+            bound += [getattr(n, "id", ast.dump(n)) for n in stores] or [ast.dump(node)]
+    assert sorted(bound) == sorted(modules + ["__version__"])
+    probe = (
+        "import sys, dtargets; "
+        f"print(all(getattr(dtargets, m) is sys.modules['dtargets.' + m] for m in {modules}), "
+        "'dtargets.cli' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.stdout.split() == ["True", "False"], done.stdout + done.stderr
 
 
 def test_size_refusals_are_constants_not_knobs():
