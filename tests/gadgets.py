@@ -332,3 +332,54 @@ def zero_mult_targets() -> list[DTarget]:
         for name in ("k4", "prism", "cube")
         for t in enumerate_multiplicities(load_fixture(name).graph, 8, min_mult=0)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Faces that are not simple cycles: seeded connected spanning subgraphs of
+# the benchmark's prisms and antiprisms, whose faces pass through cut
+# vertices and along bridges, with multiplicities 0-3.
+# ---------------------------------------------------------------------------
+
+
+@cache
+def spanning_subgraph_targets(per_graph: int = 20, seed: int = 1) -> tuple[DTarget, ...]:
+    """``per_graph`` subgraphs of each k-prism and k-antiprism, k = 3..8.
+    Each keeps a random spanning tree and every other edge with a random
+    probability of 0.2-0.9, the rotations restricted to the kept edges (so
+    the embedding stays planar); d = 8 and each multiplicity is drawn from
+    0-3, so degree sums are arbitrary."""
+    gen = _bench_gen()
+    rng = random.Random(seed)
+    out = []
+    for k in range(3, 9):
+        prism_rot, ring, vertical = gen.prism(k)
+        antiprism_rot, antiprism_edges = gen.antiprism(k)
+        for rot, edges in ((prism_rot, ring + vertical), (antiprism_rot, antiprism_edges)):
+            for _ in range(per_graph):
+                kept = _spanning_subgraph(len(rot), edges, rng.uniform(0.2, 0.9), rng)
+                rotations = tuple(
+                    tuple(u for u in r if (min(u, v), max(u, v)) in kept)
+                    for v, r in enumerate(rot)
+                )
+                mult = {e: rng.randint(0, 3) for e in kept}
+                out.append(DTarget.of(RotationGraph(rotations), 8, mult))
+    return tuple(out)
+
+
+def _spanning_subgraph(n: int, edges, keep: float, rng: random.Random) -> set:
+    """A random spanning tree (Kruskal over shuffled edges) plus each other
+    edge with probability ``keep``."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    kept = set()
+    for u, v in rng.sample(edges, len(edges)):
+        ru, rv = find(u), find(v)
+        if ru != rv or rng.random() < keep:
+            root[ru] = rv
+            kept.add((u, v))
+    return kept

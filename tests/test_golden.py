@@ -18,6 +18,10 @@ output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.  Further
 ``charge_report`` digests cover one-shot prisms and uniform antiprisms with
 6-40 vertices (each parsed fresh, as the benchmark's ladder meets them) and
 every assignment with zero multiplicities allowed on k4, prism and cube.
+The faces digest pins targets whose faces are not all simple cycles: the
+seeded spanning subgraphs in ``gadgets.spanning_subgraph_targets``, the
+bowtie and the tree, through their door tables, ``detect_all``, charge
+reports and every edge's beta and gamma traces.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -35,13 +39,18 @@ import tempfile
 from pathlib import Path
 
 from dtargets.cli import main
-from dtargets.config import detect_all
+from dtargets.config import detect_all, door_table
 from dtargets.corpus import CorpusSpec, build_corpus
-from dtargets.discharge import charge_report
+from dtargets.discharge import beta_trace, charge_report, gamma_trace
 from dtargets.errors import DTargetError
 from dtargets.planar import parse_dtarget, serialize_dtarget
 
-from gadgets import one_shot_targets, walk_targets, zero_mult_targets
+from gadgets import (
+    one_shot_targets,
+    spanning_subgraph_targets,
+    walk_targets,
+    zero_mult_targets,
+)
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 DATA = Path(__file__).resolve().parent / "data"
@@ -81,6 +90,8 @@ CHARGE_REPORT_GOLDEN = {
     "antiprisms": "5c9f2602ce9cc6267d346ed530f16d24ccdc969394371230c356415b37426af6",
     "zero_mult": "023a06507bc4f705c7e3af45a1d0060191f894f1f71969d49ddfc2e94697c80f",
 }
+
+FACES_GOLDEN = "d86026c470f5fd2e39744fe259d73535540e9840907f67fd013f8da6e1c4194e"
 
 
 # (file, the four vertices, and --path when the move is a path switch): square
@@ -240,12 +251,47 @@ def test_charge_reports_match_golden_digests():
     assert charge_report_digests() == CHARGE_REPORT_GOLDEN
 
 
+def _outcome(compute, *args) -> str:
+    """compute(*args) as JSON, or the refusal's type and message."""
+    try:
+        return json.dumps(compute(*args), default=str)
+    except DTargetError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def faces_digest() -> str:
+    """The digest of each target's door table, ``detect_all`` payloads,
+    ``_charges`` and the beta and gamma traces of every edge, one line per
+    target, over targets whose faces are not all simple cycles (and some
+    whose faces are, drawn alike)."""
+    targets = [
+        *spanning_subgraph_targets(),
+        *(parse_dtarget((DATA / f"{name}.dtarget").read_text()) for name in ("bowtie", "tree")),
+    ]
+    h = hashlib.sha256()
+    for t in targets:
+        rows = [
+            _outcome(door_table, t),
+            _outcome(lambda: [m.payload() for m in detect_all(t)]),
+            _charges(t),
+            *(_outcome(lambda e: vars(trace(t, e)), e)
+              for e in t.graph.edges for trace in (beta_trace, gamma_trace)),
+        ]
+        h.update("\t".join(rows).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_non_simple_faces_match_golden_digest():
+    assert faces_digest() == FACES_GOLDEN
+
+
 if __name__ == "__main__":
     golden = {
         "GOLDEN": digests(),
         "SWITCH_GOLDEN": switch_digests(),
         "DETECT_ALL_GOLDEN": detect_all_digests(),
         "CHARGE_REPORT_GOLDEN": charge_report_digests(),
+        "FACES_GOLDEN": faces_digest(),
     }
     json.dump(golden, sys.stdout, indent=4)
     print()
