@@ -9,8 +9,11 @@ placements once per graph into judges holding edge indices, second region ids
 and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
 judge reads only a target's multiplicity vector and door table (each region's
 doors and small flag, one target fact).  The door table, heavy records,
-toughness and discharge read the charge program, a graph fact of each edge's
-flanks and each region's rim and door candidates.  Shared conventions:
+toughness, Conf 16 and 18 and discharge read the charge program, a graph
+fact compiled by one loop over every face: each edge's flanks (its region's
+other boundary edges at each end, in boundary order) and each region's rim
+and door candidates.  The region across an edge from a disc is read through
+``_seconds`` alone.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -41,11 +44,9 @@ from .planar import (
     Edge,
     Region,
     RotationGraph,
-    boundary_edges_at,
     connectivity_level,
     fact,
     norm_edge,
-    other_region,
     require_target,
 )
 
@@ -114,17 +115,20 @@ def _indices(graph: RotationGraph, *pairs) -> list[int]:
 
 def m_plus(t: DTarget, e: Edge, disc) -> int:
     """m(e), plus one when the second region outside the disc is small."""
-    i, small = t.graph.edge_index[e], door_table(t)[1]
-    r1, r2 = t.graph.region_pairs[i]
-    if (r1.id in disc) == (r2.id in disc):
+    if (i := t.graph.edge_index.get(e)) is None:
+        raise DTargetError(f"{norm_edge(*e)} is not an edge of the graph")
+    small = door_table(t)[1]
+    if (seconds := _seconds(t.graph, disc, e)) is None:
         raise AmbiguousContext(f"edge {norm_edge(*e)} is not on the disc boundary")
-    return t.mult_vector[i] + small[r2.id if r1.id in disc else r1.id]
+    return t.mult_vector[i] + small[seconds[0]]
 
 
 class ChargeProgram(NamedTuple):
-    """What the door table, heavy records, toughness and the discharge rules
-    read of the embedding: a graph fact.  A flank is an (edge index, far
-    region id) pair, the far id None across a bridge."""
+    """What the door table, heavy records, toughness, Conf 16 and 18 and the
+    discharge rules read of the embedding: a graph fact.  A flank is an
+    (edge index, far region id) pair, the far id None across a bridge.  An
+    edge's flanks at an end are its region's other boundary edges there, in
+    boundary order: more than one where the face visits that end twice."""
 
     sides: tuple  # per edge: index, edge, region ids, then each one's flanks at its ends
     rims: tuple  # per region id: its boundary as flanks
@@ -137,9 +141,10 @@ def charge_program(graph: RotationGraph) -> ChargeProgram:
 
 
 def _compile_charge(graph: RotationGraph) -> ChargeProgram:
-    """One pass over each face's darts.  On a face that is a simple cycle the
-    flanks of position j are j - 1 and j + 1, and all else is disjoint from
-    it; any other face (off the 2-connected path) scans its boundary."""
+    """One pass over each face's darts, whatever its shape.  Each vertex of
+    the face maps to the rim entries at it, in boundary order; an edge's
+    flanks at its end z are the entries at z but its own, and the edges
+    disjoint from it are the rim's edges sharing no end with it."""
     edges, index = graph.edges, graph.edge_index
     ids = [(r1.id, r2.id) for r1, r2 in graph.region_pairs]
     across = [{p: q, q: p} if p != q else {} for p, q in ids]  # region id -> far id
@@ -147,22 +152,16 @@ def _compile_charge(graph: RotationGraph) -> ChargeProgram:
     flanks, disjoint = [[None, None] for _ in edges], [[None, None] for _ in edges]
     rims = []
     for r in graph.faces:
-        rid, k, cycle = r.id, r.length, [index[d] for d in r.directed]
-        rims.append(rim := tuple((i, across[i].get(rid)) for i in cycle))
-        if k >= 3 and len(r.vertex_set) == k:  # then no edge borders r twice
-            cycle *= 2
-            for j, (a, b) in enumerate(r.directed):
-                i, side = cycle[j], ids[cycle[j]][1] == rid
-                at = (rim[j - 1],), (rim[(j + 1) % k],)
-                flanks[i][side] = at if a < b else at[::-1]
-                disjoint[i][side] = tuple(cycle[j + 2 : j + k - 1])
-            continue
+        rid, at = r.id, {}  # vertex -> the rim's entries at it, in boundary order
+        rims.append(rim := tuple((i, across[i].get(rid)) for i in map(index.get, r.directed)))
+        for flank, (a, b) in zip(rim, r.directed):
+            at.setdefault(a, []).append(flank)
+            at.setdefault(b, []).append(flank)
         for i, s in rim:
             if s is None:
                 continue
             e, side = edges[i], ids[i][1] == rid
-            at = [map(index.__getitem__, boundary_edges_at(r, e, z)) for z in e]
-            flanks[i][side] = tuple(tuple((f, across[f].get(rid)) for f in fs) for fs in at)
+            flanks[i][side] = tuple(tuple(f for f in at[z] if f[0] != i) for z in e)
             disjoint[i][side] = tuple(f for f, _ in rim if edges_disjoint(e, edges[f]))
     doors = [
         tuple((i, edges[i], disjoint[i][ids[i][0] == r]) for i in sorted(own))
@@ -480,8 +479,8 @@ def _square_orbits(graph: RotationGraph):
 def _square_triangles(graph: RotationGraph):
     """Conf 4's squares uvwx whose edge wx borders a triangle region wxy."""
     for square, u, v, w, x in _placements(graph, _PATTERNS[4]):
-        tri = other_region(graph, norm_edge(w, x), square)
-        if tri.length == 3:
+        (far,) = _seconds(graph, (square.id,), (w, x))  # a square has no bridge
+        if (tri := graph.faces[far]).length == 3:
             yield square, tri, u, v, w, x, _third_vertex(tri, w, x)
 
 
@@ -614,9 +613,10 @@ def _compile_conf7(graph, tri: Region, u, v, w):
 def _door_sides(graph: RotationGraph, tri: Region, *pairs) -> list[tuple]:
     """(e, far region id, far edges disjoint from the triangle) for each
     triangle edge e: a far door avoids the triangle iff it is one of them."""
-    fars = [(norm_edge(a, b), other_region(graph, (a, b), tri)) for a, b in pairs]
+    fars = zip(pairs, _seconds(graph, (tri.id,), *pairs))  # a triangle has no bridge
     return [
-        (e, far.id, {f for f in far.edges if not set(f) & tri.vertex_set}) for e, far in fars
+        (norm_edge(*pair), far, {f for f in graph.faces[far].edges if not set(f) & tri.vertex_set})
+        for pair, far in fars
     ]
 
 
@@ -758,13 +758,20 @@ def _compile_conf15(graph, r: Region, u, v):
     return judge
 
 
+def _second_at(graph: RotationGraph, r: Region, u, v) -> int | None:
+    """The index of r's boundary edge at u other than uv, read from the
+    charge program's flanks, or None when r has more than one there."""
+    _, (a, _), p, _, *flanks = charge_program(graph).sides[graph.edge_index[(u, v)]]
+    at_u = flanks[r.id != p][u != a]
+    return at_u[0][0] if len(at_u) == 1 else None
+
+
 def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
     seconds = _seconds(graph, (r.id, tri.id), (u, w))
-    at_u = boundary_edges_at(r, norm_edge(u, v), u)
-    if seconds is None or len(at_u) != 1:
+    if seconds is None or (gi := _second_at(graph, r, u, v)) is None:
         return None
-    (g,) = at_u
-    (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, (u, v), (u, w), (v, w), g)
+    (s_uw,), (uv, uw, vw) = seconds, _indices(graph, (u, v), (u, w), (v, w))
+    g = graph.edges[gi]
     away = [_heavy_record(graph, r, f) for f in r.edges if u not in f]
     def judge(m, small, doors):
         uw_plus = m[uw] + small[s_uw]
@@ -805,11 +812,9 @@ def _compile_conf17(graph, r: Region, u, v):
 def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
     disc, e = (r.id, tri.id), norm_edge(u, v)
     seconds = _seconds(graph, disc, (u, w)) if r.length >= 4 else None
-    at_u = boundary_edges_at(r, e, u)
-    if seconds is None or len(at_u) != 1:
+    if seconds is None or (gi := _second_at(graph, r, u, v)) is None:
         return None
-    (g,) = at_u
-    (s_uw,), (uv, uw, vw, gi) = seconds, _indices(graph, e, (u, w), (v, w), g)
+    (s_uw,), (uv, uw, vw) = seconds, _indices(graph, e, (u, w), (v, w))
     uv_heavy = [_heavy_record(graph, r, e)]
     # An ambiguous second region fails its branch alone (its record is None).
     rec_a = _light_record(graph, r, disc, [f for f in r.edges if edges_disjoint(e, f)])

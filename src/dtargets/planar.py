@@ -416,22 +416,6 @@ def region_pair(t, e: Edge) -> tuple[Region, Region]:
     return r1, r2
 
 
-def other_region(t, e: Edge, r: Region) -> Region:
-    """The region on the far side of e from r."""
-    r1, r2 = region_pair(t, e)
-    if r.id == r1.id:
-        return r2
-    if r.id == r2.id:
-        return r1
-    raise DTargetError(f"region {r.id} is not incident with edge {e}")
-
-
-def boundary_edges_at(r: Region, e: Edge, z: int) -> list[Edge]:
-    """The boundary edges of r other than e that end at z, in boundary order:
-    one in a simple cycle, more where r visits z twice."""
-    return [f for f in r.edges if z in f and f != e]
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

@@ -209,6 +209,12 @@ def test_m_plus_ambiguous_context():
     assert other is not None
 
 
+def test_m_plus_refuses_a_non_edge():
+    # the refusal beta_trace and gamma_trace give a non-edge
+    with pytest.raises(DTargetError, match=r"^\(0, 5\) is not an edge of the graph$"):
+        m_plus(load_fixture("prism"), (0, 5), (0,))
+
+
 def test_tough_triangle_cases():
     octa_t = load_fixture("octahedron")
     for r in octa_t.graph.faces:

@@ -28,7 +28,6 @@ from dtargets.planar import (
     fact,
     facts,
     norm_edge,
-    other_region,
     parse_dtarget,
     region_pair,
     serialize_dtarget,
@@ -90,14 +89,12 @@ def test_face_traces_partition_darts(fixture_target):
     assert darts == expected
 
 
-def test_region_pair_and_other_region(fixture_target):
+def test_region_pair(fixture_target):
     t = fixture_target
     for e in t.graph.edges:
         r1, r2 = region_pair(t, e)
         assert r1.id != r2.id
         assert e in r1.edge_set and e in r2.edge_set
-        assert other_region(t, e, r1).id == r2.id
-        assert other_region(t, e, r2).id == r1.id
 
 
 def test_known_prism_faces():
