@@ -31,6 +31,7 @@ and door candidates.  The region across an edge from a disc is read through
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,17 +153,17 @@ def _compile_charge(graph: RotationGraph) -> ChargeProgram:
     flanks, disjoint = [[None, None] for _ in edges], [[None, None] for _ in edges]
     rims = []
     for r in graph.faces:
-        rid, at = r.id, {}  # vertex -> the rim's entries at it, in boundary order
-        rims.append(rim := tuple((i, across[i].get(rid)) for i in map(index.get, r.directed)))
+        rid, at = r.id, defaultdict(list)  # vertex -> the rim's entries at it, in order
+        rims.append(rim := tuple([(i, across[i].get(rid)) for i in map(index.get, r.directed)]))
         for flank, (a, b) in zip(rim, r.directed):
-            at.setdefault(a, []).append(flank)
-            at.setdefault(b, []).append(flank)
+            at[a].append(flank)
+            at[b].append(flank)
         for i, s in rim:
             if s is None:
                 continue
             e, side = edges[i], ids[i][1] == rid
-            flanks[i][side] = tuple(tuple(f for f in at[z] if f[0] != i) for z in e)
-            disjoint[i][side] = tuple(f for f, _ in rim if edges_disjoint(e, edges[f]))
+            flanks[i][side] = tuple([tuple([f for f in at[z] if f[0] != i]) for z in e])
+            disjoint[i][side] = tuple([f for f, _ in rim if edges_disjoint(e, edges[f])])
     doors = [
         tuple((i, edges[i], disjoint[i][ids[i][0] == r]) for i in sorted(own))
         for r, own in enumerate({i for i, s in rim if s is not None} for rim in rims)
