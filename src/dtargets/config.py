@@ -10,10 +10,9 @@ and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
 judge reads only a target's multiplicity vector and door table (each region's
 doors and small flag, one target fact).  The door table, heavy records,
 toughness, Conf 16 and 18 and discharge read the charge program, a graph
-fact compiled by one loop over every face: each edge's flanks (its region's
-other boundary edges at each end, in boundary order) and each region's rim
-and door candidates.  The region across an edge from a disc is read through
-``_seconds`` alone.  Shared conventions:
+fact of each edge's flanks and each region's rim and door candidates,
+compiled by one loop over every face.  The region across an edge from a
+disc is read through ``_seconds`` alone.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -142,8 +141,8 @@ def charge_program(graph: RotationGraph) -> ChargeProgram:
 
 
 def _compile_charge(graph: RotationGraph) -> ChargeProgram:
-    """One pass over each face's darts, whatever its shape.  Each vertex of
-    the face maps to the rim entries at it, in boundary order; an edge's
+    """One loop over every face, whatever its shape.  Each vertex of the
+    face maps to the rim entries at it, in boundary order; an edge's
     flanks at its end z are the entries at z but its own, and the edges
     disjoint from it are the rim's edges sharing no end with it."""
     edges, index = graph.edges, graph.edge_index
