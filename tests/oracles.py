@@ -96,11 +96,16 @@ def connectivity_level(graph):
 
 def perfect_matchings(t):
     """Every subset of n/2 edges covering each vertex exactly once."""
-    n = t.vertex_count
+    return support_matchings(t.vertex_count, t.graph.edges)
+
+
+def support_matchings(n, support):
+    """Every subset of n/2 edges of ``support`` covering each of the n
+    vertices exactly once, as sorted edge tuples in lexicographic order."""
     if n % 2:
         return []
     out = []
-    for subset in combinations(t.graph.edges, n // 2):
+    for subset in combinations(sorted(support), n // 2):
         seen = set()
         for u, v in subset:
             seen.add(u)

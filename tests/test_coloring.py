@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from collections import Counter
 from hashlib import sha256
@@ -34,7 +35,8 @@ from gadgets import (
     zero_mult_targets,
 )
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 EXPECTED_MATCHING_COUNTS = {
     "k4": 3,
@@ -47,11 +49,57 @@ EXPECTED_MATCHING_COUNTS = {
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_perfect_matchings_match_oracle(name):
+    # In order: the search takes the matchings in the table's order.
     t = load_fixture(name)
-    ours = sorted(perfect_matchings(t))
+    ours = perfect_matchings(t)
     theirs = oracles.perfect_matchings(t)
     assert ours == theirs
     assert len(ours) == EXPECTED_MATCHING_COUNTS[name]
+
+
+def _components(n: int, support) -> list[set]:
+    parts = [{v} for v in range(n)]
+    for u, v in support:
+        a, b = (next(p for p in parts if x in p) for x in (u, v))
+        if a is not b:
+            a |= b
+            parts.remove(b)
+    return parts
+
+
+def test_support_tables_are_in_lexicographic_order():
+    # Every distinct support of the fixtures' min_mult=0 targets (665), and
+    # each fixture with one vertex cut off, whose table is empty.  Each
+    # table lists its matchings in lexicographic order, and each triangle
+    # pack holds a 2 per triangle the matching uses no edge of.
+    cases = {}
+    for name in FIXTURES:
+        graph = load_fixture(name).graph
+        for t in enumerate_multiplicities(graph, 8, min_mult=0):
+            cases[(name, frozenset(e for e, m in t.mult_items if m))] = graph
+    assert len(cases) == 665
+    for name in FIXTURES:
+        graph = load_fixture(name).graph
+        for v in range(graph.vertex_count):
+            cases[(name, frozenset(e for e in graph.edges if v not in e))] = graph
+    shapes = Counter()
+    for (name, support), graph in cases.items():
+        n, edges = graph.vertex_count, graph.edges
+        zero = sum(1 << 8 * i for i, e in enumerate(edges) if e not in support)
+        packs, tpacks, *_ = coloring._build_tables(graph, 8, zero)
+        expected = oracles.support_matchings(n, support)
+        assert [coloring._edges_of(pack, 8, edges) for pack in packs] == expected
+        triangles = coloring._triangles(graph)
+        assert tpacks == [
+            sum(2 << 8 * c for c, (inside, _) in enumerate(triangles)
+                if not any(pack >> 8 * i & 1 for i in inside))
+            for pack in packs
+        ]
+        parts = _components(n, support)
+        shapes[min(map(len, parts)) == 1, len(parts) > 1, bool(expected)] += 1
+    assert shapes[True, True, False] == 34  # one per fixture vertex, cut off
+    assert shapes[False, True, True] > 0  # disconnected, with matchings
+    assert shapes[False, True, False] > 0  # disconnected, with odd parts
 
 
 def test_matchings_require_even_vertex_count():
@@ -80,6 +128,41 @@ def test_colour_tables_refuse_past_the_matching_limit(monkeypatch):
     with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
         edge_colour(t)
     assert [k for k in t.graph.facts if isinstance(k, tuple) and k[0] == "matchings"] == []
+
+
+def _breadth_first(n: int, support) -> list[int]:
+    adjacent = [sorted({u for e in support if v in e for u in e} - {v}) for v in range(n)]
+    order: list[int] = []
+    for root in range(n):
+        if root not in order:
+            order.append(root)
+            k = len(order) - 1
+            while k < len(order):
+                order += [u for u in adjacent[order[k]] if u not in order]
+                k += 1
+    return order
+
+
+def _matching_tables(graph: RotationGraph) -> list:
+    return [v for k, v in graph.facts.items() if isinstance(k, tuple) and k[0] == "matchings"]
+
+
+def test_the_matching_limit_refuses_whatever_the_walk_order(monkeypatch):
+    # A panel support whose breadth-first order is not 0..n-1: the limit
+    # refuses exactly when the count passes it, and stores nothing.
+    t = parse_dtarget(_bench_gen().antiprism_case(12, 0))
+    n, support = t.vertex_count, [e for e, m in t.mult_items if m]
+    assert _breadth_first(n, support) != list(range(n))
+    count = len(oracles.support_matchings(n, support))
+    monkeypatch.setattr(coloring, "MATCHING_LIMIT", count - 1)
+    with pytest.raises(TooLarge, match=rf"^the support has more than {count - 1} perfect matchings$"):
+        edge_colour(t)
+    assert _matching_tables(t.graph) == []
+    monkeypatch.setattr(coloring, "MATCHING_LIMIT", count)
+    colouring = edge_colour(t)
+    assert colouring is not None and verify_colouring(t, colouring)
+    [(packs, *_)] = _matching_tables(t.graph)
+    assert len(packs) == count
 
 
 def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
@@ -133,6 +216,27 @@ def test_ladder_prisms_colour_at_the_default(n):
     colouring = edge_colour(t)
     assert colouring is not None and verify_colouring(t, colouring)
     assert sha256(repr(colouring.matchings).encode()).hexdigest() == LADDER_DIGESTS[n]
+
+
+# sha256 over the 40 cases of the benchmark's antiprism_colour panel, in
+# panel order, of repr(edge_colour(t).matchings), one line each.
+PANEL_DIGEST = "f2db8f2d56f0a65fc01ee711f9e498e11761e9e1fc02d60525d2d608f82dbdb1"
+
+
+def _panel_cases() -> list[tuple[int, int]]:
+    panel = json.loads((ROOT / "bench" / "panel.json").read_text())
+    return [(int(n), seed) for n, seeds in panel["cases"].items() for seed in seeds]
+
+
+def test_panel_colourings_keep_their_digest():
+    gen = _bench_gen()
+    cases = _panel_cases()
+    assert len(cases) == 40
+    digest = sha256()
+    for n, seed in cases:
+        t = parse_dtarget(gen.antiprism_case(n, seed))
+        digest.update(repr(edge_colour(t).matchings).encode() + b"\n")
+    assert digest.hexdigest() == PANEL_DIGEST
 
 
 def test_the_matching_limit_holds_the_40_vertex_prism():
