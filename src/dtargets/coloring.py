@@ -25,9 +25,10 @@ The residual (one lane per graph edge) and the slacks m(delta(X)) - k (one
 lane per triangle) are each one int of w-bit lanes under a guard bit, in
 the lane format of ``cuts``: placing a matching is one subtraction per int,
 an edge's residual is 0 where its guard clears on subtracting 1, and a slack
-is negative where its guard is gone.  The matchings of a support, as lane
-packs, are a fact of the graph kept by ``planar.fact`` under w and the
-support's zero set, so targets on one graph and lane width share them.  A support with more than
+is negative where its guard is gone.  A support's matchings, as lane packs
+listed breadth-first and sorted back into lexicographic order, are a fact of
+the graph kept by ``planar.fact`` under w and the support's zero set, so
+targets on one graph and lane width share them.  A support with more than
 ``MATCHING_LIMIT`` perfect matchings is refused.
 """
 
@@ -75,52 +76,63 @@ def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
     per triangle it crosses three times, as it uses none of its edges); each
     (edge, pack of the triangles it crosses) pair; the triangle guards; and
     a dict for the edge tuples of returned matchings.  Past
-    ``MATCHING_LIMIT`` it raises ``TooLarge``.  The walk matches the smallest
-    unmatched vertex to each larger neighbour in turn, carrying the partial
-    matching's packs, so it yields each matching once, in lexicographic order.
+    ``MATCHING_LIMIT`` it raises ``TooLarge``.  The walk matches the next
+    unmatched vertex in breadth-first order (restarting at the least unvisited
+    one) to each unmatched neighbour; one sort restores lexicographic order.
     """
-    n = graph.vertex_count
-    triangles = _triangles(graph)
-    tin, tcross = [0] * len(graph.edges), [0] * len(graph.edges)
+    n, E, triangles = graph.vertex_count, len(graph.edges), _triangles(graph)
+    low, top, tones = E * w, (E + len(triangles)) * w, _ones(len(triangles), w)
+    # A matching's int holds its edge pack, its triangle pack and, on top, its rank bits.
+    steps, tcross = [(1 << (top + E - 1 - i)) + (1 << (i * w)) for i in range(E)], [0] * E
     for c, (inside, outside) in enumerate(triangles):
         for i in inside:
-            tin[i] += 2 << (c * w)
+            steps[i] -= 2 << (low + c * w)
         for i in outside:
             tcross[i] += 1 << (c * w)
-    tones = _ones(len(triangles), w)
-    later: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(graph.edges):
         if not zero >> (i * w) & 1:
-            later[u].append((v, 1 << (i * w), tin[i]))
-    packs, tpacks = [], []
-    matched = [False] * n
-    # A stack of (free, untried options, mate, packs without the mate's edge),
-    # so recursion does not bound n.
+            adjacent[u].append((v, steps[i]))
+            adjacent[v].append((u, steps[i]))
+    order, at, later = [], [n] * n, [[] for _ in range(n)]  # breadth-first, positions
+    for k in range(n):
+        if k == len(order):  # restart at the least unvisited vertex
+            order.append(at.index(n))
+            at[order[k]] = k
+        for u, step in adjacent[order[k]]:
+            if at[u] == n:
+                at[u] = len(order)
+                order.append(u)
+            if at[u] > k:
+                later[k].append((at[u], step))
+    keys, matched = [], [False] * (n + 1)  # matched[n] stays False: a sentinel
+    # A stack of (free, untried options, mate, int without the mate's edge),
+    # so recursion does not bound n; vertices are named by their positions.
     stack: list[tuple] = []
-    free, options, pack, tpack = 0, iter(later[0]), 0, 2 * tones
+    free, options, key = 0, iter(later[0]), 2 * tones << low
     while True:
-        for u, lane, tlanes in options:
+        for u, step in options:
             if not matched[u]:
                 break
         else:
             if not stack:
                 break
-            free, options, u, pack, tpack = stack.pop()
+            free, options, u, key = stack.pop()
             matched[u] = False
             continue
         matched[u] = True
-        nxt = free + 1
-        while nxt < n and matched[nxt]:
-            nxt += 1
+        nxt = matched.index(False, free + 1)
         if nxt < n:
-            stack.append((free, options, u, pack, tpack))
-            free, options, pack, tpack = nxt, iter(later[nxt]), pack + lane, tpack - tlanes
+            stack.append((free, options, u, key))
+            free, options, key = nxt, iter(later[nxt]), key + step
             continue
-        if len(packs) == MATCHING_LIMIT:
+        if len(keys) == MATCHING_LIMIT:
             raise TooLarge(f"the support has more than {MATCHING_LIMIT} perfect matchings")
-        packs.append(pack + lane)
-        tpacks.append(tpack - tlanes)
+        keys.append(key + step)
         matched[u] = False
+    keys.sort(reverse=True)  # by rank bits (edge i at E - 1 - i): lexicographic order
+    emask, tmask = (1 << low) - 1, (1 << (top - low)) - 1
+    packs, tpacks = [k & emask for k in keys], [k >> low & tmask for k in keys]
     crossing = [(i, lanes) for i, lanes in enumerate(tcross) if lanes]
     return packs, tpacks, crossing, tones << (w - 1), {}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,20 @@ def test_colour_refuses_past_the_matching_limit(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, ["colour", path])
         assert code == cli.EXIT_INPUT == 2
         assert out == "" and "more than 8 perfect matchings" in err
+
+
+def test_colour_refuses_the_160_vertex_uniform_antiprism_within_a_second(tmp_path, capsys):
+    # Every m = 2: the support has far more than MATCHING_LIMIT matchings,
+    # and the table walk must reach its limit fast (ROADMAP item 3's bound).
+    gen = _bench_gen()
+    path = tmp_path / "antiprism160.dtarget"
+    path.write_text(gen.uniform_text(*gen.antiprism(80), 2))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["colour", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and f"more than {coloring.MATCHING_LIMIT} perfect matchings" in err
+    assert coloring.MATCHING_LIMIT == 16384
 
 
 def test_switch_square_roundtrips(capsys):
