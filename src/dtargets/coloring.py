@@ -94,7 +94,7 @@ def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
         if not zero >> (i * w) & 1:
             adjacent[u].append((v, steps[i]))
             adjacent[v].append((u, steps[i]))
-    order, at, later = [], [n] * n, [[] for _ in range(n)]  # breadth-first, positions
+    order, at, later = [], [n] * n, [[] for _ in range(n)]  # at[v]: v's place in order
     for k in range(n):
         if k == len(order):  # restart at the least unvisited vertex
             order.append(at.index(n))

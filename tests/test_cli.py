@@ -170,8 +170,7 @@ def test_colour_refuses_the_160_vertex_uniform_antiprism_within_a_second(tmp_pat
     code, out, err = run(capsys, ["colour", str(path)])
     assert time.perf_counter() - start < 1.0
     assert code == cli.EXIT_INPUT == 2
-    assert out == "" and f"more than {coloring.MATCHING_LIMIT} perfect matchings" in err
-    assert coloring.MATCHING_LIMIT == 16384
+    assert out == "" and "more than 16384 perfect matchings" in err
 
 
 def test_switch_square_roundtrips(capsys):

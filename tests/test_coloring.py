@@ -35,8 +35,8 @@ from gadgets import (
     zero_mult_targets,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
-DATA = ROOT / "tests" / "data"
+DATA = Path(__file__).resolve().parent / "data"
+PANEL = Path(__file__).resolve().parents[1] / "bench" / "panel.json"
 
 EXPECTED_MATCHING_COUNTS = {
     "k4": 3,
@@ -155,7 +155,8 @@ def test_the_matching_limit_refuses_whatever_the_walk_order(monkeypatch):
     assert _breadth_first(n, support) != list(range(n))
     count = len(oracles.support_matchings(n, support))
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", count - 1)
-    with pytest.raises(TooLarge, match=rf"^the support has more than {count - 1} perfect matchings$"):
+    message = rf"^the support has more than {count - 1} perfect matchings$"
+    with pytest.raises(TooLarge, match=message):
         edge_colour(t)
     assert _matching_tables(t.graph) == []
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", count)
@@ -223,14 +224,10 @@ def test_ladder_prisms_colour_at_the_default(n):
 PANEL_DIGEST = "f2db8f2d56f0a65fc01ee711f9e498e11761e9e1fc02d60525d2d608f82dbdb1"
 
 
-def _panel_cases() -> list[tuple[int, int]]:
-    panel = json.loads((ROOT / "bench" / "panel.json").read_text())
-    return [(int(n), seed) for n, seeds in panel["cases"].items() for seed in seeds]
-
-
 def test_panel_colourings_keep_their_digest():
     gen = _bench_gen()
-    cases = _panel_cases()
+    panel = json.loads(PANEL.read_text())
+    cases = [(int(n), seed) for n, seeds in panel["cases"].items() for seed in seeds]
     assert len(cases) == 40
     digest = sha256()
     for n, seed in cases:
