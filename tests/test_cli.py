@@ -10,7 +10,9 @@ import pytest
 
 from dtargets import cli, coloring, cuts
 from dtargets.cli import main
-from dtargets.corpus import FIXTURE_NAMES, load_fixture
+from dtargets.config import PrimalityVerdict
+from dtargets.corpus import FIXTURE_NAMES, CorpusSpec, build_corpus, load_fixture
+from dtargets.errors import IdentityViolation
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
 from gadgets import _bench_gen, prism
@@ -283,6 +285,47 @@ def test_internal_fault_exits_4(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert "internal error" in err and "simulated fault" in err
+
+
+# Exit 3 is a violation of the paper's claims: each case below stubs the
+# layer that would have to be wrong for the command to report one.
+
+
+def test_colour_exits_3_when_its_colouring_fails_verification(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_colouring", lambda t, c: False)
+    code, out, err = run(capsys, ["colour", fixture_path("prism")])
+    assert code == cli.EXIT_VIOLATION == 3
+    assert out == ""
+    assert "violation: produced colouring failed verification" in err
+
+
+def test_scan_exits_3_and_lists_the_targets_it_could_not_colour(capsys, monkeypatch):
+    # The safety net for a wrong None from the colouring search.
+    monkeypatch.setattr(cli, "edge_colour", lambda t: None)
+    code, payload = run_json(capsys, ["scan", "--bases", "k4", "--limit-per-base", "5"])
+    names = [item.name for item in build_corpus(CorpusSpec(bases=("k4",), limit_per_base=5))]
+    assert code == payload["exit_code"] == cli.EXIT_VIOLATION
+    assert names and payload["details"]["uncolourable"] == names
+    assert payload["details"]["prime"] == []
+
+
+def test_classify_exits_3_on_a_prime_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_prime", lambda t: PrimalityVerdict(True, None))
+    code, payload = run_json(capsys, ["classify", fixture_path("prism")])
+    assert code == payload["exit_code"] == cli.EXIT_VIOLATION
+    assert payload["verdict"].startswith("PRIME")
+    assert payload["details"] == {"prime": True, "witness": None}
+
+
+def test_discharge_exits_3_on_an_identity_violation(capsys, monkeypatch):
+    def violated(t):
+        raise IdentityViolation("simulated total 15")
+
+    monkeypatch.setattr(cli, "charge_report", violated)
+    code, out, err = run(capsys, ["discharge", fixture_path("prism")])
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert "violation: simulated total 15" in err
 
 
 def test_scan_whole_corpus(capsys):

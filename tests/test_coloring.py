@@ -32,6 +32,7 @@ from gadgets import (
     antiprism,
     octa,
     prism,
+    walk_targets,
     zero_mult_targets,
 )
 
@@ -380,17 +381,24 @@ def test_colourings_equal_the_earlier_solver_on_the_exhaustive_corpus():
     assert differ == []
 
 
-# sha256 over the zero-multiplicity targets of k4, prism and cube, one line
-# each: repr(edge_colour(t).matchings), "None", or the refusal's type name.
+# sha256, one line per target: repr(edge_colour(t).matchings), "None", or
+# the refusal's type name.  Over the zero-multiplicity targets of k4, prism
+# and cube, and over the 300 walked targets (n up to 20; 175 colourable).
 ZERO_MULT_DIGEST = "3b4dceac6fdd9d07c180801ad54cd36c0e6dd8da45893e7eb5a9f55975371182"
+WALK_DIGEST = "19338391ea8faad5ed7463da35954b55bedd63279609ed69a53070b23c4d763a"
 
 
-def test_colourings_on_zero_multiplicity_targets_keep_their_digest():
-    # Only these targets have a support that is not the graph's edge set,
-    # so they reach the tables of every support the search can key.
+@pytest.mark.parametrize(
+    "build, count, expected",
+    [(zero_mult_targets, 5561, ZERO_MULT_DIGEST), (walk_targets, 300, WALK_DIGEST)],
+    ids=["zero_mult", "walk"],
+)
+def test_colourings_on_zero_multiplicity_targets_keep_their_digest(build, count, expected):
+    # Many of these targets have a support that is not the graph's edge set,
+    # so they reach tables that a target with every m(e) > 0 never keys.
     digest = sha256()
-    targets = zero_mult_targets()
-    assert len(targets) == 5561
+    targets = build()
+    assert len(targets) == count
     for t in targets:
         try:
             colouring = edge_colour(t)
@@ -398,7 +406,21 @@ def test_colourings_on_zero_multiplicity_targets_keep_their_digest():
         except DTargetError as exc:
             line = type(exc).__name__
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == ZERO_MULT_DIGEST
+    assert digest.hexdigest() == expected
+
+
+# sha256 of repr(edge_colour(t).matchings) on bench/gen.antiprism_case(28, 1):
+# of the antiprism cases measured, the decided one that backtracks most.
+BACKTRACKING_DIGEST = "8776f1d10226d9213e4c55c35c77085756491d26f41d9a3787322ad1f86a67cd"
+
+
+def test_the_backtracking_antiprism_colours_within_the_bound():
+    t = parse_dtarget((DATA / "antiprism_28_1.dtarget").read_text())
+    start = time.perf_counter()
+    colouring = edge_colour(t)
+    assert time.perf_counter() - start < 10.0
+    assert colouring is not None and verify_colouring(t, colouring)
+    assert sha256(repr(colouring.matchings).encode()).hexdigest() == BACKTRACKING_DIGEST
 
 
 @pytest.mark.parametrize("n, seed", [(20, 4), (22, 6), (24, 1)])
