@@ -17,9 +17,7 @@ matching, or when some triangle X has residual m(delta(X)) < k: each of
 the k remaining perfect matchings crosses that odd cut at least once
 (Edmonds' odd-set inequality).  Triangles are the 3-cycles of the graph,
 not its faces, so a graph whose faces cannot be traced is still searched.
-A (start, residual) state whose every child failed is remembered for the
-rest of the call; a state a prune refutes is not, since the prune refutes
-it again as cheaply, and so the memo stays small.
+The frame stack, one frame per placed matching, is the search's whole state.
 
 The residual (one lane per graph edge) and the slacks m(delta(X)) - k (one
 lane per triangle) are each one int of w-bit lanes under a guard bit, in
@@ -190,14 +188,11 @@ def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
         return None
     # Lane c of S holds its guard plus residual m(delta(X_c)) - k.
     S = tguards - d * (tguards >> (w - 1)) + sum(mults[i] * lanes for i, lanes in crossing)
-    placed: list[int] = []
-    refuted: set[tuple[int, int]] = set()
 
-    def enter(start: int, candidates, r: int, S: int) -> list | None:
-        # A node no prune refutes becomes a frame [key, residual, slacks,
-        # fitting matchings, next child]; ``refuted`` gets its key at the end.
-        key = (start, r)
-        if key in refuted or S & tguards != tguards:
+    def enter(candidates, r: int, S: int) -> list | None:
+        # A node no prune refutes becomes a frame [residual, slacks, fitting
+        # matchings, next child]; the matching it placed is fitting[next - 1].
+        if S & tguards != tguards:
             return None
         covered = zero = zeros(r)
         fitting = []
@@ -205,28 +200,25 @@ def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
             if not packs[j] & zero:
                 fitting.append(j)
                 covered |= packs[j]
-        return [key, r, S, fitting, 0] if covered == ones else None
+        return [r, S, fitting, 0] if covered == ones else None
 
     # Depth-first with an explicit stack, so d is not bounded by recursion.
-    root = enter(0, range(len(packs)), r, S)
+    root = enter(range(len(packs)), r, S)
     frames = [root] if root else []
     while frames:
         frame = frames[-1]
-        key, r, S, fitting, pos = frame
-        if pos:
-            placed.pop()
+        r, S, fitting, pos = frame
         if pos == len(fitting):
-            refuted.add(key)
             frames.pop()
             continue
-        frame[4] = pos + 1
+        frame[3] = pos + 1
         j = fitting[pos]
-        placed.append(j)
-        if len(placed) < d:
-            child = enter(j, fitting[pos:], r - packs[j], S - tpacks[j])
+        if len(frames) < d:
+            child = enter(fitting[pos:], r - packs[j], S - tpacks[j])
             if child:
                 frames.append(child)
         elif r == packs[j]:
+            placed = [fitting[pos - 1] for _, _, fitting, pos in frames]
             for j in set(placed).difference(named):
                 named[j] = _edges_of(packs[j], w, t.graph.edges)
             return EdgeColouring(tuple(map(named.__getitem__, placed)))
