@@ -10,9 +10,9 @@ and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
 judge reads only a target's multiplicity vector and door table (each region's
 doors and small flag, one target fact).  The door table, heavy records,
 toughness, Conf 16 and 18 and discharge read the charge program, a graph
-fact of each edge's flanks and each region's rim and door candidates,
-compiled by one loop over every face.  The region across an edge from a
-disc is read through ``_seconds`` alone.  Shared conventions:
+fact of each edge's flanks and each region's rim, compiled by one loop over
+every face.  The region across an edge from a disc is read through
+``_seconds`` alone.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
@@ -79,15 +79,27 @@ def door_table(t: DTarget) -> tuple[tuple[tuple[Edge, ...], ...], tuple[bool, ..
 
 
 def _door_table(t: DTarget):
+    # e = uv is a door of its region p when the far region q has a
+    # multiplicity-1 edge sharing no end with e.  The graph is simple, an edge
+    # that is no bridge appears once in a rim, and a multiplicity-1 bridge is
+    # refused first, so q's edges meeting e are e and its flanks at u and v:
+    # e is a door when these hold fewer than all of q's multiplicity-1 edges.
     m, program = t.mult_vector, charge_program(t.graph)
     for i, e, rid in program.bridges:
         if m[i] == 1:
             raise NotTwoConnected(f"edge {e} borders region {rid} twice")
-    table = tuple(
-        tuple([e for i, e, far in candidates if m[i] == 1 and 1 in map(m.__getitem__, far)])
-        for candidates in program.doors
-    )
-    return table, tuple(len(ds) < 4 for ds in table)
+    ones, table = [0] * len(program.rims), [[] for _ in program.rims]
+    sides = [side for side in program.sides if m[side[0]] == 1]  # in edge order
+    for _, _, p, q, _, _ in sides:
+        ones[p] += 1
+        ones[q] += 1
+    for _, e, p, q, (pu, pv), (qu, qv) in sides:
+        for r, k, flanks in ((p, ones[q], qu + qv), (q, ones[p], pu + pv)):
+            for f, _ in flanks:
+                k -= m[f] == 1
+            if k > 1:
+                table[r].append(e)
+    return tuple(map(tuple, table)), tuple(len(ds) < 4 for ds in table)
 
 
 def is_big(t: DTarget, r: Region) -> bool:
@@ -132,7 +144,6 @@ class ChargeProgram(NamedTuple):
 
     sides: tuple  # per edge: index, edge, region ids, then each one's flanks at its ends
     rims: tuple  # per region id: its boundary as flanks
-    doors: tuple  # per region id: (index, edge, far edges disjoint from it), by index
     bridges: tuple  # (index, edge, region id), in region and boundary order
 
 
@@ -143,13 +154,11 @@ def charge_program(graph: RotationGraph) -> ChargeProgram:
 def _compile_charge(graph: RotationGraph) -> ChargeProgram:
     """One loop over every face, whatever its shape.  Each vertex of the
     face maps to the rim entries at it, in boundary order; an edge's
-    flanks at its end z are the entries at z but its own, and the edges
-    disjoint from it are the rim's edges sharing no end with it."""
+    flanks at its end z are the entries at z but its own."""
     edges, index = graph.edges, graph.edge_index
     ids = [(r1.id, r2.id) for r1, r2 in graph.region_pairs]
     across = [{p: q, q: p} if p != q else {} for p, q in ids]  # region id -> far id
-    # per edge, per side (its region in ``ids``): flanks, and disjoint edges
-    flanks, disjoint = [[None, None] for _ in edges], [[None, None] for _ in edges]
+    flanks = [[None, None] for _ in edges]  # per edge, per side (its region in ``ids``)
     rims = []
     for r in graph.faces:
         rid, at = r.id, defaultdict(list)  # vertex -> the rim's entries at it, in order
@@ -158,18 +167,12 @@ def _compile_charge(graph: RotationGraph) -> ChargeProgram:
             at[a].append(flank)
             at[b].append(flank)
         for i, s in rim:
-            if s is None:
-                continue
-            e, side = edges[i], ids[i][1] == rid
-            flanks[i][side] = tuple([tuple([f for f in at[z] if f[0] != i]) for z in e])
-            disjoint[i][side] = tuple([f for f, _ in rim if edges_disjoint(e, edges[f])])
-    doors = [
-        tuple((i, edges[i], disjoint[i][ids[i][0] == r]) for i in sorted(own))
-        for r, own in enumerate({i for i, s in rim if s is not None} for rim in rims)
-    ]
+            if s is not None:
+                ends = [tuple([f for f in at[z] if f[0] != i]) for z in edges[i]]
+                flanks[i][ids[i][1] == rid] = tuple(ends)
     sides = tuple((i, e, *ids[i], *flanks[i]) for i, e in enumerate(edges))
     bridges = [(i, edges[i], r) for r, rim in enumerate(rims) for i, s in rim if s is None]
-    return ChargeProgram(sides, tuple(rims), tuple(doors), tuple(dict.fromkeys(bridges)))
+    return ChargeProgram(sides, tuple(rims), tuple(dict.fromkeys(bridges)))
 
 
 def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:

@@ -400,13 +400,9 @@ def serialize_dtarget(t: DTarget) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _graph_of(t) -> RotationGraph:
-    return t.graph if isinstance(t, DTarget) else t
-
-
-def region_pair(t, e: Edge) -> tuple[Region, Region]:
+def region_pair(t: DTarget, e: Edge) -> tuple[Region, Region]:
     """The two distinct regions whose boundary contains e, ordered by id."""
-    graph = _graph_of(t)
+    graph = t.graph
     u, v = e
     if (i := graph.edge_index.get((u, v))) is None:
         raise DTargetError(f"{norm_edge(u, v)} is not an edge of the graph")

@@ -30,7 +30,7 @@ from dtargets.config import (
 from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import CutWitness
 from dtargets.discharge import charge_report
-from dtargets.errors import AmbiguousContext, DTargetError, UnsupportedD
+from dtargets.errors import AmbiguousContext, DTargetError, NotTwoConnected, UnsupportedD
 from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget, serialize_dtarget
 from dtargets.switching import switch_square
 
@@ -43,6 +43,7 @@ from gadgets import (
     OCTA_GAMMA1_MULT,
     OCTA_GAMMA2_MULT,
     OCTA_GAMMA6_MULT,
+    _bench_gen,
     decaprism,
     gear12,
     octa,
@@ -50,6 +51,7 @@ from gadgets import (
     prism,
     one_shot_targets,
     rule5_wheel,
+    spanning_subgraph_targets,
     two_big_rings,
     walk_targets,
     zero_mult_targets,
@@ -114,17 +116,49 @@ def test_toughness_matches_oracle(name):
 
 def test_door_table_and_toughness_match_the_oracles_on_many_targets():
     # The one-shot ladders, every zero-multiplicity assignment of the small
-    # fixtures and the 300 walked targets: each region's doors, small flag
-    # and toughness against the brute-force oracles.
+    # fixtures, the 300 walked targets and the spanning subgraphs whose faces
+    # are not simple cycles: each region's doors, small flag and toughness
+    # against the brute-force oracles.  A spanning subgraph is refused
+    # exactly when a multiplicity-1 edge has one face on both sides.  The
+    # second seed's set holds door tests that a flank after the first at a
+    # twice-visited end decides; the first set holds none.
     targets = [t for ts in one_shot_targets().values() for t in ts]
     targets += zero_mult_targets() + list(walk_targets())
-    assert len(targets) == 36 + 5561 + 300
+    refused = 0
+    for t in spanning_subgraph_targets() + spanning_subgraph_targets(40, 2):
+        bridged = any(m == 1 and len(oracles.edge_faces(t, e)) == 1 for e, m in t.mult_items)
+        try:
+            door_table(t)
+        except NotTwoConnected:
+            assert bridged, serialize_dtarget(t)
+            refused += 1
+        else:
+            assert not bridged, serialize_dtarget(t)
+            targets.append(t)
+    assert refused == 56 + 82
+    assert len(targets) == 36 + 5561 + 300 + 184 + 398
     for t in targets:
         table, small = door_table(t)
         for r in t.graph.faces:
             assert list(table[r.id]) == oracles.doors(t, r), (serialize_dtarget(t), r.id)
             assert small[r.id] == (not oracles.big(t, r))
             assert is_tough(t, r) == oracles.tough(t, r), (serialize_dtarget(t), r.id)
+
+
+def test_the_charge_program_grows_linearly_with_the_darts():
+    # Each edge's entry holds its flanks and each rim one entry per dart, so
+    # on the ladder prisms four times the darts make at most four times the
+    # leaves; lists of far edges disjoint from each edge would grow with the
+    # square of a face's length.
+    def leaves(x) -> int:
+        return sum(map(leaves, x)) if isinstance(x, tuple) else 1
+
+    gen = _bench_gen()
+    small, large = (
+        leaves(config.charge_program(parse_dtarget(gen.prism_text(n)).graph)) for n in (40, 160)
+    )
+    assert large <= 4 * small, (small, large)
+    assert config.ChargeProgram._fields == ("sides", "rims", "bridges")
 
 
 def test_doors_computed_once_per_region(monkeypatch):
