@@ -21,7 +21,9 @@ every assignment with zero multiplicities allowed on k4, prism and cube.
 The faces digest pins targets whose faces are not all simple cycles: the
 seeded spanning subgraphs in ``gadgets.spanning_subgraph_targets``, the
 bowtie and the tree, through their door tables, ``detect_all``, charge
-reports and every edge's beta and gamma traces.
+reports and every edge's beta and gamma traces; a second faces digest takes
+the same rows over ``spanning_subgraph_targets(40, 2)``, whose doors include
+some decided by the second flank at an end the far face visits twice.
 
 A refactor of detection, charging or reporting must leave every digest
 unchanged.  When a deliberate change of output is made, regenerate the
@@ -92,6 +94,8 @@ CHARGE_REPORT_GOLDEN = {
 }
 
 FACES_GOLDEN = "d86026c470f5fd2e39744fe259d73535540e9840907f67fd013f8da6e1c4194e"
+
+FACES_SEED_2_GOLDEN = "a9abd765696948ed43868257230479eb913d5fc90e2cf0643f77bf637b53c6da"
 
 
 # (file, the four vertices, and --path when the move is a path switch): square
@@ -259,15 +263,10 @@ def _outcome(compute, *args) -> str:
         return f"{type(err).__name__}: {err}"
 
 
-def faces_digest() -> str:
+def faces_digest(targets) -> str:
     """The digest of each target's door table, ``detect_all`` payloads,
     ``_charges`` and the beta and gamma traces of every edge, one line per
-    target, over targets whose faces are not all simple cycles (and some
-    whose faces are, drawn alike)."""
-    targets = [
-        *spanning_subgraph_targets(),
-        *(parse_dtarget((DATA / f"{name}.dtarget").read_text()) for name in ("bowtie", "tree")),
-    ]
+    target."""
     h = hashlib.sha256()
     for t in targets:
         rows = [
@@ -281,8 +280,25 @@ def faces_digest() -> str:
     return h.hexdigest()
 
 
+def faces_targets() -> list:
+    """Targets whose faces are not all simple cycles (and some whose faces
+    are, drawn alike): the default spanning subgraphs, the bowtie and the
+    tree."""
+    return [
+        *spanning_subgraph_targets(),
+        *(parse_dtarget((DATA / f"{name}.dtarget").read_text()) for name in ("bowtie", "tree")),
+    ]
+
+
 def test_non_simple_faces_match_golden_digest():
-    assert faces_digest() == FACES_GOLDEN
+    assert faces_digest(faces_targets()) == FACES_GOLDEN
+
+
+def test_second_spanning_seed_matches_golden_digest():
+    # The default set has no door decided by a second flank at a twice-visited
+    # end; this one has five, so a door test that reads only the first flank
+    # at each end changes the digest.
+    assert faces_digest(spanning_subgraph_targets(40, 2)) == FACES_SEED_2_GOLDEN
 
 
 if __name__ == "__main__":
@@ -291,7 +307,8 @@ if __name__ == "__main__":
         "SWITCH_GOLDEN": switch_digests(),
         "DETECT_ALL_GOLDEN": detect_all_digests(),
         "CHARGE_REPORT_GOLDEN": charge_report_digests(),
-        "FACES_GOLDEN": faces_digest(),
+        "FACES_GOLDEN": faces_digest(faces_targets()),
+        "FACES_SEED_2_GOLDEN": faces_digest(spanning_subgraph_targets(40, 2)),
     }
     json.dump(golden, sys.stdout, indent=4)
     print()

@@ -153,6 +153,26 @@ def test_parse_rejects_garbage():
         parse_dtarget("this is not a target\n")
 
 
+def test_multiplicity_refusals_name_the_edge():
+    prism = load_fixture("prism")
+    text = serialize_dtarget(prism)
+    mult = dict(prism.mult_items)
+    refusals = [
+        (lambda: parse_dtarget(text + "mult 5 1 0\n"), ParseError,
+         "multiplicity given for non-edge (1, 5)"),
+        (lambda: parse_dtarget(text.replace("mult 3 4 2\n", "").replace("mult 1 4 4\n", "")),
+         MissingMultiplicity, "no multiplicity for edge (1, 4)"),
+        (lambda: prism.with_mult({**mult, (0, 2): -1}), NegativeMultiplicity,
+         "edge (0, 2) has multiplicity -1"),
+        (lambda: DTarget.of(prism.graph, 8, {**mult, (4, 1): 4}), ParseError,
+         "multiplicity given twice for edge (1, 4)"),
+    ]
+    for build, error, message in refusals:
+        with pytest.raises(error) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_target_items_must_come_in_edge_order():
     k4 = load_fixture("k4")
     with pytest.raises(ParseError, match="given after edge"):
