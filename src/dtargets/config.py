@@ -613,23 +613,21 @@ def _compile_conf7(graph, tri: Region, u, v, w):
     return _compile_plus_pair(graph, tri, (u, v), (u, w), f"m+({u},{v}) + m+({u},{w})")
 
 
-def _door_sides(graph: RotationGraph, tri: Region, *pairs) -> list[tuple]:
-    """(e, far region id, far edges disjoint from the triangle) for each
-    triangle edge e: a far door avoids the triangle iff it is one of them."""
-    fars = zip(pairs, _seconds(graph, (tri.id,), *pairs))  # a triangle has no bridge
-    return [
-        (norm_edge(*pair), far, {f for f in graph.faces[far].edges if not set(f) & tri.vertex_set})
-        for pair, far in fars
-    ]
+def _door_sides(graph: RotationGraph, tri: Region, *pairs) -> list[tuple[Edge, int]]:
+    """(e, far region id) for each triangle edge e.  A door of the far region
+    is one of its edges, so it avoids the triangle iff it shares no vertex
+    with it."""
+    fars = _seconds(graph, (tri.id,), *pairs)  # a triangle has no bridge
+    return [(norm_edge(*pair), far) for pair, far in zip(pairs, fars)]
 
 
 def _compile_conf8(graph, tri: Region, u, v, w):
     uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
-    sides = _door_sides(graph, tri, (u, v), (u, w), (v, w))
+    sides, corners = _door_sides(graph, tri, (u, v), (u, w), (v, w)), tri.vertex_set
     def judge(m, small, doors):
         if m[uv] != 3 or m[uw] != 2 or m[vw] != 2:
             return None
-        blocked = [e for e, far, free in sides if not any(d in free for d in doors[far])]
+        blocked = [e for e, far in sides if not any(map(corners.isdisjoint, doors[far]))]
         if not blocked:
             return None
         return (
@@ -644,14 +642,14 @@ def _compile_conf9(graph, tri: Region, u, v, w):
         return None
     degree = f"deg({u}) = {_degree(graph, u)} >= 4"
     uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
-    sides = _door_sides(graph, tri, (u, v), (u, w))
+    sides, corners = _door_sides(graph, tri, (u, v), (u, w)), tri.vertex_set
     def judge(m, small, doors):
         if not (m[uv] == m[uw] == m[vw] == 2):
             return None
         facts = [degree, "all multiplicities 2"]
-        for e, far, free in sides:
+        for e, far in sides:
             ds = doors[far]
-            if len(ds) > 1 or any(d in free for d in ds):
+            if len(ds) > 1 or any(map(corners.isdisjoint, ds)):
                 return None
             facts.append(f"second region of {e}: {len(ds)} door(s), none disjoint")
         return tuple(facts), None
@@ -730,12 +728,12 @@ def _compile_conf13(graph, r: Region, *vs: int):
 def _compile_conf14(graph, r: Region, u, v):
     if (edge := _region_edge(graph, r, u, v, 3)) is None:
         return None
-    (e, i, s, others), rid = edge, r.id
+    (e, i, s, _), rid = edge, r.id
     def judge(m, small, doors):
         plus = m[i] + small[s]
         if plus < 6:
             return None
-        count = sum(d in others for d in doors[rid])
+        count = sum(edges_disjoint(e, d) for d in doors[rid])  # doors of r are its edges
         if count > 6:
             return None
         return (
@@ -992,7 +990,7 @@ def is_prime(t: DTarget) -> PrimalityVerdict:
     """
     _require_d8(t)
     require_target(t)
-    for e, m in t.mult_items:
+    for e, m in zip(t.graph.edges, t.mult_vector):
         if m == 0:
             return PrimalityVerdict(False, ZeroMultEdge(e))
     if t.vertex_count < 6:
@@ -1003,7 +1001,7 @@ def is_prime(t: DTarget) -> PrimalityVerdict:
     level = connectivity_level(t.graph)
     if level < 3:
         return PrimalityVerdict(False, NotThreeConnected(level))
-    for e, m in t.mult_items:
+    for e, m in zip(t.graph.edges, t.mult_vector):
         if m > 6:
             return PrimalityVerdict(False, MultiplicityOver6(e))
     match = next((m for k in _PATTERNS for m in _matches(t, k)), None)

@@ -43,8 +43,8 @@ def enumerate_multiplicities(
     ascending lexicographic order over the sorted edge list.
 
     An odometer over the edges, each running through the values its ends'
-    sums so far allow; a complete assignment is zipped with ``graph.edges``
-    (sorted and normalised) into a target, which ``__post_init__`` checks.
+    sums so far allow; a complete assignment, in ``graph.edges`` order, is
+    the target's multiplicity vector.
     """
     edges = graph.edges
     k = len(edges)
@@ -67,7 +67,7 @@ def enumerate_multiplicities(
     i = 0
     while i >= 0:
         if i == k:
-            yield DTarget(graph, d, tuple(zip(edges, values)))
+            yield DTarget(graph, d, tuple(values))
         else:
             (u, v), (later_u, later_v) = edges[i], after[i]
             lo = min_mult

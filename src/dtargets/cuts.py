@@ -36,7 +36,7 @@ def m_delta(t: DTarget, X) -> int:
     if len(inside) < len(X) or not all(v in range(t.vertex_count) for v in inside):
         raise DTargetError(f"{X} is not a set of distinct vertices 0..{t.vertex_count - 1}")
     total = 0
-    for (u, v), m in t.mult_items:
+    for (u, v), m in zip(t.graph.edges, t.mult_vector):
         if (u in inside) != (v in inside):
             total += m
     return total
@@ -77,9 +77,8 @@ def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness 
     # Per vertex: its packed degree sum, its neighbours that can be in Y (by
     # bit, with twice the packed edge) and twice its packed edge to vertex 1.
     degree, inner, to_1 = [0] * n, [[] for _ in range(n)], [0] * n
-    for column in zip(*(t.mult_items for t in targets)):
-        (u, v), _ = column[0]
-        m = _pack([m for _, m in column], w)
+    for (u, v), column in zip(targets[0].graph.edges, zip(*(t.mult_vector for t in targets))):
+        m = _pack(column, w)
         degree[u] += m
         degree[v] += m
         if u >= 2:

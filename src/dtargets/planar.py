@@ -139,10 +139,6 @@ class RotationGraph:
         return tuple(sorted(out))
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Each edge's position in ``edges``, under both orientations."""
         return {d: i for i, (u, v) in enumerate(self.edges) for d in ((u, v), (v, u))}
@@ -230,74 +226,66 @@ class RotationGraph:
 class DTarget:
     """A rotation graph together with d and per-edge multiplicities.
 
-    ``mult_items`` is the canonical sorted tuple of (edge, multiplicity)
-    pairs, so equal targets compare equal structurally.  Use :meth:`of` to
-    build one from any mapping; the corpus passes pairs in ``graph.edges``
-    order directly, and ``__post_init__`` checks either, edges strictly
-    increasing.  ``facts`` holds what the analysis layers derive from the
-    target, each kept by :func:`fact` (the odd cuts ``"odd_cuts"`` and the
-    door table ``"doors"``); like the cached ``mult``, ``mult_vector`` and
-    ``degree_sums``, it takes no part in equality.
+    ``mult_vector`` holds m(e) in ``graph.edges`` order (the order of
+    ``edge_index``), the one stored form, so equal targets compare equal
+    structurally.  :meth:`of` builds a target from a mapping of edges, in
+    either orientation, to multiplicities.  ``facts`` holds what the
+    analysis layers derive from the target, each kept by :func:`fact` (the
+    odd cuts ``"odd_cuts"`` and the door table ``"doors"``); like the cached
+    ``mult_items`` and ``degree_sums``, it takes no part in equality.
     """
 
     graph: RotationGraph
     d: int
-    mult_items: tuple[tuple[Edge, int], ...]
+    mult_vector: tuple[int, ...]
     facts: dict = field(
         init=False, default_factory=dict, compare=False, hash=False, repr=False
     )
 
     @classmethod
     def of(cls, graph: RotationGraph, d: int, mult) -> "DTarget":
-        pairs = mult.items() if hasattr(mult, "items") else mult
-        return cls(graph, d, tuple(sorted((norm_edge(u, v), m) for (u, v), m in pairs)))
+        index, edges = graph.edge_index, graph.edges
+        vector: list[int | None] = [None] * len(edges)
+        for (u, v), m in mult.items():
+            if (i := index.get((u, v))) is None:
+                raise ParseError(f"multiplicity given for non-edge {norm_edge(u, v)}")
+            if vector[i] is not None:
+                raise ParseError(f"multiplicity given twice for edge {edges[i]}")
+            vector[i] = m
+        if None in vector:
+            raise MissingMultiplicity(f"no multiplicity for edge {edges[vector.index(None)]}")
+        return cls(graph, d, tuple(vector))
 
     def __post_init__(self) -> None:
         if self.d <= 0:
             raise ParseError(f"d must be positive, got {self.d}")
-        edges = self.graph.edge_set
-        last: Edge = (-1, -1)
-        for e, m in self.mult_items:
-            if e not in edges:
-                raise ParseError(f"multiplicity given for non-edge {e}")
-            if e <= last:
-                problem = "given twice" if e == last else f"given after edge {last}"
-                raise ParseError(f"multiplicity {problem} for edge {e}")
-            last = e
-            if m < 0:
-                raise NegativeMultiplicity(f"edge {e} has multiplicity {m}")
-        if len(self.mult_items) != len(edges):
-            missing = edges.difference(e for e, _ in self.mult_items)
-            raise MissingMultiplicity(f"no multiplicity for edge {min(missing)}")
+        vector, edges = self.mult_vector, self.graph.edges
+        if len(vector) != len(edges):
+            raise ParseError(f"{len(vector)} multiplicities given for {len(edges)} edges")
+        if min(vector, default=0) < 0:
+            e, m = next((e, m) for e, m in zip(edges, vector) if m < 0)
+            raise NegativeMultiplicity(f"edge {e} has multiplicity {m}")
 
     @cached_property
-    def mult(self) -> dict[Edge, int]:
-        return dict(self.mult_items)
-
-    @cached_property
-    def mult_vector(self) -> tuple[int, ...]:
-        """The multiplicities in ``graph.edges`` order (``edge_index``)."""
-        return tuple(m for _, m in self.mult_items)
+    def mult_items(self) -> tuple[tuple[Edge, int], ...]:
+        """The (edge, multiplicity) pairs in ``graph.edges`` order."""
+        return tuple(zip(self.graph.edges, self.mult_vector))
 
     def m(self, u: int, v: int) -> int:
-        return self.mult[norm_edge(u, v)]
+        return self.mult_vector[self.graph.edge_index[(u, v)]]
 
     def m_edge(self, e: Edge) -> int:
-        return self.mult[norm_edge(*e)]
+        return self.m(*e)
 
     @property
     def vertex_count(self) -> int:
         return self.graph.vertex_count
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
     @cached_property
     def degree_sums(self) -> tuple[int, ...]:
-        """m(delta(v)) for every vertex v, from one pass over ``mult_items``."""
+        """m(delta(v)) for every vertex v, from one pass over the multiplicities."""
         sums = [0] * self.vertex_count
-        for (u, v), m in self.mult_items:
+        for (u, v), m in zip(self.graph.edges, self.mult_vector):
             sums[u] += m
             sums[v] += m
         return tuple(sums)
@@ -323,15 +311,13 @@ _HEADER_RE = re.compile(r"dtarget\s+d=(-?\d+)$")
 _VERTEX_RE = re.compile(r"vertex\s+(\d+)\s*:\s*(.*)$")
 
 
-def parse_dtarget(text) -> DTarget:
+def parse_dtarget(text: str) -> DTarget:
     """Parse the line-oriented target format.
 
     Line 1: ``dtarget d=<int>``.  Then one ``vertex <id>: <neighbours
     clockwise>`` line per vertex and one ``mult <u> <v> <m>`` line per edge.
     ``#`` starts a comment; blank lines are ignored.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     header_d: int | None = None
     rotation_lines: dict[int, tuple[int, ...]] = {}
     mult_entries: dict[Edge, int] = {}
@@ -382,7 +368,7 @@ def parse_dtarget(text) -> DTarget:
     if ids != list(range(len(ids))):
         raise ParseError("vertex ids must be exactly 0..n-1")
     graph = RotationGraph(tuple(rotation_lines[i] for i in ids))
-    return DTarget(graph, header_d, tuple(sorted(mult_entries.items())))
+    return DTarget.of(graph, header_d, mult_entries)
 
 
 def serialize_dtarget(t: DTarget) -> str:

@@ -23,7 +23,7 @@ def score_sequence(t: DTarget) -> tuple[int, ...]:
     """(n_0, ..., n_d) where n_i counts edges of multiplicity i; an edge
     above d has no place in it (``DTargetError``)."""
     counts = [0] * (t.d + 1)
-    for e, m in t.mult_items:
+    for e, m in zip(t.graph.edges, t.mult_vector):
         if m > t.d:
             raise DTargetError(f"edge {e} has multiplicity {m}, above d = {t.d}")
         counts[m] += 1
@@ -68,7 +68,7 @@ def _require_square(t: DTarget, u: int, v: int, w: int, x: int) -> None:
     if any(not (0 <= z < n) for z in cycle):
         raise NotAFourCycle(f"vertices {cycle} out of range")
     for a, b in ((u, v), (v, w), (w, x), (x, u)):
-        if norm_edge(a, b) not in t.graph.edge_set:
+        if (a, b) not in t.graph.edge_index:
             raise NotAFourCycle(f"{norm_edge(a, b)} is not an edge")
 
 
@@ -79,15 +79,15 @@ def switch_square(t: DTarget, u: int, v: int, w: int, x: int) -> DTarget:
     region boundary.  The inverse move is switch_square(t', u, x, w, v).
     """
     _require_square(t, u, v, w, x)
-    mult = dict(t.mult)
+    index, mult = t.graph.edge_index, list(t.mult_vector)
     for a, b in ((u, v), (w, x)):
-        e = norm_edge(a, b)
-        if mult[e] == 0:
-            raise WouldGoNegative(f"multiplicity of {e} is already 0")
-        mult[e] -= 1
+        i = index[(a, b)]
+        if mult[i] == 0:
+            raise WouldGoNegative(f"multiplicity of {norm_edge(a, b)} is already 0")
+        mult[i] -= 1
     for a, b in ((v, w), (x, u)):
-        mult[norm_edge(a, b)] += 1
-    return t.with_mult(mult)
+        mult[index[(a, b)]] += 1
+    return DTarget(t.graph, t.d, tuple(mult))
 
 
 def _insert_after(rotation: tuple[int, ...], anchor: int, new: int) -> tuple[int, ...]:
@@ -104,7 +104,7 @@ def add_zero_edge(t: DTarget, x: int, y: int) -> DTarget:
     n = t.vertex_count
     if not (0 <= x < n and 0 <= y < n):
         raise DTargetError(f"vertices ({x}, {y}) out of range")
-    if norm_edge(x, y) in t.graph.edge_set:
+    if (x, y) in t.graph.edge_index:
         return t
 
     host = None
@@ -129,9 +129,7 @@ def add_zero_edge(t: DTarget, x: int, y: int) -> DTarget:
         b = darts[(i + 1) % k][1]
         rotations[z] = _insert_after(rotations[z], b, other)
     graph = RotationGraph(tuple(rotations))
-    mult = dict(t.mult)
-    mult[norm_edge(x, y)] = 0
-    return DTarget.of(graph, t.d, mult)
+    return DTarget.of(graph, t.d, {**dict(t.mult_items), (x, y): 0})
 
 
 def switch_path(t: DTarget, x: int, u: int, v: int, y: int) -> DTarget:
@@ -140,7 +138,7 @@ def switch_path(t: DTarget, x: int, u: int, v: int, y: int) -> DTarget:
     if len({x, u, v, y}) != 4:
         raise DTargetError(f"path vertices ({x}, {u}, {v}, {y}) are not distinct")
     for a, b in ((x, u), (u, v), (v, y)):
-        if norm_edge(a, b) not in t.graph.edge_set:
+        if (a, b) not in t.graph.edge_index:
             raise DTargetError(f"{norm_edge(a, b)} is not an edge")
     widened = add_zero_edge(t, x, y)
     return switch_square(widened, x, u, v, y)

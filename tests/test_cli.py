@@ -254,7 +254,7 @@ def test_switch_rejects_a_non_target(capsys, name):
 def test_off_degree_input_is_never_an_internal_fault(tmp_path, capsys, command):
     # k4 with m(01) = 7: the degree sums are 11, 11, 8, 8.
     k4 = load_fixture("k4")
-    path = write_target(tmp_path, k4.with_mult({**k4.mult, (0, 1): 7}))
+    path = write_target(tmp_path, k4.with_mult({**dict(k4.mult_items), (0, 1): 7}))
     cycle = ["0", "1", "2", "3"] if command == "switch" else []
     code, out, err = run(capsys, [command, path, *cycle])
     assert code in (1, 2)
@@ -270,7 +270,7 @@ def test_classify_refuses_a_non_target_that_looks_prime(tmp_path, capsys):
     # structural bullet and matches no pattern, so only the target check,
     # which makes is_prime raise DTargetError, keeps it from a prime verdict.
     cube = load_fixture("cube")
-    path = write_target(tmp_path, cube.with_mult(dict.fromkeys(cube.edges, 2)))
+    path = write_target(tmp_path, cube.with_mult(dict.fromkeys(cube.graph.edges, 2)))
     code, out, err = run(capsys, ["classify", path])
     assert code == 2
     assert "not a d-target" in err

@@ -174,9 +174,9 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
     assert edge_colour(parse_dtarget((DATA / "tree.dtarget").read_text())) is None
     bowtie = parse_dtarget((DATA / "bowtie.dtarget").read_text())
     with pytest.raises(OddVertexCount):
-        edge_colour(bowtie.with_mult({**bowtie.mult, (1, 2): 5}))
+        edge_colour(bowtie.with_mult({**dict(bowtie.mult_items), (1, 2): 5}))
     cube = load_fixture("cube")
-    off_cube = cube.with_mult({**cube.mult, (0, 1): 3})
+    off_cube = cube.with_mult({**dict(cube.mult_items), (0, 1): 3})
     with pytest.raises(TooLarge, match="exceeds the matching enumeration cap 6"):
         edge_colour(off_cube, cap=6)
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
@@ -197,7 +197,7 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
 
     monkeypatch.setattr(coloring, "_support_tables", unread_packs)
     k4 = load_fixture("k4")
-    assert edge_colour(k4.with_mult({**k4.mult, (0, 1): 7})) is None
+    assert edge_colour(k4.with_mult({**dict(k4.mult_items), (0, 1): 7})) is None
     with pytest.raises(AssertionError, match="the search started"):
         edge_colour(k4)
 
@@ -448,7 +448,7 @@ def test_lanes_hold_a_multiplicity_above_d():
     # An off-degree target packs its residual before the root answers, so
     # the lanes are sized from its largest multiplicity, not from d.
     k4 = load_fixture("k4")
-    assert edge_colour(k4.with_mult({**k4.mult, (0, 1): 300})) is None
+    assert edge_colour(k4.with_mult({**dict(k4.mult_items), (0, 1): 300})) is None
 
 
 def test_matching_walk_is_not_bounded_by_recursion():

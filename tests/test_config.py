@@ -190,7 +190,7 @@ def test_a_walk_step_finds_each_region_s_doors_once(monkeypatch):
     # The walk's order: charge_report, then detect_all, on each new target.
     computed = _counting_door_tables(monkeypatch)
     for walked in walk_targets()[::7]:
-        t = DTarget(walked.graph, walked.d, walked.mult_items)  # no facts yet
+        t = DTarget(walked.graph, walked.d, walked.mult_vector)  # no facts yet
         charge_report(t)
         detect_all(t)
         assert len(computed) == 1 and computed[0] is t
@@ -214,7 +214,7 @@ def test_a_walk_step_compiles_no_charge_program(monkeypatch):
     for start in (0, 100, 200):
         graph = RotationGraph(walked[start].graph.rotations)  # no facts yet
         for step in walked[start : start + 100]:
-            t = DTarget(graph, step.d, step.mult_items)
+            t = DTarget(graph, step.d, step.mult_vector)
             charge_report(t)
             detect_all(t)
             assert compiled == [graph]
@@ -315,7 +315,7 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
         )
     t = load_fixture("pentagonal_prism")
     first = detect_all(t)
-    assert detect_all(t.with_mult(t.mult)) == first
+    assert detect_all(t.with_mult(dict(t.mult_items))) == first
     assert len(wrappers) == 11
     assert runs == dict.fromkeys(wrappers, 1)
     # Beside the placements: each pattern's compiled judges, and the charge
@@ -434,7 +434,7 @@ def test_a_walk_step_compiles_nothing(monkeypatch):
     counts.clear()
     square = next(r for r in t.graph.faces if r.length == 4)
     step = switch_square(t, *square.vertices)
-    assert step.graph is t.graph and step.mult != t.mult
+    assert step.graph is t.graph and step.mult_vector != t.mult_vector
     detect_all(step)
     assert counts == Counter()
 
@@ -570,7 +570,7 @@ def test_is_prime_refuses_a_non_target(name):
     # and a prime verdict.
     t = load_fixture(name)
     with pytest.raises(DTargetError, match="not a d-target"):
-        is_prime(t.with_mult(dict.fromkeys(t.edges, 2)))
+        is_prime(t.with_mult(dict.fromkeys(t.graph.edges, 2)))
 
 
 EXPECTED_FIRST_CONF = {

@@ -130,7 +130,7 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     assert is_prime(t).witness is not None
     assert len(scanned) == 1
     # An equal target made anew has its own facts and runs its own pass.
-    copy = t.with_mult(t.mult)
+    copy = t.with_mult(dict(t.mult_items))
     assert copy == t
     assert min_odd_cut(copy) == witness
     assert len(scanned) == 2 and scanned[1] is copy
@@ -154,7 +154,7 @@ def test_the_exhaustive_corpus_runs_one_pass_per_base(monkeypatch):
 
 
 def _fresh(t):
-    return DTarget(t.graph, t.d, t.mult_items)
+    return DTarget(t.graph, t.d, t.mult_vector)
 
 
 @cache
@@ -170,11 +170,11 @@ def _mixed_batch(name):
     for _ in range(30):
         d = rng.choice((1, 2, 3, 5, 8, 13))
         values = [rng.choice((0, 0, 1, 2, 3, d)) for _ in graph.edges]
-        batch.append(DTarget(graph, d, tuple(zip(graph.edges, values))))
+        batch.append(DTarget(graph, d, tuple(values)))
     # A total multiplicity of 200 needs a lane of 16 bits: 8 hold no guard bit.
     values = [rng.randint(0, 12) for _ in graph.edges]
     values[0] = 200 - sum(values[1:])
-    batch.append(DTarget(graph, 8, tuple(zip(graph.edges, values))))
+    batch.append(DTarget(graph, 8, tuple(values)))
     expected = [
         (oracles.min_odd_cut_witness(t), oracles.strengthened_violation(t)) for t in batch
     ]

@@ -250,7 +250,7 @@ def test_gamma_edge_antisymmetric_view():
 
 
 def remultiplied(t: DTarget, changes: dict) -> DTarget:
-    return t.with_mult({**t.mult, **changes})
+    return t.with_mult({**dict(t.mult_items), **changes})
 
 
 # Rim edge (0, 1) of the decagonal prism: its flanks on the big rim are

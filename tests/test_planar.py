@@ -173,15 +173,15 @@ def test_multiplicity_refusals_name_the_edge():
         assert str(refused.value) == message
 
 
-def test_target_items_must_come_in_edge_order():
+def test_target_vector_must_match_the_edges():
     k4 = load_fixture("k4")
-    with pytest.raises(ParseError, match="given after edge"):
-        DTarget(k4.graph, 8, tuple(reversed(k4.mult_items)))
-    rebuilt = DTarget.of(k4.graph, 8, [((v, u), m) for (u, v), m in reversed(k4.mult_items)])
+    with pytest.raises(ParseError, match="5 multiplicities given for 6 edges"):
+        DTarget(k4.graph, 8, k4.mult_vector[:-1])
+    rebuilt = DTarget.of(k4.graph, 8, {(v, u): m for (u, v), m in reversed(k4.mult_items)})
     assert rebuilt == k4 and hash(rebuilt) == hash(k4)
     (u, v), m = k4.mult_items[0]
     with pytest.raises(ParseError, match="given twice"):
-        DTarget.of(k4.graph, 8, [*k4.mult_items, ((v, u), m)])
+        DTarget.of(k4.graph, 8, {**dict(k4.mult_items), (v, u): m})
 
 
 def test_nonplanar_rotation_system_rejected():

@@ -43,7 +43,7 @@ def test_score_sequence_refuses_an_edge_above_d():
     # Dropping the edge would give both non-targets the sequence of the
     # other five edges, and neither would precede the other.
     k4 = load_fixture("k4")
-    nine, twelve = (k4.with_mult({**k4.mult, (0, 1): m}) for m in (9, 12))
+    nine, twelve = (k4.with_mult({**dict(k4.mult_items), (0, 1): m}) for m in (9, 12))
     for t in (nine, twelve):
         with pytest.raises(DTargetError, match=r"edge \(0, 1\) has multiplicity"):
             score_sequence(t)
@@ -51,7 +51,7 @@ def test_score_sequence_refuses_an_edge_above_d():
         is_smaller(nine, twelve)
     with pytest.raises(DTargetError):
         is_smaller(twelve, nine)
-    assert score_sequence(k4.with_mult({**k4.mult, (0, 1): 8}))[8] == 1
+    assert score_sequence(k4.with_mult({**dict(k4.mult_items), (0, 1): 8}))[8] == 1
 
 
 def test_switch_square_octahedron_equator():

@@ -236,3 +236,17 @@ def test_size_refusals_are_constants_not_knobs():
         for command, sub in subs.choices.items()
     }
     assert options == expected
+
+
+def test_a_target_stores_only_its_multiplicity_vector():
+    # The graph owns the edge list; a target keeps m(e) in graph.edges order,
+    # and every other form of its multiplicities is derived from that.
+    import dataclasses
+
+    from dtargets.planar import DTarget, RotationGraph
+
+    assert [f.name for f in dataclasses.fields(DTarget)] == [
+        "graph", "d", "mult_vector", "facts",
+    ]
+    assert not hasattr(DTarget, "mult") and not hasattr(DTarget, "edges")
+    assert not hasattr(RotationGraph, "edge_set")
