@@ -8,17 +8,17 @@ so each generator runs once per graph, and each pattern compiles its
 placements once per graph into judges holding edge indices, second region ids
 and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
 judge reads only a target's multiplicity vector and door table (each region's
-doors and small flag, one target fact).  The door table, heavy records,
-toughness, Conf 16 and 18 and discharge read the charge program, a graph
+doors and small flag, one target fact).  The door table, toughness, the
+rim records of Conf 15-19 and discharge read the charge program, a graph
 fact of each edge's flanks and each region's rim, compiled by one loop over
 every face.  The region across an edge from a disc is read through
-``_seconds`` alone.  Shared conventions:
+``_seconds`` alone, or from r's rim for r's other edges.  Shared conventions:
 
 * the disc of a placement is the closed union of its named regions; the
   "second region" of a boundary edge is its incident region outside that
   disc, and ``m_plus`` adds 1 exactly when that second region is small; a
   placement whose second region is ambiguous never matches, so compiling
-  drops it (Conf 18 drops only the branch that reads it);
+  drops it; a bridge among r's other edges fails any m+ >= 2 test on them;
 * named vertices are pairwise distinct and named regions are distinct
   (degenerate placements whose region union pinches into a non-disc are
   skipped);
@@ -136,11 +136,11 @@ def m_plus(t: DTarget, e: Edge, disc) -> int:
 
 
 class ChargeProgram(NamedTuple):
-    """What the door table, heavy records, toughness, Conf 16 and 18 and the
-    discharge rules read of the embedding: a graph fact.  A flank is an
-    (edge index, far region id) pair, the far id None across a bridge.  An
-    edge's flanks at an end are its region's other boundary edges there, in
-    boundary order: more than one where the face visits that end twice."""
+    """What the door table, toughness, Conf 15-19 and the discharge rules
+    read of the embedding: a graph fact.  A flank is an (edge index, far
+    region id) pair, the far id None across a bridge.  An edge's flanks at
+    an end are its region's other boundary edges there, in boundary order:
+    more than one where the face visits that end twice."""
 
     sides: tuple  # per edge: index, edge, region ids, then each one's flanks at its ends
     rims: tuple  # per region id: its boundary as flanks
@@ -175,21 +175,24 @@ def _compile_charge(graph: RotationGraph) -> ChargeProgram:
     return ChargeProgram(sides, tuple(rims), tuple(dict.fromkeys(bridges)))
 
 
-def _heavy_record(graph: RotationGraph, r: Region, f: Edge) -> tuple:
-    """(f, g, h) as edge indices, g and h the other edges of the triangle
-    across f from r, or both None when that region is no triangle."""
-    i, _, p, q, at_p, at_q = charge_program(graph).sides[graph.edge_index[f]]
-    far, at = (q, at_q) if r.id == p else (p, at_p)
-    if graph.faces[far].length != 3:
-        return i, None, None
-    ((g, _),), ((h, _),) = at
-    return i, g, h
+def _rim_records(graph: RotationGraph, r: Region, keep: Callable[[Edge], bool]) -> tuple:
+    """(f, s, g, h) for each boundary edge f of r that keep holds for, in
+    boundary order: f's index, the region across it (None across a bridge,
+    which the rim holds twice), and s's other two edges when s is a
+    triangle, else None and None."""
+    rims, records = charge_program(graph).rims, []
+    for f, s in rims[r.id]:
+        if keep(graph.edges[f]):
+            tri = s is not None and len(rims[s]) == 3
+            g, h = [i for i, _ in rims[s] if i != f] if tri else (None, None)
+            records.append((f, s, g, h))
+    return tuple(records)
 
 
-def _hefts(m, heavy) -> list[int]:
+def _hefts(m, records) -> list[int]:
     """m(f), plus min(m(g), m(h)) when f's far region is a triangle, for each
-    heavy record: f is i-heavy exactly when this is at least i."""
-    return [m[f] if g is None else m[f] + min(m[g], m[h]) for f, g, h in heavy]
+    rim record: f is i-heavy exactly when this is at least i."""
+    return [m[f] if g is None else m[f] + min(m[g], m[h]) for f, _, g, h in records]
 
 
 def is_tough(t: DTarget, r: Region) -> bool:
@@ -513,30 +516,21 @@ def _region_triangles(graph: RotationGraph):
 # ---------------------------------------------------------------------------
 
 
-def _light_record(graph: RotationGraph, r: Region, disc, edges) -> tuple | None:
-    """(index, second region) pairs and heavy records of edges of r, or None
-    if a second region is ambiguous."""
-    if (seconds := _seconds(graph, disc, *edges)) is None:
-        return None
-    heavy = [_heavy_record(graph, r, f) for f in edges]
-    return tuple(zip(_indices(graph, *edges), seconds)), heavy
-
-
-def _light_count(m, small, record) -> float:
-    """How many of the record's edges are not 3-heavy; infinitely many if the
-    record is None or an edge has m+ < 2."""
-    if record is None or any(m[f] + small[s] < 2 for f, s in record[0]):
+def _light_count(m, small, records) -> float:
+    """How many of the records' edges are not 3-heavy; infinitely many if
+    one has m+ < 2, a bridge (no region across) counting as such."""
+    if any(s is None or m[f] + small[s] < 2 for f, s, _, _ in records):
         return math.inf
-    return sum(h < 3 for h in _hefts(m, record[1]))
+    return sum(h < 3 for h in _hefts(m, records))
 
 
 def _region_edge(graph: RotationGraph, r: Region, u, v, min_length: int):
-    """(e, its index, its second region, r's edges disjoint from e) for e = uv;
-    None if r is shorter than min_length or the second region is ambiguous."""
+    """(e, its index, its second region) for e = uv; None if r is shorter
+    than min_length or the second region is ambiguous."""
     if r.length < min_length or (seconds := _seconds(graph, (r.id,), (u, v))) is None:
         return None
     e = norm_edge(u, v)
-    return e, graph.edge_index[e], seconds[0], [f for f in r.edges if edges_disjoint(e, f)]
+    return e, graph.edge_index[e], seconds[0]
 
 
 def _compile_conf1(graph, tri: Region, u, v, w):
@@ -728,7 +722,7 @@ def _compile_conf13(graph, r: Region, *vs: int):
 def _compile_conf14(graph, r: Region, u, v):
     if (edge := _region_edge(graph, r, u, v, 3)) is None:
         return None
-    (e, i, s, _), rid = edge, r.id
+    (e, i, s), rid = edge, r.id
     def judge(m, small, doors):
         plus = m[i] + small[s]
         if plus < 6:
@@ -746,8 +740,8 @@ def _compile_conf14(graph, r: Region, u, v):
 def _compile_conf15(graph, r: Region, u, v):
     if (edge := _region_edge(graph, r, u, v, 4)) is None:
         return None
-    e, i, s, others = edge
-    heavy = [_heavy_record(graph, r, f) for f in others]
+    e, i, s = edge
+    heavy = _rim_records(graph, r, lambda f: edges_disjoint(e, f))
     def judge(m, small, doors):
         plus = m[i] + small[s]
         if plus < 4 or not all(h >= 3 for h in _hefts(m, heavy)):
@@ -773,7 +767,7 @@ def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
         return None
     (s_uw,), (uv, uw, vw) = seconds, _indices(graph, (u, v), (u, w), (v, w))
     g = graph.edges[gi]
-    away = [_heavy_record(graph, r, f) for f in r.edges if u not in f]
+    away = _rim_records(graph, r, lambda f: u not in f)
     def judge(m, small, doors):
         uw_plus = m[uw] + small[s_uw]
         if m[uv] + uw_plus < 4 or m[vw] > m[uw] or m[gi] > m[uw]:
@@ -790,16 +784,15 @@ def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
 
 
 def _compile_conf17(graph, r: Region, u, v):
-    edge = _region_edge(graph, r, u, v, 5)
-    record = edge and _light_record(graph, r, (r.id,), edge[3])
-    if record is None:
+    if (edge := _region_edge(graph, r, u, v, 5)) is None:
         return None
-    e, i, s, _ = edge
+    e, i, s = edge
+    records = _rim_records(graph, r, lambda f: edges_disjoint(e, f))
     def judge(m, small, doors):
         plus = m[i] + small[s]
         if plus < 5:
             return None
-        light = _light_count(m, small, record)
+        light = _light_count(m, small, records)
         if light > 1:
             return None
         return (
@@ -811,20 +804,21 @@ def _compile_conf17(graph, r: Region, u, v):
 
 
 def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
-    disc, e = (r.id, tri.id), norm_edge(u, v)
-    seconds = _seconds(graph, disc, (u, w)) if r.length >= 4 else None
+    e = norm_edge(u, v)
+    seconds = _seconds(graph, (r.id, tri.id), (u, w)) if r.length >= 4 else None
     if seconds is None or (gi := _second_at(graph, r, u, v)) is None:
         return None
     (s_uw,), (uv, uw, vw) = seconds, _indices(graph, e, (u, w), (v, w))
-    uv_heavy = [_heavy_record(graph, r, e)]
-    # An ambiguous second region fails its branch alone (its record is None).
-    rec_a = _light_record(graph, r, disc, [f for f in r.edges if edges_disjoint(e, f)])
-    rec_b = _light_record(graph, r, disc, [f for f in r.edges if u not in f])
+    # No edge of r disjoint from uv or avoiding u borders the triangle uvw
+    # (w is off r), and a bridge among them fails its branch alone.
+    rec_a = _rim_records(graph, r, lambda f: edges_disjoint(e, f))
+    rec_b = _rim_records(graph, r, lambda f: u not in f)
     def judge(m, small, doors):
         uw_plus = m[uw] + small[s_uw]
         if uw_plus + m[uv] < 5 or m[vw] > m[uw] or m[gi] > m[uw]:
             return None
-        a = m[uv] == 3 and _hefts(m, uv_heavy)[0] >= 5 and _light_count(m, small, rec_a) <= 1
+        uv_heft = m[uv] + min(m[uw], m[vw])  # the triangle uvw is across uv
+        a = m[uv] == 3 and uv_heft >= 5 and _light_count(m, small, rec_a) <= 1
         b = _light_count(m, small, rec_b) <= 1
         if not a and not b:
             return None
@@ -841,8 +835,8 @@ def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
 def _compile_conf19(graph, r: Region, u, v):
     if (edge := _region_edge(graph, r, u, v, 5)) is None:
         return None
-    e, i, s, others = edge
-    heavy = [_heavy_record(graph, r, f) for f in others]
+    e, i, s = edge
+    heavy = _rim_records(graph, r, lambda f: edges_disjoint(e, f))
     def judge(m, small, doors):
         plus = m[i] + small[s]
         if plus < 5:

@@ -97,14 +97,38 @@ def test_m_plus_matches_oracle(name):
             assert m_plus(t, e, (r.id,)) == expected
 
 
+def _rim_records_match_oracle(t) -> int:
+    """Check every region's rim records against the oracles: one record per
+    boundary position, the region across (None exactly across a bridge) and,
+    off a bridge, i-heaviness for i = 2..5.  Returns how many non-bridge
+    records lie on a face that visits a vertex twice."""
+    pinched = 0
+    for r in t.graph.faces:
+        records = config._rim_records(t.graph, r, lambda f: True)
+        assert [t.graph.edges[f] for f, *_ in records] == list(r.edges)
+        for (f, s, _, _), heft in zip(records, config._hefts(t.mult_vector, records)):
+            e = t.graph.edges[f]
+            if len(oracles.edge_faces(t, e)) == 1:
+                assert s is None, (serialize_dtarget(t), r.id, e)
+                continue
+            assert s == oracles.other_face(t, e, r).id
+            for i in (2, 3, 4, 5):
+                assert (heft >= i) == oracles.heavy(t, e, r, i), (serialize_dtarget(t), r.id, e)
+            pinched += len(set(r.vertices)) < r.length
+    return pinched
+
+
 @pytest.mark.parametrize("name", sorted(ALL_TARGETS))
 def test_heaviness_matches_oracle(name):
-    t = ALL_TARGETS[name]
-    for r in t.graph.faces:
-        for e in r.edges:
-            heft = config._hefts(t.mult_vector, [config._heavy_record(t.graph, r, e)])[0]
-            for i in (2, 3, 4, 5):
-                assert (heft >= i) == oracles.heavy(t, e, r, i)
+    _rim_records_match_oracle(ALL_TARGETS[name])
+
+
+def test_heaviness_matches_oracle_on_spanning_subgraphs():
+    # Faces with bridges and cut vertices: a bridge's records (two per rim)
+    # have no region across, and the other records on a face that visits a
+    # vertex twice still find their far triangles.
+    for targets in (spanning_subgraph_targets(), spanning_subgraph_targets(40, 2)):
+        assert sum(map(_rim_records_match_oracle, targets)) > 0
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TARGETS))
@@ -319,7 +343,7 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
     assert len(wrappers) == 11
     assert runs == dict.fromkeys(wrappers, 1)
     # Beside the placements: each pattern's compiled judges, and the charge
-    # program their door table and heavy records (the far triangle of each
+    # program their door table and rim records (the far triangle of each
     # region's edges) read.
     compiled = {("compiled", k) for k in config._PATTERNS}
     assert set(t.graph.facts) == set(wrappers.values()) | compiled | {"charge"}
@@ -346,6 +370,39 @@ def test_ambiguous_second_regions_fail_their_placements(monkeypatch):
     assert all(tree.graph.facts[("compiled", k)] == () for k in (14, 15, 17, 19))
     assert not recheck(tree, ConfigMatch(14, (("u", 0), ("v", 1)), (0,), ()))
     assert len(raised) == 4 * 5 + 1
+
+
+def test_conf14_compiles_without_edge_lists(monkeypatch):
+    # Conf 14 counts r's doors disjoint from uv when judged, so compiling a
+    # placement reads uv's second region alone and lists none of r's edges.
+    graph = parse_dtarget(_bench_gen().prism_text(40)).graph
+    calls = []
+    disjoint = config.edges_disjoint
+    monkeypatch.setattr(config, "edges_disjoint", lambda e, f: calls.append(e) or disjoint(e, f))
+    compiled = config._compile_placements(graph, config._PATTERNS[14])
+    assert len(compiled) == 20 * 4 + 2 * 20
+    assert calls == []
+
+
+def test_a_bridge_among_the_rim_records_fails_conf18_branch_b():
+    # Target 69 of the second spanning seed: region 0 (0-1-2-1-4-5) carries
+    # the bridge 1-2 (m = 3) twice among its edges avoiding u = 0.  Conf 18
+    # at (r, tri, u, v, w) = (0, 2, 0, 5, 3) passes every other condition of
+    # branch b (1-4 is its one edge not 3-heavy), but the bridge has no
+    # second region, so its m+ >= 2 test fails and nothing matches.  On the
+    # seed's other targets no bridge decides Conf 17 or 18.
+    t = spanning_subgraph_targets(40, 2)[69]
+    assert detect(t, 17) == detect(t, 18) == []
+    ((_, _, judge),) = [
+        (names, ids, judge)
+        for names, ids, judge in t.graph.facts[("compiled", 18)]
+        if names == (("u", 0), ("v", 5), ("w", 3)) and ids == (0, 2)
+    ]
+    assert judge(t.mult_vector, *door_table(t)[::-1]) is None
+    rec_b = config._rim_records(t.graph, t.graph.faces[0], lambda f: 0 not in f)
+    assert [(t.graph.edges[f], s) for f, s, _, _ in rec_b] == [
+        ((1, 2), None), ((1, 2), None), ((1, 4), 1), ((4, 5), 1),
+    ]
 
 
 DATA_TARGETS = sorted((Path(__file__).parent / "data").glob("*.dtarget"))

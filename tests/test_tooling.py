@@ -250,3 +250,24 @@ def test_a_target_stores_only_its_multiplicity_vector():
     ]
     assert not hasattr(DTarget, "mult") and not hasattr(DTarget, "edges")
     assert not hasattr(RotationGraph, "edge_set")
+
+
+def test_long_region_conditions_read_one_record_form():
+    # Conf 15-19 read r's other edges as rim records (f, s, g, h) built from
+    # the charge program; no per-edge heavy record or disc-relative light
+    # record remains, and each Conf 14-19 compile step takes the graph and
+    # the placement alone.
+    from dtargets import config
+    from dtargets.planar import parse_dtarget
+
+    assert not hasattr(config, "_heavy_record") and not hasattr(config, "_light_record")
+    graph = parse_dtarget(_bench_module("gen").prism_text(6)).graph
+    for k in range(14, 20):
+        pattern = config._PATTERNS[k]
+        placement = config._placements(graph, pattern)[0]
+        params = list(inspect.signature(pattern.compile).parameters.values())
+        assert len(params) == 1 + len(placement), k
+        assert params[0].name == "graph", k
+        assert [p.name for p in params[-len(pattern.labels):]] == list(pattern.labels), k
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, k
+        assert all(p.default is inspect.Parameter.empty for p in params), k
