@@ -398,7 +398,8 @@ def test_a_bridge_among_the_rim_records_fails_conf18_branch_b():
         for names, ids, judge in t.graph.facts[("compiled", 18)]
         if names == (("u", 0), ("v", 5), ("w", 3)) and ids == (0, 2)
     ]
-    assert judge(t.mult_vector, *door_table(t)[::-1]) is None
+    region_doors, small = door_table(t)
+    assert judge(t.mult_vector, small, region_doors) is None
     rec_b = config._rim_records(t.graph, t.graph.faces[0], lambda f: 0 not in f)
     assert [(t.graph.edges[f], s) for f, s, _, _ in rec_b] == [
         ((1, 2), None), ((1, 2), None), ((1, 4), 1), ((4, 5), 1),
