@@ -18,6 +18,8 @@ output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.  Further
 ``charge_report`` digests cover one-shot prisms and uniform antiprisms with
 6-40 vertices (each parsed fresh, as the benchmark's ladder meets them) and
 every assignment with zero multiplicities allowed on k4, prism and cube.
+The degenerate digest pins ``detect_all`` on every multiplicity vector in
+1..4 over five small graphs whose faces share vertices or repeat them.
 The faces digest pins targets whose faces are not all simple cycles: the
 seeded spanning subgraphs in ``gadgets.spanning_subgraph_targets``, the
 bowtie and the tree, through their door tables, ``detect_all``, charge
@@ -38,6 +40,7 @@ import io
 import json
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 from dtargets.cli import main
@@ -45,7 +48,7 @@ from dtargets.config import detect_all, door_table
 from dtargets.corpus import CorpusSpec, build_corpus
 from dtargets.discharge import beta_trace, charge_report, gamma_trace
 from dtargets.errors import DTargetError
-from dtargets.planar import parse_dtarget, serialize_dtarget
+from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
 from gadgets import (
     one_shot_targets,
@@ -96,6 +99,8 @@ CHARGE_REPORT_GOLDEN = {
 FACES_GOLDEN = "d86026c470f5fd2e39744fe259d73535540e9840907f67fd013f8da6e1c4194e"
 
 FACES_SEED_2_GOLDEN = "a9abd765696948ed43868257230479eb913d5fc90e2cf0643f77bf637b53c6da"
+
+DEGENERATE_GOLDEN = "beba5a5ba1dfea7a2385ff5a611a6720e7be405ad2725dfb1296bd12227163bf"
 
 
 # (file, the four vertices, and --path when the move is a path switch): square
@@ -301,6 +306,39 @@ def test_second_spanning_seed_matches_golden_digest():
     assert faces_digest(spanning_subgraph_targets(40, 2)) == FACES_SEED_2_GOLDEN
 
 
+# Rotation systems on which a placement generator without its guards yields
+# degenerate placements: K3's two faces are triangles on the same three
+# vertices; the diamond K4 - e's outer square borders both triangles, whose
+# apexes lie on the square; a pendant edge makes the outer face visit its end
+# twice (length 5 on the triangle, 6 on the square); the path P3's one face,
+# 0-1-2-1, has length 4 and a repeated vertex.
+DEGENERATE_GRAPHS = {
+    "k3": ((1, 2), (2, 0), (0, 1)),
+    "diamond": ((1, 2), (0, 2, 3), (0, 3, 1), (1, 2)),
+    "triangle_pendant": ((1, 2, 3), (0, 2), (1, 0), (0,)),
+    "square_pendant": ((1, 3, 4), (0, 2), (1, 3), (2, 0), (0,)),
+    "p3": ((1,), (0, 2), (1,)),
+}
+
+
+def degenerate_digest() -> str:
+    """The digest of the ``detect_all`` payloads, or the refusal, for every
+    multiplicity vector in 1..4 on each graph of ``DEGENERATE_GRAPHS``, one
+    line per target."""
+    h = hashlib.sha256()
+    for name, rotations in DEGENERATE_GRAPHS.items():
+        graph = RotationGraph(rotations)
+        for vector in product(range(1, 5), repeat=len(graph.edges)):
+            t = DTarget(graph, 8, vector)
+            row = _outcome(lambda: [m.payload() for m in detect_all(t)])
+            h.update(f"{name}\t{list(vector)}\t{row}\n".encode())
+    return h.hexdigest()
+
+
+def test_degenerate_graphs_match_golden_digest():
+    assert degenerate_digest() == DEGENERATE_GOLDEN
+
+
 if __name__ == "__main__":
     golden = {
         "GOLDEN": digests(),
@@ -309,6 +347,7 @@ if __name__ == "__main__":
         "CHARGE_REPORT_GOLDEN": charge_report_digests(),
         "FACES_GOLDEN": faces_digest(faces_targets()),
         "FACES_SEED_2_GOLDEN": faces_digest(spanning_subgraph_targets(40, 2)),
+        "DEGENERATE_GOLDEN": degenerate_digest(),
     }
     json.dump(golden, sys.stdout, indent=4)
     print()
