@@ -35,7 +35,6 @@ from .errors import (
     IdentityViolation,
     MismatchedD,
     OddVertexCount,
-    ParseError,
 )
 from .planar import DTarget, parse_dtarget, require_target, serialize_dtarget, validate
 from .switching import score_sequence, score_smaller, switch_path, switch_square
@@ -349,13 +348,10 @@ def main(argv=None) -> int:
         rendered = _render(args.command, source, report, args.format)
         if args.out:
             Path(args.out).write_text(rendered + "\n")
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (IdentityViolation, BadColouring) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except DTargetError as exc:
+    except (DTargetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

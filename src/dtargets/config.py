@@ -2,9 +2,9 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator with its shape predicate, and a compile step.  Placements,
-shapes and what conditions read of the embedding depend on the graph alone,
-so each generator runs once per graph, and each pattern compiles its
+placement generator that states its structure, and a compile step.
+Placements and what conditions read of the embedding depend on the graph
+alone, so each generator runs once per graph, and each pattern compiles its
 placements once per graph into judges holding edge indices, second region ids
 and far triangles: graph facts (``planar.fact``) in vertex-tuple order.  A
 judge reads only a target's multiplicity vector and door table (each region's
@@ -20,8 +20,8 @@ every face.  The region across an edge from a disc is read through
   placement whose second region is ambiguous never matches, so compiling
   drops it; a bridge among r's other edges fails any m+ >= 2 test on them;
 * named vertices are pairwise distinct and named regions are distinct
-  (degenerate placements whose region union pinches into a non-disc are
-  skipped);
+  (the generators skip degenerate placements, whose region union pinches
+  into a non-disc);
 * matches are enumerated over all labelled placements and reported once per
   orbit of the pattern's own symmetries, each match carrying the witnessing
   numeric facts.
@@ -30,10 +30,10 @@ every face.  The region across an edge from a disc is read through
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -230,10 +230,6 @@ class ConfigMatch(_Witness):
     satisfied: tuple[str, ...]
     branch: str | None = None
 
-    @cached_property
-    def vertex_map(self) -> dict[str, int]:
-        return dict(self.names)
-
     @property
     def vertex_tuple(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.names)
@@ -329,17 +325,17 @@ class PrimalityVerdict:
 # ---------------------------------------------------------------------------
 # Placements: each generator reads the graph alone and yields flat tuples,
 # the placement's regions followed by its named vertices in label order.
-# Orbit filters keep one labelling per symmetry class where a pattern is
-# symmetric; bounds a pattern checks itself are left to its compile step.
-# Each generator has one shape predicate, shape(graph, *placement): the
-# structure of the pattern (which regions, which cycles, which degrees),
-# checked once per graph on the generated placements and again by
-# ``recheck`` on a reported match.
+# The generator is the one statement of its pattern's structure (which
+# regions, which cycles, which degrees): it yields each placement of that
+# structure once, and nothing else.  Orbit filters keep one labelling per
+# symmetry class where a pattern is symmetric; bounds a pattern checks
+# itself, such as a region's least length, are left to its compile step.
 # ---------------------------------------------------------------------------
 
 
 def _regions_of_length(graph: RotationGraph, length: int) -> list[Region]:
-    return [r for r in graph.faces if r.length == length]
+    """The regions of the given length whose boundary is a simple cycle."""
+    return [r for r in graph.faces if r.length == length == len(r.vertex_set)]
 
 
 def _cyclic_labelings(r: Region) -> list[tuple[int, ...]]:
@@ -360,56 +356,6 @@ def _third_vertex(r: Region, u: int, v: int) -> int:
 
 def _degree(graph: RotationGraph, v: int) -> int:
     return len(graph.rotations[v])
-
-
-def _region_cycle(graph: RotationGraph, r: Region, *vs: int) -> bool:
-    """vs, in order, is the boundary cycle of r."""
-    k = len(vs)
-    return (
-        r.length == k
-        and len(set(vs)) == k
-        and all(norm_edge(vs[i - 1], vs[i]) in r.edge_set for i in range(k))
-    )
-
-
-def _degree3_corner_shape(graph: RotationGraph, tri: Region, u, v, w, x) -> bool:
-    return (
-        _region_cycle(graph, tri, u, v, w)
-        and _degree(graph, u) == 3
-        and x not in (u, v, w)
-        and x in graph.rotations[u]
-    )
-
-
-def _triangle_pair_shape(graph: RotationGraph, first, second, u, v, w, x) -> bool:
-    return (
-        first.id != second.id
-        and v != x
-        and _region_cycle(graph, first, u, v, w)
-        and _region_cycle(graph, second, u, w, x)
-    )
-
-
-def _square_triangle_shape(graph: RotationGraph, square, tri, u, v, w, x, y) -> bool:
-    return (
-        square.id != tri.id
-        and y not in (u, v)
-        and _region_cycle(graph, square, u, v, w, x)
-        and _region_cycle(graph, tri, w, x, y)
-    )
-
-
-def _region_edge_shape(graph: RotationGraph, r: Region, u, v) -> bool:
-    return r.length >= 3 and norm_edge(u, v) in r.edge_set
-
-
-def _region_triangle_shape(graph: RotationGraph, r, tri, u, v, w) -> bool:
-    return (
-        r.id != tri.id
-        and w not in r.vertex_set
-        and _region_edge_shape(graph, r, u, v)
-        and _region_cycle(graph, tri, u, v, w)
-    )
 
 
 def _triangle_edges(graph: RotationGraph):
@@ -441,14 +387,15 @@ def _triangle_degree3_corners(graph: RotationGraph):
 def _triangle_pairs(graph: RotationGraph):
     """Ordered pairs of triangle regions sharing one edge, with both
     orientations of the shared edge: yields (T1, T2, u, v, w, x) for
-    triangles uvw and uwx."""
+    triangles uvw and uwx, v != x (K3's two faces share their third vertex)."""
     for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
         if r1.id == r2.id or r1.length != 3 or r2.length != 3:
             continue
         for first, second in ((r1, r2), (r2, r1)):
             for u, w in ((a, b), (b, a)):
                 v, x = _third_vertex(first, u, w), _third_vertex(second, u, w)
-                yield first, second, u, v, w, x
+                if v != x:
+                    yield first, second, u, v, w, x
 
 
 def _triangle_pair_orbits(graph: RotationGraph):
@@ -483,11 +430,13 @@ def _square_orbits(graph: RotationGraph):
 
 
 def _square_triangles(graph: RotationGraph):
-    """Conf 4's squares uvwx whose edge wx borders a triangle region wxy."""
+    """Conf 4's squares uvwx whose edge wx borders a triangle region wxy
+    with y off the edge uv."""
     for square, u, v, w, x in _placements(graph, _PATTERNS[4]):
         (far,) = _seconds(graph, (square.id,), (w, x))  # a square has no bridge
         if (tri := graph.faces[far]).length == 3:
-            yield square, tri, u, v, w, x, _third_vertex(tri, w, x)
+            if (y := _third_vertex(tri, w, x)) not in (u, v):
+                yield square, tri, u, v, w, x, y
 
 
 def _region_edges(graph: RotationGraph):
@@ -498,21 +447,22 @@ def _region_edges(graph: RotationGraph):
 
 
 def _region_triangles(graph: RotationGraph):
-    """Edge uv on C_r whose far region is a triangle uvw."""
+    """Edge uv on C_r whose far region is a triangle uvw with w off C_r."""
     for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
         if r1.id == r2.id:
             continue
         for r, tri in ((r1, r2), (r2, r1)):
-            if tri.length == 3:
+            if tri.length == 3 and (w := _third_vertex(tri, a, b)) not in r.vertex_set:
                 for u, v in ((a, b), (b, a)):
-                    yield r, tri, u, v, _third_vertex(tri, u, v)
+                    yield r, tri, u, v, w
 
 
 # ---------------------------------------------------------------------------
-# Per-pattern compile steps.  Given the graph and a placement of the right
-# shape, each returns None if the placement can never match, else its judge,
-# judge(m, small, doors) on the multiplicity vector m and, for a flagged
-# pattern, the door table: None if the conditions fail, else (facts, branch).
+# Per-pattern compile steps.  Given the graph and one of the pattern's
+# placements, each returns None if the placement can never match, else its
+# judge, judge(m, small, doors) on the multiplicity vector m and, for a
+# flagged pattern, the door table: None if the conditions fail, else
+# (facts, branch).
 # ---------------------------------------------------------------------------
 
 
@@ -860,8 +810,7 @@ def _compile_conf19(graph, r: Region, u, v):
 
 class _Pattern(NamedTuple):
     labels: tuple[str, ...]  # names of the placement's vertices, in order
-    placements: Callable[[RotationGraph], Iterator[tuple]]
-    shape: Callable[..., bool]  # the generator's, so patterns sharing it agree
+    placements: Callable[[RotationGraph], Iterator[tuple]]  # the structure, stated once
     compile: Callable[..., Callable | None]  # (graph, *placement) -> judge or None
     doors: bool  # whether its judges read the door table
 
@@ -873,26 +822,25 @@ _UVWXY = ("u", "v", "w", "x", "y")
 _V5 = ("v1", "v2", "v3", "v4", "v5")
 
 _PATTERNS: dict[int, _Pattern] = {
-    1: _Pattern(_UVW, _triangle_edges, _region_cycle, _compile_conf1, False),
-    2: _Pattern(_UVWX, _triangle_degree3_corners, _degree3_corner_shape,
-                _compile_conf2, False),
-    3: _Pattern(_UVWX, _triangle_pairs, _triangle_pair_shape, _compile_conf3, False),
-    4: _Pattern(_UVWX, _squares, _region_cycle, _compile_conf4, False),
-    5: _Pattern(_UVWX, _triangle_pair_orbits, _triangle_pair_shape, _compile_conf5, True),
-    6: _Pattern(_UVWX, _square_orbits, _region_cycle, _compile_conf6, True),
-    7: _Pattern(_UVW, _triangle_corners, _region_cycle, _compile_conf7, True),
-    8: _Pattern(_UVW, _triangle_edges, _region_cycle, _compile_conf8, True),
-    9: _Pattern(_UVW, _triangle_corners, _region_cycle, _compile_conf9, True),
-    10: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf10, False),
-    11: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf11, True),
-    12: _Pattern(_UVWXY, _square_triangles, _square_triangle_shape, _compile_conf12, True),
-    13: _Pattern(_V5, _labelled_regions(5), _region_cycle, _compile_conf13, True),
-    14: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf14, True),
-    15: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf15, True),
-    16: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _compile_conf16, True),
-    17: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf17, True),
-    18: _Pattern(_UVW, _region_triangles, _region_triangle_shape, _compile_conf18, True),
-    19: _Pattern(_UV, _region_edges, _region_edge_shape, _compile_conf19, True),
+    1: _Pattern(_UVW, _triangle_edges, _compile_conf1, False),
+    2: _Pattern(_UVWX, _triangle_degree3_corners, _compile_conf2, False),
+    3: _Pattern(_UVWX, _triangle_pairs, _compile_conf3, False),
+    4: _Pattern(_UVWX, _squares, _compile_conf4, False),
+    5: _Pattern(_UVWX, _triangle_pair_orbits, _compile_conf5, True),
+    6: _Pattern(_UVWX, _square_orbits, _compile_conf6, True),
+    7: _Pattern(_UVW, _triangle_corners, _compile_conf7, True),
+    8: _Pattern(_UVW, _triangle_edges, _compile_conf8, True),
+    9: _Pattern(_UVW, _triangle_corners, _compile_conf9, True),
+    10: _Pattern(_UVWXY, _square_triangles, _compile_conf10, False),
+    11: _Pattern(_UVWXY, _square_triangles, _compile_conf11, True),
+    12: _Pattern(_UVWXY, _square_triangles, _compile_conf12, True),
+    13: _Pattern(_V5, _labelled_regions(5), _compile_conf13, True),
+    14: _Pattern(_UV, _region_edges, _compile_conf14, True),
+    15: _Pattern(_UV, _region_edges, _compile_conf15, True),
+    16: _Pattern(_UVW, _region_triangles, _compile_conf16, True),
+    17: _Pattern(_UV, _region_edges, _compile_conf17, True),
+    18: _Pattern(_UVW, _region_triangles, _compile_conf18, True),
+    19: _Pattern(_UV, _region_edges, _compile_conf19, True),
 }
 
 
@@ -903,17 +851,14 @@ def _entry(k: int) -> _Pattern:
 
 
 def _placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
-    """The pattern's placements on the graph, kept under its generator."""
-    return fact(graph, pattern.placements, _shaped_placements, pattern)
+    """The pattern's placements on the graph, each once, stably sorted by
+    vertex tuple and kept under its generator."""
+    return fact(graph, pattern.placements, _sorted_placements, pattern)
 
 
-def _shaped_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
-    """The generator's output without repeats and of the right shape, stably
-    sorted by vertex tuple."""
+def _sorted_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
     split = -len(pattern.labels)
-    kept = [p for p in dict.fromkeys(pattern.placements(graph)) if pattern.shape(graph, *p)]
-    kept.sort(key=lambda p: p[split:])
-    return tuple(kept)
+    return tuple(sorted(pattern.placements(graph), key=lambda p: p[split:]))
 
 
 def _compile_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
@@ -953,16 +898,18 @@ def detect_all(t: DTarget) -> list[ConfigMatch]:
 
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
-    """Re-check a match's region ids and shape, then compile and judge it."""
-    pattern = _entry(match.conf_index)
-    faces = t.graph.faces
-    if tuple(name for name, _ in match.names) != pattern.labels or not all(
-        i in range(len(faces)) for i in match.region_ids
-    ):
+    """Whether the match's names and region ids are one of its pattern's
+    placements, found by bisecting them, and that placement, compiled afresh,
+    judges t a match.  A relabelling ``detect`` never reports, such as an
+    image of a match under its pattern's symmetries, is not a placement."""
+    pattern, vs, ids = _entry(match.conf_index), match.vertex_tuple, match.region_ids
+    if tuple(name for name, _ in match.names) != pattern.labels:
         return False
-    placement = tuple(faces[i] for i in match.region_ids) + match.vertex_tuple
-    judge = pattern.shape(t.graph, *placement) and pattern.compile(t.graph, *placement)
-    if not judge:
+    placements, split = _placements(t.graph, pattern), -len(pattern.labels)
+    i = bisect_left(placements, vs, key=(key := lambda p: p[split:]))
+    run = placements[i : bisect_right(placements, vs, lo=i, key=key)]
+    placement = next((p for p in run if tuple([r.id for r in p[:split]]) == ids), None)
+    if placement is None or (judge := pattern.compile(t.graph, *placement)) is None:
         return False
     doors, small = door_table(t) if pattern.doors else (None, None)
     return judge(t.mult_vector, small, doors) is not None

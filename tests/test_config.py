@@ -507,12 +507,36 @@ def test_is_prime_compiles_no_pattern_after_its_witness():
     assert sorted(compiled) == list(range(1, witness.conf_index + 1))
 
 
-def test_patterns_sharing_a_generator_share_its_shape():
-    # The first pattern to read a generator's placements filters them by its
-    # shape for every pattern on that generator.
-    shapes: dict = {}
-    for pattern in config._PATTERNS.values():
-        assert shapes.setdefault(pattern.placements, pattern.shape) is pattern.shape
+def _oracle_placements(t, k) -> set:
+    """The tuples of pattern k's structure, from the oracles' own
+    enumerations: labelled cycles of the simple triangles, squares and
+    pentagons, adjacent triangle pairs, squares with a triangle on wx, a
+    region's edges, and edges of a region whose far triangle has its apex
+    off the region."""
+    faces = t.graph.faces
+
+    def labelled(length):
+        return {(r, *vs) for r in faces if r.length == length for vs in oracles._cycle_labelings(r)}
+
+    if k in (1, 7, 8, 9):
+        return labelled(3)
+    if k == 2:
+        return {
+            (tri, u, v, w, x)
+            for tri, u, v, w in labelled(3)
+            if oracles._degree(t, u) == 3
+            for x in t.graph.rotations[u]
+            if x not in tri.vertex_set
+        }
+    if k in (3, 5):
+        return set(oracles._adjacent_triangle_pairs(t))
+    if k in (4, 6, 13):
+        return labelled(5 if k == 13 else 4)
+    if k in (10, 11, 12):
+        return set(oracles._square_triangle_tuples(t))
+    if k in (16, 18):
+        return set(oracles._region_triangle_tuples(t, 3))
+    return {(r, *e) for r in faces for e in r.edges}
 
 
 @pytest.mark.parametrize("source", [*FIXTURES, *(path.name for path in DATA_TARGETS)])
@@ -526,18 +550,21 @@ def test_cached_placements_have_their_shape_and_order(source):
     except DTargetError:  # a disconnected drawing has no regions to place on
         assert not t.graph.facts
         return
-    for pattern in config._PATTERNS.values():
+    # Each generator yields only tuples of its pattern's structure, as the
+    # oracles enumerate them independently, each once, in vertex-tuple order.
+    for k, pattern in config._PATTERNS.items():
         placements = t.graph.facts[pattern.placements]
-        assert all(pattern.shape(t.graph, *p) for p in placements)
+        assert not placements or set(placements) <= _oracle_placements(t, k), k
         split = -len(pattern.labels)
         assert [p[split:] for p in placements] == sorted(p[split:] for p in placements)
         assert len(set(placements)) == len(placements)
 
 
 def _judged(t, k, *placement):
-    """Pattern k's conditions on the placement, its shape not checked (the
-    patterns used here read no doors)."""
-    return config._PATTERNS[k].compile(t.graph, *placement)(t.mult_vector, None, None)
+    """Pattern k's conditions on the tuple, whether or not it is one of the
+    pattern's placements."""
+    doors, small = door_table(t)
+    return config._PATTERNS[k].compile(t.graph, *placement)(t.mult_vector, small, doors)
 
 
 def test_recheck_rejects_a_conf4_match_off_its_square():
@@ -545,11 +572,40 @@ def test_recheck_rejects_a_conf4_match_off_its_square():
     match = detect(cube, 4)[0]
     other = next(r for r in cube.graph.faces if r.id != match.region_ids[0])
     moved = ConfigMatch(4, match.names, (other.id,), match.satisfied)
-    # The multiplicities still pass; only the shape check rejects.
+    # The multiplicities still pass; the moved match is no placement of Conf 4
+    # (its vertices are not the other face's cycle), so recheck rejects it.
     assert _judged(cube, 4, other, *match.vertex_tuple) is not None
     assert not recheck(cube, moved)
     u, v, w, x = match.names
     assert not recheck(cube, ConfigMatch(4, (u, w, v, x), match.region_ids, ()))
+
+
+def test_recheck_accepts_detected_matches_and_not_their_orbit_images():
+    # recheck looks a match up among its pattern's placements, and detect
+    # reports one labelling per orbit of the pattern's symmetries: an image
+    # under a symmetry satisfies the same conditions but is no placement.
+    def image(match, order, regions):
+        names = [match.names[i][1] for i in order]
+        return ConfigMatch(
+            match.conf_index,
+            tuple(zip((label for label, _ in match.names), names)),
+            tuple(match.region_ids[i] for i in regions),
+            match.satisfied,
+        )
+
+    prism24, octahedron, pentaprism16 = prism(2, 4), load_fixture("octahedron"), pentaprism(1, 6)
+    cases = [
+        (prism24, detect(prism24, 1)[0], (1, 0, 2), (0,)),  # (v, u, w)
+        (octahedron, detect(octahedron, 5)[0], (2, 3, 0, 1), (1, 0)),  # (w, x, u, v)
+        (prism24, detect(prism24, 6)[0], (1, 0, 3, 2), (0,)),  # (v, u, x, w)
+        (pentaprism16, detect(pentaprism16, 14)[0], (1, 0), (0,)),  # (v, u)
+    ]
+    for t, match, order, regions in cases:
+        assert recheck(t, match), match
+        moved = image(match, order, regions)
+        faces = [t.graph.faces[i] for i in moved.region_ids]
+        assert _judged(t, match.conf_index, *faces, *moved.vertex_tuple) is not None
+        assert not recheck(t, moved), moved
 
 
 def test_recheck_refuses_region_ids_outside_the_faces():
@@ -579,7 +635,7 @@ def test_recheck_rejects_a_conf3_match_with_a_non_triangle_region():
 def test_known_prism_conf1():
     t = prism(2, 4)
     matches = detect(t, 1)
-    assert {frozenset((m.vertex_map["u"], m.vertex_map["v"])) for m in matches} == {
+    assert {frozenset((dict(m.names)["u"], dict(m.names)["v"])) for m in matches} == {
         frozenset({0, 1}),
         frozenset({0, 2}),
         frozenset({1, 2}),

@@ -154,6 +154,16 @@ def test_placement_generators_take_the_graph_only():
         assert params == ["graph"], (k, params)
 
 
+def test_each_pattern_states_its_structure_in_its_generator_alone():
+    # A pattern is its labels, its placement generator, its compile step and
+    # its door flag: no shape predicate checks the generated placements again.
+    from dtargets import config
+
+    assert config._Pattern._fields == ("labels", "placements", "compile", "doors")
+    assert not hasattr(config, "_region_cycle")
+    assert [name for name in vars(config) if name.endswith("_shape")] == []
+
+
 def test_perfect_matchings_stays_public_with_its_cap():
     # bench/spans.py wraps coloring.perfect_matchings by name.
     from dtargets import coloring
