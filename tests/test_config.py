@@ -552,6 +552,7 @@ def test_cached_placements_have_their_shape_and_order(source):
         return
     # Each generator yields only tuples of its pattern's structure, as the
     # oracles enumerate them independently, each once, in vertex-tuple order.
+    # An empty list asks no oracle: the tree's bridges trip ``other_face``.
     for k, pattern in config._PATTERNS.items():
         placements = t.graph.facts[pattern.placements]
         assert not placements or set(placements) <= _oracle_placements(t, k), k

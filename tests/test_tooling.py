@@ -156,7 +156,7 @@ def test_placement_generators_take_the_graph_only():
 
 def test_each_pattern_states_its_structure_in_its_generator_alone():
     # A pattern is its labels, its placement generator, its compile step and
-    # its door flag: no shape predicate checks the generated placements again.
+    # its door flag: the generator alone states the pattern's structure.
     from dtargets import config
 
     assert config._Pattern._fields == ("labels", "placements", "compile", "doors")
