@@ -27,8 +27,8 @@ from dtargets.config import (
     m_plus,
     recheck,
 )
-from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
-from dtargets.cuts import CutWitness
+from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
+from dtargets.cuts import CutWitness, odd_cuts_of, strengthened_cut_check
 from dtargets.discharge import charge_report
 from dtargets.errors import AmbiguousContext, DTargetError, NotTwoConnected, UnsupportedD
 from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget, serialize_dtarget
@@ -676,6 +676,35 @@ def test_primality_witness_chain():
     assert isinstance(conf.witness, ConfigMatch)
     assert conf.witness.conf_index == 1
     assert conf.witness_kind == "Conf(1)"
+
+
+def test_the_strengthened_cut_refuses_every_target_below_three_connected():
+    # With n >= 6 even and every m >= 1, a cut vertex or a 2-cut gives an odd
+    # X with both sides of size >= 3 and m(delta(X)) <= 8, and so does an
+    # edge of multiplicity 7; so no target passing the cut check is below
+    # 3-connected or has m(e) > 6.  Checked here on every such target of the
+    # spanning subgraphs that are not 3-connected.
+    graphs = {}
+    for t in spanning_subgraph_targets():
+        g = t.graph
+        n = g.vertex_count
+        if n >= 6 and n % 2 == 0 and len(g.edges) <= 16 and oracles.connectivity_level(g) < 3:
+            graphs.setdefault(g.rotations, g)
+    count = heavy = 0
+    for graph in graphs.values():
+        targets = list(enumerate_multiplicities(graph, 8, min_mult=1))
+        odd_cuts_of(targets)  # one walk per graph; each target keeps its facts
+        for t in targets:
+            violation = strengthened_cut_check(t)
+            assert violation is not None, t
+            verdict = is_prime(t)
+            assert verdict.witness == CutViolation(violation), t
+            X = violation.X
+            assert len(X) % 2 == 1 and 1 < len(X) < t.vertex_count - 1
+            assert oracles.cut_value(t, X) == violation.value < 10
+            count += 1
+            heavy += max(t.mult_vector) > 6
+    assert (len(graphs), count, heavy) == (127, 3042, 240)
 
 
 @pytest.mark.parametrize("name", ["cube", "pentagonal_prism"])

@@ -474,3 +474,41 @@ def test_an_identity_violation_prints_charges_not_half_units(monkeypatch):
     )
     with pytest.raises(IdentityViolation, match=r"^beta not antisymmetric .*: -1/2, -1/2$"):
         charge_report(load_fixture("prism"))
+
+
+def _transfers(monkeypatch, beta_halves: int, gamma_halves: int):
+    """Replace both rule chains: across every edge its first region
+    receives the given half-units of each family from its second."""
+    import dtargets.discharge as discharge
+    from dtargets.discharge import BetaTrace, GammaTrace
+
+    def beta(*args):
+        _, e, r1, r2, _, _ = args[-1]
+        return BetaTrace(e, 6, r1, r2, Fraction(beta_halves, 2)), beta_halves
+
+    def gamma(*args):
+        _, e, r1, r2, _, _ = args[-1]
+        return GammaTrace(e, 1, r1, r2, Fraction(gamma_halves, 2)), gamma_halves
+
+    monkeypatch.setattr(discharge, "_beta", beta)
+    monkeypatch.setattr(discharge, "_gamma", gamma)
+
+
+def test_both_families_across_one_edge_is_an_identity_violation(monkeypatch):
+    # Each family alone is antisymmetric; together they cross the first edge.
+    _transfers(monkeypatch, 2, 2)
+    t = load_fixture("prism")
+    with pytest.raises(IdentityViolation) as raised:
+        charge_report(t)
+    assert str(raised.value) == f"both transfer families moved charge across {t.graph.edges[0]}"
+
+
+def test_a_transfer_above_one_prints_charges_not_half_units(monkeypatch):
+    _transfers(monkeypatch, 3, 0)
+    t = load_fixture("prism")
+    first = t.graph.region_pairs[0][0].id
+    with pytest.raises(IdentityViolation) as raised:
+        charge_report(t)
+    assert str(raised.value) == (
+        f"transfer across {t.graph.edges[0]} into region {first} exceeds 1: 3/2"
+    )

@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from dtargets import cli
 from dtargets.config import doors, is_prime
 from dtargets.corpus import load_fixture
 from dtargets.cuts import min_odd_cut
 from dtargets.errors import (
     AsymmetricRotation,
+    DTargetError,
     DuplicateNeighbour,
     EulerViolation,
     MissingMultiplicity,
@@ -33,6 +35,7 @@ from dtargets.planar import (
     serialize_dtarget,
     validate,
 )
+from dtargets.switching import add_zero_edge, switch_path
 
 import oracles
 from conftest import FIXTURES
@@ -171,6 +174,63 @@ def test_multiplicity_refusals_name_the_edge():
         with pytest.raises(error) as refused:
             build()
         assert str(refused.value) == message
+
+
+_HEADER = "dtarget d=8\n"
+_PAIR = _HEADER + "vertex 0: 1\nvertex 1: 0\n"
+_PRISM = load_fixture("prism")
+
+# Each input refusal: the input (a target text, or a call), its exact class
+# and its exact message.
+INPUT_REFUSALS = {
+    "no vertices": (lambda: RotationGraph(()), ParseError, "graph has no vertices"),
+    "unknown vertex": (_HEADER + "vertex 0: 5\n", ParseError, "vertex 0 lists unknown vertex 5"),
+    "loop": (_HEADER + "vertex 0: 0\n", ParseError, "vertex 0 lists itself (loops not allowed)"),
+    "target d = 0": (lambda: DTarget(_PRISM.graph, 0, _PRISM.mult_vector), ParseError,
+                     "d must be positive, got 0"),
+    "header d = 0": ("dtarget d=0\n", ParseError, "line 1: d must be positive"),
+    "header d < 0": ("# d\ndtarget d=-8\n", ParseError, "line 2: d must be positive"),
+    "malformed vertex": (_HEADER + "vertex a: 1\n", ParseError, "line 2: malformed vertex line"),
+    "vertex twice": (_PAIR + "vertex 0: 1\n", ParseError, "line 4: vertex 0 declared twice"),
+    "non-integer neighbour": (_HEADER + "vertex 0: 1 x\n", ParseError,
+                              "line 2: non-integer neighbour id"),
+    "mult field count": (_PAIR + "mult 0 1\n", ParseError, "line 4: expected 'mult <u> <v> <m>'"),
+    "non-integer mult": (_PAIR + "mult 0 1 x\n", ParseError, "line 4: non-integer mult field"),
+    "mult twice": (_PAIR + "mult 0 1 8\nmult 1 0 8\n", ParseError,
+                   "line 5: multiplicity given twice for (0, 1)"),
+    "unknown directive": (_HEADER + "edge 0 1\n", ParseError,
+                          "line 2: unrecognized directive 'edge'"),
+    "missing header": ("# no header\n\n", ParseError, "missing 'dtarget d=<int>' header"),
+    "empty vertex set": (_HEADER + "# nothing\n", ParseError, "empty vertex set"),
+    "ids not 0..n-1": (_HEADER + "vertex 1: 2\nvertex 2: 1\nmult 1 2 8\n", ParseError,
+                       "vertex ids must be exactly 0..n-1"),
+    "region pair of a non-edge": (lambda: region_pair(_PRISM, (4, 0)), DTargetError,
+                                  "(0, 4) is not an edge of the graph"),
+    "join a vertex to itself": (lambda: add_zero_edge(_PRISM, 1, 1), DTargetError,
+                                "cannot join vertex 1 to itself"),
+    "join out of range": (lambda: add_zero_edge(_PRISM, 0, 6), DTargetError,
+                          "vertices (0, 6) out of range"),
+    "path repeats a vertex": (lambda: switch_path(_PRISM, 0, 1, 1, 2), DTargetError,
+                              "path vertices (0, 1, 1, 2) are not distinct"),
+    "path off the edges": (lambda: switch_path(_PRISM, 4, 0, 1, 2), DTargetError,
+                           "(0, 4) is not an edge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_REFUSALS))
+def test_each_input_refusal_has_its_class_and_message(case, tmp_path, capsys):
+    # A text input is also refused by `dtargets check`: exit 2, the message
+    # on stderr and nothing on stdout.
+    source, error, message = INPUT_REFUSALS[case]
+    with pytest.raises(DTargetError) as refused:
+        source() if callable(source) else parse_dtarget(source)
+    assert type(refused.value) is error and str(refused.value) == message
+    if not callable(source):
+        path = tmp_path / "case.dtarget"
+        path.write_text(source)
+        code = cli.main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (cli.EXIT_INPUT, "", f"error: {message}\n")
 
 
 def test_target_vector_must_match_the_edges():
