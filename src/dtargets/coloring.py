@@ -57,14 +57,17 @@ def _width(t: DTarget) -> int:
     return _lane_width(max(max(t.mult_vector, default=0), 2 * t.d))
 
 
-def _support_tables(t: DTarget, w: int, zero: int, cap: int | None) -> tuple:
-    # The refusals depend on each call's cap, so they come before the lookup.
+def _refuse(t: DTarget, cap: int | None) -> None:
+    # The refusals depend on each call's cap, so they come before any lookup.
     n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; no perfect matchings exist")
     if cap is not None and n > cap:
         raise TooLarge(f"|V| = {n} exceeds the matching enumeration cap {cap}")
-    return fact(t.graph, ("matchings", w, zero), _build_tables, w, zero)
+
+
+def _support_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
+    return fact(graph, ("matchings", w, zero), _build_tables, w, zero)
 
 
 def _build_tables(graph: RotationGraph, w: int, zero: int) -> tuple:
@@ -161,8 +164,9 @@ def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
 
 def perfect_matchings(t: DTarget, cap: int | None = None) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
+    _refuse(t, cap)
     w = _width(t)
-    return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t, w, 0, cap)[0]]
+    return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t.graph, w, 0)[0]]
 
 
 def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
@@ -172,6 +176,10 @@ def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
     support matchings that comes first in lexicographic order (see the
     module docstring for the search and its prunes).
     """
+    _refuse(t, cap)
+    d = t.d
+    if any(total != d for total in t.degree_sums):
+        return None
     mults = t.mult_vector
     w = _width(t)
     ones = _ones(len(mults), w)
@@ -182,10 +190,7 @@ def edge_colour(t: DTarget, cap: int | None = None) -> EdgeColouring | None:
 
     r = _pack(mults, w)
     zero = zeros(r)
-    packs, tpacks, crossing, tguards, named = _support_tables(t, w, zero, cap)
-    d = t.d
-    if any(total != d for total in t.degree_sums):
-        return None
+    packs, tpacks, crossing, tguards, named = _support_tables(t.graph, w, zero)
     # Lane c of S holds its guard plus residual m(delta(X_c)) - k.
     S = tguards - d * (tguards >> (w - 1)) + sum(mults[i] * lanes for i, lanes in crossing)
 

@@ -44,7 +44,6 @@ from .planar import (
     Edge,
     Region,
     RotationGraph,
-    connectivity_level,
     fact,
     norm_edge,
     require_target,
@@ -291,28 +290,6 @@ class CutViolation(_Witness):
 
 
 @dataclass(frozen=True)
-class NotThreeConnected(_Witness):
-    level: int
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "level": self.level}
-
-    def text(self) -> str:
-        return f"connectivity level {self.level} (not 3-connected)"
-
-
-@dataclass(frozen=True)
-class MultiplicityOver6(_Witness):
-    edge: Edge
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "edge": list(self.edge)}
-
-    def text(self) -> str:
-        return f"edge {self.edge} has multiplicity above 6"
-
-
-@dataclass(frozen=True)
 class PrimalityVerdict:
     is_prime: bool
     witness: _Witness | None
@@ -389,7 +366,7 @@ def _triangle_pairs(graph: RotationGraph):
     orientations of the shared edge: yields (T1, T2, u, v, w, x) for
     triangles uvw and uwx, v != x (K3's two faces share their third vertex)."""
     for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
-        if r1.id == r2.id or r1.length != 3 or r2.length != 3:
+        if r1.length != 3 or r2.length != 3:  # a bridge borders no triangle
             continue
         for first, second in ((r1, r2), (r2, r1)):
             for u, w in ((a, b), (b, a)):
@@ -449,8 +426,6 @@ def _region_edges(graph: RotationGraph):
 def _region_triangles(graph: RotationGraph):
     """Edge uv on C_r whose far region is a triangle uvw with w off C_r."""
     for (a, b), (r1, r2) in zip(graph.edges, graph.region_pairs):
-        if r1.id == r2.id:
-            continue
         for r, tri in ((r1, r2), (r2, r1)):
             if tri.length == 3 and (w := _third_vertex(tri, a, b)) not in r.vertex_set:
                 for u, v in ((a, b), (b, a)):
@@ -462,7 +437,8 @@ def _region_triangles(graph: RotationGraph):
 # placements, each returns None if the placement can never match, else its
 # judge, judge(m, small, doors) on the multiplicity vector m and, for a
 # flagged pattern, the door table: None if the conditions fail, else
-# (facts, branch).
+# (facts, branch).  Only Conf 14, 15, 17 and 19 can name a bridge (an
+# ambiguous second region); the others unpack their second regions directly.
 # ---------------------------------------------------------------------------
 
 
@@ -525,9 +501,8 @@ def _compile_conf4(graph, square: Region, u, v, w, x):
 
 
 def _compile_conf5(graph, first, second, u, v, w, x):
-    if (seconds := _seconds(graph, (first.id, second.id), (u, v), (w, x))) is None:
-        return None
-    (s_uv, s_wx), (uv, uw, wx) = seconds, _indices(graph, (u, v), (u, w), (w, x))
+    s_uv, s_wx = _seconds(graph, (first.id, second.id), (u, v), (w, x))
+    uv, uw, wx = _indices(graph, (u, v), (u, w), (w, x))
     def judge(m, small, doors):
         total = m[uv] + small[s_uv] + m[uw] + m[wx] + small[s_wx]
         if total < 7:
@@ -538,9 +513,7 @@ def _compile_conf5(graph, first, second, u, v, w, x):
 
 def _compile_plus_pair(graph, r: Region, ab, cd, text: str):
     """Conf 6 and 7: m+(ab) + m+(cd) >= 7, the disc being r."""
-    if (seconds := _seconds(graph, (r.id,), ab, cd)) is None:
-        return None
-    (s_ab, s_cd), (i_ab, i_cd) = seconds, _indices(graph, ab, cd)
+    (s_ab, s_cd), (i_ab, i_cd) = _seconds(graph, (r.id,), ab, cd), _indices(graph, ab, cd)
     def judge(m, small, doors):
         total = m[i_ab] + small[s_ab] + m[i_cd] + small[s_cd]
         if total < 7:
@@ -609,9 +582,7 @@ def _compile_conf10(graph, square, tri, u, v, w, x, y):
 
 
 def _compile_conf11(graph, square, tri, u, v, w, x, y):
-    if (seconds := _seconds(graph, (square.id, tri.id), (x, y))) is None:
-        return None
-    (s_xy,) = seconds
+    (s_xy,) = _seconds(graph, (square.id, tri.id), (x, y))
     uv, wy, wx, ux, xy = _indices(graph, (u, v), (w, y), (w, x), (u, x), (x, y))
     def judge(m, small, doors):
         if not (m[uv] >= 3 and m[wy] >= 3 and m[wx] == 1 and m[ux] <= 3):
@@ -630,9 +601,7 @@ def _compile_conf11(graph, square, tri, u, v, w, x, y):
 
 
 def _compile_conf12(graph, square, tri, u, v, w, x, y):
-    if (seconds := _seconds(graph, (square.id, tri.id), (u, v), (x, y))) is None:
-        return None
-    s_uv, s_xy = seconds
+    s_uv, s_xy = _seconds(graph, (square.id, tri.id), (u, v), (x, y))
     uv, vw, wx, wy, ux, xy = _indices(graph, (u, v), (v, w), (w, x), (w, y), (u, x), (x, y))
     def judge(m, small, doors):
         if not (m[vw] >= 2 and m[wx] == 2 and m[wy] == 2 and m[ux] <= 3):
@@ -652,9 +621,8 @@ def _compile_conf12(graph, square, tri, u, v, w, x, y):
 
 def _compile_conf13(graph, r: Region, *vs: int):
     ring = [(vs[i], vs[(i + 1) % 5]) for i in range(5)]
-    if (seconds := _seconds(graph, (r.id,), ring[0], ring[3])) is None:
-        return None
-    (s1, s4), (e1, e2, e3, e4, e5) = seconds, _indices(graph, *ring)
+    s1, s4 = _seconds(graph, (r.id,), ring[0], ring[3])
+    e1, e2, e3, e4, e5 = _indices(graph, *ring)
     def judge(m, small, doors):
         if m[e1] < max(m[e2], m[e5]) or m[e1] + m[e2] + m[e3] < 8:
             return None
@@ -712,10 +680,10 @@ def _second_at(graph: RotationGraph, r: Region, u, v) -> int | None:
 
 
 def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
-    seconds = _seconds(graph, (r.id, tri.id), (u, w))
-    if seconds is None or (gi := _second_at(graph, r, u, v)) is None:
+    if (gi := _second_at(graph, r, u, v)) is None:
         return None
-    (s_uw,), (uv, uw, vw) = seconds, _indices(graph, (u, v), (u, w), (v, w))
+    (s_uw,) = _seconds(graph, (r.id, tri.id), (u, w))
+    uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
     g = graph.edges[gi]
     away = _rim_records(graph, r, lambda f: u not in f)
     def judge(m, small, doors):
@@ -754,11 +722,10 @@ def _compile_conf17(graph, r: Region, u, v):
 
 
 def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
-    e = norm_edge(u, v)
-    seconds = _seconds(graph, (r.id, tri.id), (u, w)) if r.length >= 4 else None
-    if seconds is None or (gi := _second_at(graph, r, u, v)) is None:
+    if r.length < 4 or (gi := _second_at(graph, r, u, v)) is None:
         return None
-    (s_uw,), (uv, uw, vw) = seconds, _indices(graph, e, (u, w), (v, w))
+    e, (s_uw,) = norm_edge(u, v), _seconds(graph, (r.id, tri.id), (u, w))
+    uv, uw, vw = _indices(graph, e, (u, w), (v, w))
     # No edge of r disjoint from uv or avoiding u borders the triangle uvw
     # (w is off r), and a bridge among them fails its branch alone.
     rec_a = _rim_records(graph, r, lambda f: edges_disjoint(e, f))
@@ -922,7 +889,8 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
 
 def is_prime(t: DTarget) -> PrimalityVerdict:
     """Refuse a non-target (``DTargetError``), then check the structural
-    bullets in their fixed order, then the patterns.
+    bullets in their fixed order, then the patterns.  With every m >= 1 the
+    strengthened cut also refuses a cut vertex, a 2-cut and m(e) > 6.
 
     The first failing check becomes the witness: for the patterns, the least
     match (in vertex-tuple order) of the least pattern index, found without
@@ -939,11 +907,5 @@ def is_prime(t: DTarget) -> PrimalityVerdict:
     violation = strengthened_cut_check(t)
     if violation is not None:
         return PrimalityVerdict(False, CutViolation(violation))
-    level = connectivity_level(t.graph)
-    if level < 3:
-        return PrimalityVerdict(False, NotThreeConnected(level))
-    for e, m in zip(t.graph.edges, t.mult_vector):
-        if m > 6:
-            return PrimalityVerdict(False, MultiplicityOver6(e))
     match = next((m for k in _PATTERNS for m in _matches(t, k)), None)
     return PrimalityVerdict(match is None, match)

@@ -226,9 +226,9 @@ def charge_report(t: DTarget) -> ChargeReport:
 
     Raises IdentityViolation when any of the invariants fail: the alpha
     total is 16, each transfer family is antisymmetric across every edge
-    (so beta and gamma totals vanish), at most one family moves charge
-    across any edge, and no single region sends or receives more than 1
-    across one edge.
+    (which alone makes the beta and gamma totals vanish), at most one
+    family moves charge across any edge, and no single region sends or
+    receives more than 1 across one edge.
     """
     _require_d8(t)
     graph, m = t.graph, t.mult_vector
@@ -281,9 +281,6 @@ def charge_report(t: DTarget) -> ChargeReport:
     alpha_total = sum(rc.alpha for rc in regions)
     if alpha_total != 16:
         raise IdentityViolation(f"alpha total is {alpha_total}, expected 16")
-    for family, halves in (("beta", sum(beta)), ("gamma", sum(gamma))):
-        if halves:
-            raise IdentityViolation(f"{family} total is {Fraction(halves, 2)}, expected 0")
     return ChargeReport(regions, tuple(beta_traces), tuple(gamma_traces))
 
 

@@ -152,8 +152,8 @@ class RotationGraph:
         """All faces, traced from lexicographically least unvisited directed edge.
 
         From directed edge (u, v) the trace continues with (v, w) where w is
-        the predecessor of u in v's clockwise rotation.  Face ids therefore
-        depend only on the rotation system, not on any traversal state.
+        the predecessor of u in v's clockwise rotation, a permutation of the
+        darts that closes each trace.  Face ids depend on the rotations alone.
         """
         if not _is_connected(self):
             raise EulerViolation("graph is disconnected: not a connected planar drawing")
@@ -165,19 +165,14 @@ class RotationGraph:
         for start in darts:
             if start in visited:
                 continue
-            trace: list[tuple[int, int]] = []
-            cur = start
+            trace = [start]
             while True:
-                trace.append(cur)
-                visited.add(cur)
-                u, v = cur
-                rot = self.rotations[v]
-                w = rot[self._position[v][u] - 1]
-                cur = (v, w)
+                u, v = trace[-1]
+                cur = (v, self.rotations[v][self._position[v][u] - 1])
                 if cur == start:
                     break
-                if cur in visited:
-                    raise EulerViolation("face trace re-entered a visited directed edge")
+                trace.append(cur)
+            visited.update(trace)
             regions.append(
                 Region(
                     id=len(regions),

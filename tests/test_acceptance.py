@@ -18,8 +18,6 @@ from dtargets.coloring import edge_colour, verify_colouring
 from dtargets.config import (
     ConfigMatch,
     CutViolation,
-    MultiplicityOver6,
-    NotThreeConnected,
     TooFewVertices,
     ZeroMultEdge,
     detect,
@@ -29,7 +27,7 @@ from dtargets.config import (
 from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
 from dtargets.cuts import is_oddly_connected
 from dtargets.discharge import RegionClass, charge_report
-from dtargets.planar import serialize_dtarget, validate
+from dtargets.planar import serialize_dtarget
 from dtargets.switching import (
     is_smaller,
     score_sequence,
@@ -83,10 +81,6 @@ def _witness_reconfirms(t, witness) -> bool:
             and value < 10
             and 1 < len(X) < t.vertex_count - 1
         )
-    if isinstance(witness, NotThreeConnected):
-        return validate(t).connectivity_level == witness.level < 3
-    if isinstance(witness, MultiplicityOver6):
-        return t.m(*witness.edge) > 6
     return False
 
 

@@ -175,6 +175,28 @@ def test_colour_refuses_the_160_vertex_uniform_antiprism_within_a_second(tmp_pat
     assert out == "" and "more than 16384 perfect matchings" in err
 
 
+def test_colour_answers_an_off_degree_target_before_its_matchings(tmp_path, capsys):
+    # A degree sum other than d is an honest negative, answered before the
+    # support's matchings are listed: the uniform antiprism above with one
+    # multiplicity raised to 3 exits 1, as k4 with m(0, 1) = 7 does, instead
+    # of being refused at the matching limit.
+    gen = _bench_gen()
+    rot, edges = gen.antiprism(80)
+    antiprism = tmp_path / "antiprism160.dtarget"
+    antiprism.write_text(gen.to_text(rot, {**dict.fromkeys(edges, 2), edges[0]: 3}))
+    k4 = load_fixture("k4")
+    k4_path = write_target(tmp_path, k4.with_mult({**dict(k4.mult_items), (0, 1): 7}))
+    for path in (str(antiprism), k4_path):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["colour", path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (cli.EXIT_NEGATIVE, "")
+        assert out.splitlines() == [
+            "colour: not colourable",
+            "no decomposition into 8 perfect matchings exists",
+        ]
+
+
 def test_switch_square_roundtrips(capsys):
     code, payload = run_json(
         capsys, ["switch", fixture_path("octahedron"), "0", "1", "4", "5"]

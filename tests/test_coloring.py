@@ -169,8 +169,8 @@ def test_the_matching_limit_refuses_whatever_the_walk_order(monkeypatch):
 
 def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
     # d perfect matchings cover every vertex d times, so a degree sum other
-    # than d answers None before the search reads a triangle's slack; the
-    # odd-|V| and size refusals still come first.
+    # than d answers None before the support's matchings are listed; the
+    # odd-|V| and cap refusals still come first.
     assert edge_colour(parse_dtarget((DATA / "tree.dtarget").read_text())) is None
     bowtie = parse_dtarget((DATA / "bowtie.dtarget").read_text())
     with pytest.raises(OddVertexCount):
@@ -180,8 +180,8 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
     with pytest.raises(TooLarge, match="exceeds the matching enumeration cap 6"):
         edge_colour(off_cube, cap=6)
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
-    with pytest.raises(TooLarge, match="more than 8 perfect matchings"):
-        edge_colour(off_cube)
+    assert edge_colour(off_cube) is None  # its support's 9 matchings are never listed
+    assert _matching_tables(off_cube.graph) == []
 
     class Unread:  # the search's first read of the matchings is len(packs)
         def __len__(self):

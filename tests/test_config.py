@@ -12,8 +12,6 @@ from dtargets import config
 from dtargets.config import (
     ConfigMatch,
     CutViolation,
-    MultiplicityOver6,
-    NotThreeConnected,
     PrimalityVerdict,
     TooFewVertices,
     ZeroMultEdge,
@@ -742,10 +740,6 @@ def test_witnesses_render_themselves():
          "only 4 vertices (fewer than 6)"),
         (CutViolation(CutWitness((0, 1, 2), 6)), "CutViolation", {"X": [0, 1, 2], "value": 6},
          "odd cut X=[0, 1, 2] has value 6 < 10 with both sides larger than one vertex"),
-        (NotThreeConnected(2), "NotThreeConnected", {"level": 2},
-         "connectivity level 2 (not 3-connected)"),
-        (MultiplicityOver6((0, 3)), "MultiplicityOver6", {"edge": [0, 3]},
-         "edge (0, 3) has multiplicity above 6"),
         (ConfigMatch(18, (("u", 0), ("v", 1), ("w", 5)), (2, 4), ("f1", "f2"), "ab"),
          "Conf(18)",
          {"conf": 18, "names": {"u": 0, "v": 1, "w": 5}, "region_ids": [2, 4],

@@ -164,6 +164,23 @@ def test_each_pattern_states_its_structure_in_its_generator_alone():
     assert [name for name in vars(config) if name.endswith("_shape")] == []
 
 
+def test_primality_witnesses_are_the_four_the_checks_can_give():
+    # The strengthened cut also decides 3-connectivity and m(e) <= 6, so
+    # is_prime has no witness of its own for either and reads no
+    # connectivity level.
+    from dtargets import config
+
+    witnesses = {cls.__name__ for cls in config._Witness.__subclasses__()}
+    assert witnesses == {"ConfigMatch", "ZeroMultEdge", "TooFewVertices", "CutViolation"}
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse((ROOT / "src" / "dtargets" / "config.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "connectivity_level" not in imported and "connectivity_level" not in vars(config)
+
+
 def test_perfect_matchings_stays_public_with_its_cap():
     # bench/spans.py wraps coloring.perfect_matchings by name.
     from dtargets import coloring
