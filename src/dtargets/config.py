@@ -724,7 +724,8 @@ def _compile_conf17(graph, r: Region, u, v):
 def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
     if r.length < 4 or (gi := _second_at(graph, r, u, v)) is None:
         return None
-    e, (s_uw,) = norm_edge(u, v), _seconds(graph, (r.id, tri.id), (u, w))
+    e = norm_edge(u, v)
+    (s_uw,) = _seconds(graph, (r.id, tri.id), (u, w))
     uv, uw, vw = _indices(graph, e, (u, w), (v, w))
     # No edge of r disjoint from uv or avoiding u borders the triangle uvw
     # (w is off r), and a bridge among them fails its branch alone.
