@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .coloring import edge_colour, verify_colouring
 from .config import is_prime
-from .corpus import CorpusSpec, FIXTURE_NAMES, build_corpus
+from .corpus import FIXTURE_NAMES, build_corpus
 from .cuts import min_odd_cut
 from .discharge import charge_report
 from .errors import (
@@ -238,7 +238,7 @@ def cmd_scan(args) -> Report:
     if args.d not in (None, 8):
         raise MismatchedD(f"the corpus has d = 8, expected d = {args.d}")
     bases = FIXTURE_NAMES if args.bases is None else tuple(args.bases.split(","))
-    items = build_corpus(CorpusSpec(bases=bases, limit_per_base=args.limit_per_base))
+    items = build_corpus(bases, args.limit_per_base)
     primes: list[str] = []
     colour_mismatches: list[str] = []
     per_base: dict[str, int] = {}

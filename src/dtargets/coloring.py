@@ -162,9 +162,9 @@ def _edges_of(pack: int, w: int, edges: tuple[Edge, ...]) -> Matching:
     return tuple(e for i, e in enumerate(edges) if pack >> (i * w) & 1)
 
 
-def perfect_matchings(t: DTarget, cap: int | None = None) -> list[Matching]:
+def perfect_matchings(t: DTarget) -> list[Matching]:
     """All perfect matchings of the underlying simple graph."""
-    _refuse(t, cap)
+    _refuse(t, None)
     w = _width(t)
     return [_edges_of(pack, w, t.graph.edges) for pack in _support_tables(t.graph, w, 0)[0]]
 

@@ -867,17 +867,16 @@ def detect_all(t: DTarget) -> list[ConfigMatch]:
 
 def recheck(t: DTarget, match: ConfigMatch) -> bool:
     """Whether the match's names and region ids are one of its pattern's
-    placements, found by bisecting them, and that placement, compiled afresh,
-    judges t a match.  A relabelling ``detect`` never reports, such as an
-    image of a match under its pattern's symmetries, is not a placement."""
-    pattern, vs, ids = _entry(match.conf_index), match.vertex_tuple, match.region_ids
-    if tuple(name for name, _ in match.names) != pattern.labels:
-        return False
-    placements, split = _placements(t.graph, pattern), -len(pattern.labels)
-    i = bisect_left(placements, vs, key=(key := lambda p: p[split:]))
-    run = placements[i : bisect_right(placements, vs, lo=i, key=key)]
-    placement = next((p for p in run if tuple([r.id for r in p[:split]]) == ids), None)
-    if placement is None or (judge := pattern.compile(t.graph, *placement)) is None:
+    compiled placements, found by bisecting on names (labels are fixed, so
+    names sort as vertex tuples do), and that placement's judge judges t a
+    match.  A relabelling ``detect`` never reports, such as an image of a
+    match under its pattern's symmetries, is not a placement."""
+    pattern, names = _entry(match.conf_index), match.names
+    compiled = fact(t.graph, ("compiled", match.conf_index), _compile_placements, pattern)
+    i = bisect_left(compiled, names, key=(key := lambda c: c[0]))
+    run = compiled[i : bisect_right(compiled, names, lo=i, key=key)]
+    judge = next((j for _, ids, j in run if ids == match.region_ids), None)
+    if judge is None:
         return False
     doors, small = door_table(t) if pattern.doors else (None, None)
     return judge(t.mult_vector, small, doors) is not None

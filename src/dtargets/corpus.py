@@ -92,23 +92,20 @@ def enumerate_multiplicities(
 
 
 @dataclass(frozen=True)
-class CorpusSpec:
-    bases: tuple[str, ...] = FIXTURE_NAMES
-    require_oddly_connected: bool = True
-    limit_per_base: int = 48
-
-
-@dataclass(frozen=True)
 class CorpusItem:
     name: str
     target: DTarget
 
 
-def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
+def build_corpus(
+    bases: tuple[str, ...] = FIXTURE_NAMES,
+    limit_per_base: int = 48,
+    require_oddly_connected: bool = True,
+) -> list[CorpusItem]:
     """A deterministic target list: for each base graph, its bundled
     multiplicity assignment first, then its d = 8 assignments with every
     multiplicity positive in enumeration order, each kept only if it
-    validates (and, per the spec, is oddly connected), capped at
+    validates (and, if required, is oddly connected), capped at
     limit_per_base.
 
     Candidates come in slices of as many as are still wanted, each slice's
@@ -116,10 +113,10 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
     refusal of the cut check (past ``cuts.CUT_CAP`` vertices) is raised, not
     read as a negative verdict, and so is a base named twice.
     """
-    if len(set(spec.bases)) < len(spec.bases):
-        raise DTargetError(f"a base is named twice in {','.join(spec.bases)}")
+    if len(set(bases)) < len(bases):
+        raise DTargetError(f"a base is named twice in {','.join(bases)}")
     items: list[CorpusItem] = []
-    for base in spec.bases:
+    for base in bases:
         canonical = load_fixture(base)
         # The enumeration yields each assignment once, so only the canonical
         # target can come up twice.
@@ -127,12 +124,12 @@ def build_corpus(spec: CorpusSpec = CorpusSpec()) -> list[CorpusItem]:
         others = (t for t in enumerated if t != canonical)
         candidates = chain([canonical] if canonical.d == 8 else [], others)
         kept: list[DTarget] = []
-        while len(kept) < spec.limit_per_base:
-            batch = list(islice(candidates, spec.limit_per_base - len(kept)))
+        while len(kept) < limit_per_base:
+            batch = list(islice(candidates, limit_per_base - len(kept)))
             if not batch:
                 break
             valid = [t for t in batch if (r := validate(t)).degree_ok and r.euler_ok]
-            if spec.require_oddly_connected:
+            if require_oddly_connected:
                 odd_cuts_of(valid)
                 valid = [t for t in valid if is_oddly_connected(t)]
             kept += valid

@@ -144,10 +144,6 @@ class RotationGraph:
         return {d: i for i, (u, v) in enumerate(self.edges) for d in ((u, v), (v, u))}
 
     @cached_property
-    def _position(self) -> tuple[dict[int, int], ...]:
-        return tuple({u: i for i, u in enumerate(rot)} for rot in self.rotations)
-
-    @cached_property
     def faces(self) -> tuple[Region, ...]:
         """All faces, traced from lexicographically least unvisited directed edge.
 
@@ -160,6 +156,7 @@ class RotationGraph:
         darts = sorted(
             (v, u) for v in range(self.vertex_count) for u in self.rotations[v]
         )
+        position = [{u: i for i, u in enumerate(rot)} for rot in self.rotations]
         visited: set[tuple[int, int]] = set()
         regions: list[Region] = []
         for start in darts:
@@ -168,7 +165,7 @@ class RotationGraph:
             trace = [start]
             while True:
                 u, v = trace[-1]
-                cur = (v, self.rotations[v][self._position[v][u] - 1])
+                cur = (v, self.rotations[v][position[v][u] - 1])
                 if cur == start:
                     break
                 trace.append(cur)
@@ -269,9 +266,6 @@ class DTarget:
     def m(self, u: int, v: int) -> int:
         return self.mult_vector[self.graph.edge_index[(u, v)]]
 
-    def m_edge(self, e: Edge) -> int:
-        return self.m(*e)
-
     @property
     def vertex_count(self) -> int:
         return self.graph.vertex_count
@@ -284,10 +278,6 @@ class DTarget:
             sums[u] += m
             sums[v] += m
         return tuple(sums)
-
-    def with_mult(self, mult) -> "DTarget":
-        """Same graph and d, different multiplicities."""
-        return DTarget.of(self.graph, self.d, mult)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,14 @@ from dtargets.switching import switch_square
 
 def prism(a: int, c: int) -> DTarget:
     """Triangular prism with ring multiplicity a and vertical multiplicity c."""
-    return load_fixture("prism").with_mult(
+    return DTarget.of(
+        load_fixture("prism").graph,
+        8,
         {
             (0, 1): a, (0, 2): a, (1, 2): a,
             (3, 4): a, (3, 5): a, (4, 5): a,
             (0, 3): c, (1, 4): c, (2, 5): c,
-        }
+        },
     )
 
 
@@ -41,7 +43,7 @@ def pentaprism(ring: int, vertical: int) -> DTarget:
         mult[tuple(sorted((i, (i + 1) % 5)))] = ring
         mult[tuple(sorted((5 + i, 5 + (i + 1) % 5)))] = ring
         mult[(i, 5 + i)] = vertical
-    return load_fixture("pentagonal_prism").with_mult(mult)
+    return DTarget.of(load_fixture("pentagonal_prism").graph, 8, mult)
 
 
 # Octahedron remultiplications: each fires one specific triangle-transfer rule.
@@ -63,7 +65,7 @@ OCTA_GAMMA2_MULT = {
 
 
 def octa(mult: dict) -> DTarget:
-    return load_fixture("octahedron").with_mult(mult)
+    return DTarget.of(load_fixture("octahedron").graph, 8, mult)
 
 
 # ---------------------------------------------------------------------------

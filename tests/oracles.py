@@ -215,11 +215,11 @@ def other_face(t, e, r):
 def doors(t, r):
     out = []
     for e in r.edges:
-        if t.m_edge(e) != 1:
+        if t.m(*e) != 1:
             continue
         opp = other_face(t, e, r)
         if any(
-            t.m_edge(f) == 1 and not (set(e) & set(f)) for f in opp.edges
+            t.m(*f) == 1 and not (set(e) & set(f)) for f in opp.edges
         ):
             out.append(norm(*e))
     return sorted(set(out))
@@ -239,28 +239,28 @@ def m_plus(t, e, disc_ids):
     sec = second_face(t, e, disc_ids)
     if sec is None:
         return None
-    return t.m_edge(e) + (0 if big(t, sec) else 1)
+    return t.m(*e) + (0 if big(t, sec) else 1)
 
 
 def heavy(t, e, r, i):
     e = norm(*e)
-    if t.m_edge(e) >= i:
+    if t.m(*e) >= i:
         return True
     far = other_face(t, e, r)
     if far.length != 3:
         return False
     (w,) = set(far.vertices) - set(e)
     u, v = e
-    return t.m_edge(e) + min(t.m(u, w), t.m(v, w)) >= i
+    return t.m(*e) + min(t.m(u, w), t.m(v, w)) >= i
 
 
 def tough(t, r):
     if r.length != 3:
         return False
-    if sum(t.m_edge(e) for e in r.edges) < 5:
+    if sum(t.m(*e) for e in r.edges) < 5:
         return False
-    if sorted(t.m_edge(e) for e in r.edges) == [1, 2, 2]:
-        twos = [e for e in r.edges if t.m_edge(e) == 2]
+    if sorted(t.m(*e) for e in r.edges) == [1, 2, 2]:
+        twos = [e for e in r.edges if t.m(*e) == 2]
         vals = [m_plus(t, e, {r.id}) for e in twos]
         if None in vals:
             return False
@@ -435,7 +435,7 @@ def conf8(t):
 
 def conf9(t):
     for tri in _triangles(t):
-        if any(t.m_edge(e) != 2 for e in tri.edges):
+        if any(t.m(*e) != 2 for e in tri.edges):
             continue
         for u in tri.vertices:
             if _degree(t, u) < 4:
@@ -491,7 +491,7 @@ def conf13(t):
             continue
         for vs in _cycle_labelings(r):
             e = [norm(vs[i], vs[(i + 1) % 5]) for i in range(5)]
-            m = t.m_edge
+            m = lambda e: t.m(*e)
             if m(e[0]) < max(m(e[1]), m(e[4])):
                 continue
             if m(e[0]) + m(e[1]) + m(e[2]) < 8:
@@ -537,7 +537,7 @@ def conf16(t):
         if t.m(v, w) > t.m(u, w):
             continue
         g = _second_edge_at(r, u, norm(u, v))
-        if g is None or t.m_edge(g) > t.m(u, w):
+        if g is None or t.m(*g) > t.m(u, w):
             continue
         if all(heavy(t, f, r, 3) for f in r.edges if u not in f):
             return True
@@ -570,7 +570,7 @@ def conf18(t):
         if t.m(v, w) > t.m(u, w):
             continue
         g = _second_edge_at(r, u, norm(u, v))
-        if g is None or t.m_edge(g) > t.m(u, w):
+        if g is None or t.m(*g) > t.m(u, w):
             continue
 
         def edges_ok(edge_list):

@@ -24,7 +24,7 @@ from dtargets.config import (
     is_prime,
     recheck,
 )
-from dtargets.corpus import CorpusSpec, build_corpus, load_fixture
+from dtargets.corpus import build_corpus, load_fixture
 from dtargets.cuts import is_oddly_connected
 from dtargets.discharge import RegionClass, charge_report
 from dtargets.planar import serialize_dtarget
@@ -143,7 +143,7 @@ def test_criterion_3_every_oddly_connected_target_is_colourable(corpus):
 
 
 def test_criterion_4_colourability_implies_odd_cut_bound(corpus):
-    unfiltered = build_corpus(CorpusSpec(require_oddly_connected=False))
+    unfiltered = build_corpus(require_oddly_connected=False)
     assert len(unfiltered) >= len(corpus)
     seen_filter_failure = False
     for item in unfiltered:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from dtargets import cli, coloring, cuts
 from dtargets.cli import main
 from dtargets.config import PrimalityVerdict
-from dtargets.corpus import FIXTURE_NAMES, CorpusSpec, build_corpus, load_fixture
+from dtargets.corpus import FIXTURE_NAMES, build_corpus, load_fixture
 from dtargets.errors import IdentityViolation
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
@@ -98,8 +100,10 @@ def test_classify_reports_witness(capsys):
 
 
 def test_classify_zero_mult_witness(tmp_path, capsys):
-    t = load_fixture("k4").with_mult(
-        {(0, 1): 0, (2, 3): 0, (0, 2): 4, (0, 3): 4, (1, 2): 4, (1, 3): 4}
+    t = DTarget.of(
+        load_fixture("k4").graph,
+        8,
+        {(0, 1): 0, (2, 3): 0, (0, 2): 4, (0, 3): 4, (1, 2): 4, (1, 3): 4},
     )
     path = write_target(tmp_path, t)
     code, payload = run_json(capsys, ["classify", path])
@@ -185,7 +189,8 @@ def test_colour_answers_an_off_degree_target_before_its_matchings(tmp_path, caps
     antiprism = tmp_path / "antiprism160.dtarget"
     antiprism.write_text(gen.to_text(rot, {**dict.fromkeys(edges, 2), edges[0]: 3}))
     k4 = load_fixture("k4")
-    k4_path = write_target(tmp_path, k4.with_mult({**dict(k4.mult_items), (0, 1): 7}))
+    seven = DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): 7})
+    k4_path = write_target(tmp_path, seven)
     for path in (str(antiprism), k4_path):
         start = time.perf_counter()
         code, out, err = run(capsys, ["colour", path])
@@ -276,7 +281,7 @@ def test_switch_rejects_a_non_target(capsys, name):
 def test_off_degree_input_is_never_an_internal_fault(tmp_path, capsys, command):
     # k4 with m(01) = 7: the degree sums are 11, 11, 8, 8.
     k4 = load_fixture("k4")
-    path = write_target(tmp_path, k4.with_mult({**dict(k4.mult_items), (0, 1): 7}))
+    path = write_target(tmp_path, DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): 7}))
     cycle = ["0", "1", "2", "3"] if command == "switch" else []
     code, out, err = run(capsys, [command, path, *cycle])
     assert code in (1, 2)
@@ -292,7 +297,8 @@ def test_classify_refuses_a_non_target_that_looks_prime(tmp_path, capsys):
     # structural bullet and matches no pattern, so only the target check,
     # which makes is_prime raise DTargetError, keeps it from a prime verdict.
     cube = load_fixture("cube")
-    path = write_target(tmp_path, cube.with_mult(dict.fromkeys(cube.graph.edges, 2)))
+    twos = DTarget.of(cube.graph, cube.d, dict.fromkeys(cube.graph.edges, 2))
+    path = write_target(tmp_path, twos)
     code, out, err = run(capsys, ["classify", path])
     assert code == 2
     assert "not a d-target" in err
@@ -325,10 +331,32 @@ def test_scan_exits_3_and_lists_the_targets_it_could_not_colour(capsys, monkeypa
     # The safety net for a wrong None from the colouring search.
     monkeypatch.setattr(cli, "edge_colour", lambda t: None)
     code, payload = run_json(capsys, ["scan", "--bases", "k4", "--limit-per-base", "5"])
-    names = [item.name for item in build_corpus(CorpusSpec(bases=("k4",), limit_per_base=5))]
+    names = [item.name for item in build_corpus(bases=("k4",), limit_per_base=5)]
     assert code == payload["exit_code"] == cli.EXIT_VIOLATION
     assert names and payload["details"]["uncolourable"] == names
     assert payload["details"]["prime"] == []
+
+
+def test_scan_exits_3_and_names_a_target_read_as_prime(capsys, monkeypatch):
+    # The safety net for a wrong prime verdict: one k4 target reads prime.
+    items = build_corpus(bases=("k4",), limit_per_base=5)
+    prime = items[-1]
+    is_prime = cli.is_prime
+    monkeypatch.setattr(
+        cli,
+        "is_prime",
+        lambda t: PrimalityVerdict(True, None)
+        if t.mult_vector == prime.target.mult_vector
+        else is_prime(t),
+    )
+    argv = ["scan", "--bases", "k4", "--limit-per-base", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == cli.EXIT_VIOLATION == 3
+    assert f"  PRIME: {prime.name}" in out.splitlines()
+    code, payload = run_json(capsys, argv)
+    assert code == payload["exit_code"] == cli.EXIT_VIOLATION
+    assert payload["details"]["prime"] == [prime.name]
+    assert payload["details"]["uncolourable"] == []
 
 
 def test_classify_exits_3_on_a_prime_verdict(capsys, monkeypatch):
@@ -348,6 +376,22 @@ def test_discharge_exits_3_on_an_identity_violation(capsys, monkeypatch):
     assert code == cli.EXIT_VIOLATION
     assert out == ""
     assert "violation: simulated total 15" in err
+
+
+def test_discharge_exits_3_on_a_charge_that_is_not_half_integral(capsys, monkeypatch):
+    # Every rule moves 0, 1/2 or 1, so a third in a region's beta is a fault.
+    charge_report = cli.charge_report
+
+    def thirds(t):
+        report = charge_report(t)
+        first = dataclasses.replace(report.regions[0], beta=Fraction(1, 3))
+        return dataclasses.replace(report, regions=(first, *report.regions[1:]))
+
+    monkeypatch.setattr(cli, "charge_report", thirds)
+    code, out, err = run(capsys, ["discharge", fixture_path("prism")])
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert "violation: charge 1/3 is not half-integral" in err
 
 
 def test_scan_whole_corpus(capsys):

@@ -18,7 +18,7 @@ from dtargets.coloring import (
     perfect_matchings,
     verify_colouring,
 )
-from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
+from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import is_oddly_connected
 from dtargets.errors import DTargetError, OddVertexCount, TooLarge
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
@@ -115,11 +115,6 @@ def test_matchings_require_even_vertex_count():
         perfect_matchings(t)
 
 
-def test_matching_cap_enforced():
-    with pytest.raises(TooLarge):
-        perfect_matchings(load_fixture("cube"), cap=6)
-
-
 def test_colour_tables_refuse_past_the_matching_limit(monkeypatch):
     # The cube has 9 perfect matchings; a refused table is not stored.
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
@@ -174,9 +169,9 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
     assert edge_colour(parse_dtarget((DATA / "tree.dtarget").read_text())) is None
     bowtie = parse_dtarget((DATA / "bowtie.dtarget").read_text())
     with pytest.raises(OddVertexCount):
-        edge_colour(bowtie.with_mult({**dict(bowtie.mult_items), (1, 2): 5}))
+        edge_colour(DTarget.of(bowtie.graph, bowtie.d, {**dict(bowtie.mult_items), (1, 2): 5}))
     cube = load_fixture("cube")
-    off_cube = cube.with_mult({**dict(cube.mult_items), (0, 1): 3})
+    off_cube = DTarget.of(cube.graph, cube.d, {**dict(cube.mult_items), (0, 1): 3})
     with pytest.raises(TooLarge, match="exceeds the matching enumeration cap 6"):
         edge_colour(off_cube, cap=6)
     monkeypatch.setattr(coloring, "MATCHING_LIMIT", 8)
@@ -197,7 +192,7 @@ def test_off_degree_targets_are_answered_at_the_root(monkeypatch):
 
     monkeypatch.setattr(coloring, "_support_tables", unread_packs)
     k4 = load_fixture("k4")
-    assert edge_colour(k4.with_mult({**dict(k4.mult_items), (0, 1): 7})) is None
+    assert edge_colour(DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): 7})) is None
     with pytest.raises(AssertionError, match="the search started"):
         edge_colour(k4)
 
@@ -365,9 +360,7 @@ def test_colouring_success_implies_oddly_connected_on_prisms():
 def test_colourings_equal_the_earlier_solver_on_the_exhaustive_corpus():
     # The search returns the lexicographically first colouring, exactly the
     # one the earlier matching-multiplicity search returned, or None with it.
-    items = build_corpus(
-        CorpusSpec(require_oddly_connected=False, limit_per_base=1000000)
-    )
+    items = build_corpus(limit_per_base=1000000, require_oddly_connected=False)
     targets = [item.target for item in items] + [
         parse_dtarget((DATA / f"{name}.dtarget").read_text())
         for name in ("two_k4", "tree")
@@ -448,7 +441,7 @@ def test_lanes_hold_a_multiplicity_above_d():
     # An off-degree target packs its residual before the root answers, so
     # the lanes are sized from its largest multiplicity, not from d.
     k4 = load_fixture("k4")
-    assert edge_colour(k4.with_mult({**dict(k4.mult_items), (0, 1): 300})) is None
+    assert edge_colour(DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): 300})) is None
 
 
 def test_matching_walk_is_not_bounded_by_recursion():
@@ -474,7 +467,7 @@ def test_colouring_facts_live_on_the_graph():
     # One enumeration per graph and support, shared by every target on the
     # graph and kept under the support's zero set (none here); no colouring
     # fact lives on a target.  An equal graph built afresh starts with none.
-    items = build_corpus(CorpusSpec(bases=("octahedron",)))
+    items = build_corpus(bases=("octahedron",))
     graph = items[0].target.graph
     assert all(item.target.graph is graph for item in items)
     for item in items:
@@ -517,7 +510,7 @@ def test_colour_tables_are_built_once_per_support():
     # The matchings of a support and the search's tables for them are built
     # and stored by the first call on the support; every later call reads
     # them.
-    items = build_corpus(CorpusSpec(bases=("octahedron",), limit_per_base=1000000))
+    items = build_corpus(bases=("octahedron",), limit_per_base=1000000)
     _assert_one_table_write_per_support([item.target for item in items], colourable=True)
 
 

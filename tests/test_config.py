@@ -25,7 +25,7 @@ from dtargets.config import (
     m_plus,
     recheck,
 )
-from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
+from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import CutWitness, odd_cuts_of, strengthened_cut_check
 from dtargets.discharge import charge_report
 from dtargets.errors import AmbiguousContext, DTargetError, NotTwoConnected, UnsupportedD
@@ -245,7 +245,7 @@ def test_a_walk_step_compiles_no_charge_program(monkeypatch):
 
 def test_the_exhaustive_scan_finds_no_doors(monkeypatch):
     computed = _counting_door_tables(monkeypatch)
-    items = build_corpus(CorpusSpec(limit_per_base=1_000_000))
+    items = build_corpus(limit_per_base=1_000_000)
     assert len(items) == 2527
     for item in items:
         is_prime(item.target)
@@ -282,7 +282,7 @@ def test_tough_triangle_cases():
         for r in rings.graph.faces
         if r.length == 3 and r.vertex_set == frozenset({0, 1, 10})
     )
-    assert sorted(rings.m_edge(e) for e in tri.edges) == [1, 2, 2]
+    assert sorted(rings.m(*e) for e in tri.edges) == [1, 2, 2]
     assert not is_tough(rings, tri)
 
 
@@ -337,7 +337,7 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
         )
     t = load_fixture("pentagonal_prism")
     first = detect_all(t)
-    assert detect_all(t.with_mult(dict(t.mult_items))) == first
+    assert detect_all(DTarget.of(t.graph, t.d, dict(t.mult_items))) == first
     assert len(wrappers) == 11
     assert runs == dict.fromkeys(wrappers, 1)
     # Beside the placements: each pattern's compiled judges, and the charge
@@ -366,8 +366,9 @@ def test_ambiguous_second_regions_fail_their_placements(monkeypatch):
     assert len(raised) == 4 * 5
     assert {norm_edge(*pairs[0]) for pairs in raised} == set(tree.graph.edges)
     assert all(tree.graph.facts[("compiled", k)] == () for k in (14, 15, 17, 19))
+    # recheck reads the compiled judges, so it meets no second region.
     assert not recheck(tree, ConfigMatch(14, (("u", 0), ("v", 1)), (0,), ()))
-    assert len(raised) == 4 * 5 + 1
+    assert len(raised) == 4 * 5
 
 
 def test_conf14_compiles_without_edge_lists(monkeypatch):
@@ -380,6 +381,26 @@ def test_conf14_compiles_without_edge_lists(monkeypatch):
     compiled = config._compile_placements(graph, config._PATTERNS[14])
     assert len(compiled) == 20 * 4 + 2 * 20
     assert calls == []
+
+
+@pytest.mark.parametrize("k, outer_matches", [(9, [(("u", 0), ("v", 1))]), (10, [])])
+def test_conf14_refuses_past_six_doors_disjoint_from_uv(k, outer_matches):
+    # The 2k-prism with m = 5 on (0, 1) and (k, k+1), m = 2 on spokes 0 and
+    # 1, m = 6 on the other spokes and m = 1 elsewhere.  The square across
+    # uv = (0, 1) is small, so m+(uv) = 6 on the outer ring, and each other
+    # ring edge is a door of it: k - 3 of them miss uv, six at k = 9 and
+    # seven at k = 10.  The m = 6 spokes match on their squares either way.
+    graph = parse_dtarget(_bench_gen().prism_text(2 * k)).graph
+    spokes = {(i, i + k): 6 for i in range(2, k)}
+    heavy = {(0, 1): 5, (k, k + 1): 5, (0, k): 2, (1, k + 1): 2}
+    t = DTarget.of(graph, 8, {**dict.fromkeys(graph.edges, 1), **spokes, **heavy})
+    (outer,) = [r for r in graph.faces if r.vertex_set == frozenset(range(k))]
+    assert len([d for d in oracles.doors(t, outer) if not set(d) & {0, 1}]) == k - 3
+    matches = detect(t, 14)
+    on_outer = [m for m in matches if m.region_ids == (outer.id,)]
+    assert [m.names for m in on_outer] == outer_matches
+    assert all("6 door(s)" in m.satisfied[1] for m in on_outer)
+    assert bool(matches) == oracles.conf14(t)
 
 
 def test_a_bridge_among_the_rim_records_fails_conf18_branch_b():
@@ -416,8 +437,8 @@ def _least_detected(t):
 
 
 def test_is_prime_stops_at_the_least_detected_match():
-    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
-    targets = [item.target for item in build_corpus(spec)]
+    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    targets = [item.target for item in items]
     targets += [parse_dtarget(path.read_text()) for path in DATA_TARGETS]
     reached = 0
     for t in targets:
@@ -712,7 +733,7 @@ def test_is_prime_refuses_a_non_target(name):
     # and a prime verdict.
     t = load_fixture(name)
     with pytest.raises(DTargetError, match="not a d-target"):
-        is_prime(t.with_mult(dict.fromkeys(t.graph.edges, 2)))
+        is_prime(DTarget.of(t.graph, t.d, dict.fromkeys(t.graph.edges, 2)))
 
 
 EXPECTED_FIRST_CONF = {

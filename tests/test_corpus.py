@@ -8,7 +8,6 @@ import pytest
 
 from dtargets.corpus import (
     FIXTURE_NAMES,
-    CorpusSpec,
     build_corpus,
     enumerate_multiplicities,
     load_fixture,
@@ -118,18 +117,16 @@ def test_corpus_items_all_valid_and_oddly_connected(corpus):
 
 
 def test_corpus_respects_limit_per_base():
-    spec = CorpusSpec(limit_per_base=3)
-    items = build_corpus(spec)
+    items = build_corpus(limit_per_base=3)
     for base in FIXTURES:
         count = sum(1 for item in items if item.name.startswith(base + "/"))
         assert count <= 3
     # The cap holds for each base's canonical target too.
-    assert build_corpus(CorpusSpec(limit_per_base=0)) == []
+    assert build_corpus(limit_per_base=0) == []
 
 
 def test_corpus_filter_off_adds_invalid_targets(corpus):
-    spec = CorpusSpec(require_oddly_connected=False)
-    unfiltered = build_corpus(spec)
+    unfiltered = build_corpus(require_oddly_connected=False)
     assert len(unfiltered) >= len(corpus)
     leaky = [
         item for item in unfiltered if not is_oddly_connected(item.target)
@@ -138,6 +135,6 @@ def test_corpus_filter_off_adds_invalid_targets(corpus):
 
 
 def test_corpus_single_base():
-    items = build_corpus(CorpusSpec(bases=("k4",), limit_per_base=10))
+    items = build_corpus(bases=("k4",), limit_per_base=10)
     assert items
     assert all(item.name.startswith("k4/") for item in items)

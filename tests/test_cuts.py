@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from dtargets import cuts
 from dtargets.config import is_prime
-from dtargets.corpus import CorpusSpec, build_corpus, enumerate_multiplicities, load_fixture
+from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
     is_oddly_connected,
     m_delta,
@@ -105,9 +105,7 @@ def test_witnesses_contain_vertex_0_on_the_exhaustive_corpus():
     # The pass fixes vertex 0 outside every set it scans, so the least of a
     # set and its complement is the complement; that is why comparing the
     # complements alone gives the same witnesses.
-    items = build_corpus(
-        CorpusSpec(require_oddly_connected=False, limit_per_base=1000000)
-    )
+    items = build_corpus(limit_per_base=1000000, require_oddly_connected=False)
     assert len(items) == 2549
     for item in items:
         witnesses = [min_odd_cut(item.target), strengthened_cut_check(item.target)]
@@ -130,7 +128,7 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     assert is_prime(t).witness is not None
     assert len(scanned) == 1
     # An equal target made anew has its own facts and runs its own pass.
-    copy = t.with_mult(dict(t.mult_items))
+    copy = DTarget.of(t.graph, t.d, dict(t.mult_items))
     assert copy == t
     assert min_odd_cut(copy) == witness
     assert len(scanned) == 2 and scanned[1] is copy
@@ -145,7 +143,7 @@ def test_the_exhaustive_corpus_runs_one_pass_per_base(monkeypatch):
         return scan(targets)
 
     monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
-    items = build_corpus(CorpusSpec(limit_per_base=1000000))
+    items = build_corpus(limit_per_base=1000000)
     assert len(batches) == len(FIXTURES)
     assert [b[0].graph for b in batches] == [load_fixture(n).graph for n in FIXTURES]
     assert sum(map(len, batches)) == 2549 and len(items) == 2527

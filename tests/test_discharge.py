@@ -76,7 +76,7 @@ def test_alpha_octahedron():
 def test_alpha_is_locally_computed():
     t = load_fixture("cube")
     for r in t.graph.faces:
-        assert alpha(t, r) == 8 - 4 * r.length + sum(t.m_edge(e) for e in r.edges)
+        assert alpha(t, r) == 8 - 4 * r.length + sum(t.m(*e) for e in r.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def test_gamma_edge_antisymmetric_view():
 
 
 def remultiplied(t: DTarget, changes: dict) -> DTarget:
-    return t.with_mult({**dict(t.mult_items), **changes})
+    return DTarget.of(t.graph, t.d, {**dict(t.mult_items), **changes})
 
 
 # Rim edge (0, 1) of the decagonal prism: its flanks on the big rim are
@@ -275,7 +275,7 @@ def test_beta_near_misses(name):
     t = remultiplied(decaprism(*gadget), changes)
     trace = beta_trace(t, (0, 1))
     disc = (trace.big_region,)
-    assert (t.m_edge((0, 1)), m_plus(t, (0, 9), disc), m_plus(t, (1, 2), disc)) == (m, p1, p2)
+    assert (t.m(*(0, 1)), m_plus(t, (0, 9), disc), m_plus(t, (1, 2), disc)) == (m, p1, p2)
     assert (trace.rule, trace.value) == fired
 
 

@@ -45,7 +45,7 @@ from pathlib import Path
 
 from dtargets.cli import main
 from dtargets.config import detect_all, door_table
-from dtargets.corpus import CorpusSpec, build_corpus
+from dtargets.corpus import build_corpus
 from dtargets.discharge import beta_trace, charge_report, gamma_trace
 from dtargets.errors import DTargetError
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
@@ -205,9 +205,9 @@ def test_switch_reports_match_golden_digests():
 def detect_all_digests() -> dict:
     """The digest of ``[m.payload() for m in detect_all(t)]``, one line per
     target, over each set of targets."""
-    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
+    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
     sets = {
-        "enumerated": [item.target for item in build_corpus(spec)],
+        "enumerated": [item.target for item in items],
         "walked": walk_targets(),
     }
     out = {}
@@ -238,9 +238,9 @@ def charge_report_digests() -> dict:
     """The digest of ``_charges(t)``, one line per target, over each set of
     targets; the bowtie's outer face visits its cut vertex twice.  The tree
     has bridges, so its refusal is recorded as it reads."""
-    spec = CorpusSpec(require_oddly_connected=False, limit_per_base=1_000_000)
+    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
     sets = {
-        "enumerated": [item.target for item in build_corpus(spec)],
+        "enumerated": [item.target for item in items],
         "walked": walk_targets(),
         "bowtie": [parse_dtarget((DATA / "bowtie.dtarget").read_text())],
         **one_shot_targets(),

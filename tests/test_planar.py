@@ -165,7 +165,7 @@ def test_multiplicity_refusals_name_the_edge():
          "multiplicity given for non-edge (1, 5)"),
         (lambda: parse_dtarget(text.replace("mult 3 4 2\n", "").replace("mult 1 4 4\n", "")),
          MissingMultiplicity, "no multiplicity for edge (1, 4)"),
-        (lambda: prism.with_mult({**mult, (0, 2): -1}), NegativeMultiplicity,
+        (lambda: DTarget.of(prism.graph, prism.d, {**mult, (0, 2): -1}), NegativeMultiplicity,
          "edge (0, 2) has multiplicity -1"),
         (lambda: DTarget.of(prism.graph, 8, {**mult, (4, 1): 4}), ParseError,
          "multiplicity given twice for edge (1, 4)"),
@@ -260,7 +260,7 @@ def test_nonplanar_rotation_system_rejected():
 
 def test_validate_flags_bad_degrees():
     t = load_fixture("k4")
-    bad = t.with_mult({**dict(t.mult_items), (0, 1): 5})
+    bad = DTarget.of(t.graph, t.d, {**dict(t.mult_items), (0, 1): 5})
     report = validate(bad)
     assert not report.degree_ok
     assert report.violations
@@ -281,7 +281,7 @@ def test_round_trip_any_multiplicities(name, data):
         e: data.draw(st.integers(min_value=0, max_value=8), label=str(e))
         for e in base.graph.edges
     }
-    t = base.with_mult(mult)
+    t = DTarget.of(base.graph, base.d, mult)
     again = parse_dtarget(serialize_dtarget(t))
     assert again.mult_items == t.mult_items
     assert again.graph.rotations == t.graph.rotations

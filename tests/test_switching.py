@@ -43,7 +43,9 @@ def test_score_sequence_refuses_an_edge_above_d():
     # Dropping the edge would give both non-targets the sequence of the
     # other five edges, and neither would precede the other.
     k4 = load_fixture("k4")
-    nine, twelve = (k4.with_mult({**dict(k4.mult_items), (0, 1): m}) for m in (9, 12))
+    nine, twelve = (
+        DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): m}) for m in (9, 12)
+    )
     for t in (nine, twelve):
         with pytest.raises(DTargetError, match=r"edge \(0, 1\) has multiplicity"):
             score_sequence(t)
@@ -51,7 +53,7 @@ def test_score_sequence_refuses_an_edge_above_d():
         is_smaller(nine, twelve)
     with pytest.raises(DTargetError):
         is_smaller(twelve, nine)
-    assert score_sequence(k4.with_mult({**dict(k4.mult_items), (0, 1): 8}))[8] == 1
+    assert score_sequence(DTarget.of(k4.graph, k4.d, {**dict(k4.mult_items), (0, 1): 8}))[8] == 1
 
 
 def test_switch_square_octahedron_equator():
@@ -75,8 +77,10 @@ def test_switch_square_k4_cycle_not_smaller():
 
 
 def test_switch_square_would_go_negative():
-    t = load_fixture("k4").with_mult(
-        {(0, 1): 0, (2, 3): 0, (0, 2): 4, (0, 3): 4, (1, 2): 4, (1, 3): 4}
+    t = DTarget.of(
+        load_fixture("k4").graph,
+        8,
+        {(0, 1): 0, (2, 3): 0, (0, 2): 4, (0, 3): 4, (1, 2): 4, (1, 3): 4},
     )
     with pytest.raises(WouldGoNegative):
         switch_square(t, 0, 1, 2, 3)
@@ -155,12 +159,14 @@ def test_switch_path_creates_the_closing_edge():
 
 
 def test_switch_path_would_go_negative():
-    t = prism(2, 4).with_mult(
+    t = DTarget.of(
+        prism(2, 4).graph,
+        8,
         {
             (0, 1): 2, (0, 2): 2, (1, 2): 2,
             (3, 4): 2, (3, 5): 2, (4, 5): 2,
             (0, 3): 0, (1, 4): 4, (2, 5): 4,
-        }
+        },
     )
     with pytest.raises(WouldGoNegative):
         switch_path(t, 3, 0, 1, 4)
