@@ -23,8 +23,9 @@ every face.  The region across an edge from a disc is read through
   (the generators skip degenerate placements, whose region union pinches
   into a non-disc);
 * matches are enumerated over all labelled placements and reported once per
-  orbit of the pattern's own symmetries, each match carrying the witnessing
-  numeric facts.
+  orbit of the pattern's own symmetries.  A judge decides on the vector and
+  the door table alone; a match carries its judge's deferred renderer of the
+  witnessing numeric facts, which are formatted only when read.
 """
 
 from __future__ import annotations
@@ -221,13 +222,40 @@ class _Witness:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
-class ConfigMatch(_Witness):
+class ConfigMatch(NamedTuple):
+    """A match of Conf ``conf_index`` at one placement.  ``render`` is the
+    judge's deferred renderer of the witnessing facts: ``satisfied`` formats
+    them on read.  Equality and hash read the rendered facts, never the
+    renderer."""
+
     conf_index: int
     names: tuple[tuple[str, int], ...]
     region_ids: tuple[int, ...]
-    satisfied: tuple[str, ...]
+    render: Callable[[], tuple[str, ...]]
     branch: str | None = None
+
+    @property
+    def satisfied(self) -> tuple[str, ...]:
+        return self.render()
+
+    def _key(self) -> tuple:
+        return self.conf_index, self.names, self.region_ids, self.render(), self.branch
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, ConfigMatch) else NotImplemented
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        c, names, ids, satisfied, branch = self._key()
+        return (
+            f"ConfigMatch(conf_index={c!r}, names={names!r}, region_ids={ids!r}, "
+            f"satisfied={satisfied!r}, branch={branch!r})"
+        )
 
     @property
     def vertex_tuple(self) -> tuple[int, ...]:
@@ -292,7 +320,7 @@ class CutViolation(_Witness):
 @dataclass(frozen=True)
 class PrimalityVerdict:
     is_prime: bool
-    witness: _Witness | None
+    witness: _Witness | ConfigMatch | None
 
     @property
     def witness_kind(self) -> str | None:
@@ -437,8 +465,11 @@ def _region_triangles(graph: RotationGraph):
 # placements, each returns None if the placement can never match, else its
 # judge, judge(m, small, doors) on the multiplicity vector m and, for a
 # flagged pattern, the door table: None if the conditions fail, else
-# (facts, branch).  Only Conf 14, 15, 17 and 19 can name a bridge (an
-# ambiguous second region); the others unpack their second regions directly.
+# (render, branch).  A judge decides and formats nothing: render is a lambda
+# around the facts' f-strings, reading only immutable tuples and numbers, and
+# runs only when a reader asks for the facts.  Only Conf 14, 15, 17 and 19 can
+# name a bridge (an ambiguous second region); the others unpack their second
+# regions directly.
 # ---------------------------------------------------------------------------
 
 
@@ -462,7 +493,7 @@ def _region_edge(graph: RotationGraph, r: Region, u, v, min_length: int):
 def _compile_conf1(graph, tri: Region, u, v, w):
     if _degree(graph, u) != 3 or _degree(graph, v) != 3:
         return None
-    result = (f"deg({u}) = 3", f"deg({v}) = 3"), None
+    result = (lambda: (f"deg({u}) = 3", f"deg({v}) = 3")), None
     return lambda m, small, doors: result
 
 
@@ -472,7 +503,7 @@ def _compile_conf2(graph, tri: Region, u, v, w, x):
         lhs, rhs = m[ux], m[uw] + m[vw]
         if lhs >= rhs:
             return None
-        return (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",), None
+        return (lambda: (f"m({u},{x}) = {lhs} < {rhs} = m({u},{w}) + m({v},{w})",)), None
     return judge
 
 
@@ -482,7 +513,9 @@ def _compile_conf3(graph, first, second, u, v, w, x):
         total = m[uv] + m[uw] + m[vw] + m[ux]
         if total < 8:
             return None
-        return (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",), None
+        return (
+            lambda: (f"m({u},{v}) + m({u},{w}) + m({v},{w}) + m({u},{x}) = {total} >= 8",)
+        ), None
     return judge
 
 
@@ -493,10 +526,10 @@ def _compile_conf4(graph, square: Region, u, v, w, x):
         profile = (m[uv], m[vw], m[wx], m[ux])
         if total < 8 or profile == (4, 2, 1, 2):
             return None
-        return (
+        return (lambda: (
             f"m({u},{v}) + m({v},{w}) + m({u},{x}) = {total} >= 8",
             f"(m(uv),m(vw),m(wx),m(ux)) = {profile} != (4, 2, 1, 2)",
-        ), None
+        )), None
     return judge
 
 
@@ -507,27 +540,27 @@ def _compile_conf5(graph, first, second, u, v, w, x):
         total = m[uv] + small[s_uv] + m[uw] + m[wx] + small[s_wx]
         if total < 7:
             return None
-        return (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",), None
+        return (lambda: (f"m+({u},{v}) + m({u},{w}) + m+({w},{x}) = {total} >= 7",)), None
     return judge
 
 
-def _compile_plus_pair(graph, r: Region, ab, cd, text: str):
+def _compile_plus_pair(graph, r: Region, ab, cd):
     """Conf 6 and 7: m+(ab) + m+(cd) >= 7, the disc being r."""
     (s_ab, s_cd), (i_ab, i_cd) = _seconds(graph, (r.id,), ab, cd), _indices(graph, ab, cd)
     def judge(m, small, doors):
         total = m[i_ab] + small[s_ab] + m[i_cd] + small[s_cd]
         if total < 7:
             return None
-        return (f"{text} = {total} >= 7",), None
+        return (lambda: (f"m+({ab[0]},{ab[1]}) + m+({cd[0]},{cd[1]}) = {total} >= 7",)), None
     return judge
 
 
 def _compile_conf6(graph, square: Region, u, v, w, x):
-    return _compile_plus_pair(graph, square, (u, v), (w, x), f"m+({u},{v}) + m+({w},{x})")
+    return _compile_plus_pair(graph, square, (u, v), (w, x))
 
 
 def _compile_conf7(graph, tri: Region, u, v, w):
-    return _compile_plus_pair(graph, tri, (u, v), (u, w), f"m+({u},{v}) + m+({u},{w})")
+    return _compile_plus_pair(graph, tri, (u, v), (u, w))
 
 
 def _door_sides(graph: RotationGraph, tri: Region, *pairs) -> list[tuple[Edge, int]]:
@@ -544,38 +577,39 @@ def _compile_conf8(graph, tri: Region, u, v, w):
     def judge(m, small, doors):
         if m[uv] != 3 or m[uw] != 2 or m[vw] != 2:
             return None
-        blocked = [e for e, far in sides if not any(map(corners.isdisjoint, doors[far]))]
+        blocked = tuple([e for e, far in sides if not any(map(corners.isdisjoint, doors[far]))])
         if not blocked:
             return None
-        return (
+        return (lambda: (
             "m(uv), m(uw), m(vw) = 3, 2, 2",
-            f"second region(s) of {blocked} have no door disjoint from the triangle",
-        ), None
+            f"second region(s) of {list(blocked)} have no door disjoint from the triangle",
+        )), None
     return judge
 
 
 def _compile_conf9(graph, tri: Region, u, v, w):
-    if _degree(graph, u) < 4:
+    if (degree := _degree(graph, u)) < 4:
         return None
-    degree = f"deg({u}) = {_degree(graph, u)} >= 4"
     uv, uw, vw = _indices(graph, (u, v), (u, w), (v, w))
     sides, corners = _door_sides(graph, tri, (u, v), (u, w)), tri.vertex_set
     def judge(m, small, doors):
         if not (m[uv] == m[uw] == m[vw] == 2):
             return None
-        facts = [degree, "all multiplicities 2"]
-        for e, far in sides:
+        for _, far in sides:
             ds = doors[far]
             if len(ds) > 1 or any(map(corners.isdisjoint, ds)):
                 return None
-            facts.append(f"second region of {e}: {len(ds)} door(s), none disjoint")
-        return tuple(facts), None
+        return (lambda: (
+            f"deg({u}) = {degree} >= 4",
+            "all multiplicities 2",
+            *[f"second region of {e}: {len(doors[f])} door(s), none disjoint" for e, f in sides],
+        )), None
     return judge
 
 
 def _compile_conf10(graph, square, tri, u, v, w, x, y):
     uv, wx, xy, vw = _indices(graph, (u, v), (w, x), (x, y), (v, w))
-    result = ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4"), None
+    result = (lambda: ("m(uv) = m(wx) = m(xy) = 2", "m(vw) = 4")), None
     return lambda m, small, doors: (
         result if m[uv] == m[wx] == m[xy] == 2 and m[vw] == 4 else None
     )
@@ -590,13 +624,13 @@ def _compile_conf11(graph, square, tri, u, v, w, x, y):
         plus = m[xy] + small[s_xy]
         if plus < 3:
             return None
-        return (
+        return (lambda: (
             f"m({u},{v}) = {m[uv]} >= 3",
             f"m({w},{y}) = {m[wy]} >= 3",
             "m(wx) = 1",
             f"m({u},{x}) = {m[ux]} <= 3",
             f"m+({x},{y}) = {plus} >= 3",
-        ), None
+        )), None
     return judge
 
 
@@ -609,13 +643,13 @@ def _compile_conf12(graph, square, tri, u, v, w, x, y):
         uv_plus, xy_plus = m[uv] + small[s_uv], m[xy] + small[s_xy]
         if uv_plus < 2 or xy_plus < 3:
             return None
-        return (
+        return (lambda: (
             f"m+({u},{v}) = {uv_plus} >= 2",
             f"m({v},{w}) = {m[vw]} >= 2",
             "m(wx) = m(wy) = 2",
             f"m({u},{x}) = {m[ux]} <= 3",
             f"m+({x},{y}) = {xy_plus} >= 3",
-        ), None
+        )), None
     return judge
 
 
@@ -629,11 +663,11 @@ def _compile_conf13(graph, r: Region, *vs: int):
         plus = m[e1] + small[s1] + m[e4] + small[s4]
         if plus < 7:
             return None
-        return (
+        return (lambda: (
             f"m(e1) = {m[e1]} >= max(m(e2), m(e5)) = {max(m[e2], m[e5])}",
             f"m(e1) + m(e2) + m(e3) = {m[e1] + m[e2] + m[e3]} >= 8",
             f"m+(e1) + m+(e4) = {plus} >= 7",
-        ), None
+        )), None
     return judge
 
 
@@ -648,10 +682,10 @@ def _compile_conf14(graph, r: Region, u, v):
         count = sum(edges_disjoint(e, d) for d in doors[rid])  # doors of r are its edges
         if count > 6:
             return None
-        return (
+        return (lambda: (
             f"m+({e[0]},{e[1]}) = {plus} >= 6",
             f"{count} door(s) of the region disjoint from the edge (<= 6)",
-        ), None
+        )), None
     return judge
 
 
@@ -664,10 +698,10 @@ def _compile_conf15(graph, r: Region, u, v):
         plus = m[i] + small[s]
         if plus < 4 or not all(h >= 3 for h in _hefts(m, heavy)):
             return None
-        return (
+        return (lambda: (
             f"m+({e[0]},{e[1]}) = {plus} >= 4",
             f"all {len(heavy)} boundary edges disjoint from the edge are 3-heavy",
-        ), None
+        )), None
     return judge
 
 
@@ -692,12 +726,12 @@ def _compile_conf16(graph, r: Region, tri: Region, u, v, w):
             return None
         if not all(h >= 3 for h in _hefts(m, away)):
             return None
-        return (
+        return (lambda: (
             f"m({u},{v}) + m+({u},{w}) = {m[uv] + uw_plus} >= 4",
             f"m({v},{w}) = {m[vw]} <= {m[uw]} = m({u},{w})",
             f"second boundary edge at {u}: m({g[0]},{g[1]}) = {m[gi]} <= m({u},{w})",
             f"all {len(away)} boundary edges avoiding {u} are 3-heavy",
-        ), None
+        )), None
     return judge
 
 
@@ -713,11 +747,11 @@ def _compile_conf17(graph, r: Region, u, v):
         light = _light_count(m, small, records)
         if light > 1:
             return None
-        return (
+        return (lambda: (
             f"m+({e[0]},{e[1]}) = {plus} >= 5",
             "all boundary edges disjoint from the edge have m+ >= 2",
             f"{light} of them not 3-heavy (<= 1)",
-        ), None
+        )), None
     return judge
 
 
@@ -741,12 +775,12 @@ def _compile_conf18(graph, r: Region, tri: Region, u, v, w):
         if not a and not b:
             return None
         branch = "ab" if a and b else ("a" if a else "b")
-        return (
+        return (lambda: (
             f"m+({u},{w}) + m({u},{v}) = {uw_plus + m[uv]} >= 5",
             f"m({v},{w}) <= m({u},{w})",
             f"second boundary edge at {u} has multiplicity <= m({u},{w})",
             f"branch {branch}",
-        ), branch
+        )), branch
     return judge
 
 
@@ -763,11 +797,11 @@ def _compile_conf19(graph, r: Region, u, v):
         light = sum(h < 3 for h in hefts)
         if light > 2 or not all(h >= 2 for h in hefts):
             return None
-        return (
+        return (lambda: (
             f"m+({e[0]},{e[1]}) = {plus} >= 5",
             "all boundary edges disjoint from the edge are 2-heavy",
             f"{light} of them not 3-heavy (<= 2)",
-        ), None
+        )), None
     return judge
 
 
@@ -848,9 +882,9 @@ def _matches(t: DTarget, k: int) -> Iterator[ConfigMatch]:
     doors, small = door_table(t) if pattern.doors and compiled else (None, None)
     m = t.mult_vector
     for names, region_ids, judge in compiled:
-        result = judge(m, small, doors)
-        if result is not None:
-            yield ConfigMatch(k, names, region_ids, *result)
+        hit = judge(m, small, doors)
+        if hit is not None:
+            yield ConfigMatch(k, names, region_ids, *hit)
 
 
 def detect(t: DTarget, k: int) -> list[ConfigMatch]:
@@ -871,6 +905,7 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
     names sort as vertex tuples do), and that placement's judge judges t a
     match.  A relabelling ``detect`` never reports, such as an image of a
     match under its pattern's symmetries, is not a placement."""
+    _require_d8(t)
     pattern, names = _entry(match.conf_index), match.names
     compiled = fact(t.graph, ("compiled", match.conf_index), _compile_placements, pattern)
     i = bisect_left(compiled, names, key=(key := lambda c: c[0]))

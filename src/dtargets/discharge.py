@@ -13,7 +13,10 @@ Each family is an ordered first-match rule chain, one flat ``if``/``elif``
 shared by ``charge_report`` and the public ``beta_trace``/``gamma_trace``;
 the matched rule id is recorded so a report can be audited line by line.  A
 rule moves 0, 1/2 or 1, carried in half-units: ``charge_report`` checks every
-identity on integers and makes ``Fraction``s only for its rows.
+identity on integers and makes ``Fraction``s only for its rows.  The trace of
+an edge where no rule of a family fires depends on the edge alone, so those
+traces are one graph fact (``planar.fact``), built once per graph and shared
+by every target on it; a trace record is built only where a rule fires.
 
 The rules read only the target's multiplicity vector and door table
 (``config.door_table``) against the graph's charge program
@@ -30,7 +33,7 @@ from fractions import Fraction
 
 from .config import _require_d8, charge_program, door_table, edges_disjoint, is_tough
 from .errors import DTargetError, IdentityViolation
-from .planar import DTarget, Edge, Region, norm_edge, region_pair
+from .planar import DTarget, Edge, Region, RotationGraph, fact, norm_edge, region_pair
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -80,7 +83,7 @@ class BetaTrace:
 def beta_trace(t: DTarget, e: Edge) -> BetaTrace:
     """Which beta rule fires across e, and how much the big side receives."""
     side = _side(t, e)
-    return _beta(t.mult_vector, *door_table(t), side)[0]
+    return _beta(t.mult_vector, *door_table(t), _idle(t.graph)[0], side)[0]
 
 
 def _side(t: DTarget, e: Edge) -> tuple:
@@ -90,12 +93,13 @@ def _side(t: DTarget, e: Edge) -> tuple:
     return charge_program(t.graph).sides[t.graph.edge_index[norm_edge(*e)]]
 
 
-def _beta(m, doors, small, side) -> tuple[BetaTrace, int]:
+def _beta(m, doors, small, idle, side) -> tuple[BetaTrace, int]:
     """The beta trace across the side's edge and the half-units the big side
-    receives; side is the edge's entry in the charge program."""
+    receives; side is the edge's entry in the charge program, and idle the
+    graph's traces where no beta rule fires."""
     i, e, r1, r2, flanks1, flanks2 = side
     if small[r1] == small[r2]:
-        return BetaTrace(e, None, None, None, ZERO), 0
+        return idle[i], 0
     big, tiny, flanks = (r2, r1, flanks2) if small[r1] else (r1, r2, flanks1)
     if e in doors[big]:
         return BetaTrace(e, 1, big, tiny, ZERO), 0
@@ -136,15 +140,17 @@ def gamma_trace(t: DTarget, e: Edge) -> GammaTrace:
     side = _side(t, e)
     doors, small = door_table(t)
     tough = {r: is_tough(t, t.graph.faces[r]) for r in side[2:4]}
-    return _gamma(t.mult_vector, doors, small, tough, t.graph.rotations, side)[0]
+    idle = _idle(t.graph)[1]
+    return _gamma(t.mult_vector, doors, small, tough, t.graph.rotations, idle, side)[0]
 
 
-def _gamma(m, doors, small, tough, rotations, side) -> tuple[GammaTrace, int]:
+def _gamma(m, doors, small, tough, rotations, idle, side) -> tuple[GammaTrace, int]:
     """The gamma trace across the side's edge and the half-units the
-    receiver gets; tough is indexed by region id."""
+    receiver gets; tough is indexed by region id, and idle holds the
+    graph's traces where no gamma rule fires."""
     i, e, r1, r2, flanks1, flanks2 = side
     if not (small[r1] and small[r2]) or tough[r1] == tough[r2]:
-        return GammaTrace(e, None, None, None, ZERO), 0
+        return idle[i], 0
     donor, receiver, (((fa, sa),), ((fb, sb),)), (at_a, at_b) = (
         (r1, r2, flanks1, flanks2) if tough[r1] else (r2, r1, flanks2, flanks1)
     )
@@ -177,6 +183,20 @@ def _gamma(m, doors, small, tough, rotations, side) -> tuple[GammaTrace, int]:
     else:
         rule, halves = 7, 0
     return GammaTrace(e, rule, receiver, donor, _CHARGE[halves]), halves
+
+
+def _idle(graph: RotationGraph) -> tuple[tuple[BetaTrace, ...], tuple[GammaTrace, ...]]:
+    """Each edge's beta and gamma traces where no rule fires, by edge index:
+    they depend on the edge alone, so they are one graph fact."""
+    return fact(graph, "idle traces", _idle_traces)
+
+
+def _idle_traces(graph: RotationGraph):
+    edges = graph.edges
+    return (
+        tuple([BetaTrace(e, None, None, None, ZERO) for e in edges]),
+        tuple([GammaTrace(e, None, None, None, ZERO) for e in edges]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +257,7 @@ def charge_report(t: DTarget) -> ChargeReport:
     doors, small = door_table(t)
     faces, rotations = graph.faces, graph.rotations
     tough = [is_tough(t, r) for r in faces]
+    idle_beta, idle_gamma = _idle(graph)
     # half-units: twice the charge each region receives
     beta, gamma = [0] * len(faces), [0] * len(faces)
     beta_traces, gamma_traces = [], []
@@ -245,8 +266,8 @@ def charge_report(t: DTarget) -> ChargeReport:
         _, e, r1, r2 = side[:4]
         if r1 == r2:
             region_pair(t, e)  # refuses the bridge
-        bt, hb = _beta(m, doors, small, side)
-        gt, hg = _gamma(m, doors, small, tough, rotations, side)
+        bt, hb = _beta(m, doors, small, idle_beta, side)
+        gt, hg = _gamma(m, doors, small, tough, rotations, idle_gamma, side)
         beta_traces.append(bt)
         gamma_traces.append(gt)
         if not (hb or hg):

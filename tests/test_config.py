@@ -761,7 +761,7 @@ def test_witnesses_render_themselves():
          "only 4 vertices (fewer than 6)"),
         (CutViolation(CutWitness((0, 1, 2), 6)), "CutViolation", {"X": [0, 1, 2], "value": 6},
          "odd cut X=[0, 1, 2] has value 6 < 10 with both sides larger than one vertex"),
-        (ConfigMatch(18, (("u", 0), ("v", 1), ("w", 5)), (2, 4), ("f1", "f2"), "ab"),
+        (ConfigMatch(18, (("u", 0), ("v", 1), ("w", 5)), (2, 4), lambda: ("f1", "f2"), "ab"),
          "Conf(18)",
          {"conf": 18, "names": {"u": 0, "v": 1, "w": 5}, "region_ids": [2, 4],
           "satisfied": ["f1", "f2"], "branch": "ab"},
@@ -783,3 +783,81 @@ def test_recheck_rejects_relabelled_match():
     assert not recheck(t, swapped)
     with pytest.raises(DTargetError):
         recheck(t, ConfigMatch(20, match.names, match.region_ids, ()))
+
+
+def test_recheck_refuses_a_target_whose_d_is_not_8():
+    t = load_fixture("prism")
+    match = detect(t, 1)[0]
+    assert recheck(t, match)
+    with pytest.raises(UnsupportedD):
+        recheck(DTarget(t.graph, 6, t.mult_vector), match)
+
+
+def test_a_match_renders_its_facts_only_when_read(monkeypatch):
+    # Conf 1's renderer raises: every verdict is still reached, and only
+    # reading the facts raises.
+    def boom():
+        raise RuntimeError("rendered")
+
+    compile_conf1 = config._PATTERNS[1].compile
+
+    def compile_raising(graph, *placement):
+        judge = compile_conf1(graph, *placement)
+        if judge is None:
+            return None
+        def raising(m, small, doors):
+            hit = judge(m, small, doors)
+            return None if hit is None else (boom, hit[1])
+        return raising
+
+    monkeypatch.setitem(config._PATTERNS, 1, config._PATTERNS[1]._replace(compile=compile_raising))
+    t = load_fixture("prism")
+    witness = is_prime(t).witness
+    matches = detect(t, 1)
+    assert witness.names == matches[0].names and witness.region_ids == matches[0].region_ids
+    assert [m.kind for m in detect_all(t)].count("Conf(1)") == len(matches) > 0
+    assert all(recheck(t, m) for m in matches)
+    assert (witness.kind, witness.vertex_tuple, witness.branch) == ("Conf(1)", (0, 1, 2), None)
+    for read in (lambda: witness.satisfied, witness.payload, witness.text):
+        with pytest.raises(RuntimeError, match="rendered"):
+            read()
+
+
+def test_a_match_reprs_its_rendered_facts():
+    match = ConfigMatch(18, (("u", 0), ("v", 1), ("w", 5)), (2, 4), lambda: ("f1", "f2"), "ab")
+    assert repr(match) == (
+        "ConfigMatch(conf_index=18, names=(('u', 0), ('v', 1), ('w', 5)), region_ids=(2, 4), "
+        "satisfied=('f1', 'f2'), branch='ab')"
+    )
+
+
+def test_a_match_is_immutable():
+    match = detect(load_fixture("prism"), 1)[0]
+    for name in ("conf_index", "names", "region_ids", "render", "branch", "satisfied"):
+        with pytest.raises(AttributeError):
+            setattr(match, name, None)
+
+
+def test_matches_on_equal_targets_are_equal_with_equal_hashes():
+    text = serialize_dtarget(load_fixture("octahedron"))
+    first, second = detect_all(parse_dtarget(text)), detect_all(parse_dtarget(text))
+    assert len(first) == 144
+    assert first == second and not any(a != b for a, b in zip(first, second))
+    assert [hash(m) for m in first] == [hash(m) for m in second]
+    assert all(a.render is not b.render for a, b in zip(first, second))
+
+
+def test_matches_whose_facts_differ_compare_unequal():
+    # The same placement matched on two walk targets with different
+    # multiplicities: the rendered facts differ, so the matches do.
+    first = {}
+    for t in walk_targets()[:100]:
+        for match in detect_all(t):
+            seen = first.setdefault(
+                (match.conf_index, match.names, match.region_ids, match.branch), match
+            )
+            if seen.satisfied != match.satisfied:
+                assert seen != match and not seen == match
+                assert len({seen, match}) == 2
+                return
+    pytest.fail("no placement matched with two different facts")

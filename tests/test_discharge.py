@@ -9,6 +9,8 @@ import pytest
 from dtargets.config import is_big, is_tough, m_plus
 from dtargets.corpus import load_fixture
 from dtargets.discharge import (
+    BetaTrace,
+    GammaTrace,
     RegionClass,
     alpha,
     beta_trace,
@@ -450,6 +452,25 @@ def _traced_sums(t, report):
             for r in region_pair(t, trace.edge):
                 sums[r.id][family] += trace.value if r.id == receiver else -trace.value
     return sums
+
+
+def test_idle_traces_are_one_record_per_edge_of_a_graph():
+    # Where no rule of a family fires, the trace depends on the edge alone:
+    # every target on a graph shares the one record of that edge.
+    shared, idle = {}, 0
+    for t in walk_targets():
+        report = charge_report(t)
+        for trace_type, traces in (
+            (BetaTrace, report.beta_traces),
+            (GammaTrace, report.gamma_traces),
+        ):
+            for trace in traces:
+                if trace.rule is None:
+                    assert trace == trace_type(trace.edge, None, None, None, Fraction(0))
+                    key = id(t.graph), trace_type, trace.edge
+                    assert shared.setdefault(key, trace) is trace
+                    idle += 1
+    assert idle > len(shared) > 0
 
 
 def test_region_charges_are_the_sums_of_their_traces():

@@ -170,8 +170,13 @@ def test_primality_witnesses_are_the_four_the_checks_can_give():
     # connectivity level.
     from dtargets import config
 
-    witnesses = {cls.__name__ for cls in config._Witness.__subclasses__()}
+    witnesses = {
+        name
+        for name, obj in vars(config).items()
+        if isinstance(obj, type) and obj.__module__ == config.__name__ and hasattr(obj, "payload")
+    }
     assert witnesses == {"ConfigMatch", "ZeroMultEdge", "TooFewVertices", "CutViolation"}
+    assert all(hasattr(config.__dict__[name], "text") for name in witnesses)
     imported = [
         alias.name
         for node in ast.walk(ast.parse((ROOT / "src" / "dtargets" / "config.py").read_text()))
@@ -179,6 +184,32 @@ def test_primality_witnesses_are_the_four_the_checks_can_give():
         for alias in node.names
     ]
     assert "connectivity_level" not in imported and "connectivity_level" not in vars(config)
+
+
+def test_compile_steps_format_facts_only_inside_renderers():
+    # A judge runs on every target of a switch walk, so each fact's f-string
+    # lies inside the lambda its judge returns and is formatted only when read.
+    tree = ast.parse((ROOT / "src" / "dtargets" / "config.py").read_text())
+    steps = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_compile")
+    ]
+    names = {step.name for step in steps}
+    assert {f"_compile_conf{k}" for k in range(1, 20)} <= names
+    for step in steps:
+        deferred = {
+            id(node)
+            for renderer in ast.walk(step)
+            if isinstance(renderer, ast.Lambda)
+            for node in ast.walk(renderer)
+        }
+        eager = [
+            node.lineno
+            for node in ast.walk(step)
+            if isinstance(node, ast.JoinedStr) and id(node) not in deferred
+        ]
+        assert eager == [], f"{step.name} formats at line(s) {eager}"
 
 
 def test_recheck_reads_the_compiled_judges(monkeypatch):
