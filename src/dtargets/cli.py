@@ -1,10 +1,10 @@
 """Command-line reporting over .dtarget files.
 
-``main`` reads the input file once: it hashes the bytes, parses them,
-applies ``--d`` and hands the parsed target to the command (``scan`` reads
-the bundled corpus and takes none).  A command returns only its verdict,
-exit code, details and text lines; ``main`` renders them with the command's
-name and the input's path and sha256.
+One table builds every subcommand, and ``main`` makes one call for all of
+them, ``handler(target, args)``: it reads, hashes and parses the input once,
+applies ``--d`` and passes the target (``scan`` reads the bundled corpus and
+gets None).  A command returns only its verdict, exit code, details and text
+lines; ``main`` renders them with the command's name, input path and sha256.
 
 Exit codes: 0 = success / property verified, 1 = negative verdict (a check
 failed honestly), 2 = unusable input, 3 = an internal identity or an
@@ -69,7 +69,7 @@ def _frac(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(t: DTarget) -> Report:
+def cmd_check(t: DTarget, args) -> Report:
     rep = validate(t)
     regions = len(t.graph.faces) if rep.euler_ok else None
     details: dict = {
@@ -108,7 +108,7 @@ def cmd_check(t: DTarget) -> Report:
     return Report(verdict, EXIT_OK if ok else EXIT_NEGATIVE, details, lines)
 
 
-def cmd_classify(t: DTarget) -> Report:
+def cmd_classify(t: DTarget, args) -> Report:
     verdict = is_prime(t)
     if verdict.is_prime:
         return Report(
@@ -126,7 +126,7 @@ def cmd_classify(t: DTarget) -> Report:
     )
 
 
-def cmd_discharge(t: DTarget) -> Report:
+def cmd_discharge(t: DTarget, args) -> Report:
     require_target(t)
     report = charge_report(t)
     region_rows = []
@@ -188,7 +188,7 @@ def cmd_discharge(t: DTarget) -> Report:
     return Report("charge identities verified (total 16)", EXIT_OK, details, lines)
 
 
-def cmd_colour(t: DTarget) -> Report:
+def cmd_colour(t: DTarget, args) -> Report:
     reason = f"no decomposition into {t.d} perfect matchings exists"
     try:
         colouring = edge_colour(t)
@@ -206,23 +206,23 @@ def cmd_colour(t: DTarget) -> Report:
     return Report("colourable", EXIT_OK, {"colourable": True, "matchings": rows}, lines)
 
 
-def cmd_switch(t: DTarget, vertices: list[int], path: bool) -> Report:
+def cmd_switch(t: DTarget, args) -> Report:
     require_target(t)
-    operation = "path" if path else "square"
-    result = (switch_path if path else switch_square)(t, *vertices)
+    operation = "path" if args.path else "square"
+    result = (switch_path if args.path else switch_square)(t, *args.vertices)
     before, after = score_sequence(t), score_sequence(result)
     smaller = score_smaller(result.vertex_count, after, t.vertex_count, before)
     serialized = serialize_dtarget(result)
     details = {
         "operation": operation,
-        "vertices": list(vertices),
+        "vertices": list(args.vertices),
         "smaller": smaller,
         "score_before": list(before),
         "score_after": list(after),
         "result": serialized,
     }
     lines = [
-        f"{operation} switch on {tuple(vertices)}",
+        f"{operation} switch on {tuple(args.vertices)}",
         f"score before: {before}",
         f"score after:  {after}",
         f"strictly smaller: {'yes' if smaller else 'no'}",
@@ -232,7 +232,7 @@ def cmd_switch(t: DTarget, vertices: list[int], path: bool) -> Report:
     return Report(f"{operation} switch applied", EXIT_OK, details, lines)
 
 
-def cmd_scan(args) -> Report:
+def cmd_scan(t: None, args) -> Report:
     if args.limit_per_base < 1:
         raise DTargetError(f"--limit-per-base {args.limit_per_base} is below 1")
     if args.d not in (None, 8):
@@ -286,17 +286,6 @@ def _render(command: str, source: dict | None, report: Report, fmt: str) -> str:
     return "\n".join([f"{command}: {report.verdict}", *report.text_lines])
 
 
-def _add_common(sub, with_input=True):
-    if with_input:
-        sub.add_argument("input", help="path to a .dtarget file")
-    sub.add_argument(
-        "--format", choices=("text", "machine"), default="text", help="output format"
-    )
-    sub.add_argument("--d", type=int, default=None, help="require this d value")
-    sub.add_argument("--out", default=None, help="also write the report to this file")
-    return sub
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtargets",
@@ -304,47 +293,48 @@ def build_parser() -> argparse.ArgumentParser:
         "switching for planar multigraph targets",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, help_text, handler in (
         ("check", "validate structure and odd cuts", cmd_check),
         ("classify", "search for a non-primality witness", cmd_classify),
         ("discharge", "per-region charge report", cmd_discharge),
         ("colour", "decompose into d perfect matchings", cmd_colour),
+        ("switch", "apply a square or path switch", cmd_switch),
+        ("scan", "sweep the bundled corpus for contradictions", cmd_scan),
     ):
-        _add_common(subs.add_parser(name, help=help_text)).set_defaults(handler=handler)
-
-    p = _add_common(subs.add_parser("switch", help="apply a square or path switch"))
-    p.add_argument("vertices", type=int, nargs=4, help="four cycle/path vertices")
-    p.add_argument(
+        sub = parsers[name] = subs.add_parser(name, help=help_text)
+        if name != "scan":
+            sub.add_argument("input", help="path to a .dtarget file")
+        sub.add_argument(
+            "--format", choices=("text", "machine"), default="text", help="output format"
+        )
+        sub.add_argument("--d", type=int, help="require this d value")
+        sub.add_argument("--out", help="also write the report to this file")
+        sub.set_defaults(handler=handler)
+    parsers["switch"].add_argument(
+        "vertices", type=int, nargs=4, help="four cycle/path vertices"
+    )
+    parsers["switch"].add_argument(
         "--path",
         action="store_true",
         help="treat the vertices as a path x u v y instead of a four-cycle",
     )
-
-    p = _add_common(
-        subs.add_parser("scan", help="sweep the bundled corpus for contradictions"),
-        with_input=False,
-    )
-    p.add_argument("--limit-per-base", type=int, default=48)
-    p.add_argument("--bases", default=None, help="comma-separated base names")
+    parsers["scan"].add_argument("--limit-per-base", type=int, default=48)
+    parsers["scan"].add_argument("--bases", help="comma-separated base names")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        source = None
-        if args.command == "scan":
-            report = cmd_scan(args)
-        else:
+        source = t = None
+        if "input" in args:
             data = Path(args.input).read_bytes()
             source = {"path": args.input, "sha256": hashlib.sha256(data).hexdigest()}
             t = parse_dtarget(data.decode("utf-8"))
             if args.d is not None and t.d != args.d:
                 raise MismatchedD(f"input has d = {t.d}, expected d = {args.d}")
-            if args.command == "switch":
-                report = cmd_switch(t, args.vertices, args.path)
-            else:
-                report = args.handler(t)
+        report = args.handler(t, args)
         rendered = _render(args.command, source, report, args.format)
         if args.out:
             Path(args.out).write_text(rendered + "\n")

@@ -87,7 +87,7 @@ class Region:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         cycle = "-".join(map(str, self.vertices))
         return f"Region({self.id}: {cycle})"
 
@@ -224,7 +224,7 @@ class DTarget:
     either orientation, to multiplicities.  ``facts`` holds what the
     analysis layers derive from the target, each kept by :func:`fact` (the
     odd cuts ``"odd_cuts"`` and the door table ``"doors"``); like the cached
-    ``mult_items`` and ``degree_sums``, it takes no part in equality.
+    ``degree_sums``, it takes no part in equality.  ``mult_items`` is a view.
     """
 
     graph: RotationGraph
@@ -258,9 +258,9 @@ class DTarget:
             e, m = next((e, m) for e, m in zip(edges, vector) if m < 0)
             raise NegativeMultiplicity(f"edge {e} has multiplicity {m}")
 
-    @cached_property
+    @property
     def mult_items(self) -> tuple[tuple[Edge, int], ...]:
-        """The (edge, multiplicity) pairs in ``graph.edges`` order."""
+        """The (edge, multiplicity) pairs in ``graph.edges`` order; stores nothing."""
         return tuple(zip(self.graph.edges, self.mult_vector))
 
     def m(self, u: int, v: int) -> int:

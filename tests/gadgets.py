@@ -385,3 +385,18 @@ def _spanning_subgraph(n: int, edges, keep: float, rng: random.Random) -> set:
             root[ru] = rv
             kept.add((u, v))
     return kept
+
+
+# Rotation systems on which a placement generator without its guards yields
+# degenerate placements: K3's two faces are triangles on the same three
+# vertices; the diamond K4 - e's outer square borders both triangles, whose
+# apexes lie on the square; a pendant edge makes the outer face visit its end
+# twice (length 5 on the triangle, 6 on the square); the path P3's one face,
+# 0-1-2-1, has length 4 and a repeated vertex.
+DEGENERATE_GRAPHS = {
+    "k3": ((1, 2), (2, 0), (0, 1)),
+    "diamond": ((1, 2), (0, 2, 3), (0, 3, 1), (1, 2)),
+    "triangle_pendant": ((1, 2, 3), (0, 2), (1, 0), (0,)),
+    "square_pendant": ((1, 3, 4), (0, 2), (1, 3), (2, 0), (0,)),
+    "p3": ((1,), (0, 2), (1,)),
+}

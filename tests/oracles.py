@@ -207,9 +207,10 @@ def edge_faces(t, e):
 
 
 def other_face(t, e, r):
+    """The face across e from r; None across a bridge, where r lies on both
+    sides and there is no region across."""
     pair = [f for f in edge_faces(t, e) if f.id != r.id]
-    assert len(pair) == 1
-    return pair[0]
+    return pair[0] if pair else None
 
 
 def doors(t, r):
@@ -218,7 +219,7 @@ def doors(t, r):
         if t.m(*e) != 1:
             continue
         opp = other_face(t, e, r)
-        if any(
+        if opp is not None and any(
             t.m(*f) == 1 and not (set(e) & set(f)) for f in opp.edges
         ):
             out.append(norm(*e))
@@ -247,7 +248,7 @@ def heavy(t, e, r, i):
     if t.m(*e) >= i:
         return True
     far = other_face(t, e, r)
-    if far.length != 3:
+    if far is None or far.length != 3:
         return False
     (w,) = set(far.vertices) - set(e)
     u, v = e
@@ -316,7 +317,7 @@ def _square_triangle_tuples(t):
     for sq in _squares(t):
         for u, v, w, x in _cycle_labelings(sq):
             tri = other_face(t, norm(w, x), sq)
-            if tri.length != 3:
+            if tri is None or tri.length != 3:
                 continue
             (y,) = set(tri.vertices) - {w, x}
             if y in (u, v):
@@ -330,7 +331,7 @@ def _region_triangle_tuples(t, min_length):
             continue
         for e in r.edges:
             tri = other_face(t, e, r)
-            if tri.length != 3:
+            if tri is None or tri.length != 3:
                 continue
             (w,) = set(tri.vertices) - set(e)
             if w in r.vertex_set:

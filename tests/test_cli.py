@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +52,21 @@ def test_check_fixture_passes(capsys):
     assert code == 0
     assert out.startswith("check:")
     assert err == ""
+
+
+def test_module_run_matches_main(capsys):
+    # ``python -m dtargets.cli`` and ``main`` print the same bytes and exit
+    # with the same code.
+    argv = ["check", fixture_path("prism")]
+    code, out, _ = run(capsys, argv)
+    done = subprocess.run(
+        [sys.executable, "-m", "dtargets.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(FIXTURE_DIR.parents[1])},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 def test_check_machine_payload(capsys):

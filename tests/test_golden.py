@@ -19,7 +19,8 @@ output of ``switch`` over the fixed moves in ``SWITCH_MOVES``.  Further
 6-40 vertices (each parsed fresh, as the benchmark's ladder meets them) and
 every assignment with zero multiplicities allowed on k4, prism and cube.
 The degenerate digest pins ``detect_all`` on every multiplicity vector in
-1..4 over five small graphs whose faces share vertices or repeat them.
+1..4 over the five small graphs of ``gadgets.DEGENERATE_GRAPHS``, whose
+faces share vertices or repeat them.
 The faces digest pins targets whose faces are not all simple cycles: the
 seeded spanning subgraphs in ``gadgets.spanning_subgraph_targets``, the
 bowtie and the tree, through their door tables, ``detect_all``, charge
@@ -51,6 +52,7 @@ from dtargets.errors import DTargetError
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
 from gadgets import (
+    DEGENERATE_GRAPHS,
     one_shot_targets,
     spanning_subgraph_targets,
     walk_targets,
@@ -304,21 +306,6 @@ def test_second_spanning_seed_matches_golden_digest():
     # end; this one has five, so a door test that reads only the first flank
     # at each end changes the digest.
     assert faces_digest(spanning_subgraph_targets(40, 2)) == FACES_SEED_2_GOLDEN
-
-
-# Rotation systems on which a placement generator without its guards yields
-# degenerate placements: K3's two faces are triangles on the same three
-# vertices; the diamond K4 - e's outer square borders both triangles, whose
-# apexes lie on the square; a pendant edge makes the outer face visit its end
-# twice (length 5 on the triangle, 6 on the square); the path P3's one face,
-# 0-1-2-1, has length 4 and a repeated vertex.
-DEGENERATE_GRAPHS = {
-    "k3": ((1, 2), (2, 0), (0, 1)),
-    "diamond": ((1, 2), (0, 2, 3), (0, 3, 1), (1, 2)),
-    "triangle_pendant": ((1, 2, 3), (0, 2), (1, 0), (0,)),
-    "square_pendant": ((1, 3, 4), (0, 2), (1, 3), (2, 0), (0,)),
-    "p3": ((1,), (0, 2), (1,)),
-}
 
 
 def degenerate_digest() -> str:

@@ -108,6 +108,10 @@ def test_known_prism_faces():
     assert frozenset({0, 1, 4, 3}) in face_vertex_sets
     assert frozenset({1, 2, 5, 4}) in face_vertex_sets
     assert frozenset({0, 2, 5, 3}) in face_vertex_sets
+    assert [repr(r) for r in t.graph.faces] == [
+        "Region(0: 0-1-2)", "Region(1: 0-2-5-3)", "Region(2: 0-3-4-1)",
+        "Region(3: 1-4-5-2)", "Region(4: 3-5-4)",
+    ]
 
 
 def test_parse_rejects_asymmetric_rotation():
@@ -154,6 +158,15 @@ def test_parse_rejects_negative_multiplicity():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         parse_dtarget("this is not a target\n")
+
+
+def test_parse_drops_comments_at_the_end_of_any_line():
+    # A '#' starts a comment wherever it stands, not only at a line's start.
+    k4 = load_fixture("k4")
+    lines = serialize_dtarget(k4).splitlines()
+    commented = [f"{line}  # note {i}" for i, line in enumerate(lines)]
+    assert commented[1].startswith("vertex") and commented[-1].startswith("mult")
+    assert parse_dtarget("\n".join(commented)) == k4
 
 
 def test_multiplicity_refusals_name_the_edge():

@@ -361,6 +361,12 @@ def test_a_target_stores_only_its_multiplicity_vector():
     # accessor by edge; face tracing keeps its rotation positions local.
     assert not hasattr(DTarget, "with_mult") and not hasattr(DTarget, "m_edge")
     assert not hasattr(RotationGraph, "_position")
+    # The (edge, m) pairs are a view: reading them stores nothing.
+    from dtargets.corpus import load_fixture
+
+    t = load_fixture("prism")
+    assert t.mult_items == tuple(zip(t.graph.edges, t.mult_vector))
+    assert "mult_items" not in vars(t)
 
 
 def test_long_region_conditions_read_one_record_form():
