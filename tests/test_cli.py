@@ -56,9 +56,10 @@ def test_check_fixture_passes(capsys):
 
 def test_module_run_matches_main(capsys):
     # ``python -m dtargets.cli`` and ``main`` print the same bytes and exit
-    # with the same code.
-    argv = ["check", fixture_path("prism")]
+    # with the same code, here a nonzero one.
+    argv = ["classify", fixture_path("octahedron")]
     code, out, _ = run(capsys, argv)
+    assert code == cli.EXIT_NEGATIVE
     done = subprocess.run(
         [sys.executable, "-m", "dtargets.cli", *argv],
         capture_output=True,
