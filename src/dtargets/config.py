@@ -2,7 +2,8 @@
 the primality verdict.
 
 Each pattern is one entry of the pattern table: its vertex labels, a
-placement generator that states its structure, and a compile step.
+placement generator that states its structure, a compile step, and its
+symmetries.
 Placements and what conditions read of the embedding depend on the graph
 alone, so each generator runs once per graph, and each pattern compiles its
 placements once per graph into judges holding edge indices, second region ids
@@ -22,10 +23,13 @@ every face.  The region across an edge from a disc is read through
 * named vertices are pairwise distinct and named regions are distinct
   (the generators skip degenerate placements, whose region union pinches
   into a non-disc);
-* matches are enumerated over all labelled placements and reported once per
-  orbit of the pattern's own symmetries.  A judge decides on the vector and
-  the door table alone; a match carries its judge's deferred renderer of the
-  witnessing numeric facts, which are formatted only when read.
+* the generators state geometry alone; the table states each pattern's
+  symmetries (the label permutations that map a match to the same
+  configuration), and compiling keeps the least labelling, by vertex tuple,
+  of each orbit, so a match is reported once per orbit.  A judge decides on
+  the vector and the door table alone; a match carries its judge's deferred
+  renderer of the witnessing numeric facts, which are formatted only when
+  read.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .cuts import CutWitness, strengthened_cut_check
@@ -332,26 +336,11 @@ class PrimalityVerdict:
 # the placement's regions followed by its named vertices in label order.
 # The generator is the one statement of its pattern's structure (which
 # regions, which cycles, which degrees): it yields each placement of that
-# structure once, and nothing else.  Orbit filters keep one labelling per
-# symmetry class where a pattern is symmetric; bounds a pattern checks
-# itself, such as a region's least length, are left to its compile step.
+# structure once, and nothing else: every labelling of a symmetric pattern,
+# whose table row states the symmetries that compiling folds.  Bounds a
+# pattern checks itself, such as a region's least length, are left to its
+# compile step.
 # ---------------------------------------------------------------------------
-
-
-def _regions_of_length(graph: RotationGraph, length: int) -> list[Region]:
-    """The regions of the given length whose boundary is a simple cycle."""
-    return [r for r in graph.faces if r.length == length == len(r.vertex_set)]
-
-
-def _cyclic_labelings(r: Region) -> list[tuple[int, ...]]:
-    """All rotations and reflections of the boundary vertex cycle."""
-    cycle = r.vertices
-    k = len(cycle)
-    out = []
-    for start in range(k):
-        out.append(tuple(cycle[(start + j) % k] for j in range(k)))
-        out.append(tuple(cycle[(start - j) % k] for j in range(k)))
-    return out
 
 
 def _third_vertex(r: Region, u: int, v: int) -> int:
@@ -363,30 +352,12 @@ def _degree(graph: RotationGraph, v: int) -> int:
     return len(graph.rotations[v])
 
 
-def _triangle_edges(graph: RotationGraph):
-    """Triangle uvw with u < v."""
-    for tri in _regions_of_length(graph, 3):
-        for u, v in combinations(sorted(tri.vertices), 2):
-            yield tri, u, v, _third_vertex(tri, u, v)
-
-
-def _triangle_corners(graph: RotationGraph):
-    """Triangle uvw with v < w."""
-    for tri in _regions_of_length(graph, 3):
-        for u in tri.vertices:
-            v, w = sorted(set(tri.vertices) - {u})
-            yield tri, u, v, w
-
-
 def _triangle_degree3_corners(graph: RotationGraph):
     """Triangle uvw with deg(u) = 3 and x the neighbour of u off the triangle."""
-    for tri in _regions_of_length(graph, 3):
-        for u in tri.vertices:
-            if _degree(graph, u) != 3:
-                continue
-            (x,) = set(graph.rotations[u]) - set(tri.vertices)
-            for v, w in permutations(sorted(set(tri.vertices) - {u})):
-                yield tri, u, v, w, x
+    for tri, u, v, w in _placements(graph, _PATTERNS[1]):
+        if _degree(graph, u) == 3:
+            (x,) = set(graph.rotations[u]) - tri.vertex_set
+            yield tri, u, v, w, x
 
 
 def _triangle_pairs(graph: RotationGraph):
@@ -403,35 +374,23 @@ def _triangle_pairs(graph: RotationGraph):
                     yield first, second, u, v, w, x
 
 
-def _triangle_pair_orbits(graph: RotationGraph):
-    """Triangle pairs, one of each (u, v, w, x) ~ (w, x, u, v) orbit."""
-    for placement in _triangle_pairs(graph):
-        _, _, u, v, w, x = placement
-        if (u, v, w, x) <= (w, x, u, v):
-            yield placement
-
-
 def _labelled_regions(length: int):
-    """Each region of the given length under every labelling of its cycle."""
+    """Each region of the given length whose boundary is a simple cycle,
+    under every rotation and reflection of that cycle."""
 
     def placements(graph: RotationGraph):
-        for r in _regions_of_length(graph, length):
-            for vs in _cyclic_labelings(r):
-                yield (r, *vs)
+        for r in graph.faces:
+            if r.length == length == len(r.vertex_set):
+                cycle = r.vertices
+                for start in range(length):
+                    yield (r, *cycle[start:], *cycle[:start])
+                    yield (r, *cycle[start::-1], *cycle[:start:-1])
 
     return placements
 
 
+_triangles = _labelled_regions(3)
 _squares = _labelled_regions(4)
-
-
-def _square_orbits(graph: RotationGraph):
-    """Conf 4's squares uvwx, one labelling per orbit of the symmetries
-    (u, v, w, x) -> (w, x, u, v) and (u, v, w, x) -> (v, u, x, w)."""
-    for square, u, v, w, x in _placements(graph, _PATTERNS[4]):
-        orbit = ((u, v, w, x), (w, x, u, v), (v, u, x, w), (x, w, v, u))
-        if (u, v, w, x) == min(orbit):
-            yield square, u, v, w, x
 
 
 def _square_triangles(graph: RotationGraph):
@@ -815,6 +774,7 @@ class _Pattern(NamedTuple):
     placements: Callable[[RotationGraph], Iterator[tuple]]  # the structure, stated once
     compile: Callable[..., Callable | None]  # (graph, *placement) -> judge or None
     doors: bool  # whether its judges read the door table
+    symmetries: tuple[tuple[int, ...], ...]  # label permutations, all but the identity
 
 
 _UV = ("u", "v")
@@ -824,25 +784,27 @@ _UVWXY = ("u", "v", "w", "x", "y")
 _V5 = ("v1", "v2", "v3", "v4", "v5")
 
 _PATTERNS: dict[int, _Pattern] = {
-    1: _Pattern(_UVW, _triangle_edges, _compile_conf1, False),
-    2: _Pattern(_UVWX, _triangle_degree3_corners, _compile_conf2, False),
-    3: _Pattern(_UVWX, _triangle_pairs, _compile_conf3, False),
-    4: _Pattern(_UVWX, _squares, _compile_conf4, False),
-    5: _Pattern(_UVWX, _triangle_pair_orbits, _compile_conf5, True),
-    6: _Pattern(_UVWX, _square_orbits, _compile_conf6, True),
-    7: _Pattern(_UVW, _triangle_corners, _compile_conf7, True),
-    8: _Pattern(_UVW, _triangle_edges, _compile_conf8, True),
-    9: _Pattern(_UVW, _triangle_corners, _compile_conf9, True),
-    10: _Pattern(_UVWXY, _square_triangles, _compile_conf10, False),
-    11: _Pattern(_UVWXY, _square_triangles, _compile_conf11, True),
-    12: _Pattern(_UVWXY, _square_triangles, _compile_conf12, True),
-    13: _Pattern(_V5, _labelled_regions(5), _compile_conf13, True),
-    14: _Pattern(_UV, _region_edges, _compile_conf14, True),
-    15: _Pattern(_UV, _region_edges, _compile_conf15, True),
-    16: _Pattern(_UVW, _region_triangles, _compile_conf16, True),
-    17: _Pattern(_UV, _region_edges, _compile_conf17, True),
-    18: _Pattern(_UVW, _region_triangles, _compile_conf18, True),
-    19: _Pattern(_UV, _region_edges, _compile_conf19, True),
+    1: _Pattern(_UVW, _triangles, _compile_conf1, False, ((1, 0, 2),)),
+    2: _Pattern(_UVWX, _triangle_degree3_corners, _compile_conf2, False, ()),
+    3: _Pattern(_UVWX, _triangle_pairs, _compile_conf3, False, ()),
+    4: _Pattern(_UVWX, _squares, _compile_conf4, False, ()),
+    5: _Pattern(_UVWX, _triangle_pairs, _compile_conf5, True, ((2, 3, 0, 1),)),
+    6: _Pattern(
+        _UVWX, _squares, _compile_conf6, True, ((2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
+    ),
+    7: _Pattern(_UVW, _triangles, _compile_conf7, True, ((0, 2, 1),)),
+    8: _Pattern(_UVW, _triangles, _compile_conf8, True, ((1, 0, 2),)),
+    9: _Pattern(_UVW, _triangles, _compile_conf9, True, ((0, 2, 1),)),
+    10: _Pattern(_UVWXY, _square_triangles, _compile_conf10, False, ()),
+    11: _Pattern(_UVWXY, _square_triangles, _compile_conf11, True, ()),
+    12: _Pattern(_UVWXY, _square_triangles, _compile_conf12, True, ()),
+    13: _Pattern(_V5, _labelled_regions(5), _compile_conf13, True, ()),
+    14: _Pattern(_UV, _region_edges, _compile_conf14, True, ()),
+    15: _Pattern(_UV, _region_edges, _compile_conf15, True, ()),
+    16: _Pattern(_UVW, _region_triangles, _compile_conf16, True, ()),
+    17: _Pattern(_UV, _region_edges, _compile_conf17, True, ()),
+    18: _Pattern(_UVW, _region_triangles, _compile_conf18, True, ()),
+    19: _Pattern(_UV, _region_edges, _compile_conf19, True, ()),
 }
 
 
@@ -865,12 +827,19 @@ def _sorted_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, 
 
 def _compile_placements(graph: RotationGraph, pattern: _Pattern) -> tuple[tuple, ...]:
     """The pattern's placements that can match, compiled, in placement order:
-    (names, region ids, judge), kept under ("compiled", k) for pattern k."""
+    (names, region ids, judge), kept under ("compiled", k) for pattern k.
+    Only the least labelling of each orbit of the pattern's symmetries is
+    kept: a placement is skipped when a symmetry maps its vertex tuple to a
+    smaller one."""
     split, compiled = -len(pattern.labels), []
+    images = [itemgetter(*s) for s in pattern.symmetries]
     for p in _placements(graph, pattern):
+        vs = p[split:]
+        if images and any(image(vs) < vs for image in images):
+            continue
         judge = pattern.compile(graph, *p)
         if judge is not None:
-            names = tuple(zip(pattern.labels, p[split:]))
+            names = tuple(zip(pattern.labels, vs))
             compiled.append((names, tuple([r.id for r in p[:split]]), judge))
     return tuple(compiled)
 

@@ -98,7 +98,8 @@ class RotationGraph:
 
     ``facts`` holds what other layers derive from the graph alone (each
     generator's pattern placements, keyed by the generator; the compiled
-    judges ``("compiled", k)``; the charge program ``"charge"``; the
+    judges ``("compiled", k)``; the charge program ``"charge"``; each
+    edge's traces where no discharge rule fires ``"idle traces"``; the
     3-cycles and their crossing edges ``"triangles"``; a support's tables
     ``("matchings", w, zero)``), each kept by :func:`fact` and shared by
     every target on the graph; it takes no part in equality.
@@ -329,8 +330,7 @@ def parse_dtarget(text: str) -> DTarget:
                 rotation_lines[vid] = tuple(int(t) for t in match.group(2).split())
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer neighbour id") from None
-        elif line.startswith("mult"):
-            parts = line.split()
+        elif (parts := line.split())[0] == "mult":
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 'mult <u> <v> <m>'")
             try:
@@ -344,7 +344,7 @@ def parse_dtarget(text: str) -> DTarget:
                 raise NegativeMultiplicity(f"line {lineno}: edge {e} has multiplicity {m}")
             mult_entries[e] = m
         else:
-            raise ParseError(f"line {lineno}: unrecognized directive {line.split()[0]!r}")
+            raise ParseError(f"line {lineno}: unrecognized directive {parts[0]!r}")
     if header_d is None:
         raise ParseError("missing 'dtarget d=<int>' header")
     if not rotation_lines:

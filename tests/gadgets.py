@@ -400,3 +400,32 @@ DEGENERATE_GRAPHS = {
     "square_pendant": ((1, 3, 4), (0, 2), (1, 3), (2, 0), (0,)),
     "p3": ((1,), (0, 2), (1,)),
 }
+
+
+# ---------------------------------------------------------------------------
+# Relabelled copies: the same embedding under other vertex names
+# ---------------------------------------------------------------------------
+
+
+def relabelled(graph: RotationGraph, rng: random.Random, mirror: bool = False):
+    """A copy of the graph under a random vertex relabelling, each rotation
+    list started at a random neighbour and, with ``mirror``, reversed (the
+    mirror image, whose faces are the graph's traced the other way): the
+    map that carries a target on the graph onto that copy."""
+    names = list(range(graph.vertex_count))
+    rng.shuffle(names)
+    rotations = [()] * len(names)
+    for v, rotation in enumerate(graph.rotations):
+        ring = [names[u] for u in (reversed(rotation) if mirror else rotation)]
+        start = rng.randrange(len(ring))
+        rotations[names[v]] = tuple(ring[start:] + ring[:start])
+    copy = RotationGraph(tuple(rotations))
+    where = [copy.edge_index[(names[u], names[v])] for u, v in graph.edges]
+
+    def carry(t: DTarget) -> DTarget:
+        vector = [0] * len(where)
+        for i, m in zip(where, t.mult_vector):
+            vector[i] = m
+        return DTarget(copy, t.d, tuple(vector))
+
+    return carry

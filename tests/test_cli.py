@@ -509,6 +509,8 @@ def test_colour_reads_an_odd_vertex_count_as_not_colourable(tmp_path, capsys):
 EXIT_CODES = {
     **dict.fromkeys(FIXTURE_NAMES, (0, 1, 0, 0)),
     "bowtie": (1, 1, 0, 1),
+    "petersen": (1, 2, 2, 1),
+    "petersen_8": (1, 2, 2, 1),
     "tree": (1, 2, 2, 1),
     "two_k4": (1, 2, 2, 0),
 }

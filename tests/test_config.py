@@ -365,7 +365,7 @@ def test_placements_are_generated_once_per_graph(monkeypatch):
     t = load_fixture("pentagonal_prism")
     first = detect_all(t)
     assert detect_all(DTarget.of(t.graph, t.d, dict(t.mult_items))) == first
-    assert len(wrappers) == 11
+    assert len(wrappers) == 8
     assert runs == dict.fromkeys(wrappers, 1)
     # Beside the placements: each pattern's compiled judges, and the charge
     # program their door table and rim records (the far triangle of each
@@ -534,7 +534,7 @@ def test_a_walk_step_compiles_nothing(monkeypatch):
         ))
     t = load_fixture("pentagonal_prism")
     detect_all(t)
-    assert counts["placements"] == 11 and counts["compile"] > 0
+    assert counts["placements"] == 8 and counts["compile"] > 0
     counts.clear()
     square = next(r for r in t.graph.faces if r.length == 4)
     step = switch_square(t, *square.vertices)

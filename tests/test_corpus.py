@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +13,10 @@ from dtargets.corpus import (
     enumerate_multiplicities,
     load_fixture,
 )
-from dtargets.cuts import is_oddly_connected
+from dtargets.coloring import edge_colour
+from dtargets.cuts import is_oddly_connected, odd_cuts_of
 from dtargets.errors import DTargetError, TooLarge
-from dtargets.planar import DTarget, validate
+from dtargets.planar import DTarget, parse_dtarget, validate
 
 from conftest import FIXTURES
 
@@ -138,3 +140,23 @@ def test_corpus_single_base():
     items = build_corpus(bases=("k4",), limit_per_base=10)
     assert items
     assert all(item.name.startswith("k4/") for item in items)
+
+
+@pytest.mark.parametrize(
+    "name, d, counts",
+    [("petersen", 3, (87, 57, 56)), ("petersen_8", 8, (3_315, 1_539, 1_287))],
+)
+def test_petersen_controls(name, d, counts):
+    # The Petersen graph is not planar, so the theorem says nothing of it:
+    # the enumeration, cuts and colouring still answer, and pin the counts of
+    # targets, oddly connected targets and colourable targets.  Every
+    # colourable target is oddly connected, as a colouring by d perfect
+    # matchings makes every odd cut meet each matching.
+    path = Path(__file__).parent / "data" / f"{name}.dtarget"
+    graph = parse_dtarget(path.read_text()).graph
+    targets = list(enumerate_multiplicities(graph, d, min_mult=0))
+    odd_cuts_of(targets)
+    odd = [is_oddly_connected(t) for t in targets]
+    colourable = [edge_colour(t) is not None for t in targets]
+    assert (len(targets), sum(odd), sum(colourable)) == counts
+    assert all(o for o, c in zip(odd, colourable) if c)

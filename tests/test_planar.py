@@ -209,6 +209,8 @@ INPUT_REFUSALS = {
                               "line 2: non-integer neighbour id"),
     "mult field count": (_PAIR + "mult 0 1\n", ParseError, "line 4: expected 'mult <u> <v> <m>'"),
     "non-integer mult": (_PAIR + "mult 0 1 x\n", ParseError, "line 4: non-integer mult field"),
+    "misspelled mult": (_PAIR + "multiplicity 0 1 8\n", ParseError,
+                        "line 4: unrecognized directive 'multiplicity'"),
     "mult twice": (_PAIR + "mult 0 1 8\nmult 1 0 8\n", ParseError,
                    "line 5: multiplicity given twice for (0, 1)"),
     "unknown directive": (_HEADER + "edge 0 1\n", ParseError,

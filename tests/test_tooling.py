@@ -155,13 +155,38 @@ def test_placement_generators_take_the_graph_only():
 
 
 def test_each_pattern_states_its_structure_in_its_generator_alone():
-    # A pattern is its labels, its placement generator, its compile step and
-    # its door flag: the generator alone states the pattern's structure.
+    # A pattern is its labels, its placement generator, its compile step, its
+    # door flag and its symmetries: the generator alone states the pattern's
+    # structure, and the table row alone its symmetries, which compiling
+    # folds; no generator filters orbits.
     from dtargets import config
 
-    assert config._Pattern._fields == ("labels", "placements", "compile", "doors")
+    assert config._Pattern._fields == ("labels", "placements", "compile", "doors", "symmetries")
+    assert config._Pattern._field_defaults == {}
     assert not hasattr(config, "_region_cycle")
     assert [name for name in vars(config) if name.endswith("_shape")] == []
+    for name in ("_triangle_edges", "_triangle_corners", "_triangle_pair_orbits", "_square_orbits"):
+        assert not hasattr(config, name), name
+    assert len({pattern.placements for pattern in config._PATTERNS.values()}) == 8
+    source = (ROOT / "src" / "dtargets" / "config.py").read_text()
+    tree = ast.parse(source)
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in imported
+    # The orbit test, a comparison against a permuted vertex tuple, is made
+    # in one function: the compile step.
+    readers = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute) and inner.attr == "symmetries"
+    }
+    assert readers == {"_compile_placements"}
 
 
 def test_primality_witnesses_are_the_four_the_checks_can_give():
