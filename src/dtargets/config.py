@@ -336,8 +336,8 @@ class PrimalityVerdict:
 # the placement's regions followed by its named vertices in label order.
 # The generator is the one statement of its pattern's structure (which
 # regions, which cycles, which degrees): it yields each placement of that
-# structure once, and nothing else: every labelling of a symmetric pattern,
-# whose table row states the symmetries that compiling folds.  Bounds a
+# structure once, under every labelling, and nothing else; a symmetric
+# pattern's table row states the symmetries that compiling folds.  Bounds a
 # pattern checks itself, such as a region's least length, are left to its
 # compile step.
 # ---------------------------------------------------------------------------

@@ -168,8 +168,7 @@ def test_each_pattern_states_its_structure_in_its_generator_alone():
     for name in ("_triangle_edges", "_triangle_corners", "_triangle_pair_orbits", "_square_orbits"):
         assert not hasattr(config, name), name
     assert len({pattern.placements for pattern in config._PATTERNS.values()}) == 8
-    source = (ROOT / "src" / "dtargets" / "config.py").read_text()
-    tree = ast.parse(source)
+    tree = ast.parse((ROOT / "src" / "dtargets" / "config.py").read_text())
     imported = {
         alias.name.split(".")[0]
         for node in ast.walk(tree)
@@ -177,8 +176,8 @@ def test_each_pattern_states_its_structure_in_its_generator_alone():
         for alias in node.names
     } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "itertools" not in imported
-    # The orbit test, a comparison against a permuted vertex tuple, is made
-    # in one function: the compile step.
+    # Only the compile step reads a pattern's symmetries: the orbit test is
+    # made there alone.
     readers = {
         node.name
         for node in ast.walk(tree)
