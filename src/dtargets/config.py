@@ -894,7 +894,9 @@ def recheck(t: DTarget, match: ConfigMatch) -> bool:
 def is_prime(t: DTarget) -> PrimalityVerdict:
     """Refuse a non-target (``DTargetError``), then check the structural
     bullets in their fixed order, then the patterns.  With every m >= 1 the
-    strengthened cut also refuses a cut vertex, a 2-cut and m(e) > 6.
+    strengthened cut also refuses a cut vertex, a 2-cut and m(e) > 6; it
+    reads a stored walk, or else searches the planar dual, so no vertex
+    count past the walk's cap is refused.
 
     The first failing check becomes the witness: for the patterns, the least
     match (in vertex-tuple order) of the least pattern index, found without

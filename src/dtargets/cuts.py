@@ -7,10 +7,14 @@ odd set: Y runs over the subsets of {2, ..., n-1} in Gray-code order and X is
 Y, or Y with vertex 1 added when |Y| is even.  ``odd_cuts_of`` walks once for
 a batch of targets on one graph, their values in one int with a lane of w
 bits per target, so a step costs a few int operations for the whole batch.
-``planar.facts`` keeps each target's result under ``"odd_cuts"`` for the
-three views, each a batch of one: ``min_odd_cut``, ``is_oddly_connected``
-and ``strengthened_cut_check``.  Past ``CUT_CAP`` vertices the walk is
-refused with ``TooLarge``; the cap is a constant, not an option.
+``planar.facts`` keeps each target's result under ``"odd_cuts"`` for
+``min_odd_cut`` and ``is_oddly_connected``, each a batch of one, and its
+strengthened-check answer under ``"strengthened"``.  Past ``CUT_CAP``
+vertices the walk is refused with ``TooLarge``; the cap is a constant, not
+an option.  A d-target with n even, every m >= 1 and no walk stored gets
+that check from the planar dual instead, with no cap: a least violation is
+a bond, a simple cycle of the dual (Whitney), since a side that splits has
+an odd part of smaller value, itself a violation or a single vertex.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DTargetError, OddVertexCount, TooLarge
-from .planar import DTarget, facts
+from .planar import DTarget, fact, facts, require_target
 
 CUT_CAP = 24
 
@@ -167,7 +171,10 @@ def odd_cuts_of(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness | N
         raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
     if n > CUT_CAP:
         raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {CUT_CAP}")
-    return facts(targets, "odd_cuts", _scan_odd_cuts)
+    pairs = facts(targets, "odd_cuts", _scan_odd_cuts)
+    # The walk answers the strengthened check too, so no dual search follows it.
+    facts(targets, "strengthened", lambda ts: [p[1] for p in facts(ts, "odd_cuts", _scan_odd_cuts)])
+    return pairs
 
 
 def min_odd_cut(t: DTarget) -> CutWitness:
@@ -188,5 +195,80 @@ def strengthened_cut_check(t: DTarget) -> CutWitness | None:
     """None if every odd X with both sides larger than one has m(delta(X)) >= d+2.
 
     Otherwise the violating witness, minimal by (value, lexicographic X).
+    A d-target with n even and every m >= 1 reads a stored walk, or else
+    searches the planar dual; any other target goes to the walk, which
+    refuses an odd n before it reads anything stored.
     """
-    return odd_cuts_of([t])[0][1]
+    try:
+        require_target(t)
+    except DTargetError:
+        searchable = False
+    else:
+        searchable = t.vertex_count % 2 == 0 and min(t.mult_vector) >= 1
+    if not searchable:
+        return odd_cuts_of([t])[0][1]
+    return fact(t, "strengthened", _dual_violation)
+
+
+def _dual_violation(t: DTarget) -> CutWitness | None:
+    """The least (value, side of vertex 0) over the simple cycles of the
+    dual (one edge per edge, joining its two faces; a bridge is a loop) of
+    weight m at most d whose sides are odd and not single vertices.  A side
+    is odd when the cycle holds an odd number of J's edges: the tree edges
+    above odd subtrees of a breadth-first tree from 0, which every vertex
+    meets an odd number of times.  Each cycle is listed once, from its least
+    face, through larger faces, in the direction whose first edge is below
+    its last."""
+    graph, weight, d = t.graph, t.mult_vector, t.d
+    edges, index, rotations, n = graph.edges, graph.edge_index, graph.rotations, t.vertex_count
+    parent, order = [0] + [-1] * (n - 1), [0]
+    for v in order:  # breadth-first: the list grows as it is read
+        for u in rotations[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    size, up, odd = [1] * n, [0] * n, [0] * len(edges)  # up[v]: the tree edge above v
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+        up[v] = index[(v, parent[v])]
+        odd[up[v]] = size[v] & 1
+    dual: list[list[tuple[int, int, int, int]]] = [[] for _ in graph.faces]
+    for i, (r, s) in enumerate(graph.region_pairs):  # (other face, edge, weight, in J)
+        dual[r.id].append((s.id, i, weight[i], odd[i]))
+        if r is not s:
+            dual[s.id].append((r.id, i, weight[i], odd[i]))
+    cycles = []  # (value, edge indices) of each J-odd cycle
+    for s, around in enumerate(dual):
+        room = d - min(e[2] for e in around)  # the most a path may weigh before it returns
+        path, on, stack, w, p = [], [s], [iter(around)], 0, 0
+        while stack:
+            for f, i, m, o in stack[-1]:
+                if f == s:
+                    if w + m <= d and (not path or path[0] < i) and p ^ o:
+                        cycles.append((w + m, path + [i]))
+                elif f > s and w + m <= room and f not in on:
+                    path.append(i)
+                    on.append(f)
+                    w, p = w + m, p ^ o
+                    stack.append(iter(dual[f]))
+                    break
+            else:
+                stack.pop()
+                on.pop()
+                if path:
+                    i = path.pop()
+                    w, p = w - weight[i], p ^ odd[i]
+    best = None
+    for value, cycle in sorted(cycles, key=lambda c: c[0]):
+        if best is not None and value > best.value:
+            break
+        if any(len(cycle) == len(rotations[v]) and all(v in edges[i] for i in cycle)
+               for v in edges[cycle[0]]):
+            continue  # every edge at one vertex: that vertex is a side
+        cut, crossed = set(cycle), [False] * n  # v's tree path to 0 crosses the cut
+        for v in order[1:]:
+            crossed[v] = crossed[parent[v]] != (up[v] in cut)
+        X = tuple(v for v in range(n) if not crossed[v])
+        if best is None or X < best.X:
+            best = CutWitness(X=X, value=value)
+    return best

@@ -224,8 +224,9 @@ class DTarget:
     structurally.  :meth:`of` builds a target from a mapping of edges, in
     either orientation, to multiplicities.  ``facts`` holds what the
     analysis layers derive from the target, each kept by :func:`fact` (the
-    odd cuts ``"odd_cuts"`` and the door table ``"doors"``); like the cached
-    ``degree_sums``, it takes no part in equality.  ``mult_items`` is a view.
+    odd cuts ``"odd_cuts"``, the strengthened check ``"strengthened"`` and
+    the door table ``"doors"``); like the cached ``degree_sums``, it takes
+    no part in equality.  ``mult_items`` is a view.
     """
 
     graph: RotationGraph

@@ -13,6 +13,7 @@ import random
 from functools import cache
 from pathlib import Path
 
+import oracles
 from dtargets.corpus import enumerate_multiplicities, load_fixture
 from dtargets.errors import WouldGoNegative
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
@@ -366,6 +367,20 @@ def spanning_subgraph_targets(per_graph: int = 20, seed: int = 1) -> tuple[DTarg
                 mult = {e: rng.randint(0, 3) for e in kept}
                 out.append(DTarget.of(RotationGraph(rotations), 8, mult))
     return tuple(out)
+
+
+@cache
+def below_three_connected_graphs() -> tuple[RotationGraph, ...]:
+    """The distinct graphs of ``spanning_subgraph_targets()`` with an even
+    n >= 6, at most 16 edges and a cut vertex or a 2-cut (by the oracle),
+    in order of first appearance."""
+    graphs: dict = {}
+    for t in spanning_subgraph_targets():
+        g = t.graph
+        n = g.vertex_count
+        if n >= 6 and n % 2 == 0 and len(g.edges) <= 16 and oracles.connectivity_level(g) < 3:
+            graphs.setdefault(g.rotations, g)
+    return tuple(graphs.values())
 
 
 def _spanning_subgraph(n: int, edges, keep: float, rng: random.Random) -> set:

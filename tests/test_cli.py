@@ -198,6 +198,21 @@ def test_colour_refuses_the_160_vertex_uniform_antiprism_within_a_second(tmp_pat
     assert out == "" and "more than 16384 perfect matchings" in err
 
 
+def test_classify_decides_the_26_vertex_ladder_that_check_refuses(tmp_path, capsys):
+    # classify's strengthened cut check searches the planar dual, with no
+    # cap; check's minimum odd cut still walks the odd sets and is refused
+    # past 24 vertices.  A not-prime verdict is an honest negative: exit 1.
+    path = tmp_path / "prism26.dtarget"
+    path.write_text(_bench_gen().prism_text(26))
+    code, report = run_json(capsys, ["classify", str(path)])
+    assert code == cli.EXIT_NEGATIVE == 1
+    assert report["verdict"] == "not prime: Conf(4)"
+    assert report["details"]["witness"]["kind"] == "Conf(4)"
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == "" and "exceeds the cut enumeration cap 24" in err
+
+
 def test_colour_answers_an_off_degree_target_before_its_matchings(tmp_path, capsys):
     # A degree sum other than d is an honest negative, answered before the
     # support's matchings are listed: the uniform antiprism above with one

@@ -44,6 +44,7 @@ from gadgets import (
     OCTA_GAMMA2_MULT,
     OCTA_GAMMA6_MULT,
     _bench_gen,
+    below_three_connected_graphs,
     decaprism,
     gear12,
     octa,
@@ -729,14 +730,9 @@ def test_the_strengthened_cut_refuses_every_target_below_three_connected():
     # edge of multiplicity 7; so no target passing the cut check is below
     # 3-connected or has m(e) > 6.  Checked here on every such target of the
     # spanning subgraphs that are not 3-connected.
-    graphs = {}
-    for t in spanning_subgraph_targets():
-        g = t.graph
-        n = g.vertex_count
-        if n >= 6 and n % 2 == 0 and len(g.edges) <= 16 and oracles.connectivity_level(g) < 3:
-            graphs.setdefault(g.rotations, g)
+    graphs = below_three_connected_graphs()
     count = heavy = 0
-    for graph in graphs.values():
+    for graph in graphs:
         targets = list(enumerate_multiplicities(graph, 8, min_mult=1))
         odd_cuts_of(targets)  # one walk per graph; each target keeps its facts
         for t in targets:

@@ -4,14 +4,16 @@ the strengthened check, each against the brute-force oracle."""
 from __future__ import annotations
 
 import random
+import time
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtargets import cuts
-from dtargets.config import is_prime
+from dtargets.config import is_prime, recheck
 from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
     is_oddly_connected,
@@ -23,7 +25,9 @@ from dtargets.errors import DTargetError, OddVertexCount, TooLarge
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
-from gadgets import _bench_gen, prism
+from gadgets import _bench_gen, below_three_connected_graphs, prism, walk_targets
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -179,9 +183,13 @@ def _mixed_batch(name):
     return batch, expected
 
 
+def _pair(witness):
+    return None if witness is None else (witness.value, witness.X)
+
+
 def _as_oracle(facts):
     least, small = facts
-    return (least.value, least.X), None if small is None else (small.value, small.X)
+    return _pair(least), _pair(small)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -224,13 +232,20 @@ def test_an_empty_batch_has_no_facts(monkeypatch):
 
 
 def test_odd_vertex_count_refused():
+    # The triangle meets every other condition of the dual search (degree
+    # sums d, Euler, every m >= 1); a stored answer is never read.
     triangle = RotationGraph(((1, 2), (2, 0), (0, 1)))
     t = DTarget.of(triangle, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
     with pytest.raises(OddVertexCount):
         cuts.odd_cuts_of([t])
     with pytest.raises(OddVertexCount):
         min_odd_cut(t)
+    with pytest.raises(OddVertexCount, match=r"\|V\| = 3 is odd"):
+        strengthened_cut_check(t)
     assert t.facts == {}
+    t.facts["strengthened"] = None
+    with pytest.raises(OddVertexCount):
+        strengthened_cut_check(t)
 
 
 def test_cap_enforced(monkeypatch):
@@ -264,3 +279,149 @@ def test_m_delta_oracle_on_random_subsets(name, data):
         )
     )
     assert m_delta(t, X) == oracles.cut_value(t, X)
+
+
+# ---------------------------------------------------------------------------
+# The strengthened check by the dual search: on a target with n even, faces
+# passing the Euler check, every degree sum d and every m >= 1, and no walk
+# stored, the bonds of the planar dual answer it, with no cap.
+# ---------------------------------------------------------------------------
+
+
+def _walked(targets):
+    """Each target's strengthened violation from the walk, one batch per graph."""
+    batches = {}
+    for t in targets:
+        batches.setdefault(id(t.graph), []).append(t)
+    for batch in batches.values():
+        cuts.odd_cuts_of(batch)
+    return [_pair(cuts.odd_cuts_of([t])[0][1]) for t in targets]
+
+
+def _assert_the_dual_search_agrees(targets, monkeypatch, oracle_up_to=10):
+    """strengthened_cut_check on a fresh copy of each target, with the walk
+    disabled, equals the oracle up to oracle_up_to vertices and the walk
+    elsewhere."""
+    assert all(min(t.mult_vector) >= 1 for t in targets)
+    walked = _walked(targets)
+    expected = [
+        oracles.strengthened_violation(t) if t.vertex_count <= oracle_up_to else w
+        for t, w in zip(targets, walked)
+    ]
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", None)  # only the dual search can answer
+    fresh = [_fresh(t) for t in targets]
+    assert [_pair(strengthened_cut_check(t)) for t in fresh] == expected
+    assert all("odd_cuts" not in t.facts for t in fresh)
+    return expected
+
+
+def test_the_dual_search_agrees_on_the_exhaustive_corpus(monkeypatch):
+    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    expected = _assert_the_dual_search_agrees([i.target for i in items], monkeypatch)
+    assert len(expected) == 2549
+    assert sum(e is not None for e in expected) == 162
+
+
+def test_the_dual_search_agrees_below_three_connected(monkeypatch):
+    # Bridges make dual loops and two faces sharing two edges make parallel
+    # dual edges; every one of these targets is a violation.  The oracle
+    # checks the 1,081 targets with n <= 8; the walk, which the tests above
+    # hold to the oracle, the 1,961 with n = 10 and 12, to keep the cost low.
+    graphs = below_three_connected_graphs()
+    assert sum(any(r is s for r, s in g.region_pairs) for g in graphs) == 80
+    assert any(
+        len(pairs) > len(set(pairs))
+        for g in graphs
+        for pairs in [[(r.id, s.id) for r, s in g.region_pairs if r is not s]]
+    )
+    targets = [t for g in graphs for t in enumerate_multiplicities(g, 8, min_mult=1)]
+    expected = _assert_the_dual_search_agrees(targets, monkeypatch, oracle_up_to=8)
+    assert len(expected) == 3042 and None not in expected
+
+
+def test_the_dual_search_agrees_on_the_walk(monkeypatch):
+    targets = [t for t in walk_targets() if min(t.mult_vector) >= 1]
+    assert {t.vertex_count for t in targets} == {6, 16, 20}
+    _assert_the_dual_search_agrees(targets, monkeypatch)
+
+
+def test_is_prime_on_a_fresh_target_runs_no_walk(monkeypatch):
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", None)
+    fixtures = [_fresh(load_fixture(name)) for name in FIXTURES if name != "k4"]
+    for t in fixtures + [parse_dtarget(_bench_gen().prism_text(20))]:
+        assert is_prime(t).witness is not None
+        assert "strengthened" in t.facts and "odd_cuts" not in t.facts
+
+
+def test_the_scan_runs_no_dual_search(monkeypatch):
+    # The corpus walk stores each target's answer, which is_prime reads.
+    searched = []
+    search = cuts._dual_violation
+
+    def counted(t):
+        searched.append(t)
+        return search(t)
+
+    monkeypatch.setattr(cuts, "_dual_violation", counted)
+    items = build_corpus(limit_per_base=1_000_000)
+    verdicts = [is_prime(item.target) for item in items]
+    assert len(verdicts) == 2527 and not any(v.is_prime for v in verdicts)
+    assert searched == []
+
+
+def test_targets_outside_the_dual_search_keep_the_walk(monkeypatch):
+    # Zero multiplicities, uneven degree sums and a disconnected graph whose
+    # Euler sum is 2 get the walk's answer, which is the oracle's.
+    monkeypatch.setattr(cuts, "_dual_violation", None)
+    batch, expected = _mixed_batch("cube")
+    cases = [
+        (t, want)
+        for t, (_, want) in zip(batch, expected)
+        if 0 in t.mult_vector or set(t.degree_sums) != {t.d}
+    ]
+    assert any(set(t.degree_sums) == {t.d} for t, _ in cases)
+    cube = load_fixture("cube")
+    heavy = DTarget(cube.graph, 8, (cube.mult_vector[0] + 1,) + cube.mult_vector[1:])
+    two_k4 = parse_dtarget((DATA / "two_k4.dtarget").read_text())
+    for t in (heavy, two_k4):
+        cases.append((t, oracles.strengthened_violation(t)))
+    for t, want in cases:
+        t = _fresh(t)
+        assert _pair(strengthened_cut_check(t)) == want
+        assert "odd_cuts" in t.facts
+
+
+def test_an_ineligible_ladder_past_the_cap_is_refused():
+    ladder = parse_dtarget(_bench_gen().prism_text(26))
+    zero = list(ladder.mult_vector)
+    zero[0] = 0
+    uneven = list(ladder.mult_vector)
+    uneven[0] += 1
+    for vector in (zero, uneven):
+        t = DTarget(ladder.graph, 8, tuple(vector))
+        with pytest.raises(TooLarge, match=r"^\|V\| = 26 exceeds the cut enumeration cap 24$"):
+            strengthened_cut_check(t)
+        assert t.facts == {}
+
+
+@pytest.mark.parametrize("n", [26, 28])
+def test_is_prime_decides_the_ladder_past_the_cut_cap(n):
+    t = parse_dtarget(_bench_gen().prism_text(n))
+    verdict = is_prime(t)
+    assert verdict.witness_kind == "Conf(4)"
+    assert recheck(t, verdict.witness)
+    with pytest.raises(TooLarge, match=rf"\|V\| = {n} exceeds the cut enumeration cap 24"):
+        min_odd_cut(t)
+
+
+@pytest.mark.parametrize("kind", ["prism", "antiprism"])
+def test_is_prime_decides_160_vertices_within_a_second(kind):
+    gen = _bench_gen()
+    text = gen.prism_text(160) if kind == "prism" else gen.uniform_text(*gen.antiprism(80), 2)
+    t = parse_dtarget(text)
+    start = time.perf_counter()
+    verdict = is_prime(t)
+    assert time.perf_counter() - start < 1.0
+    assert strengthened_cut_check(t) is None
+    assert verdict.witness_kind == ("Conf(4)" if kind == "prism" else "Conf(3)")
+    assert recheck(t, verdict.witness)
