@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .coloring import edge_colour, verify_colouring
+from .coloring import EdgeColouring, edge_colour, verify_colouring
 from .config import is_prime
 from .corpus import FIXTURE_NAMES, build_corpus
 from .cuts import min_odd_cut
@@ -36,7 +36,14 @@ from .errors import (
     MismatchedD,
     OddVertexCount,
 )
-from .planar import DTarget, parse_dtarget, require_target, serialize_dtarget, validate
+from .planar import (
+    DTarget,
+    automorphisms,
+    parse_dtarget,
+    require_target,
+    serialize_dtarget,
+    validate,
+)
 from .switching import score_sequence, score_smaller, switch_path, switch_square
 
 EXIT_OK = 0
@@ -232,6 +239,44 @@ def cmd_switch(t: DTarget, args) -> Report:
     return Report(f"{operation} switch applied", EXIT_OK, details, lines)
 
 
+def _judged(items):
+    """Each corpus item with its prime verdict and its colouring (None if
+    none was found), judging one target per automorphism orbit.
+
+    Both verdicts are facts of the embedding, which an automorphism of the
+    rotation system keeps, mirror maps included.  So the first item of an
+    orbit is judged, and each image of its multiplicity vector is recorded
+    with its verdicts and the automorphism's map of edges; a later item
+    found there takes the prime verdict and the colouring carried through
+    that map.  The caller still verifies every item's own colouring.
+    """
+    graph = None
+    for item in items:
+        t = item.target
+        if t.graph is not graph:
+            graph, pending, maps = t.graph, {}, []
+            edges, index = graph.edges, graph.edge_index
+            for phi in automorphisms(graph):
+                where = [index[(phi[u], phi[v])] for u, v in edges]
+                maps.append((where, dict(zip(edges, [edges[i] for i in where]))))
+        key = bytes(t.mult_vector)
+        if key in pending:
+            prime, colouring, carry = pending.pop(key)
+            if colouring is not None:
+                matchings = colouring.matchings  # a matching repeats, so carry each once
+                carried = {M: tuple(sorted(map(carry.__getitem__, M))) for M in set(matchings)}
+                colouring = EdgeColouring(tuple(map(carried.__getitem__, matchings)))
+        else:
+            prime, colouring = is_prime(t).is_prime, edge_colour(t)
+            image = bytearray(len(key))
+            for where, carry in maps:
+                for i, m in zip(where, key):
+                    image[i] = m
+                pending.setdefault(bytes(image), (prime, colouring, carry))
+            del pending[key]  # the identity's image
+        yield item, prime, colouring
+
+
 def cmd_scan(t: None, args) -> Report:
     if args.limit_per_base < 1:
         raise DTargetError(f"--limit-per-base {args.limit_per_base} is below 1")
@@ -242,13 +287,11 @@ def cmd_scan(t: None, args) -> Report:
     primes: list[str] = []
     colour_mismatches: list[str] = []
     per_base: dict[str, int] = {}
-    for item in items:
+    for item, prime, colouring in _judged(items):
         base = item.name.split("/")[0]
         per_base[base] = per_base.get(base, 0) + 1
-        verdict = is_prime(item.target)
-        if verdict.is_prime:
+        if prime:
             primes.append(item.name)
-        colouring = edge_colour(item.target)
         if colouring is None or not verify_colouring(item.target, colouring):
             colour_mismatches.append(item.name)
     ok = not primes and not colour_mismatches

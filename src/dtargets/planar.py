@@ -101,8 +101,9 @@ class RotationGraph:
     judges ``("compiled", k)``; the charge program ``"charge"``; each
     edge's traces where no discharge rule fires ``"idle traces"``; the
     3-cycles and their crossing edges ``"triangles"``; a support's tables
-    ``("matchings", w, zero)``), each kept by :func:`fact` and shared by
-    every target on the graph; it takes no part in equality.
+    ``("matchings", w, zero)``; the rotation system's automorphisms
+    ``"automorphisms"``), each kept by :func:`fact` and shared by every
+    target on the graph; it takes no part in equality.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -382,6 +383,67 @@ def region_pair(t: DTarget, e: Edge) -> tuple[Region, Region]:
     if r1 is r2:
         raise NotTwoConnected(f"edge {norm_edge(u, v)} borders region {r1.id} twice")
     return r1, r2
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+# ---------------------------------------------------------------------------
+
+
+def automorphisms(graph: RotationGraph) -> tuple[tuple[int, ...], ...]:
+    """The rotation system's automorphisms as vertex maps (each the tuple of
+    the vertices' images), the identity first; a graph fact.
+
+    A plain map carries each rotation onto a cyclic shift of its image's
+    rotation, a mirror map onto a cyclic shift of its reverse, so both carry
+    faces to faces.  On a connected graph a map is fixed by the image of one
+    dart and its orientation (Weinberg, 1966), so each of the 2 * 2E
+    candidates is laid around the rotations and kept if it closes up.
+    """
+    return fact(graph, "automorphisms", _automorphisms)
+
+
+def _automorphisms(graph: RotationGraph) -> tuple[tuple[int, ...], ...]:
+    if not _is_connected(graph):
+        raise EulerViolation("graph is disconnected: not a connected planar drawing")
+    rotations = graph.rotations
+    if not rotations[0]:
+        return ((0,),)
+    position = [{u: i for i, u in enumerate(rot)} for rot in rotations]
+    found = (
+        _laid_map(rotations, position, a, b, s)
+        for a in range(len(rotations))
+        for b in rotations[a]
+        for s in (1, -1)
+    )
+    # With every degree at most 2 a map is plain and mirror at once.
+    return tuple(dict.fromkeys(phi for phi in found if phi is not None))
+
+
+def _laid_map(rotations, position, a: int, b: int, s: int) -> tuple[int, ...] | None:
+    """The automorphism taking vertex 0 to a and its first neighbour to b,
+    turning rotations forwards (s = 1) or backwards (s = -1), if one does:
+    each reached vertex's rotation is laid onto its image's from a
+    neighbour whose image is known.  A map that lays every rotation onto
+    its image's covers the connected graph, so it is onto, and one-to-one
+    on as many vertices."""
+    image = [-1] * len(rotations)
+    image[0] = a
+    stack = [(0, rotations[0][0], b)]
+    while stack:
+        v, u, w = stack.pop()
+        rot, image_rot = rotations[v], rotations[image[v]]
+        k, i, j = len(rot), position[v][u], position[image[v]][w]
+        if len(image_rot) != k:
+            return None
+        for step in range(k):
+            x, y = rot[(i + step) % k], image_rot[(j + s * step) % k]
+            if image[x] < 0:
+                image[x] = y
+                stack.append((x, v, image[v]))
+            elif image[x] != y:
+                return None
+    return tuple(image)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 import oracles
 from dtargets.corpus import enumerate_multiplicities, load_fixture
 from dtargets.errors import WouldGoNegative
-from dtargets.planar import DTarget, RotationGraph, parse_dtarget
+from dtargets.planar import DTarget, RotationGraph, automorphisms, parse_dtarget
 from dtargets.switching import switch_square
 
 # ---------------------------------------------------------------------------
@@ -444,3 +444,15 @@ def relabelled(graph: RotationGraph, rng: random.Random, mirror: bool = False):
         return DTarget(copy, t.d, tuple(vector))
 
     return carry
+
+
+def orbit(t: DTarget) -> set[tuple[int, ...]]:
+    """The multiplicity vectors of t's images under the automorphisms of its
+    graph's rotation system, t's own among them."""
+    graph, images = t.graph, set()
+    for phi in automorphisms(graph):
+        vector = [0] * len(graph.edges)
+        for (u, v), m in t.mult_items:
+            vector[graph.edge_index[(phi[u], phi[v])]] = m
+        images.add(tuple(vector))
+    return images

@@ -89,6 +89,28 @@ def connectivity_level(graph):
     return 3
 
 
+def rotation_automorphism(rotations, phi):
+    """Whether the vertex map phi is a bijection that carries every rotation
+    onto its image's rotation up to where it starts: every one read forwards
+    (a plain map) or every one read backwards (a mirror map)."""
+    n = len(rotations)
+    if sorted(phi) != list(range(n)):
+        return False
+
+    def carried(backwards):
+        for v in range(n):
+            ring = [phi[u] for u in rotations[v]]
+            if backwards:
+                ring.reverse()
+            target = list(rotations[phi[v]])
+            shifts = [ring[i:] + ring[:i] for i in range(len(ring))] or [[]]
+            if target not in shifts:
+                return False
+        return True
+
+    return carried(False) or carried(True)
+
+
 # ---------------------------------------------------------------------------
 # Matchings and colourings
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from dtargets.corpus import FIXTURE_NAMES, build_corpus, load_fixture
 from dtargets.errors import IdentityViolation
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget, serialize_dtarget
 
-from gadgets import _bench_gen, prism
+from gadgets import _bench_gen, orbit, prism
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "dtargets" / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -371,10 +372,20 @@ def test_scan_exits_3_and_lists_the_targets_it_could_not_colour(capsys, monkeypa
     assert payload["details"]["prime"] == []
 
 
-def test_scan_exits_3_and_names_a_target_read_as_prime(capsys, monkeypatch):
-    # The safety net for a wrong prime verdict: one k4 target reads prime.
+def _a_k4_orbit():
+    """The k4 scan items k4/0002 and k4/0003, one automorphism orbit: the
+    scan judges the first and carries its verdicts to the second."""
     items = build_corpus(bases=("k4",), limit_per_base=5)
-    prime = items[-1]
+    first = items[3]
+    members = [i.name for i in items if i.target.mult_vector in orbit(first.target)]
+    assert members == ["k4/0002", "k4/0003"]
+    return first, members
+
+
+def test_scan_exits_3_and_names_a_target_read_as_prime(capsys, monkeypatch):
+    # The safety net for a wrong prime verdict: one k4 orbit reads prime.
+    # The scan judges the orbit's first target alone and names every member.
+    prime, members = _a_k4_orbit()
     is_prime = cli.is_prime
     monkeypatch.setattr(
         cli,
@@ -386,11 +397,50 @@ def test_scan_exits_3_and_names_a_target_read_as_prime(capsys, monkeypatch):
     argv = ["scan", "--bases", "k4", "--limit-per-base", "5"]
     code, out, _ = run(capsys, argv)
     assert code == cli.EXIT_VIOLATION == 3
-    assert f"  PRIME: {prime.name}" in out.splitlines()
+    assert [f"  PRIME: {name}" for name in members] == [
+        line for line in out.splitlines() if line.startswith("  PRIME:")
+    ]
     code, payload = run_json(capsys, argv)
     assert code == payload["exit_code"] == cli.EXIT_VIOLATION
-    assert payload["details"]["prime"] == [prime.name]
+    assert payload["details"]["prime"] == members
     assert payload["details"]["uncolourable"] == []
+
+
+def test_scan_exits_3_and_names_the_orbit_of_a_target_it_could_not_colour(capsys, monkeypatch):
+    # The colouring search fails on one k4 orbit's first target alone: every
+    # member of that orbit is listed, and no other target.
+    uncoloured, members = _a_k4_orbit()
+    edge_colour = cli.edge_colour
+    monkeypatch.setattr(
+        cli,
+        "edge_colour",
+        lambda t: None if t.mult_vector == uncoloured.target.mult_vector else edge_colour(t),
+    )
+    argv = ["scan", "--bases", "k4", "--limit-per-base", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == cli.EXIT_VIOLATION == 3
+    assert [f"  UNCOLOURABLE: {name}" for name in members] == [
+        line for line in out.splitlines() if line.startswith("  UNCOLOURABLE:")
+    ]
+    code, payload = run_json(capsys, argv)
+    assert code == payload["exit_code"] == cli.EXIT_VIOLATION
+    assert payload["details"]["uncolourable"] == members
+    assert payload["details"]["prime"] == []
+
+
+def test_the_exhaustive_scan_judges_each_orbit_once_and_verifies_every_colouring(
+    capsys, monkeypatch
+):
+    calls = Counter()
+    for name in ("is_prime", "edge_colour", "verify_colouring"):
+        def counted(*args, _call=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, payload = run_json(capsys, ["scan", "--limit-per-base", "1000000"])
+    assert code == 0 and payload["details"]["items"] == 2_527
+    assert calls == {"is_prime": 248, "edge_colour": 248, "verify_colouring": 2_527}
 
 
 def test_classify_exits_3_on_a_prime_verdict(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from functools import cached_property
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from dtargets.errors import (
 from dtargets.planar import (
     DTarget,
     RotationGraph,
+    automorphisms,
     connectivity_level,
     fact,
     facts,
@@ -39,7 +41,7 @@ from dtargets.switching import add_zero_edge, switch_path
 
 import oracles
 from conftest import FIXTURES
-from gadgets import _bench_gen
+from gadgets import _bench_gen, relabelled
 
 EXPECTED_FACE_PROFILE = {
     # name: (vertex count, edge count, sorted face lengths)
@@ -506,3 +508,60 @@ def test_facts_whose_compute_raises_store_nothing():
     assert facts([first, second], "flaky", compute) == ["done", "done"]
     assert first.facts["flaky"] == second.facts["flaky"] == "done"
     assert len(calls) == 2
+
+
+GROUP_ORDERS = {"k4": 24, "prism": 12, "cube": 48, "octahedron": 48, "pentagonal_prism": 20}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_automorphisms_form_a_group_of_the_known_order(name):
+    # Each map re-checks against the rotations directly; the list starts
+    # with the identity, holds no map twice, and is closed under composition.
+    graph = load_fixture(name).graph
+    maps = automorphisms(graph)
+    assert graph.facts["automorphisms"] is maps
+    assert len(maps) == len(set(maps)) == GROUP_ORDERS[name]
+    assert maps[0] == tuple(range(graph.vertex_count))
+    assert all(oracles.rotation_automorphism(graph.rotations, phi) for phi in maps)
+    assert {tuple(a[i] for i in b) for a in maps for b in maps} == set(maps)
+
+
+@pytest.mark.parametrize("name", ["k4", "prism", "octahedron", "cube"])
+def test_automorphisms_are_every_map_the_brute_force_finds(name):
+    graph = load_fixture(name).graph
+    brute = [
+        phi
+        for phi in permutations(range(graph.vertex_count))
+        if oracles.rotation_automorphism(graph.rotations, phi)
+    ]
+    assert sorted(automorphisms(graph)) == brute
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_relabelled_and_mirrored_copies_have_groups_of_the_same_order(name):
+    graph = load_fixture(name).graph
+    rng = random.Random(name)
+    for mirror in (False, True):
+        copy = relabelled(graph, rng, mirror)(load_fixture(name)).graph
+        maps = automorphisms(copy)
+        assert len(maps) == GROUP_ORDERS[name]
+        assert all(oracles.rotation_automorphism(copy.rotations, phi) for phi in maps)
+
+
+def test_automorphisms_refuse_a_disconnected_graph_and_fix_a_lone_vertex():
+    graph = parse_dtarget((DATA / "two_k4.dtarget").read_text()).graph
+    with pytest.raises(EulerViolation):
+        automorphisms(graph)
+    assert "automorphisms" not in graph.facts
+    assert automorphisms(RotationGraph(((),))) == ((0,),)
+
+
+def test_a_cycle_lists_each_of_its_symmetries_once():
+    # Every degree is 2, so each plain map is a mirror map too.
+    n = 5
+    graph = RotationGraph(tuple(((v - 1) % n, (v + 1) % n) for v in range(n)))
+    maps = automorphisms(graph)
+    assert len(maps) == len(set(maps)) == 2 * n
+    assert sorted(maps) == [
+        phi for phi in permutations(range(n)) if oracles.rotation_automorphism(graph.rotations, phi)
+    ]

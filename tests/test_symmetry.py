@@ -9,14 +9,14 @@ from itertools import groupby
 
 import pytest
 
-from dtargets import config
-from dtargets.coloring import edge_colour
+from dtargets import cli, config
+from dtargets.coloring import edge_colour, verify_colouring
 from dtargets.config import detect_all, door_table, is_prime
-from dtargets.corpus import FIXTURE_NAMES, build_corpus
+from dtargets.corpus import FIXTURE_NAMES, build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import min_odd_cut, odd_cuts_of, strengthened_cut_check
 from dtargets.discharge import charge_report
 
-from gadgets import relabelled, walk_targets
+from gadgets import orbit, relabelled, walk_targets
 
 # Each symmetric pattern's symmetries, read off its definition in the paper
 # and written here as label maps that generate them: relabelled so, the
@@ -146,3 +146,50 @@ def test_relabelled_and_mirrored_copies_answer_alike(base):
         answers = _answers(t)
         for image in images:
             assert _answers(image) == answers, (t, image)
+
+
+def _orbit_counts(targets):
+    """The number of automorphism orbits among the targets, per base graph
+    in order of first appearance."""
+    counts = []
+    for _, group in groupby(targets, key=lambda t: t.graph):
+        seen, orbits = set(), 0
+        for t in group:
+            if t.mult_vector not in seen:
+                orbits += 1
+                seen |= orbit(t)
+        counts.append(orbits)
+    return counts
+
+
+def test_orbit_counts_of_every_assignment():
+    # Every d = 8 assignment on each base, zero multiplicities allowed:
+    # 45, 215, 5,301, 8,545 and 8,105 targets.
+    targets = [
+        t for name in FIXTURE_NAMES
+        for t in enumerate_multiplicities(load_fixture(name).graph, 8, min_mult=0)
+    ]
+    assert len(targets) == 22_211
+    assert _orbit_counts(targets) == [10, 55, 242, 267, 915]
+
+
+def test_orbit_counts_of_the_scan_corpora():
+    exhaustive = [item.target for item in build_corpus(FIXTURE_NAMES, 1_000_000)]
+    assert len(exhaustive) == 2_527
+    assert _orbit_counts(exhaustive) == [5, 16, 52, 23, 152]
+    default = [item.target for item in build_corpus()]
+    assert (len(default), sum(_orbit_counts(default))) == (213, 102)
+
+
+def test_the_scan_attributes_each_target_its_own_verdicts():
+    # Judging one target per orbit loses nothing: on every exhaustive scan
+    # target the verdicts the scan gives equal the target's own, and each
+    # carried colouring verifies on the target it was carried to.
+    items = build_corpus(FIXTURE_NAMES, 1_000_000)
+    judged = list(cli._judged(items))
+    assert [item for item, _, _ in judged] == items
+    for item, prime, colouring in judged:
+        t = item.target
+        assert prime == is_prime(t).is_prime, item.name
+        assert (colouring is not None) == (edge_colour(t) is not None), item.name
+        assert colouring is None or verify_colouring(t, colouring), item.name
