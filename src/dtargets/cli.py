@@ -38,7 +38,6 @@ from .errors import (
 )
 from .planar import (
     DTarget,
-    automorphisms,
     parse_dtarget,
     require_target,
     serialize_dtarget,
@@ -241,39 +240,28 @@ def cmd_switch(t: DTarget, args) -> Report:
 
 def _judged(items):
     """Each corpus item with its prime verdict and its colouring (None if
-    none was found), judging one target per automorphism orbit.
+    none was found), judging the first item of each automorphism orbit.
 
     Both verdicts are facts of the embedding, which an automorphism of the
-    rotation system keeps, mirror maps included.  So the first item of an
-    orbit is judged, and each image of its multiplicity vector is recorded
-    with its verdicts and the automorphism's map of edges; a later item
-    found there takes the prime verdict and the colouring carried through
-    that map.  The caller still verifies every item's own colouring.
+    rotation system keeps, mirror maps included.  So a later item of an
+    orbit takes its first item's prime verdict and colouring, carried
+    through the item's edge map.  The caller still verifies every item's
+    own colouring.
     """
-    graph = None
+    verdicts = {}
     for item in items:
         t = item.target
-        if t.graph is not graph:
-            graph, pending, maps = t.graph, {}, []
-            edges, index = graph.edges, graph.edge_index
-            for phi in automorphisms(graph):
-                where = [index[(phi[u], phi[v])] for u, v in edges]
-                maps.append((where, dict(zip(edges, [edges[i] for i in where]))))
-        key = bytes(t.mult_vector)
-        if key in pending:
-            prime, colouring, carry = pending.pop(key)
-            if colouring is not None:
-                matchings = colouring.matchings  # a matching repeats, so carry each once
-                carried = {M: tuple(sorted(map(carry.__getitem__, M))) for M in set(matchings)}
-                colouring = EdgeColouring(tuple(map(carried.__getitem__, matchings)))
+        if item.first is None:
+            prime, colouring = verdicts[item.name] = is_prime(t).is_prime, edge_colour(t)
         else:
-            prime, colouring = is_prime(t).is_prime, edge_colour(t)
-            image = bytearray(len(key))
-            for where, carry in maps:
-                for i, m in zip(where, key):
-                    image[i] = m
-                pending.setdefault(bytes(image), (prime, colouring, carry))
-            del pending[key]  # the identity's image
+            prime, colouring = verdicts[item.first.name]
+            if colouring is not None:
+                edges, index, where = t.graph.edges, t.graph.edge_index, item.edge_map
+                matchings = colouring.matchings  # a matching repeats, so carry each once
+                carried = {
+                    M: tuple(sorted(edges[where[index[e]]] for e in M)) for M in set(matchings)
+                }
+                colouring = EdgeColouring(tuple(map(carried.__getitem__, matchings)))
         yield item, prime, colouring
 
 

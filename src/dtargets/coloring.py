@@ -20,9 +20,9 @@ not its faces, so a graph whose faces cannot be traced is still searched.
 The frame stack, one frame per placed matching, is the search's whole state.
 
 The residual (one lane per graph edge) and the slacks m(delta(X)) - k (one
-lane per triangle) are each one int of w-bit lanes under a guard bit, in
-the lane format of ``cuts``: placing a matching is one subtraction per int,
-an edge's residual is 0 where its guard clears on subtracting 1, and a slack
+lane per triangle) are each one int of w-bit lanes, each value below its
+lane's top (guard) bit: placing a matching is one subtraction per int, an
+edge's residual is 0 where its guard clears on subtracting 1, and a slack
 is negative where its guard is gone.  A support's matchings, as lane packs
 listed breadth-first and sorted back into lexicographic order, are a fact of
 the graph kept by ``planar.fact`` under w and the support's zero set, so
@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cuts import _lane_width, _ones, _pack
 from .errors import OddVertexCount, TooLarge
 from .planar import DTarget, Edge, RotationGraph, fact
 
@@ -52,9 +51,22 @@ class EdgeColouring:
 
 
 def _width(t: DTarget) -> int:
-    """The search's lane width: a residual lane holds at most the largest
-    multiplicity, and a slack lane, once the degree sums are d, at most 2d."""
-    return _lane_width(max(max(t.mult_vector, default=0), 2 * t.d))
+    """The search's lane width, a multiple of 8 bits with the top one free
+    for the guard: a residual lane holds at most the largest multiplicity,
+    and a slack lane, once the degree sums are d, at most 2d."""
+    top = max(max(t.mult_vector, default=0), 2 * t.d)
+    return 8 * (top.bit_length() // 8 + 1)
+
+
+def _ones(count: int, w: int) -> int:  # a 1 in each of count w-bit lanes
+    return ((1 << count * w) - 1) // ((1 << w) - 1)
+
+
+def _pack(values, w: int) -> int:
+    """One int holding values[i] in bits i*w to i*w + w - 1 (w a multiple of 8)."""
+    if w == 8:  # one byte a lane: bytes() packs it without a call per value
+        return int.from_bytes(bytes(values), "little")
+    return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
 
 
 def _refuse(t: DTarget, cap: int | None) -> None:

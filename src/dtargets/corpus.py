@@ -1,19 +1,21 @@
 """Bundled base graphs and systematic multiplicity enumeration over them.
 
 The enumeration refuses a graph with more than ``ENUM_CAP`` edges
-(``TooLarge``); the cap is a constant, not an option.
+(``TooLarge``); the cap is a constant, not an option.  ``build_corpus``
+checks one candidate per automorphism orbit and links the orbit's other
+kept members to it, so later layers can judge each orbit once too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, count, islice
+from itertools import chain, count
 from typing import Iterator
 
-from .cuts import is_oddly_connected, odd_cuts_of
+from .cuts import is_oddly_connected
 from .errors import DTargetError, TooLarge
-from .planar import DTarget, RotationGraph, parse_dtarget, validate
+from .planar import DTarget, RotationGraph, automorphisms, parse_dtarget, validate
 
 ENUM_CAP = 16
 
@@ -93,23 +95,31 @@ def enumerate_multiplicities(
 
 @dataclass(frozen=True)
 class CorpusItem:
+    """A named corpus target.  ``first`` is the first kept item of the
+    target's automorphism orbit, None on that item itself, and ``edge_map``
+    the automorphism's map of edge indices carrying first's target onto
+    this one: edge i of one is edge ``edge_map[i]`` of the other, with the
+    same multiplicity.  Neither takes part in equality."""
+
     name: str
     target: DTarget
+    first: CorpusItem | None = field(default=None, compare=False, repr=False)
+    edge_map: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def build_corpus(
-    bases: tuple[str, ...] = FIXTURE_NAMES,
-    limit_per_base: int = 48,
-    require_oddly_connected: bool = True,
+    bases: tuple[str, ...] = FIXTURE_NAMES, limit_per_base: int = 48
 ) -> list[CorpusItem]:
     """A deterministic target list: for each base graph, its bundled
     multiplicity assignment first, then its d = 8 assignments with every
     multiplicity positive in enumeration order, each kept only if it
-    validates (and, if required, is oddly connected), capped at
-    limit_per_base.
+    validates and is oddly connected, capped at limit_per_base.
 
-    Candidates come in slices of as many as are still wanted, each slice's
-    odd cuts in one batch, so an exhaustive base runs one odd-cut walk.  A
+    An automorphism of the rotation system keeps the degree check, the
+    Euler check and odd connectivity, so one pass per base checks the first
+    candidate of each orbit alone and records every image of its
+    multiplicity vector; a later candidate found there takes its verdict
+    and, if kept, links to the first item through the automorphism.  A
     refusal of the cut check (past ``cuts.CUT_CAP`` vertices) is raised, not
     read as a negative verdict, and so is a base named twice.
     """
@@ -118,23 +128,34 @@ def build_corpus(
     items: list[CorpusItem] = []
     for base in bases:
         canonical = load_fixture(base)
+        graph = canonical.graph
+        edges, index = graph.edges, graph.edge_index
+        wheres = [tuple(index[(phi[u], phi[v])] for u, v in edges) for phi in automorphisms(graph)]
+        # Each edge map with its inverse, which reads a vector's image off it.
+        maps = [(where, sorted(range(len(edges)), key=where.__getitem__)) for where in wheres]
         # The enumeration yields each assignment once, so only the canonical
         # target can come up twice.
-        enumerated = enumerate_multiplicities(canonical.graph, 8, min_mult=1)
+        enumerated = enumerate_multiplicities(graph, 8, min_mult=1)
         others = (t for t in enumerated if t != canonical)
-        candidates = chain([canonical] if canonical.d == 8 else [], others)
-        kept: list[DTarget] = []
-        while len(kept) < limit_per_base:
-            batch = list(islice(candidates, limit_per_base - len(kept)))
-            if not batch:
+        orbits: dict = {}  # vector -> (its orbit's first item, None if failed; edge map)
+        kept, numbers = 0, count()
+        for t in chain([canonical] if canonical.d == 8 else [], others):
+            if kept >= limit_per_base:
                 break
-            valid = [t for t in batch if (r := validate(t)).degree_ok and r.euler_ok]
-            if require_oddly_connected:
-                odd_cuts_of(valid)
-                valid = [t for t in valid if is_oddly_connected(t)]
-            kept += valid
-        numbers = count()
-        for t in kept:
-            name = "canonical" if t is canonical else f"{next(numbers):04d}"
-            items.append(CorpusItem(f"{base}/{name}", t))
+            vector = t.mult_vector
+            seen = orbits.get(vector)
+            if seen is None:
+                r = validate(t)
+                keep = r.degree_ok and r.euler_ok and is_oddly_connected(t)
+            else:
+                keep = seen[0] is not None
+            item = None
+            if keep:
+                name = "canonical" if t is canonical else f"{next(numbers):04d}"
+                item = CorpusItem(f"{base}/{name}", t, *(seen or (None, None)))
+                items.append(item)
+                kept += 1
+            if seen is None:
+                for where, back in maps:
+                    orbits.setdefault(tuple(map(vector.__getitem__, back)), (item, where))
     return items

@@ -4,11 +4,9 @@ All cut values are multiplicity-weighted: m(delta(X)) sums m(e) over the
 edges with exactly one end in X.  The odd-cut facts come from one walk over
 the odd X without vertex 0, which by the complement symmetry stand for every
 odd set: Y runs over the subsets of {2, ..., n-1} in Gray-code order and X is
-Y, or Y with vertex 1 added when |Y| is even.  ``odd_cuts_of`` walks once for
-a batch of targets on one graph, their values in one int with a lane of w
-bits per target, so a step costs a few int operations for the whole batch.
-``planar.facts`` keeps each target's result under ``"odd_cuts"`` for
-``min_odd_cut`` and ``is_oddly_connected``, each a batch of one, and its
+Y, or Y with vertex 1 added when |Y| is even, so a step updates the cut
+value by one vertex's edges.  ``planar.fact`` keeps the result under
+``"odd_cuts"`` for ``min_odd_cut`` and ``is_oddly_connected``, and its
 strengthened-check answer under ``"strengthened"``.  Past ``CUT_CAP``
 vertices the walk is refused with ``TooLarge``; the cap is a constant, not
 an option.  A d-target with n even, every m >= 1 and no walk stored gets
@@ -22,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DTargetError, OddVertexCount, TooLarge
-from .planar import DTarget, fact, facts, require_target
+from .planar import DTarget, fact, require_target
 
 CUT_CAP = 24
 
@@ -46,43 +44,22 @@ def m_delta(t: DTarget, X) -> int:
     return total
 
 
-def _lane_width(top: int) -> int:
-    """Bits per lane for values up to top: a multiple of 8, top bit free for the guard."""
-    return 8 * (top.bit_length() // 8 + 1)
+def _scan_odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
+    """The one walk over t's odd sets: the minimum odd cut and the least odd
+    cut with both sides larger than one and value below d + 2 (None if there
+    is none), each tie broken by lexicographically least X over the sets and
+    their complements.
 
-
-def _ones(count: int, w: int) -> int:  # a 1 in each of count w-bit lanes
-    return ((1 << count * w) - 1) // ((1 << w) - 1)
-
-
-def _pack(values, w: int) -> int:
-    """One int holding values[i] in bits i*w to i*w + w - 1 (w a multiple of 8)."""
-    if w == 8:  # one byte a lane: bytes() packs it without a call per value
-        return int.from_bytes(bytes(values), "little")
-    return int.from_bytes(b"".join(v.to_bytes(w // 8, "little") for v in values), "little")
-
-
-def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness | None]]:
-    """The one walk for targets on one graph: for each, the minimum odd cut
-    and the least odd cut with both sides larger than one and value below
-    d + 2 (None if there is none), each tie broken by lexicographically least
-    X over the sets and their complements.
-
-    Lane i of ``X`` holds target i's m(delta(X)) below its top (guard) bit,
-    as no value exceeds the total multiplicity.  A limit packs 2**(w-1) + b_i
-    per lane, so its difference with ``X`` keeps the guard bit exactly where
-    the value is at most b_i, with no borrow between lanes.
+    Per bound, ``least`` and ``small`` hold the best value so far, or the
+    bound less one before any set reaches it, and the list beside each the
+    sets at that value.  V minus 0 has value degree_sum(0) and (0,) is the
+    least set, so the minimum collects only values below that at first.
     """
-    n = targets[0].vertex_count
-    top = max(max(sum(t.degree_sums) // 2, t.d + 1) for t in targets)
-    w = _lane_width(top)
-    lane = (1 << w) - 1
-    guards = _ones(len(targets), w) << (w - 1)
-    # Per vertex: its packed degree sum, its neighbours that can be in Y (by
-    # bit, with twice the packed edge) and twice its packed edge to vertex 1.
+    n = t.vertex_count
+    # Per vertex: its degree sum, its neighbours that can be in Y (by bit,
+    # with twice the edge's multiplicity) and twice its multiplicity to vertex 1.
     degree, inner, to_1 = [0] * n, [[] for _ in range(n)], [0] * n
-    for (u, v), column in zip(targets[0].graph.edges, zip(*(t.mult_vector for t in targets))):
-        m = _pack(column, w)
+    for (u, v), m in zip(t.graph.edges, t.mult_vector):
         degree[u] += m
         degree[v] += m
         if u >= 2:
@@ -91,25 +68,7 @@ def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness 
         elif u == 1:
             to_1[v] = 2 * m
     table = [(1 << f, degree[f], inner[f], to_1[f]) for f in range(n)]
-    # Per bound (minimum, strengthened check) and lane: the best value so far
-    # and the sets reaching it.  V minus 0 has value degree_sum(0) and (0,) is
-    # the least set, so the minimum collects only values below that at first.
-    best = [[t.degree_sums[0] for t in targets], [t.d + 2 for t in targets]]
-    masks = [[[] for _ in targets], [[] for _ in targets]]
-    limits = [_pack([(1 << (w - 1)) + b - 1 for b in bs], w) for bs in best]
-
-    def collect(k: int, hits: int, X: int, x: int) -> None:
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            i = low.bit_length() // w - 1
-            v = X >> (i * w) & lane
-            if v == best[k][i]:
-                masks[k][i].append(x)
-            else:
-                limits[k] += (v - best[k][i] + (not masks[k][i])) << (i * w)
-                best[k][i], masks[k][i] = v, [x]
-
+    least, small, at_least, at_small = t.degree_sums[0] - 1, t.d + 1, [], []
     one = degree[1]
     value = y_to_1 = Y = 0
     for counter in range(1 << (n - 2)):
@@ -130,16 +89,18 @@ def _scan_odd_cuts(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness 
             X, x = value, Y
         else:
             X, x = value + one - y_to_1, Y | 2
-        hits = (limits[0] - X) & guards
-        if hits:
-            collect(0, hits, X, x)
-        hits = (limits[1] - X) & guards
-        if hits and 1 < x.bit_count() < n - 1:
-            collect(1, hits, X, x)
-    return [
-        (_least_witness(v, ms, n) or CutWitness(X=(0,), value=v), _least_witness(s, ss, n))
-        for v, ms, s, ss in zip(best[0], masks[0], best[1], masks[1])
-    ]
+        if X <= least:
+            if X < least:
+                least, at_least = X, []
+            at_least.append(x)
+        if X <= small and 1 < x.bit_count() < n - 1:
+            if X < small:
+                small, at_small = X, []
+            at_small.append(x)
+    return (
+        _least_witness(least, at_least, n) or CutWitness(X=(0,), value=t.degree_sums[0]),
+        _least_witness(small, at_small, n),
+    )
 
 
 def _least_witness(value: int, masks: list[int], n: int) -> CutWitness | None:
@@ -156,25 +117,19 @@ def _least_witness(value: int, masks: list[int], n: int) -> CutWitness | None:
     return CutWitness(X=tuple(X), value=value)
 
 
-def odd_cuts_of(targets: list[DTarget]) -> list[tuple[CutWitness, CutWitness | None]]:
-    """The odd-cut facts (minimum odd cut, strengthened-check violation or
-    None) of targets on one graph, in order; those not yet known come from
-    one walk.  The refusals come first, so they never depend on what is
-    already stored."""
-    if not targets:
-        return []
-    graph = targets[0].graph
-    if any(t.graph != graph for t in targets):
-        raise DTargetError("odd cuts are computed for targets on one graph only")
-    n = graph.vertex_count
+def _odd_cuts(t: DTarget) -> tuple[CutWitness, CutWitness | None]:
+    """t's odd-cut facts (minimum odd cut, strengthened-check violation or
+    None), from the walk if not yet known.  The refusals come first, so they
+    never depend on what is already stored."""
+    n = t.vertex_count
     if n % 2 != 0:
         raise OddVertexCount(f"|V| = {n} is odd; odd-cut analysis needs it even")
     if n > CUT_CAP:
         raise TooLarge(f"|V| = {n} exceeds the cut enumeration cap {CUT_CAP}")
-    pairs = facts(targets, "odd_cuts", _scan_odd_cuts)
+    pair = fact(t, "odd_cuts", _scan_odd_cuts)
     # The walk answers the strengthened check too, so no dual search follows it.
-    facts(targets, "strengthened", lambda ts: [p[1] for p in facts(ts, "odd_cuts", _scan_odd_cuts)])
-    return pairs
+    fact(t, "strengthened", lambda _: pair[1])
+    return pair
 
 
 def min_odd_cut(t: DTarget) -> CutWitness:
@@ -183,12 +138,12 @@ def min_odd_cut(t: DTarget) -> CutWitness:
     Both an enumerated set and its complement witness the same value, so the
     tie-break considers both.
     """
-    return odd_cuts_of([t])[0][0]
+    return _odd_cuts(t)[0]
 
 
 def is_oddly_connected(t: DTarget) -> bool:
     """True iff every odd vertex subset has cut value at least d."""
-    return odd_cuts_of([t])[0][0].value >= t.d
+    return _odd_cuts(t)[0].value >= t.d
 
 
 def strengthened_cut_check(t: DTarget) -> CutWitness | None:
@@ -206,7 +161,7 @@ def strengthened_cut_check(t: DTarget) -> CutWitness | None:
     else:
         searchable = t.vertex_count % 2 == 0 and min(t.mult_vector) >= 1
     if not searchable:
-        return odd_cuts_of([t])[0][1]
+        return _odd_cuts(t)[1]
     return fact(t, "strengthened", _dual_violation)
 
 

@@ -8,6 +8,10 @@ that the rotation system really describes a planar drawing.
 A target attaches a parameter ``d`` and a non-negative integer multiplicity
 ``m(e)`` to every edge.  Multiplicity zero is allowed; the edge stays in the
 graph and keeps its place in the embedding.
+
+The rotation system's automorphisms, mirror maps included, carry faces to
+faces, so every verdict on a target holds for its images under them; the
+corpus judges one target per orbit.
 """
 
 from __future__ import annotations
@@ -46,18 +50,6 @@ def fact(owner, key, compute, *args):
         pass
     value = facts[key] = compute(owner, *args)
     return value
-
-
-def facts(owners, key, compute):
-    """The fact under key of every owner, in order: the batch form of
-    :func:`fact`.  One call compute(missing) gets the values of the owners
-    that lack it, each once and in order of first appearance; if it raises,
-    nothing is stored."""
-    missing = list({id(o): o for o in owners if key not in o.facts}.values())
-    if missing:
-        for owner, value in zip(missing, compute(missing), strict=True):
-            owner.facts[key] = value
-    return [o.facts[key] for o in owners]
 
 
 @dataclass(frozen=True)
@@ -227,7 +219,8 @@ class DTarget:
     analysis layers derive from the target, each kept by :func:`fact` (the
     odd cuts ``"odd_cuts"``, the strengthened check ``"strengthened"`` and
     the door table ``"doors"``); like the cached ``degree_sums``, it takes
-    no part in equality.  ``mult_items`` is a view.
+    no part in equality, and no other target reads it, not even one in the
+    same automorphism orbit.  ``mult_items`` is a view.
     """
 
     graph: RotationGraph

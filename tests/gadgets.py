@@ -11,12 +11,13 @@ from __future__ import annotations
 import importlib.util
 import random
 from functools import cache
+from itertools import count
 from pathlib import Path
 
 import oracles
-from dtargets.corpus import enumerate_multiplicities, load_fixture
+from dtargets.corpus import FIXTURE_NAMES, CorpusItem, enumerate_multiplicities, load_fixture
 from dtargets.errors import WouldGoNegative
-from dtargets.planar import DTarget, RotationGraph, automorphisms, parse_dtarget
+from dtargets.planar import DTarget, RotationGraph, automorphisms, parse_dtarget, validate
 from dtargets.switching import switch_square
 
 # ---------------------------------------------------------------------------
@@ -456,3 +457,37 @@ def orbit(t: DTarget) -> set[tuple[int, ...]]:
             vector[graph.edge_index[(phi[u], phi[v])]] = m
         images.add(tuple(vector))
     return images
+
+
+# ---------------------------------------------------------------------------
+# The corpus candidates, each judged on its own
+# ---------------------------------------------------------------------------
+
+
+def corpus_candidates(base: str) -> list[DTarget]:
+    """The targets ``build_corpus`` considers on base, in its order: the
+    bundled d = 8 target, then every other d = 8 assignment with each m >= 1."""
+    canonical = load_fixture(base)
+    assert canonical.d == 8
+    enumerated = enumerate_multiplicities(canonical.graph, 8, min_mult=1)
+    return [canonical] + [t for t in enumerated if t != canonical]
+
+
+def corpus_items(base: str, targets) -> list[CorpusItem]:
+    """The targets kept on base, named as ``build_corpus`` names them."""
+    canonical, numbers = load_fixture(base), count()
+    return [
+        CorpusItem(f"{base}/{'canonical' if t == canonical else f'{next(numbers):04d}'}", t)
+        for t in targets
+    ]
+
+
+def unfiltered_corpus(bases=FIXTURE_NAMES, limit_per_base: int = 1_000_000) -> list[CorpusItem]:
+    """The corpus with odd connectivity unchecked: the candidates that pass
+    the degree and Euler checks, capped at limit_per_base (by default the
+    2,549 exhaustive ones)."""
+    items = []
+    for base in bases:
+        valid = [t for t in corpus_candidates(base) if (r := validate(t)).degree_ok and r.euler_ok]
+        items += corpus_items(base, valid[:limit_per_base])
+    return items

@@ -24,7 +24,7 @@ from dtargets.config import (
     is_prime,
     recheck,
 )
-from dtargets.corpus import build_corpus, load_fixture
+from dtargets.corpus import load_fixture
 from dtargets.cuts import is_oddly_connected
 from dtargets.discharge import RegionClass, charge_report
 from dtargets.planar import serialize_dtarget
@@ -36,7 +36,7 @@ from dtargets.switching import (
 )
 
 import oracles
-from gadgets import prism
+from gadgets import prism, unfiltered_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_criterion_3_every_oddly_connected_target_is_colourable(corpus):
 
 
 def test_criterion_4_colourability_implies_odd_cut_bound(corpus):
-    unfiltered = build_corpus(require_oddly_connected=False)
+    unfiltered = unfiltered_corpus(limit_per_base=48)
     assert len(unfiltered) >= len(corpus)
     seen_filter_failure = False
     for item in unfiltered:

@@ -32,6 +32,7 @@ from gadgets import (
     antiprism,
     octa,
     prism,
+    unfiltered_corpus,
     walk_targets,
     zero_mult_targets,
 )
@@ -360,7 +361,7 @@ def test_colouring_success_implies_oddly_connected_on_prisms():
 def test_colourings_equal_the_earlier_solver_on_the_exhaustive_corpus():
     # The search returns the lexicographically first colouring, exactly the
     # one the earlier matching-multiplicity search returned, or None with it.
-    items = build_corpus(limit_per_base=1000000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     targets = [item.target for item in items] + [
         parse_dtarget((DATA / f"{name}.dtarget").read_text())
         for name in ("two_k4", "tree")
@@ -466,7 +467,8 @@ def _table_key(t: DTarget) -> tuple:
 def test_colouring_facts_live_on_the_graph():
     # One enumeration per graph and support, shared by every target on the
     # graph and kept under the support's zero set (none here); no colouring
-    # fact lives on a target.  An equal graph built afresh starts with none.
+    # fact lives on a target.  build_corpus keeps the graph's automorphisms
+    # there too.  An equal graph built afresh starts with none.
     items = build_corpus(bases=("octahedron",))
     graph = items[0].target.graph
     assert all(item.target.graph is graph for item in items)
@@ -474,7 +476,8 @@ def test_colouring_facts_live_on_the_graph():
         before = dict(item.target.facts)
         edge_colour(item.target)
         assert item.target.facts == before
-    assert sorted(map(str, graph.facts)) == sorted([str(("matchings", 8, 0)), "triangles"])
+    expected = [str(("matchings", 8, 0)), "triangles", "automorphisms"]
+    assert sorted(map(str, graph.facts)) == sorted(expected)
     fresh = RotationGraph(graph.rotations)
     assert fresh == graph and hash(fresh) == hash(graph) and fresh.facts == {}
 

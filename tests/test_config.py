@@ -27,7 +27,7 @@ from dtargets.config import (
     recheck,
 )
 from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
-from dtargets.cuts import CutWitness, odd_cuts_of, strengthened_cut_check
+from dtargets.cuts import CutWitness, strengthened_cut_check
 from dtargets.discharge import charge_report
 from dtargets.errors import AmbiguousContext, DTargetError, NotTwoConnected, UnsupportedD
 from dtargets.planar import DTarget, RotationGraph, norm_edge, parse_dtarget, serialize_dtarget
@@ -48,6 +48,7 @@ from gadgets import (
     decaprism,
     gear12,
     octa,
+    unfiltered_corpus,
     pentaprism,
     prism,
     one_shot_targets,
@@ -465,7 +466,7 @@ def _least_detected(t):
 
 
 def test_is_prime_stops_at_the_least_detected_match():
-    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     targets = [item.target for item in items]
     targets += [parse_dtarget(path.read_text()) for path in DATA_TARGETS]
     reached = 0
@@ -734,7 +735,6 @@ def test_the_strengthened_cut_refuses_every_target_below_three_connected():
     count = heavy = 0
     for graph in graphs:
         targets = list(enumerate_multiplicities(graph, 8, min_mult=1))
-        odd_cuts_of(targets)  # one walk per graph; each target keeps its facts
         for t in targets:
             violation = strengthened_cut_check(t)
             assert violation is not None, t

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import oracles
 from dtargets.corpus import (
     FIXTURE_NAMES,
     build_corpus,
@@ -14,11 +16,12 @@ from dtargets.corpus import (
     load_fixture,
 )
 from dtargets.coloring import edge_colour
-from dtargets.cuts import is_oddly_connected, odd_cuts_of
+from dtargets.cuts import is_oddly_connected
 from dtargets.errors import DTargetError, TooLarge
 from dtargets.planar import DTarget, parse_dtarget, validate
 
 from conftest import FIXTURES
+from gadgets import corpus_candidates, corpus_items, unfiltered_corpus
 
 
 def test_fixture_names_are_the_five():
@@ -128,12 +131,51 @@ def test_corpus_respects_limit_per_base():
 
 
 def test_corpus_filter_off_adds_invalid_targets(corpus):
-    unfiltered = build_corpus(require_oddly_connected=False)
+    unfiltered = unfiltered_corpus(limit_per_base=48)
     assert len(unfiltered) >= len(corpus)
     leaky = [
         item for item in unfiltered if not is_oddly_connected(item.target)
     ]
     assert leaky, "the unfiltered corpus should include filter failures"
+
+
+@cache
+def _kept_alone(base):
+    """base's corpus candidates that pass, each validated on a fresh copy
+    and checked by the brute-force oracle."""
+    kept = []
+    for t in corpus_candidates(base):
+        fresh = DTarget(t.graph, t.d, t.mult_vector)
+        report = validate(fresh)
+        if report.degree_ok and report.euler_ok and oracles.oddly_connected(fresh):
+            kept.append(t)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "bases", [FIXTURE_NAMES, ("cube", "k4"), *((b,) for b in FIXTURE_NAMES)], ids=",".join
+)
+def test_the_orbit_corpus_equals_each_candidate_judged_alone(bases):
+    # build_corpus checks the first candidate of each automorphism orbit and
+    # links the rest to it; judging every candidate on its own keeps the same
+    # items under the same names at every cap, and each edge map carries the
+    # first item's multiplicities onto the linked item's.
+    for limit in (1, 2, 7, 48, 1_000_000):
+        items = build_corpus(bases, limit)
+        alone = [i for base in bases for i in corpus_items(base, _kept_alone(base)[:limit])]
+        assert items == alone, limit
+        firsts = set()
+        for item in items:
+            first = item.first
+            if first is None:
+                assert item.edge_map is None, item.name
+                firsts.add(id(item))
+                continue
+            assert id(first) in firsts and first.name.split("/")[0] == item.name.split("/")[0]
+            carried = [0] * len(item.edge_map)
+            for i, m in zip(item.edge_map, first.target.mult_vector):
+                carried[i] = m
+            assert tuple(carried) == item.target.mult_vector, item.name
 
 
 def test_corpus_single_base():
@@ -155,7 +197,6 @@ def test_petersen_controls(name, d, counts):
     path = Path(__file__).parent / "data" / f"{name}.dtarget"
     graph = parse_dtarget(path.read_text()).graph
     targets = list(enumerate_multiplicities(graph, d, min_mult=0))
-    odd_cuts_of(targets)
     odd = [is_oddly_connected(t) for t in targets]
     colourable = [edge_colour(t) is not None for t in targets]
     assert (len(targets), sum(odd), sum(colourable)) == counts

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dtargets import cuts
+from dtargets import cli, corpus, cuts
 from dtargets.config import is_prime, recheck
 from dtargets.corpus import build_corpus, enumerate_multiplicities, load_fixture
 from dtargets.cuts import (
@@ -25,7 +25,13 @@ from dtargets.errors import DTargetError, OddVertexCount, TooLarge
 from dtargets.planar import DTarget, RotationGraph, parse_dtarget
 
 from conftest import FIXTURES
-from gadgets import _bench_gen, below_three_connected_graphs, prism, walk_targets
+from gadgets import (
+    _bench_gen,
+    below_three_connected_graphs,
+    prism,
+    unfiltered_corpus,
+    walk_targets,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -109,7 +115,7 @@ def test_witnesses_contain_vertex_0_on_the_exhaustive_corpus():
     # The pass fixes vertex 0 outside every set it scans, so the least of a
     # set and its complement is the complement; that is why comparing the
     # complements alone gives the same witnesses.
-    items = build_corpus(limit_per_base=1000000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     assert len(items) == 2549
     for item in items:
         witnesses = [min_odd_cut(item.target), strengthened_cut_check(item.target)]
@@ -120,9 +126,9 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     scanned = []
     scan = cuts._scan_odd_cuts
 
-    def counted(targets):
-        scanned.extend(targets)
-        return scan(targets)
+    def counted(t):
+        scanned.append(t)
+        return scan(t)
 
     monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
     t = load_fixture("prism")
@@ -138,21 +144,26 @@ def test_one_odd_cut_pass_per_target(monkeypatch):
     assert len(scanned) == 2 and scanned[1] is copy
 
 
-def test_the_exhaustive_corpus_runs_one_pass_per_base(monkeypatch):
-    batches = []
-    scan = cuts._scan_odd_cuts
+def test_the_exhaustive_corpus_runs_one_walk_per_candidate_orbit(monkeypatch):
+    # The checks hold for a whole automorphism orbit, so build_corpus
+    # validates and walks the first of each orbit's 2,549 candidates alone.
+    walked, validated = [], []
+    scan, check = cuts._scan_odd_cuts, corpus.validate
 
-    def counted(targets):
-        batches.append(targets)
-        return scan(targets)
+    def counted_walk(t):
+        walked.append(t)
+        return scan(t)
 
-    monkeypatch.setattr(cuts, "_scan_odd_cuts", counted)
+    def counted_validate(t):
+        validated.append(t)
+        return check(t)
+
+    monkeypatch.setattr(cuts, "_scan_odd_cuts", counted_walk)
+    monkeypatch.setattr(corpus, "validate", counted_validate)
     items = build_corpus(limit_per_base=1000000)
-    assert len(batches) == len(FIXTURES)
-    assert [b[0].graph for b in batches] == [load_fixture(n).graph for n in FIXTURES]
-    assert sum(map(len, batches)) == 2549 and len(items) == 2527
-    scanned = {id(t) for b in batches for t in b}
-    assert all(id(item.target) in scanned for item in items)
+    assert (len(walked), len(validated), len(items)) == (254, 254, 2527)
+    firsts = [item.target for item in items if item.first is None]
+    assert len(firsts) == 248 and all(any(t is w for w in walked) for t in firsts)
 
 
 def _fresh(t):
@@ -161,10 +172,10 @@ def _fresh(t):
 
 @cache
 def _mixed_batch(name):
-    """A seeded batch on one fixture graph: enumerated d = 8 targets with
+    """Seeded targets on one fixture graph: enumerated d = 8 targets with
     zero multiplicities, then random ones with other d and uneven degree
-    sums, and one whose values need two-byte lanes; with each target's
-    oracle (minimum witness, strengthened violation)."""
+    sums, and one with total multiplicity 200; with each target's oracle
+    (minimum witness, strengthened violation)."""
     graph = load_fixture(name).graph
     rng = random.Random(name)
     zeros = list(enumerate_multiplicities(graph, 8, min_mult=0))
@@ -173,7 +184,7 @@ def _mixed_batch(name):
         d = rng.choice((1, 2, 3, 5, 8, 13))
         values = [rng.choice((0, 0, 1, 2, 3, d)) for _ in graph.edges]
         batch.append(DTarget(graph, d, tuple(values)))
-    # A total multiplicity of 200 needs a lane of 16 bits: 8 hold no guard bit.
+    # Cut values past one byte.
     values = [rng.randint(0, 12) for _ in graph.edges]
     values[0] = 200 - sum(values[1:])
     batch.append(DTarget(graph, 8, tuple(values)))
@@ -187,11 +198,6 @@ def _pair(witness):
     return None if witness is None else (witness.value, witness.X)
 
 
-def _as_oracle(facts):
-    least, small = facts
-    return _pair(least), _pair(small)
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_a_mixed_batch_matches_the_oracles_and_each_target_alone(name):
     batch, expected = _mixed_batch(name)
@@ -199,36 +205,10 @@ def test_a_mixed_batch_matches_the_oracles_and_each_target_alone(name):
     assert any(m == 0 for t in batch for _, m in t.mult_items)
     assert len({t.d for t in batch}) > 3
     assert any(len(set(t.degree_sums)) > 1 for t in batch)
-    for t, facts, want in zip(batch, cuts.odd_cuts_of(batch), expected, strict=True):
-        assert _as_oracle(facts) == want
-        alone = _fresh(t)
-        assert (min_odd_cut(alone), strengthened_cut_check(alone)) == facts
-        assert is_oddly_connected(alone) == is_oddly_connected(t) == oracles.oddly_connected(t)
-
-
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(FIXTURES), data=st.data())
-def test_sub_batches_in_any_order_give_the_same_witnesses(name, data):
-    batch, expected = _mixed_batch(name)
-    picks = data.draw(st.lists(st.integers(0, len(batch) - 1), max_size=12))
-    results = cuts.odd_cuts_of([_fresh(batch[i]) for i in picks])
-    assert [_as_oracle(r) for r in results] == [expected[i] for i in picks]
-
-
-def test_a_batch_must_share_one_graph():
-    prism_target, k4 = load_fixture("prism"), load_fixture("k4")
-    with pytest.raises(DTargetError, match="one graph"):
-        cuts.odd_cuts_of([prism_target, k4])
-    assert "odd_cuts" not in prism_target.facts
-    # Equal graphs built apart have the same edges, so they may share a walk.
-    other = load_fixture("prism")
-    assert other.graph is not prism_target.graph
-    assert cuts.odd_cuts_of([prism_target, other]) == [cuts.odd_cuts_of([other])[0]] * 2
-
-
-def test_an_empty_batch_has_no_facts(monkeypatch):
-    monkeypatch.setattr(cuts, "_scan_odd_cuts", None)
-    assert cuts.odd_cuts_of([]) == []
+    assert max(sum(t.mult_vector) for t in batch) == 200
+    for t, want in zip(batch, expected, strict=True):
+        assert (_pair(min_odd_cut(t)), _pair(strengthened_cut_check(t))) == want
+        assert is_oddly_connected(t) == oracles.oddly_connected(t)
 
 
 def test_odd_vertex_count_refused():
@@ -236,8 +216,6 @@ def test_odd_vertex_count_refused():
     # sums d, Euler, every m >= 1); a stored answer is never read.
     triangle = RotationGraph(((1, 2), (2, 0), (0, 1)))
     t = DTarget.of(triangle, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-    with pytest.raises(OddVertexCount):
-        cuts.odd_cuts_of([t])
     with pytest.raises(OddVertexCount):
         min_odd_cut(t)
     with pytest.raises(OddVertexCount, match=r"\|V\| = 3 is odd"):
@@ -288,25 +266,16 @@ def test_m_delta_oracle_on_random_subsets(name, data):
 # ---------------------------------------------------------------------------
 
 
-def _walked(targets):
-    """Each target's strengthened violation from the walk, one batch per graph."""
-    batches = {}
-    for t in targets:
-        batches.setdefault(id(t.graph), []).append(t)
-    for batch in batches.values():
-        cuts.odd_cuts_of(batch)
-    return [_pair(cuts.odd_cuts_of([t])[0][1]) for t in targets]
-
-
 def _assert_the_dual_search_agrees(targets, monkeypatch, oracle_up_to=10):
     """strengthened_cut_check on a fresh copy of each target, with the walk
     disabled, equals the oracle up to oracle_up_to vertices and the walk
     elsewhere."""
     assert all(min(t.mult_vector) >= 1 for t in targets)
-    walked = _walked(targets)
     expected = [
-        oracles.strengthened_violation(t) if t.vertex_count <= oracle_up_to else w
-        for t, w in zip(targets, walked)
+        oracles.strengthened_violation(t)
+        if t.vertex_count <= oracle_up_to
+        else _pair(cuts._scan_odd_cuts(t)[1])
+        for t in targets
     ]
     monkeypatch.setattr(cuts, "_scan_odd_cuts", None)  # only the dual search can answer
     fresh = [_fresh(t) for t in targets]
@@ -316,7 +285,7 @@ def _assert_the_dual_search_agrees(targets, monkeypatch, oracle_up_to=10):
 
 
 def test_the_dual_search_agrees_on_the_exhaustive_corpus(monkeypatch):
-    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     expected = _assert_the_dual_search_agrees([i.target for i in items], monkeypatch)
     assert len(expected) == 2549
     assert sum(e is not None for e in expected) == 162
@@ -354,7 +323,8 @@ def test_is_prime_on_a_fresh_target_runs_no_walk(monkeypatch):
 
 
 def test_the_scan_runs_no_dual_search(monkeypatch):
-    # The corpus walk stores each target's answer, which is_prime reads.
+    # The scan judges the first item of each orbit, whose answer the corpus
+    # walk stored for is_prime to read.
     searched = []
     search = cuts._dual_violation
 
@@ -363,9 +333,8 @@ def test_the_scan_runs_no_dual_search(monkeypatch):
         return search(t)
 
     monkeypatch.setattr(cuts, "_dual_violation", counted)
-    items = build_corpus(limit_per_base=1_000_000)
-    verdicts = [is_prime(item.target) for item in items]
-    assert len(verdicts) == 2527 and not any(v.is_prime for v in verdicts)
+    judged = list(cli._judged(build_corpus(limit_per_base=1_000_000)))
+    assert len(judged) == 2527 and not any(prime for _, prime, _ in judged)
     assert searched == []
 
 

@@ -55,6 +55,7 @@ from gadgets import (
     DEGENERATE_GRAPHS,
     one_shot_targets,
     spanning_subgraph_targets,
+    unfiltered_corpus,
     walk_targets,
     zero_mult_targets,
 )
@@ -207,7 +208,7 @@ def test_switch_reports_match_golden_digests():
 def detect_all_digests() -> dict:
     """The digest of ``[m.payload() for m in detect_all(t)]``, one line per
     target, over each set of targets."""
-    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     sets = {
         "enumerated": [item.target for item in items],
         "walked": walk_targets(),
@@ -240,7 +241,7 @@ def charge_report_digests() -> dict:
     """The digest of ``_charges(t)``, one line per target, over each set of
     targets; the bowtie's outer face visits its cut vertex twice.  The tree
     has bridges, so its refusal is recorded as it reads."""
-    items = build_corpus(limit_per_base=1_000_000, require_oddly_connected=False)
+    items = unfiltered_corpus()
     sets = {
         "enumerated": [item.target for item in items],
         "walked": walk_targets(),

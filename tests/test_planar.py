@@ -30,7 +30,6 @@ from dtargets.planar import (
     automorphisms,
     connectivity_level,
     fact,
-    facts,
     norm_edge,
     parse_dtarget,
     region_pair,
@@ -472,41 +471,6 @@ def test_a_fact_whose_compute_raises_is_not_stored():
         fact(graph, "flaky", compute)
     assert "flaky" not in graph.facts
     assert fact(graph, "flaky", compute) == "done" == graph.facts["flaky"]
-    assert len(calls) == 2
-
-
-def test_facts_compute_only_the_missing_owners_once_each_in_order():
-    batches = []
-
-    def compute(owners):
-        batches.append([id(o) for o in owners])
-        return [10 * len(batches) + i for i in range(len(owners))]
-
-    a, b, c = (load_fixture("prism") for _ in range(3))
-    assert fact(b, "count", lambda owner: 99) == 99
-    assert facts([c, a, b, c, a], "count", compute) == [10, 11, 99, 10, 11]
-    assert batches == [[id(c), id(a)]]
-    assert facts([a, b, c], "count", compute) == [11, 99, 10]
-    assert facts([], "count", compute) == []
-    assert batches == [[id(c), id(a)]]
-    assert a.graph.facts == {} and a.facts == {"count": 11}
-
-
-def test_facts_whose_compute_raises_store_nothing():
-    first, second = load_fixture("cube"), load_fixture("cube")
-    calls = []
-
-    def compute(owners):
-        calls.append(owners)
-        if len(calls) == 1:
-            raise ValueError("first call fails")
-        return ["done"] * len(owners)
-
-    with pytest.raises(ValueError):
-        facts([first, second], "flaky", compute)
-    assert "flaky" not in first.facts and "flaky" not in second.facts
-    assert facts([first, second], "flaky", compute) == ["done", "done"]
-    assert first.facts["flaky"] == second.facts["flaky"] == "done"
     assert len(calls) == 2
 
 

@@ -342,7 +342,7 @@ def test_size_refusals_are_constants_not_knobs():
     assert list(inspect.signature(coloring.perfect_matchings).parameters) == ["t"]
     assert len(coloring.perfect_matchings(load_fixture("cube"))) == 9
     assert list(inspect.signature(corpus.build_corpus).parameters) == [
-        "bases", "limit_per_base", "require_oddly_connected",
+        "bases", "limit_per_base",
     ]
     assert not hasattr(corpus, "CorpusSpec")
     common = {"--format", "--d", "--out"}
